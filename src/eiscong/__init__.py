@@ -8,7 +8,7 @@ Modules:
   padic       p-adic scalars with explicit precision
   iwasawa     O[[T]] at finite precision, Weierstrass preparation
   measures    distributions on unit towers, Kubota-Leopoldt branches
-  cli         batch front end with JSON reports and a result cache
+  cli         batch front end with JSON reports
 """
 
 __version__ = "0.1.0"

@@ -383,49 +383,32 @@ class QuadraticGaussSum:
     def abs_squared(self) -> int:
         return self.conductor
 
-    def approx(self):
-        import mpmath
-
-        r = mpmath.sqrt(self.conductor)
-        return mpmath.mpc(0, r) if self.imaginary else mpmath.mpc(r, 0)
-
     def __str__(self):
         return ("i*" if self.imaginary else "") + f"sqrt({self.conductor})"
 
 
-@dataclass(frozen=True)
-class ComplexInterval:
-    """A complex value with a certified radius bound."""
-
-    real: object
-    imag: object
-    radius: float
-
-
 def gauss_sum(chi: DirichletCharacter):
-    """tau(chi) = sum_a chi(a) e(a/f); exact for order <= 2, interval beyond."""
+    """tau(chi) = sum_a chi(a) e(a/f), exactly.
+
+    Order <= 2 gives 1 or a QuadraticGaussSum.  Beyond, chi(a) = zeta_e^k
+    and e(a/f) = zeta_f^a, so the sum lies in Q(zeta_L), L = lcm(e, f): the
+    result is a CycSum(L) with one term at exponent k L/e + a L/f.
+    """
     if not chi.is_primitive():
         raise ValueError("gauss_sum requires a primitive character")
     if chi.order == 1:
         return 1
     if chi.order == 2:
         return QuadraticGaussSum(chi.conductor, chi.parity == ODD)
-    import mpmath
-
     f = chi.conductor
-    with mpmath.workdps(60):
-        e = chi.zeta_order_eff()
-        total = mpmath.mpc(0)
-        for a in range(1, f):
-            k = chi.value_exp(a)
-            if k is None:
-                continue
-            ang = 2 * mpmath.pi * (mpmath.mpf(k) / e + mpmath.mpf(a) / f)
-            total += mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
-        radius = float(f * mpmath.mpf(10) ** -55)
-        if radius > 1e-30:
-            raise ArithmeticError("conductor too large for certified width")
-        return ComplexInterval(total.real, total.imag, radius)
+    e = chi.zeta_order_eff()
+    big = math.lcm(e, f)
+    total = CycSum(big)
+    for a in range(1, f):
+        k = chi.value_exp(a)
+        if k is not None:
+            total.add_term(k * (big // e) + a * (big // f), 1)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Batch command-line front end with JSON reports and an on-disk cache.
+"""Batch command-line front end with JSON reports.
 
 Every command echoes its effective configuration so runs are reproducible
 byte-for-byte.  Scan-style output is one JSON object per line.  Exit codes:
@@ -9,9 +9,7 @@ exhaustion.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -23,74 +21,21 @@ from .eisenstein import (
     scan_congruence,
     stripped_eisenstein,
 )
-from .iwasawa import (
-    IndistinguishableFromZero,
-    IwasawaElement,
-    lambda_mu,
-)
+from .iwasawa import IndistinguishableFromZero, IwasawaElement, lambda_mu
 from .lseries import hecke_L_neg_induced
 from .measures import (
-    KLOptions,
     StabilizationParams,
     bernoulli_family,
+    branch_product,
     check_distribution,
     deligne_ribet_induced,
-    kubota_leopoldt,
     stabilize,
 )
 from .quadfield import make_field, principal_ideal
 
-CACHE_ENV = "EISCONG_CACHE_DIR"
-
 
 class ConfigError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# cache
-
-
-def _cache_dir(args) -> str | None:
-    return getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
-
-
-def _config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
-
-def cache_get(args, module: str, op: str, config: dict):
-    base = _cache_dir(args)
-    if not base:
-        return None
-    path = os.path.join(base, f"{module}.{op}.{_config_hash(config)}.json")
-    try:
-        with open(path) as fh:
-            entry = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if entry.get("version") != __version__:
-        return None  # stale-version entries are ignored, never migrated
-    return entry["result"]
-
-
-def cache_put(args, module: str, op: str, config: dict, result) -> None:
-    base = _cache_dir(args)
-    if not base:
-        return
-    os.makedirs(base, exist_ok=True)
-    path = os.path.join(base, f"{module}.{op}.{_config_hash(config)}.json")
-    tmp = path + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        try:
-            import fcntl
-
-            fcntl.flock(fh, fcntl.LOCK_EX)
-        except (ImportError, OSError):
-            pass
-        json.dump({"version": __version__, "config": config, "result": result}, fh)
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -161,23 +106,23 @@ def cmd_eis(args) -> int:
 def cmd_scan(args) -> int:
     field = make_field(args.d)
     config = _config_echo(args, "scan-congruence", ["d", "m", "rho_iters"])
-    cached = cache_get(args, "eisenstein", "scan", config)
-    if cached is None:
-        reports = scan_congruence(field, args.m, rho_iters=args.rho_iters,
-                                  threads=getattr(args, "threads", 1) or 1)
-        cached = [r.to_json() for r in reports]
-        cache_put(args, "eisenstein", "scan", config, cached)
-    lines = [{"config": config}] + cached
-    _emit(args, lines)
-    if any(r["verdict"] == "unfactored" for r in cached):
+    reports = scan_congruence(field, args.m, rho_iters=args.rho_iters)
+    _emit(args, [{"config": config}] + [r.to_json() for r in reports])
+    if any(r.verdict == "unfactored" for r in reports):
         return 3
     return 0
 
 
 def cmd_padic_lambda(args) -> int:
-    with open(args.infile) as fh:
-        obj = json.load(fh)
-    series = IwasawaElement.from_json(obj)
+    try:
+        with open(args.infile) as fh:
+            obj = json.load(fh)
+    except OSError as e:
+        raise ConfigError(f"cannot read --in: {e}") from None
+    try:
+        series = IwasawaElement.from_json(obj)
+    except KeyError as e:
+        raise ConfigError(f"series JSON lacks the key {e}") from None
     try:
         mu, lam, certified = lambda_mu(series)
     except IndistinguishableFromZero as e:
@@ -211,20 +156,35 @@ def cmd_check_distribution(args) -> int:
 
 def _parse_branch(text: str):
     obj = json.loads(text)
-    if "d" in obj and "m" in obj:
-        field = make_field(obj["d"])
-        eps = induce_quadratic(field, obj["m"])
-        d1, d2 = eps.chi1.D, eps.chi2.D
-    else:
-        d1, d2 = obj["chi1_disc"], obj["chi2_disc"]
+    if not isinstance(obj, dict):
+        raise ConfigError("--branch must be a JSON object")
+    try:
+        if "d" in obj and "m" in obj:
+            field = make_field(obj["d"])
+            eps = induce_quadratic(field, obj["m"])
+            d1, d2 = eps.chi1.D, eps.chi2.D
+        else:
+            d1, d2 = obj["chi1_disc"], obj["chi2_disc"]
+    except KeyError as e:
+        raise ConfigError(
+            f"--branch needs d and m, or chi1_disc and chi2_disc; missing {e}") from None
     twist = obj.get("twist")
     return d1, d2, twist
+
+
+def _parts_json(parts: dict) -> dict:
+    return {k: {"mu": mu, "lambda": lam, "certified": c}
+            for k, (mu, lam, c) in parts.items()}
 
 
 def cmd_padic_l(args) -> int:
     d1, d2, twist_disc = _parse_branch(args.branch)
     if not is_prime(args.p):
         raise ConfigError("--p must be prime")
+    strip_primes = json.loads(args.strip) if args.strip else []
+    if not (isinstance(strip_primes, list)
+            and all(isinstance(q, int) and q > 0 for q in strip_primes)):
+        raise ConfigError("--strip must be a JSON list of positive integers")
     config = _config_echo(args, "padic-l", ["p", "N", "M", "strip"])
     config["branch"] = {"chi1_disc": d1, "chi2_disc": d2, "twist": twist_disc}
     chi1 = kronecker_character(d1) if d1 != 1 else DirichletCharacter.trivial(1)
@@ -232,40 +192,24 @@ def cmd_padic_l(args) -> int:
     if twist_disc:
         tw = kronecker_character(twist_disc)
         chi1, chi2 = chi1.mul_quadratic(tw), chi2.mul_quadratic(tw)
-    u = 1 + args.p
     try:
-        f1 = kubota_leopoldt(chi1, args.p, args.N, args.M)
-        f2 = kubota_leopoldt(chi2, args.p, args.N, args.M)
-        prod = f1 * f2
-        strip_primes = json.loads(args.strip) if args.strip else []
-        from .iwasawa import euler_factor
-
-        lam_e = mu_e = 0
-        for q in strip_primes:
-            for chi_b in (chi1, chi2):
-                e = euler_factor(chi_b(q), q, u, args.p, args.N, args.M)
-                me, le, _ = lambda_mu(e)
-                mu_e, lam_e = mu_e + me, lam_e + le
-                prod = prod * e
-        m1, l1, c1 = lambda_mu(f1)
-        m2, l2, c2 = lambda_mu(f2)
-        mp_, lp, cp = lambda_mu(prod)
+        res = branch_product(chi1, chi2, strip_primes, args.p, args.N, args.M)
     except (ArithmeticError, IndistinguishableFromZero) as e:
         _emit(args, {"config": config, "error": str(e)})
         return 3
+    parts = _parts_json(res.lambda_mu_parts)
+    euler = parts["euler"]
     result = {
         "config": config,
-        "u": u,
-        "series": prod.to_json(),
-        "mu": mp_, "lambda": lp, "certified": cp,
-        "factors": {"chi1": {"mu": m1, "lambda": l1, "certified": c1},
-                    "chi2": {"mu": m2, "lambda": l2, "certified": c2},
-                    "euler": {"mu": mu_e, "lambda": lam_e}},
-        "additivity": bool(cp and c1 and c2 and lp == l1 + l2 + lam_e
-                           and mp_ == m1 + m2 + mu_e),
+        "u": 1 + args.p,
+        "series": res.series.to_json(),
+        **parts["product"],
+        "factors": {"chi1": parts["factor1"], "chi2": parts["factor2"],
+                    "euler": {"mu": euler["mu"], "lambda": euler["lambda"]}},
+        "additivity": res.additivity,
     }
     _emit(args, result)
-    return 0 if result["additivity"] else 1
+    return 0 if res.additivity else 1
 
 
 SUBSTITUTION_NOTE = (
@@ -304,8 +248,7 @@ def cmd_verify_example(args) -> int:
         return 3
 
     # stage 2: congruence scan
-    reports = scan_congruence(field, args.m, rho_iters=args.rho_iters,
-                              threads=getattr(args, "threads", 1) or 1)
+    reports = scan_congruence(field, args.m, rho_iters=args.rho_iters)
     bundle["scan"] = [r.to_json() for r in reports]
     candidates = [r.p for r in reports if r.verdict == "candidate"]
     bundle["candidates"] = candidates
@@ -316,15 +259,13 @@ def cmd_verify_example(args) -> int:
     branch_primes = candidates if args.all_branches else candidates[:1]
     if args.p is not None:
         branch_primes = [args.p]
+    sigma0 = principal_ideal(field, args.m).prime_factors()
     branches = []
     for p in branch_primes:
-        sigma0 = [q for q in principal_ideal(field, args.m).prime_factors()]
         try:
-            res = deligne_ribet_induced(eps, None, sigma0, p, args.N, args.M,
-                                        options=KLOptions())
+            res = deligne_ribet_induced(eps, None, sigma0, p, args.N, args.M)
             entry = {"p": p, "u": 1 + p,
-                     "parts": {k: {"mu": v[0], "lambda": v[1], "certified": v[2]}
-                               for k, v in res.lambda_mu_parts.items()},
+                     "parts": _parts_json(res.lambda_mu_parts),
                      "additivity": res.additivity,
                      "series": res.series.to_json()}
             if not res.additivity:
@@ -347,11 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a subcommand's unset copy from clobbering a value parsed
     # before the subcommand name
-    common.add_argument("--cache-dir", default=argparse.SUPPRESS,
-                        help=f"result cache (or ${CACHE_ENV})")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write JSON here instead of stdout")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     ap = argparse.ArgumentParser(
         prog="eiscong",
         parents=[common],

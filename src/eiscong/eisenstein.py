@@ -241,8 +241,7 @@ def stripped_eisenstein(field: RealQuadraticField, m: int) -> EisensteinSeries:
 
 
 def scan_congruence(field: RealQuadraticField, m: int, *,
-                    rho_iters: int = 200000,
-                    threads: int = 1) -> list[CongruenceReport]:
+                    rho_iters: int = 200000) -> list[CongruenceReport]:
     """Candidate congruence primes for the weight-2 Eisenstein series at (m).
 
     Candidates are the prime divisors of the exact value L_F(-1, eps)
@@ -268,30 +267,19 @@ def scan_congruence(field: RealQuadraticField, m: int, *,
     iota1 = index_iota1(field, m_sq)
     unit_count = m_sq.residue_unit_count()
 
-    survivors = []
+    reports = []
     for p in sorted(fac):
         if p <= 4 or (6 * field.disc) % p == 0 or m % p == 0:
             continue
-        survivors.append(p)
-
-    def check(p: int) -> CongruenceReport:
         hyp_b = any((series.coefficient_at(q) - q.norm) % p != 0 for q in level_primes)
         hyp_c = lrec.value != 0 and fac.get(p, 0) >= 1
         res_ok = unit_count % p != 0
         iota_ok = iota1 % p != 0
         unit_ok = unit_power_check(field, p, iota1) == "coprime"
         ok = hyp_b and hyp_c and res_ok and iota_ok and unit_ok
-        return CongruenceReport(
+        reports.append(CongruenceReport(
             field.d, m, p, lstr, sorted([q, e] for q, e in fac.items()),
             hyp_b, hyp_c, res_ok, iota_ok, unit_ok,
             verdict="candidate" if ok else "rejected",
-        )
-
-    if threads > 1 and len(survivors) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(check, survivors))
-    else:
-        reports = [check(p) for p in survivors]
-    return sorted(reports, key=lambda r: r.p)
+        ))
+    return reports

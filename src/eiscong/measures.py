@@ -395,18 +395,17 @@ def _branch_value_at_p(chi: DirichletCharacter, tw: int, p: int, w: int) -> Padi
     return PadicScalar.from_rational(chi(p % chi.conductor) if chi.conductor > 1 else 1, p, w)
 
 
-@dataclass
-class KLOptions:
-    u: int | None = None  # topological generator image; default 1 + p
-    extra_points: int = 8  # stability self-check margin
+# the fit's stability self-check reruns it with this many extra points
+_CHECK_POINTS = 8
 
 
 def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,
-                    omega_power: int = 0, options: KLOptions | None = None) -> IwasawaElement:
+                    omega_power: int = 0) -> IwasawaElement:
     """The branch series L with L(u^(1-n) - 1) = -(1 - eta_n(p) p^(n-1)) B_{n,eta_n}/n.
 
-    eta_n is the primitive character of chi * omega^(omega_power - n).  chi
-    must be even (trivial or quadratic here) with conductor prime to p, and
+    eta_n is the primitive character of chi * omega^(omega_power - n), and
+    u = 1 + p is the image of the topological generator.  chi must be even
+    (trivial or quadratic here) with conductor prime to p, and
     chi * omega^omega_power even overall.  The trivial branch (chi trivial,
     omega_power = 0) is the p-adic zeta pseudo-measure: the returned element
     is ((1+T) - u) times the branch, flagged pole_factor.
@@ -415,8 +414,7 @@ def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,
     with p-adic precision tracked per scalar and a second fit over a larger
     point set as a stability self-check.
     """
-    opts = options or KLOptions()
-    u = opts.u if opts.u is not None else 1 + p
+    u = 1 + p
     if chi.order > 2:
         raise NotImplementedError("branch characters of order > 2")
     if chi.conductor % p == 0:
@@ -428,7 +426,7 @@ def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,
     pole = chi.is_trivial() and omega_power % (p - 1) == 0
 
     mprime = _fit_points(p, N, M)
-    big = mprime + opts.extra_points
+    big = mprime + _CHECK_POINTS
     # warm the character power-sum table once at the largest size needed;
     # incremental rebuilds would cost a full conductor pass per point
     w_big = N + big + big // (p - 1) + 10
@@ -517,28 +515,22 @@ class DRResult:
     additivity: bool
 
 
-def deligne_ribet_induced(eps: HeckeCharacterQF, twist: DirichletCharacter | None,
-                          sigma0, p: int, N: int, M: int,
-                          options: KLOptions | None = None) -> DRResult:
-    """Product of the two induced Kubota-Leopoldt branches, Euler-stripped.
+def branch_product(chi1: DirichletCharacter, chi2: DirichletCharacter,
+                   strip_norms, p: int, N: int, M: int) -> DRResult:
+    """Product of the Kubota-Leopoldt branches of chi1 and chi2, Euler-stripped.
 
-    Each branch factor is multiplied by 1 - eta(N(q)) N(q)^-1 (1+T)^c(q) for
-    the ideals q in sigma0, with eta the branch's own Dirichlet character
-    (the two together make up the full Euler polynomial of eps at q).
-    Reports lambda/mu of each part and the additivity verdict.
+    For each n in strip_norms (each coprime to p), each branch is multiplied
+    by 1 - eta(n) n^-1 (1+T)^c(n), with eta the branch's own character and
+    u = 1 + p.  Reports lambda/mu of each part and the additivity verdict:
+    lambda and mu of the product equal the sums over the branches and the
+    Euler factors, all certified.
     """
-    opts = options or KLOptions()
-    u = opts.u if opts.u is not None else 1 + p
-    chi1 = eps.chi1 if twist is None else eps.chi1.mul_quadratic(twist)
-    chi2 = eps.chi2 if twist is None else eps.chi2.mul_quadratic(twist)
-    f1 = kubota_leopoldt(chi1, p, N, M, options=options)
-    f2 = kubota_leopoldt(chi2, p, N, M, options=options)
+    u = 1 + p
+    f1 = kubota_leopoldt(chi1, p, N, M)
+    f2 = kubota_leopoldt(chi2, p, N, M)
     eulers = []
     prod = f1 * f2
-    for q in sigma0:
-        nq = q.norm
-        if nq % p == 0:
-            raise ValueError("sigma0 ideals must be coprime to p")
+    for nq in strip_norms:
         for chi_b in (chi1, chi2):
             val = chi_b(nq % chi_b.conductor) if chi_b.conductor > 1 else 1
             e = euler_factor(val, nq, u, p, N, M)
@@ -562,3 +554,16 @@ def deligne_ribet_induced(eps: HeckeCharacterQF, twist: DirichletCharacter | Non
     additivity = (c_p and certified
                   and l_p == l1 + l2 + lam_e and mu_p == mu1 + mu2 + mu_e)
     return DRResult(prod, f1, f2, eulers, parts, additivity)
+
+
+def deligne_ribet_induced(eps: HeckeCharacterQF, twist: DirichletCharacter | None,
+                          sigma0, p: int, N: int, M: int) -> DRResult:
+    """branch_product for the pair induced by eps (twisted by `twist` if given).
+
+    Both branches are stripped at the norm N(q) of each ideal q in sigma0:
+    each gets the factor 1 - eta(N(q)) N(q)^-1 (1+T)^c(N(q)), eta its own
+    character.  An inert q thus enters with N(q) = q^2 on both branches.
+    """
+    chi1 = eps.chi1 if twist is None else eps.chi1.mul_quadratic(twist)
+    chi2 = eps.chi2 if twist is None else eps.chi2.mul_quadratic(twist)
+    return branch_product(chi1, chi2, [q.norm for q in sigma0], p, N, M)

@@ -1,6 +1,8 @@
 """Dirichlet characters, Gauss sums, and the induced Hecke characters."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -150,14 +152,44 @@ class TestGaussSums:
         with pytest.raises(ValueError):
             gauss_sum(imp[0])
 
-    def test_higher_order_interval(self):
-        quartic = [c for c in primitive_characters(5) if c.order == 4]
-        assert quartic
-        g = gauss_sum(quartic[0])
-        # |tau|^2 = conductor within the certified radius
-        val = float(g.real) ** 2 + float(g.imag) ** 2
-        assert abs(val - 5) < 1e-20
-        assert g.radius <= 1e-30
+    def test_higher_order_exact(self):
+        # tau * conj(tau) = f exactly; conjugation maps x^i to x^-i in CycSum(L).
+        # tau(chi) tau(chi^-1) = chi(-1) f also pins the phase of tau.
+        seen = 0
+        for f in (5, 7, 9, 13, 16):
+            chars = {c.log_values: c for c in primitive_characters(f)}
+            for chi in chars.values():
+                if chi.order <= 2:
+                    continue
+                tau = gauss_sum(chi)
+                assert isinstance(tau, CycSum)
+                conj = CycSum(tau.e, [tau.coeffs[-i % tau.e] for i in range(tau.e)])
+                assert (tau * conj).as_rational() == f
+                inverse = chars[tuple(-k % chi.zeta_order for k in chi.log_values)]
+                sign = 1 if chi.is_even() else -1
+                assert (tau * gauss_sum(inverse)).as_rational() == sign * f
+                seen += 1
+        assert seen == 24
+
+    def test_exact_core_imports_only_the_standard_library(self):
+        # a fresh interpreter, so no other test's imports leak in; every module
+        # loaded by eiscong and an order-4 Gauss sum must be stdlib or eiscong
+        script = (
+            "import importlib, pkgutil, sys\n"
+            "before = set(sys.modules)\n"
+            "import eiscong\n"
+            "for mod in pkgutil.iter_modules(eiscong.__path__):\n"
+            "    importlib.import_module('eiscong.' + mod.name)\n"
+            "from eiscong.characters import gauss_sum, primitive_characters\n"
+            "quartic = [c for c in primitive_characters(5) if c.order == 4]\n"
+            "gauss_sum(quartic[0])\n"
+            "tops = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(tops - set(sys.stdlib_module_names) - {'eiscong'}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestInducedCharacters:

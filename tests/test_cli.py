@@ -1,7 +1,6 @@
-"""CLI surface: JSON shapes, exit codes, determinism, cache behavior."""
+"""CLI surface: JSON shapes, exit codes, determinism, pinned outputs."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -63,24 +62,6 @@ class TestScan:
         _, out2 = run_cli(["scan-congruence", "--d", "2", "--m", "5"])
         assert out1 == out2
 
-    def test_cache_round_trip(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        a = run_cli(["--cache-dir", cache, "scan-congruence", "--d", "2", "--m", "5"])
-        assert os.listdir(cache)
-        b = run_cli(["--cache-dir", cache, "scan-congruence", "--d", "2", "--m", "5"])
-        assert a == b
-
-    def test_stale_version_ignored(self, tmp_path):
-        cache = tmp_path / "cache"
-        run_cli(["--cache-dir", str(cache), "scan-congruence", "--d", "2", "--m", "5"])
-        entries = list(cache.iterdir())
-        payload = json.loads(entries[0].read_text())
-        payload["version"] = "0.0.0"
-        payload["result"] = [{"poisoned": True}]
-        entries[0].write_text(json.dumps(payload))
-        _, out = run_cli(["--cache-dir", str(cache), "scan-congruence", "--d", "2", "--m", "5"])
-        assert "poisoned" not in out
-
 
 class TestEis:
     def test_coefficients_json_lines(self):
@@ -105,6 +86,16 @@ class TestPadicLambda:
         obj = json.loads(out)
         assert (obj["mu"], obj["lambda"], obj["certified"]) == (0, 2, True)
 
+    def test_missing_file_exit_code(self, tmp_path):
+        code, _ = run_cli(["padic-lambda", "--in", str(tmp_path / "absent.json")])
+        assert code == 2
+
+    def test_missing_key_exit_code(self, tmp_path):
+        path = tmp_path / "no_coeffs.json"
+        path.write_text(json.dumps({"p": 5, "N": 4, "M": 6}))
+        code, _ = run_cli(["padic-lambda", "--in", str(path)])
+        assert code == 2
+
     def test_zero_series_is_precision_error(self, tmp_path):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"p": 5, "N": 4, "M": 6, "coeffs": [""] * 6}))
@@ -124,7 +115,66 @@ class TestCheckDistribution:
         assert code == 0 and json.loads(out)["ok"]
 
 
+# the full stdout of two padic-l runs, pinned byte for byte
+PADIC_L_D2_M5 = (
+    '{"additivity": true, "certified": true, "config": {"M": 10, "N": 4, '
+    '"branch": {"chi1_disc": 5, "chi2_disc": 40, "twist": null}, '
+    '"command": "padic-l", "p": 7, "strip": "[29]", "version": "0.1.0"}, '
+    '"factors": {"chi1": {"certified": true, "lambda": 0, "mu": 0}, '
+    '"chi2": {"certified": true, "lambda": 0, "mu": 0}, '
+    '"euler": {"lambda": 1, "mu": 0}}, "lambda": 1, "mu": 0, '
+    '"series": {"M": 10, "N": 4, "coeffs": ["0,2,5,6", "5,1,6,0", "0,0,2,5", '
+    '"1,5,6,1", "3,3,5,4", "4,5,1,0", "2,6,4,2", "4,2,6,4", "2,4,4,4", '
+    '"5,2,2,1"], "p": 7, "pole_factor": false}, "u": 8}\n')
+PADIC_L_TWISTED = (
+    '{"additivity": true, "certified": true, "config": {"M": 10, "N": 4, '
+    '"branch": {"chi1_disc": 5, "chi2_disc": 40, "twist": 13}, '
+    '"command": "padic-l", "p": 7, "strip": "[29]", "version": "0.1.0"}, '
+    '"factors": {"chi1": {"certified": true, "lambda": 0, "mu": 0}, '
+    '"chi2": {"certified": true, "lambda": 0, "mu": 0}, '
+    '"euler": {"lambda": 1, "mu": 0}}, "lambda": 1, "mu": 0, '
+    '"series": {"M": 10, "N": 4, "coeffs": ["0,3,3,1", "4,1,2,0", "2,3,6,3", '
+    '"0,6,5,4", "5,0,2,3", "4,5,1,5", "0,3,4,4", "1,3,0,5", "3,5,2,5", '
+    '"5,6,3,0"], "p": 7, "pole_factor": false}, "u": 8}\n')
+
+
 class TestPadicL:
+    def test_pinned_output_induced(self):
+        code, out = run_cli(["padic-l", "--branch", '{"d":2,"m":5}',
+                             "--p", "7", "--N", "4", "--M", "10", "--strip", "[29]"])
+        assert code == 0
+        assert out == PADIC_L_D2_M5
+
+    def test_pinned_output_twisted(self):
+        code, out = run_cli(["padic-l", "--branch",
+                             '{"chi1_disc":5,"chi2_disc":40,"twist":13}',
+                             "--p", "7", "--N", "4", "--M", "10", "--strip", "[29]"])
+        assert code == 0
+        assert out == PADIC_L_TWISTED
+
+    def test_unstripped_series_matches_deligne_ribet(self):
+        from eiscong.characters import induce_quadratic
+        from eiscong.measures import deligne_ribet_induced
+        from eiscong.quadfield import make_field
+
+        code, out = run_cli(["padic-l", "--branch", '{"d":2,"m":5}',
+                             "--p", "7", "--N", "4", "--M", "10"])
+        assert code == 0
+        eps = induce_quadratic(make_field(2), 5)
+        dr = deligne_ribet_induced(eps, None, [], 7, 4, 10)
+        assert json.loads(out)["series"] == dr.series.to_json()
+
+    def test_branch_missing_key_exit_code(self):
+        code, _ = run_cli(["padic-l", "--branch", '{"chi1_disc":5}', "--p", "7"])
+        assert code == 2
+
+    def test_malformed_branch_and_strip_exit_code(self):
+        code, _ = run_cli(["padic-l", "--branch", "5", "--p", "7"])
+        assert code == 2
+        code, _ = run_cli(["padic-l", "--branch", '{"d":2,"m":5}', "--p", "7",
+                           "--strip", '["a"]'])
+        assert code == 2
+
     def test_branch_series_with_strip(self):
         code, out = run_cli(["padic-l", "--branch", '{"d":2,"m":5}',
                              "--p", "7", "--N", "4", "--M", "10",
