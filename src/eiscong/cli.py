@@ -135,6 +135,8 @@ def cmd_padic_lambda(args) -> int:
 
 
 def cmd_check_distribution(args) -> int:
+    if not is_prime(args.p):
+        raise ConfigError("--p must be prime")
     fam = bernoulli_family(args.m0, args.p, args.depth)
     if args.alpha is not None or args.eps_p is not None:
         fam = stabilize(fam, StabilizationParams(
@@ -177,10 +179,16 @@ def _parts_json(parts: dict) -> dict:
             for k, (mu, lam, c) in parts.items()}
 
 
+def _require_positive(args) -> None:
+    if args.N < 1 or args.M < 1:
+        raise ConfigError("--N and --M must be positive")
+
+
 def cmd_padic_l(args) -> int:
     d1, d2, twist_disc = _parse_branch(args.branch)
-    if not is_prime(args.p):
-        raise ConfigError("--p must be prime")
+    if not is_prime(args.p) or args.p == 2:
+        raise ConfigError("--p must be an odd prime")
+    _require_positive(args)
     strip_primes = json.loads(args.strip) if args.strip else []
     if not (isinstance(strip_primes, list)
             and all(isinstance(q, int) and q > 0 for q in strip_primes)):
@@ -221,8 +229,9 @@ SUBSTITUTION_NOTE = (
 
 
 def cmd_verify_example(args) -> int:
-    if args.p is not None and args.p <= 4:
-        raise ConfigError("p must exceed n+2 = 4 for a real quadratic field")
+    if args.p is not None and (args.p <= 4 or not is_prime(args.p)):
+        raise ConfigError("p must be a prime exceeding n+2 = 4 for a real quadratic field")
+    _require_positive(args)
     field = make_field(args.d)
     eps = induce_quadratic(field, args.m)
     bundle = {"config": _config_echo(args, "verify-example",

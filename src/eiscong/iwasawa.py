@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import val_p
+from .arith import is_prime, val_p
 from .padic import PadicScalar, binomial_row, inv_mod, unit_log_ratio
 
 
@@ -84,10 +84,28 @@ class IwasawaElement:
 
     @staticmethod
     def from_json(obj: dict) -> "IwasawaElement":
+        """Inverse of to_json, every coefficient stamped with the serialized N.
+
+        A missing key raises KeyError.  Input of the wrong shape raises
+        ValueError: not an object, p, N or M not a non-negative integer, p
+        not prime, coeffs not a list of digit strings or longer than M, or a
+        digit outside [0, p).
+        """
+        if not isinstance(obj, dict):
+            raise ValueError("a serialized series must be a JSON object")
         p, n, m = obj["p"], obj["N"], obj["M"]
-        res = [parse_digit_string(s, p) for s in obj["coeffs"]]
+        if not all(type(x) is int and x >= 0 for x in (p, n, m)):
+            raise ValueError("p, N and M must be non-negative integers")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        coeffs = obj["coeffs"]
+        if not (isinstance(coeffs, list) and all(isinstance(c, str) for c in coeffs)):
+            raise ValueError("coeffs must be a list of digit strings")
+        if len(coeffs) > m:
+            raise ValueError(f"{len(coeffs)} coefficients exceed M = {m}")
+        res = [parse_digit_string(s, p) for s in coeffs]
         res += [0] * (m - len(res))
-        return IwasawaElement(p, n, m, res[:m], [n] * m, obj.get("pole_factor", False))
+        return IwasawaElement(p, n, m, res, [n] * m, obj.get("pole_factor", False))
 
     # -- ring operations ----------------------------------------------------
     def _common(self, other: "IwasawaElement"):
@@ -156,6 +174,8 @@ def parse_digit_string(s: str, p: int) -> int:
         return 0
     acc = 0
     for d in reversed([int(t) for t in s.split(",")]):
+        if not 0 <= d < p:
+            raise ValueError(f"digit {d} of {s!r} is outside [0, {p})")
         acc = acc * p + d
     return acc
 

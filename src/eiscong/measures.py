@@ -309,21 +309,14 @@ def bridge_certified_precision(depth: int, p: int, j: int, N: int) -> int:
 # Kubota-Leopoldt branch series
 
 
-_POWER_TABLES: dict = {}
-
-
 def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
-    """Cached character power sums for the branch Bernoulli numbers.
+    """Character power sums for the branch Bernoulli numbers.
 
     Returns (U, U0) with U[m][r] = sum of chi(a) a^m over 1 <= a <= f0*p,
     a = r mod p, gcd(a, f0 p) = 1, and U0[m] the same sum over 1 <= a <= f0.
     One pass of f0*p*mmax modular multiplications; this is the dominant cost
-    of branch series at large conductors and is why the table is shared.
+    of branch series at large conductors and is why every node shares it.
     """
-    key = (chi.kind, chi.modulus, chi.D, chi.log_values, p)
-    cached = _POWER_TABLES.get(key)
-    if cached and cached[0] >= wk and cached[1] >= mmax:
-        return cached[2], cached[3]
     f0 = chi.conductor
     mod = p**wk
     U = [[0] * p for _ in range(mmax + 1)]
@@ -351,51 +344,58 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
             for m in range(mmax + 1):
                 U[m][r] = (U[m][r] + c * apow) % mod
                 apow = apow * a % mod
-    _POWER_TABLES[key] = (wk, mmax, U, U0)
     return U, U0
 
 
-def _gen_bernoulli_padic(chi: DirichletCharacter, tw: int, n: int, p: int,
-                         w: int) -> PadicScalar:
-    """B_{n, eta} mod p^w for eta = primitive part of chi * omega^tw.
+def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
+                  w: int) -> list[tuple[Fraction, PadicScalar]]:
+    """(t_n, L(t_n)) for n = 1..count, t_n = u^(1-n) - 1, values mod p^w.
 
-    chi is quadratic or trivial with conductor prime to p; omega is the
-    Teichmuller character mod p.  Values are p-adic; the sum is the
-    classical f^(n-1) sum chi(a) B_n(a/f) expanded through power sums.
+    L(t_n) = -(1 - eta(p) p^(n-1)) B_{n,eta}/n with eta the primitive part of
+    chi * omega^tw, tw = omega_power - n mod p - 1; eta(p) = chi(p) when
+    tw = 0 and 0 otherwise.  B_{n,eta} is the classical f^(n-1) sum of
+    eta(a) B_n(a/f), f = f0 p or f0, expanded through power sums:
+    B_{n,eta} = sum_k C(n,k) B_k f^(k-1) S_{n-k}.  The power sums and the
+    Teichmuller table are built once, at p^(w+6), for every node.
     """
+    u = 1 + p
     f0 = chi.conductor
-    tw %= p - 1
-    f = f0 * p if tw else f0
     wk = w + 6
     mod = p**wk
-    U, U0 = _power_tables(chi, p, wk, n)
-    if tw:
-        omp = [0] * p
-        for r in range(1, p):
-            omp[r] = pow(teichmuller(r, p, wk), tw, mod)
-        s = [sum(omp[r] * U[m][r] for r in range(1, p)) % mod for m in range(n + 1)]
-    else:
-        s = [U0[m] % mod for m in range(n + 1)]
-    # B_{n,eta} = sum_k C(n,k) B_k f^(k-1) S_{n-k}
-    acc = PadicScalar.zero(p, w + n + 2)
-    for k in range(n + 1):
-        if not s[n - k]:
-            continue
-        coef = PadicScalar.from_rational(
-            Fraction(math.comb(n, k)) * bernoulli(k) * Fraction(f) ** (k - 1),
-            p, w + n + 2)
-        acc = acc + coef * PadicScalar.from_unit(p, 0, s[n - k] % mod, wk)
-    return acc
+    U, U0 = _power_tables(chi, p, wk, count)
+    omega = [0] + [teichmuller(r, p, wk) for r in range(1, p)]
+    chi_p = chi(p % f0) if f0 > 1 else 1
+    nodes = []
+    for n in range(1, count + 1):
+        t = Fraction(u) ** (1 - n) - 1
+        tw = (omega_power - n) % (p - 1)
+        if tw:
+            f = f0 * p
+            omp = [pow(o, tw, mod) for o in omega]
+            s = [sum(omp[r] * U[m][r] for r in range(1, p)) % mod for m in range(n + 1)]
+        else:
+            f = f0
+            s = U0[:n + 1]
+        b = PadicScalar.zero(p, w + n + 2)
+        for k in range(n + 1):
+            if not s[n - k]:
+                continue
+            coef = PadicScalar.from_rational(
+                Fraction(math.comb(n, k)) * bernoulli(k) * Fraction(f) ** (k - 1),
+                p, w + n + 2)
+            b = b + coef * PadicScalar.from_unit(p, 0, s[n - k], wk)
+        eta_p = 0 if tw else chi_p
+        fac = PadicScalar.from_rational(1 - eta_p * Fraction(p) ** (n - 1), p, w)
+        y = -(fac * b / PadicScalar.from_rational(n, p, w + val_p(n, p) + 1))
+        nodes.append((t, y))
+    return nodes
 
 
-def _branch_value_at_p(chi: DirichletCharacter, tw: int, p: int, w: int) -> PadicScalar:
-    """eta(p) for eta the primitive part of chi omega^tw: 0 unless tw = 0."""
-    if tw % (p - 1):
-        return PadicScalar.zero(p, w)
-    return PadicScalar.from_rational(chi(p % chi.conductor) if chi.conductor > 1 else 1, p, w)
-
-
-# the fit's stability self-check reruns it with this many extra points
+# The self-check fits the same node values with this many extra points.  The
+# Newton coefficient c_k = f[t_0..t_k] depends only on t_0..t_k, so the
+# M'-point fit is the first M' coefficients of the (M' + 8)-point one: both
+# come from one pass of divided differences, and the series (the prefix) must
+# agree mod p^N with the full expansion.
 _CHECK_POINTS = 8
 
 
@@ -404,82 +404,73 @@ def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,
     """The branch series L with L(u^(1-n) - 1) = -(1 - eta_n(p) p^(n-1)) B_{n,eta_n}/n.
 
     eta_n is the primitive character of chi * omega^(omega_power - n), and
-    u = 1 + p is the image of the topological generator.  chi must be even
-    (trivial or quadratic here) with conductor prime to p, and
-    chi * omega^omega_power even overall.  The trivial branch (chi trivial,
-    omega_power = 0) is the p-adic zeta pseudo-measure: the returned element
-    is ((1+T) - u) times the branch, flagged pole_factor.
+    u = 1 + p is the image of the topological generator.  p must be odd.
+    chi must be even (trivial or quadratic here) with conductor prime to p,
+    and chi * omega^omega_power even overall.  The trivial branch (chi
+    trivial, omega_power = 0) is the p-adic zeta pseudo-measure: the
+    returned element is ((1+T) - u) times the branch, flagged pole_factor.
 
-    Construction: exact Newton interpolation through M' > M + N points,
-    with p-adic precision tracked per scalar and a second fit over a larger
-    point set as a stability self-check.
+    Construction: exact Newton interpolation with p-adic precision tracked
+    per scalar.  The nodes n = 1..M'+8 (M' = _fit_points > M + N) are
+    evaluated once and their divided differences taken once.  The series is
+    the Newton form of the first M' coefficients expanded to T^0..T^(M-1);
+    the self-check expands all M' + 8 and must agree with it mod p^N.
     """
     u = 1 + p
+    if p < 3:
+        raise ValueError("p must be an odd prime")
+    if N < 1 or M < 1:
+        raise ValueError("need N >= 1 and M >= 1")
     if chi.order > 2:
         raise NotImplementedError("branch characters of order > 2")
     if chi.conductor % p == 0:
         raise ValueError("chi conductor must be coprime to p")
     if not chi.is_even():
         raise ValueError("odd chi makes the branch identically zero; not returned")
-    if (omega_power % 2) and (p != 2):
+    if omega_power % 2:
         raise ValueError("omega_power must be even to keep the branch even")
     pole = chi.is_trivial() and omega_power % (p - 1) == 0
 
     mprime = _fit_points(p, N, M)
     big = mprime + _CHECK_POINTS
-    # warm the character power-sum table once at the largest size needed;
-    # incremental rebuilds would cost a full conductor pass per point
-    w_big = N + big + big // (p - 1) + 10
-    _power_tables(chi, p, w_big + 6, big)
-    series = _kl_fit(chi, p, N, M, omega_power, u, mprime, pole)
-    check = _kl_fit(chi, p, N, M, omega_power, u, big, pole)
-    for j in range(M):
-        k = min(series.prec[j], check.prec[j], N)
-        if (series.res[j] - check.res[j]) % p**k:
-            raise ArithmeticError(
-                f"interpolation unstable at T^{j}; raise the point count")
-    return series
-
-
-def _fit_points(p: int, N: int, M: int) -> int:
-    return (N + M + 8) * (p - 1) // (p - 2) + 1
-
-
-def _kl_fit(chi: DirichletCharacter, p: int, N: int, M: int, omega_power: int,
-            u: int, mprime: int, pole: bool) -> IwasawaElement:
-    w = N + mprime + mprime // (p - 1) + 10
-    ts = []
-    ys = []
-    for n in range(1, mprime + 1):
-        t = Fraction(u) ** (1 - n) - 1
-        tw = (omega_power - n) % (p - 1)
-        b = _gen_bernoulli_padic(chi, tw, n, p, w)
-        ep = _branch_value_at_p(chi, tw, p, w)
-        fac = PadicScalar.from_rational(1, p, w) - ep * PadicScalar.from_rational(
-            Fraction(p) ** (n - 1), p, w)
-        y = -(fac * b / PadicScalar.from_rational(n, p, w + val_p(n, p) + 1))
+    w = N + big + big // (p - 1) + 10
+    ts, ys = [], []
+    for t, y in _branch_nodes(chi, p, omega_power, big, w):
         if pole:
             y = y * PadicScalar.from_rational(t - (u - 1), p, w)  # ((1+T)-u) at t
         ts.append(PadicScalar.from_rational(t, p, w))
         ys.append(y)
     # Newton divided differences; keep every order (the high ones carry the
     # tail accuracy that makes the low monomial coefficients good mod p^N)
-    dd = list(ys)
+    dd = ys
     coeffs = [dd[0]]
-    for k in range(1, mprime):
+    for k in range(1, big):
         dd = [(dd[i + 1] - dd[i]) / (ts[i + k] - ts[i]) for i in range(len(dd) - 1)]
         coeffs.append(dd[0])
-    # expand the Newton form into monomials, truncated at T^M (Horner)
+    res = _newton_to_monomials(coeffs[:mprime], ts, p, N, M, w)
+    check = _newton_to_monomials(coeffs, ts, p, N, M, w)
+    for j in range(M):
+        if res[j] != check[j]:
+            raise ArithmeticError(
+                f"interpolation unstable at T^{j}; raise the point count")
+    return IwasawaElement(p, N, M, res, [N] * M, pole_factor=pole)
+
+
+def _fit_points(p: int, N: int, M: int) -> int:
+    return (N + M + 8) * (p - 1) // (p - 2) + 1
+
+
+def _newton_to_monomials(coeffs: list, ts: list, p: int, N: int, M: int,
+                         w: int) -> list[int]:
+    """The Newton form's T^0..T^(M-1) coefficients mod p^N (Horner)."""
     poly = [PadicScalar.zero(p, w)] * M
     for k in range(len(coeffs) - 1, -1, -1):
-        new = [PadicScalar.zero(p, w)] * M
-        for j in range(M - 1):
-            new[j + 1] = poly[j]
+        new = [PadicScalar.zero(p, w)] + poly[:M - 1]
         for j in range(M):
             new[j] = new[j] - poly[j] * ts[k]
         new[0] = new[0] + coeffs[k]
         poly = new
-    res, prec = [], []
+    res = []
     for j, c in enumerate(poly):
         if c.u != 0 and c.v < 0:
             raise ArithmeticError(f"non-integral coefficient at T^{j} (unexpected pole)")
@@ -488,9 +479,8 @@ def _kl_fit(chi: DirichletCharacter, p: int, N: int, M: int, omega_power: int,
             raise ArithmeticError(
                 f"precision exhausted at T^{j}: have {k}, need N={N}; "
                 f"raise the working precision")
-        prec.append(N)
         res.append(c.residue_mod(N) if c.u else 0)
-    return IwasawaElement(p, N, M, res, prec, pole_factor=pole)
+    return res
 
 
 def kl_value_at_zero(series: IwasawaElement, u: int) -> PadicScalar:
@@ -563,6 +553,11 @@ def deligne_ribet_induced(eps: HeckeCharacterQF, twist: DirichletCharacter | Non
     Both branches are stripped at the norm N(q) of each ideal q in sigma0:
     each gets the factor 1 - eta(N(q)) N(q)^-1 (1+T)^c(N(q)), eta its own
     character.  An inert q thus enters with N(q) = q^2 on both branches.
+
+    verify-example passes the prime ideals dividing (m) as sigma0.  Both
+    branch characters have conductor divisible by m, so eta(N(q)) = 0 there:
+    every Euler factor is exactly 1 and the "euler" part reads lambda =
+    mu = 0.  Which Euler factor the paper strips is still open.
     """
     chi1 = eps.chi1 if twist is None else eps.chi1.mul_quadratic(twist)
     chi2 = eps.chi2 if twist is None else eps.chi2.mul_quadratic(twist)

@@ -1,12 +1,14 @@
 """Dirichlet characters, Gauss sums, and the induced Hecke characters."""
 
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import eiscong
 from eiscong.arith import kronecker, primes_up_to
 from eiscong.characters import (
     CycSum,
@@ -186,8 +188,10 @@ class TestGaussSums:
             "tops = {m.split('.')[0] for m in set(sys.modules) - before}\n"
             "print(sorted(tops - set(sys.stdlib_module_names) - {'eiscong'}))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True)
+        # the child imports eiscong from the same checkout as this test
+        src = os.path.dirname(os.path.dirname(eiscong.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 

@@ -1,9 +1,11 @@
 """CLI surface: JSON shapes, exit codes, determinism, pinned outputs."""
 
 import json
+import os
 import subprocess
 import sys
 
+import eiscong
 from eiscong.cli import main
 
 
@@ -96,6 +98,13 @@ class TestPadicLambda:
         code, _ = run_cli(["padic-lambda", "--in", str(path)])
         assert code == 2
 
+    def test_wrong_json_types_exit_code(self, tmp_path):
+        for i, obj in enumerate(([1, 2], {"p": 5, "N": 4, "M": 6, "coeffs": [7]})):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(obj))
+            code, _ = run_cli(["padic-lambda", "--in", str(path)])
+            assert code == 2, obj
+
     def test_zero_series_is_precision_error(self, tmp_path):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"p": 5, "N": 4, "M": 6, "coeffs": [""] * 6}))
@@ -113,6 +122,10 @@ class TestCheckDistribution:
         code, out = run_cli(["check-distribution", "--p", "5", "--m0", "3",
                              "--depth", "4", "--alpha", "1", "--eps-p", "1"])
         assert code == 0 and json.loads(out)["ok"]
+
+    def test_non_prime_p_exit_code(self):
+        code, _ = run_cli(["check-distribution", "--p", "4", "--m0", "3"])
+        assert code == 2
 
 
 # the full stdout of two padic-l runs, pinned byte for byte
@@ -185,6 +198,22 @@ class TestPadicL:
         assert obj["lambda"] == obj["factors"]["chi1"]["lambda"] + \
             obj["factors"]["chi2"]["lambda"] + obj["factors"]["euler"]["lambda"]
 
+    def test_zero_M_exit_code(self):
+        code, _ = run_cli(["padic-l", "--branch", '{"d":2,"m":5}', "--p", "7", "--M", "0"])
+        assert code == 2
+
+    def test_zero_N_exit_code(self):
+        code, _ = run_cli(["padic-l", "--branch", '{"d":2,"m":5}', "--p", "7", "--N", "0"])
+        assert code == 2
+
+    def test_negative_N_exit_code(self):
+        code, _ = run_cli(["padic-l", "--branch", '{"d":2,"m":5}', "--p", "7", "--N", "-1"])
+        assert code == 2
+
+    def test_p_two_exit_code(self):
+        code, _ = run_cli(["padic-l", "--branch", '{"d":2,"m":5}', "--p", "2"])
+        assert code == 2
+
     def test_config_error_exit_code(self):
         code, _ = run_cli(["padic-l", "--branch", '{"d":2,"m":5}',
                            "--p", "6", "--N", "4", "--M", "8"])
@@ -211,6 +240,14 @@ class TestVerifyExample:
         code, _ = run_cli(["verify-example", "--d", "2", "--m", "5", "--p", "3"])
         assert code == 2
 
+    def test_forced_non_prime_p_rejected(self):
+        code, _ = run_cli(["verify-example", "--d", "2", "--m", "5", "--p", "9"])
+        assert code == 2
+
+    def test_zero_N_exit_code(self):
+        code, _ = run_cli(["verify-example", "--d", "2", "--m", "5", "--N", "0"])
+        assert code == 2
+
     def test_out_file(self, tmp_path):
         dest = tmp_path / "bundle.json"
         code, out = run_cli(["--out", str(dest), "lvalue", "--d", "2", "--m", "5"])
@@ -220,8 +257,10 @@ class TestVerifyExample:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports eiscong from the same checkout as this test
+        src = os.path.dirname(os.path.dirname(eiscong.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "eiscong.cli", "field", "--d", "3"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["u"] == [2, 1]

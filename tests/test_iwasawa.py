@@ -246,3 +246,16 @@ class TestSerialization:
         g = IwasawaElement.from_json(f.to_json())
         assert g.res == f.res and g.t_prec == f.t_prec
         assert lambda_mu(g) == (0, 2, True)
+
+    @pytest.mark.parametrize("obj", [
+        [1, 2],                                              # not an object
+        {"p": 5, "N": "4", "M": 6, "coeffs": ["1"]},         # N not an integer
+        {"p": 5, "N": 4, "M": 6, "coeffs": [7]},             # not digit strings
+        {"p": 6, "N": 4, "M": 6, "coeffs": ["1"]},           # p not prime
+        {"p": 5, "N": 4, "M": 6, "coeffs": ["1,5"]},         # digit >= p
+        {"p": 5, "N": 4, "M": 2, "coeffs": ["1", "", "1"]},  # more than M
+    ], ids=["not-object", "N-not-int", "coeff-not-str", "p-not-prime",
+            "digit-out-of-range", "too-many-coeffs"])
+    def test_malformed_input_rejected(self, obj):
+        with pytest.raises(ValueError):
+            IwasawaElement.from_json(obj)

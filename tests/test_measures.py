@@ -284,8 +284,9 @@ class TestKubotaLeopoldt:
         chi = kronecker_character(12)
         kl = kubota_leopoldt(chi, p, N, M)
         u = 1 + p
-        from eiscong.measures import _gen_bernoulli_padic
+        from eiscong.measures import _branch_nodes
 
+        nodes = _branch_nodes(chi, p, 0, 3, N + 6)
         for n in (2, 3):
             t = Fraction(u) ** (1 - n) - 1
             # Horner evaluation of the truncated series at the exact point
@@ -293,9 +294,10 @@ class TestKubotaLeopoldt:
             for j in range(M - 1, -1, -1):
                 acc = acc * PadicScalar.from_rational(t, p, N + 4) + \
                     PadicScalar.from_rational(kl.res[j], p, N)
-            tw = (-n) % (p - 1)
-            b = _gen_bernoulli_padic(chi, tw, n, p, N + 6)
-            want = -(b / PadicScalar.from_rational(n, p, N + 6))
+            # eta(p) = 0 at n = 2, 3 (chi omega^-n is ramified at p), so the
+            # node value is -B_{n,eta}/n
+            node_t, want = nodes[n - 1]
+            assert node_t == t
             diff = acc - want
             # truncation at T^M costs ~M digits of (u^(1-n)-1)^M; modest check
             assert diff.is_zero_to_precision() and diff.abs_prec >= 8
@@ -304,25 +306,22 @@ class TestKubotaLeopoldt:
         # evaluate the fitted series at points far beyond the fit range and
         # compare against directly computed branch values, Euler factor and
         # all; exercises the tail accuracy rather than the fit consistency
-        from eiscong.measures import _branch_value_at_p, _fit_points, _gen_bernoulli_padic
+        from eiscong.measures import _branch_nodes, _fit_points
 
         p, N, M = 5, 10, 16
         chi = kronecker_character(12)
         kl = kubota_leopoldt(chi, p, N, M)
         u = 1 + p
         beyond = _fit_points(p, N, M) + 9
+        nodes = _branch_nodes(chi, p, 0, beyond + 3, N + 6)
         for n in (beyond, beyond + 3):  # include an n = 0 mod 4 (tw = 0) point
             t = Fraction(u) ** (1 - n) - 1
             acc = PadicScalar.zero(p, N)
             for j in range(M - 1, -1, -1):
                 acc = acc * PadicScalar.from_rational(t, p, N + 4) + \
                     PadicScalar.from_rational(kl.res[j], p, N)
-            tw = (-n) % (p - 1)
-            b = _gen_bernoulli_padic(chi, tw, n, p, N + 6)
-            ep = _branch_value_at_p(chi, tw, p, N + 6)
-            fac = PadicScalar.from_rational(1, p, N + 6) - \
-                ep * PadicScalar.from_rational(Fraction(p) ** (n - 1), p, N + 6)
-            want = -(fac * b / PadicScalar.from_rational(n, p, N + 6))
+            node_t, want = nodes[n - 1]  # Euler factor at p included
+            assert node_t == t
             diff = acc - want
             assert diff.is_zero_to_precision() and diff.abs_prec >= 8, n
 
@@ -367,6 +366,78 @@ class TestKubotaLeopoldt:
     def test_odd_omega_power_rejected(self):
         with pytest.raises(ValueError):
             kubota_leopoldt(kronecker_character(8), 5, 6, 8, omega_power=1)
+
+
+# SHA-256 of the JSON rows [D, p, N, M, omega_power, outcome] over the grid
+# below, where outcome is [res, prec, pole_factor] or the raised exception's
+# class name and message; recorded from the two-fit implementation
+KL_GRID_SHA256 = "49f1b4e9a8a7299fba1ed74d3a5779cbef0a5e0fbc7a569b5b8ecec5f2c4f818"
+
+
+class TestKubotaLeopoldtPinned:
+    def test_pinned_grid(self):
+        import hashlib
+        import json
+
+        rows = []
+        for D in (1, 12, 53, 24):
+            chi = DirichletCharacter.trivial(1) if D == 1 else kronecker_character(D)
+            for p in (3, 5, 7, 101):
+                for N, M in ((2, 6), (8, 12)):
+                    for om in (0, 2):
+                        try:
+                            kl = kubota_leopoldt(chi, p, N, M, omega_power=om)
+                            out = [kl.res, kl.prec, kl.pole_factor]
+                        except ValueError as e:  # p | conductor: 12 and 24 at p = 3
+                            out = [type(e).__name__, str(e)]
+                        rows.append([D, p, N, M, om, out])
+        blob = json.dumps(rows, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == KL_GRID_SHA256
+
+
+class TestKubotaLeopoldtSelfCheck:
+    @pytest.mark.parametrize("D,p,N,M", [(12, 5, 8, 12), (8, 7, 6, 10), (13, 101, 2, 6)])
+    def test_too_few_points_fail_the_self_check(self, monkeypatch, D, p, N, M):
+        # with only M points the fit is underdetermined, and the fit over
+        # M + _CHECK_POINTS points must disagree with it mod p^N
+        from eiscong import measures
+
+        monkeypatch.setattr(measures, "_fit_points", lambda p, N, M: M)
+        with pytest.raises(ArithmeticError, match="interpolation unstable"):
+            kubota_leopoldt(kronecker_character(D), p, N, M)
+
+    def test_unstable_fit_exits_3(self, monkeypatch):
+        from eiscong import measures
+        from eiscong.cli import main
+
+        monkeypatch.setattr(measures, "_fit_points", lambda p, N, M: M)
+        code = main(["padic-l", "--branch", '{"chi1_disc":12,"chi2_disc":13}',
+                     "--p", "5", "--N", "8", "--M", "12"])
+        assert code == 3
+
+    def test_one_node_pass_per_call(self, monkeypatch):
+        # one Teichmuller table and one power-sum table per call, shared by
+        # every node of the fit and of its self-check
+        from eiscong import measures
+
+        calls = {"teichmuller": 0, "_power_tables": 0}
+
+        def counted(name):
+            real = getattr(measures, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(measures, "teichmuller", counted("teichmuller"))
+        monkeypatch.setattr(measures, "_power_tables", counted("_power_tables"))
+        kubota_leopoldt(kronecker_character(13), 101, 2, 6)
+        assert calls == {"teichmuller": 100, "_power_tables": 1}
+
+    def test_p_two_rejected(self):
+        with pytest.raises(ValueError):
+            kubota_leopoldt(kronecker_character(5), 2, 2, 6)
 
 
 def _direct_b1_omega_inv(chi, p, w):
