@@ -97,20 +97,22 @@ def _pollard_brent(n: int, rng: random.Random, iters: int) -> int | None:
 def factorize(n: int, rho_iters: int = 200000) -> dict[int, int] | None:
     """Factor |n| into primes; None if a composite cofactor resists rho.
 
-    Trial division to 10^5, then Brent rho on cofactors.  Cofactors above
-    64 bits that rho cannot split within `rho_iters` make the whole call
-    return None (callers report the composite).
+    Trial division by 2 and by odd d < 10^5 while d^2 <= n, then Brent rho
+    on the cofactor, which is 1 or prime if trial division stopped at
+    d^2 > n.  Cofactors above 64 bits that rho cannot split within
+    `rho_iters` make the whole call return None (callers report the
+    composite).
     """
     n = abs(n)
     if n in (0, 1):
         return {}
     out: dict[int, int] = {}
-    for p in primes_up_to(100000):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        if n == 1:
-            return out
+    d = 2
+    while d < 100000 and d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
     rng = random.Random(0xE15)
     stack = [n]
     while stack:

@@ -308,18 +308,6 @@ class DirichletCharacter:
             raise NotImplementedError("non-coprime discriminant product")
         return kronecker_character(self.D * other.D)
 
-    def to_json(self) -> dict:
-        gens = list(unit_group(self.modulus).gens)
-        if self.kind == "kronecker":
-            vals = [kronecker(self.D, a) for a in gens]
-        elif self.kind == "trivial":
-            vals = [1 for _ in gens]
-        else:
-            vals = [f"zeta{self.zeta_order}^{self._log_at(a)}" for a in gens]
-        return {"modulus": self.modulus, "conductor": self.conductor,
-                "order": self.order, "parity": self.parity,
-                "generators": gens, "values": vals}
-
     def __repr__(self):
         if self.kind == "kronecker":
             return f"chi_{self.D}"
@@ -443,9 +431,6 @@ class HeckeCharacterQF:
 
     def is_totally_even(self) -> bool:
         return self.signature() == (EVEN, EVEN)
-
-    def is_totally_odd(self) -> bool:
-        return self.signature() == (ODD, ODD)
 
     def to_json(self) -> dict:
         return {

@@ -83,8 +83,7 @@ def cmd_lvalue(args) -> int:
         "field": field.to_json(),
         "character": eps.to_json(),
         "s": rec.s,
-        "value": str(rec.value) if rec.value.denominator == 1
-        else f"{rec.value.numerator}/{rec.value.denominator}",
+        "value": str(rec.value),
         "factorization": None if fac is None else sorted([p, e] for p, e in fac.items()),
     }
     _emit(args, result)

@@ -254,8 +254,7 @@ def scan_congruence(field: RealQuadraticField, m: int, *,
     eps = induce_quadratic(field, m)
     lrec = hecke_L_neg_induced(eps, 2)
     fac = lrec.factorization(rho_iters=rho_iters)
-    lstr = str(lrec.value) if lrec.value.denominator == 1 else \
-        f"{lrec.value.numerator}/{lrec.value.denominator}"
+    lstr = str(lrec.value)
     if fac is None:
         return [CongruenceReport(field.d, m, 0, lstr, None,
                                  False, False, False, False, False,

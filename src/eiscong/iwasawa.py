@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .arith import is_prime, val_p
+from .characters import cyclotomic_poly
 from .padic import PadicScalar, binomial_row, inv_mod, unit_log_ratio
 
 
@@ -41,17 +43,6 @@ class IwasawaElement:
         coeffs = list(coeffs)
         res = [int(c) % p**N for c in coeffs] + [0] * (M - len(coeffs))
         return IwasawaElement(p, N, M, res[:M], [N] * M, pole_factor)
-
-    @staticmethod
-    def from_rationals(p: int, N: int, M: int, coeffs) -> "IwasawaElement":
-        mod = p**N
-        out = []
-        for c in coeffs:
-            c = Fraction(c)
-            if val_p(c.denominator, p):
-                raise ValueError("coefficient not p-integral")
-            out.append(c.numerator % mod * inv_mod(c.denominator % mod, mod) % mod)
-        return IwasawaElement.from_integers(p, N, M, out)
 
     @staticmethod
     def zero(p: int, N: int, M: int) -> "IwasawaElement":
@@ -131,17 +122,8 @@ class IwasawaElement:
     def __mul__(self, other: "IwasawaElement") -> "IwasawaElement":
         m = self._common(other)
         n = min(self.min_prec(), other.min_prec())
-        mod = self.p**n
-        res = [0] * m
-        for i in range(min(self.t_prec, m)):
-            a = self.res[i] % mod
-            if a:
-                for j in range(min(other.t_prec, m - i)):
-                    b = other.res[j]
-                    if b:
-                        res[i + j] = (res[i + j] + a * b) % mod
-        return IwasawaElement(self.p, n, m, res, [n] * m,
-                              self.pole_factor or other.pole_factor)
+        return IwasawaElement(self.p, n, m, _mul_trunc(self.res, other.res, m, self.p**n),
+                              [n] * m, self.pole_factor or other.pole_factor)
 
     def scale(self, c) -> "IwasawaElement":
         """Multiply by an exact p-integral rational."""
@@ -155,9 +137,16 @@ class IwasawaElement:
         return IwasawaElement(self.p, self.p_prec, self.t_prec, out, list(self.prec),
                               self.pole_factor)
 
-    def truncate(self, M: int) -> "IwasawaElement":
-        return IwasawaElement(self.p, self.p_prec, M, self.res[:M], self.prec[:M],
-                              self.pole_factor)
+
+def _mul_trunc(a: list, b: list, m: int, mod: int) -> list:
+    """The coefficients of a*b below T^m, mod `mod`."""
+    out = [0] * m
+    for i, ai in enumerate(a[:m]):
+        ai %= mod
+        if ai:
+            for j, bj in enumerate(b[: m - i]):
+                out[i + j] += ai * bj
+    return [c % mod for c in out]
 
 
 def digit_string(r: int, p: int, k: int) -> str:
@@ -248,29 +237,15 @@ def weierstrass_prepare(f: IwasawaElement) -> WeierstrassData:
     U = [g[lam + i] % p for i in range(M - lam)] + [0] * lam
     assert U[0] % p != 0
 
-    def poly_mul(a, b, pk):
-        out = [0] * M
-        for i, ai in enumerate(a):
-            if ai and i < M:
-                for j, bj in enumerate(b):
-                    if bj and i + j < M:
-                        out[i + j] = (out[i + j] + ai * bj) % pk
-        return out
-
-    def series_inv_mod_p(a):
-        out = [0] * M
-        out[0] = inv_mod(a[0], p)
-        for k in range(1, M):
-            acc = 0
-            for i in range(1, k + 1):
-                if i < len(a) and a[i]:
-                    acc += a[i] * out[k - i]
-            out[k] = -acc * out[0] % p
-        return out
+    # each step adds a multiple of p^k, so U mod p and its inverse are fixed
+    ubar_inv = [inv_mod(U[0], p)] + [0] * (M - 1)
+    for k in range(1, M):
+        acc = sum(U[i] * ubar_inv[k - i] for i in range(1, k + 1))
+        ubar_inv[k] = -acc * ubar_inv[0] % p
 
     for k in range(1, n_red):
         pk = p ** (k + 1)
-        prod = poly_mul(P, U, pk)
+        prod = _mul_trunc(P, U, M, pk)
         err = [(g[i] - prod[i]) % pk for i in range(M)]
         if all(e % p**k == 0 for e in err):
             d = [e // p**k % p for e in err]
@@ -278,17 +253,14 @@ def weierstrass_prepare(f: IwasawaElement) -> WeierstrassData:
             raise ArithmeticError("Hensel invariant broken")
         if not any(d):
             continue
-        ubar_inv = series_inv_mod_p([u % p for u in U])
-        w = poly_mul(d, ubar_inv, p)
-        dP = w[:lam]
-        rem = [(d[i] - sum(dP[j] * U[i - j] % p for j in range(min(lam, i + 1)))) % p
-               for i in range(M)]
+        dP = _mul_trunc(d, ubar_inv, M, p)[:lam]
+        rem = [(di - ci) % p for di, ci in zip(d, _mul_trunc(dP, U, M, p))]
         assert all(r == 0 for r in rem[:lam])
         dU = [rem[lam + i] for i in range(M - lam)] + [0] * lam
         P = [(P[i] + dP[i] * p**k) % p**n_red for i in range(lam)] + [1]
         U = [(U[i] + dU[i] * p**k) % p**n_red for i in range(M)]
 
-    final = poly_mul(P, U, p**n_red)
+    final = _mul_trunc(P, U, M, p**n_red)
     if any((g[i] - final[i]) % p**n_red for i in range(M)):
         raise ArithmeticError("reconstruction failed at the stated precision")
     unit = IwasawaElement(p, n_red, M, [u % p**n_red for u in U], [n_red] * M)
@@ -328,36 +300,20 @@ def reflect(f: IwasawaElement) -> IwasawaElement:
     """Compose with the disk automorphism T -> (1+T)^-1 - 1.
 
     This is the gamma -> gamma^-1 reparametrization of the Iwasawa algebra;
-    it fixes T = 0 and preserves lambda and mu.
+    it fixes T = 0 and preserves lambda and mu.  With s = (1+T)^-1 - 1 =
+    -T/(1+T), the T^i coefficient of s^j is (-1)^i C(i-1, j-1) for
+    1 <= j <= i, so the T^i coefficient of f(s) is
+    (-1)^i sum_{j=1..i} C(i-1, j-1) f_j, and f_0 at i = 0.  It is computed
+    mod p^n for n = f.min_prec(), and every output coefficient is stated to
+    that precision.
     """
     p, M = f.p, f.t_prec
     n = f.min_prec()
     mod = p**n
-    # s(T) = (1+T)^-1 - 1 = -T + T^2 - T^3 + ...
-    s = [0] + [(-1) ** k % mod for k in range(1, M)]
-    out = [0] * M
-    spow = [1] + [0] * (M - 1)
-    for j in range(f.t_prec):
-        r = f.res[j] % mod
-        if r:
-            for i in range(M):
-                if spow[i]:
-                    out[i] = (out[i] + r * spow[i]) % mod
-        if j + 1 < f.t_prec:
-            new = [0] * M
-            for a in range(M):
-                va = spow[a]
-                if va:
-                    for b in range(1, M - a):
-                        new[a + b] = (new[a + b] + va * s[b]) % mod
-            spow = new
-    # output coefficient i mixes input coefficients 0..i: prefix-min precision
-    prec = []
-    running = n
-    for k in f.prec:
-        running = min(running, k)
-        prec.append(running)
-    return IwasawaElement(p, n, M, out, prec, f.pole_factor)
+    out = [f.res[0] % mod] + [
+        (-1) ** i * sum(comb(i - 1, j - 1) * f.res[j] for j in range(1, i + 1)) % mod
+        for i in range(1, M)]
+    return IwasawaElement(p, n, M, out, [n] * M, f.pole_factor)
 
 
 @dataclass
@@ -374,9 +330,12 @@ def evaluate(f: IwasawaElement, point="T=0"):
     """f at T = 0 (a PadicScalar) or at zeta - 1 for zeta of order p^k.
 
     For k >= 1 pass ("zeta", k); the value is returned as an integer vector
-    against powers of (zeta - 1), computed mod the Eisenstein polynomial of
-    zeta - 1.  Truncation at T^M costs floor(M / phi(p^k)) digits, which is
-    reflected in the declared precision.
+    against powers of (zeta - 1): the remainder of f(X), mod p^n for
+    n = f.min_prec(), by the monic Eisenstein polynomial Phi_{p^k}(1+X) of
+    zeta - 1, whose X^j coefficient is sum_i phi_i C(i, j) for
+    Phi_{p^k}(Y) = sum_i phi_i Y^i.  Truncation at T^M costs
+    floor(M / phi(p^k)) digits, which is reflected in the declared
+    precision.
     """
     if point == "T=0":
         if f.pole_factor:
@@ -389,41 +348,16 @@ def evaluate(f: IwasawaElement, point="T=0"):
     e = p ** (k - 1) * (p - 1)  # degree of the extension
     n = f.min_prec()
     mod = p**n
-    # minimal polynomial of X = zeta - 1: Phi_{p^k}(1 + X), monic degree e
-    from .characters import cyclotomic_poly
-
     phi = cyclotomic_poly(p**k)
-    eis = [0] * (e + 1)
-    # expand Phi(1+X) = sum phi[i] (1+X)^i
-    binrow = [[0] * (e + 1) for _ in range(len(phi))]
-    for i in range(len(phi)):
-        c = 1
-        for j in range(0, min(i, e) + 1):
-            binrow[i][j] = c
-            c = c * (i - j) // (j + 1)
-    for i, ci in enumerate(phi):
-        if ci:
-            for j in range(e + 1):
-                eis[j] += ci * binrow[i][j]
+    eis = [sum(c * comb(i, j) for i, c in enumerate(phi)) for j in range(e + 1)]
     assert eis[e] == 1
-
-    acc = [0] * e
-    xpow = [1] + [0] * (e - 1)  # X^j reduced, as a vector
-
-    def reduce_once(vec_hi):
-        # subtract vec_hi * (X^e = -(eis[0..e-1]))
-        return [(-vec_hi * eis[j]) % mod for j in range(e)]
-
-    for j in range(f.t_prec):
-        r = f.res[j]
-        if r:
-            for i in range(e):
-                acc[i] = (acc[i] + r * xpow[i]) % mod
-        # xpow *= X
-        hi = xpow[e - 1]
-        xpow = [0] + xpow[: e - 1]
-        if hi:
-            red = reduce_once(hi)
-            xpow = [(a + b) % mod for a, b in zip(xpow, red)]
+    # f mod eis: replace X^i (i >= e) by -X^(i-e) * sum_{j<e} eis_j X^j, top down
+    rem = list(f.res) + [0] * e
+    for i in range(len(rem) - 1, e - 1, -1):
+        c = rem[i] % mod
+        if c:
+            for j in range(e):
+                rem[i - e + j] -= c * eis[j]
+    acc = [c % mod for c in rem[:e]]
     prec = min(n, f.t_prec // e)
     return ExtensionValue(p, k, acc, prec)

@@ -102,17 +102,6 @@ class LValueRecord:
         num = self.value.numerator
         return factorize(num, rho_iters=rho_iters)
 
-    def to_json(self) -> dict:
-        fac = self.factorization()
-        return {
-            "s": self.s,
-            "value": str(self.value.numerator) if self.value.denominator == 1
-            else f"{self.value.numerator}/{self.value.denominator}",
-            "factorization": None if fac is None else sorted([p, e] for p, e in fac.items()),
-            "stripped": [str(q) for q in self.stripped],
-            "flags": list(self.flags),
-        }
-
 
 def dirichlet_L_neg(chi: DirichletCharacter, n: int) -> LValueRecord:
     """L(1-n, chi) = -B_{n,chi}/n, exact.

@@ -52,10 +52,6 @@ class LevelFamily:
     def level_modulus(self, nu: int) -> int:
         return self.m0 * self.p**nu
 
-    def units_at(self, nu: int) -> list[int]:
-        q = self.level_modulus(nu)
-        return [a for a in range(q) if math.gcd(a, q) == 1] or [0]
-
     def r_action(self, a: int, nu: int) -> tuple[int, int]:
         """The R(p) label map: multiply the underlying fraction by p.
 
@@ -282,8 +278,7 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
         for j in range(M):
             acc[j] = (acc[j] + scal * row[j]) % mod
     res = [a_ * den_inv % mod for a_ in acc]
-    prec = [min(N, max(0, V - 1 - _vfact(j, p) - _BRIDGE_SLACK)) if j else N
-            for j in range(M)]
+    prec = [bridge_certified_precision(V, p, j, N) for j in range(M)]
     out = [r % p**k if k else 0 for r, k in zip(res, prec)]
     return IwasawaElement(p, min(prec) if prec else N, M, out, prec)
 

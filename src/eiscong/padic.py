@@ -73,12 +73,6 @@ class PadicScalar:
             raise ValueError("valuation indistinguishable from precision")
         return self.v
 
-    def lift(self) -> int:
-        """Integer representative u * p^v; v >= 0 required."""
-        if self.v < 0 and self.u != 0:
-            raise ValueError("negative valuation has no integer lift")
-        return self.u * self.p**max(self.v, 0)
-
     def residue_mod(self, k: int) -> int:
         """Representative mod p^k; requires abs_prec >= k and v >= 0."""
         if self.abs_prec < k:
@@ -221,29 +215,15 @@ def unit_log_ratio(x: int, u: int, p: int, w: int) -> int:
 def binomial_row(c: int, length: int, p: int, w: int) -> list[int]:
     """C(c, j) mod p^w for j < length, c an exact integer representative.
 
-    Computed with exact integer arithmetic so the divisions by j! never
-    lose p-adic digits; callers supply c to enough precision that the
-    result is meaningful (error in c propagates as C(c,j) differences).
+    C(c, j) = C(c, j-1) (c-j+1) / j is an integer for every integer c, so
+    the row is exact before the reduction; callers supply c to enough
+    precision that the result is meaningful (error in c propagates as
+    C(c,j) differences).
     """
     mod = p**w
     out = [1 % mod]
-    num = 1  # c (c-1) ... (c-j+1), exact
-    den = 1  # j!, exact
-    cur = c
+    b = 1
     for j in range(1, length):
-        num *= cur
-        den *= j
-        cur -= 1
-        out.append(num // den % mod if num % den == 0 else _exact_div_mod(num, den, p, mod))
+        b = b * (c - j + 1) // j
+        out.append(b % mod)
     return out
-
-
-def _exact_div_mod(num: int, den: int, p: int, mod: int) -> int:
-    """num/den mod `mod` when the quotient is a p-adic integer."""
-    vd = val_p(den, p)
-    vn = val_p(num, p) if num else vd
-    if vn < vd:
-        raise ArithmeticError("quotient not p-integral")
-    num //= p**vd
-    den //= p**vd
-    return num % (mod * 1) * inv_mod(den % mod, mod) % mod

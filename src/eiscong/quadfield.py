@@ -45,9 +45,6 @@ class QuadElement:
     def norm(self) -> Fraction:
         return self.x * self.x - self.d * self.y * self.y
 
-    def trace(self) -> Fraction:
-        return 2 * self.x
-
     def pow(self, n: int) -> "QuadElement":
         if n < 0:
             raise ValueError("negative powers not needed here")
@@ -84,12 +81,6 @@ class RealQuadraticField:
     fund_unit: QuadElement
     fund_unit_norm: int
     u_plus: QuadElement
-
-    def omega(self) -> QuadElement:
-        """Generator of the integral basis over Z."""
-        if self.d % 4 == 1:
-            return QuadElement(self.d, Fraction(1, 2), Fraction(1, 2))
-        return QuadElement(self.d, Fraction(0), Fraction(1))
 
     def to_json(self) -> dict:
         def pair(e: QuadElement):

@@ -234,6 +234,63 @@ class TestReflection:
             assert lambda_mu(reflect(f))[:2] == (mu, lam)
 
 
+def random_element(rng, p, N, M):
+    """Random residues; uniform precision N or per-coefficient precisions."""
+    prec = [N] * M if rng.random() < 0.5 else [rng.randrange(N + 1) for _ in range(M)]
+    res = [rng.randrange(p**N) for _ in range(M)]
+    return IwasawaElement(p, min(prec), M, res, prec)
+
+
+class TestClosedFormsAgainstOracles:
+    def test_reflect_is_horner_substitution(self):
+        # f(s) = f_0 + s (f_1 + s (f_2 + ...)) with s = (1+T)^-1 - 1, by products
+        rng = random.Random(41)
+        for _ in range(60):
+            p = rng.choice((3, 5, 7, 11))
+            N, M = rng.randint(1, 8), rng.randint(1, 20)
+            f = random_element(rng, p, N, M)
+            n = f.min_prec()
+
+            def const(c):
+                return IwasawaElement.from_integers(p, n, M, [c])
+
+            s = IwasawaElement.from_integers(p, n, M, [0] + [(-1) ** k for k in range(1, M)])
+            one_plus_t = IwasawaElement.from_integers(p, n, M, [1, 1])
+            assert ((s + const(1)) * one_plus_t).res == const(1).res
+            acc = const(f.res[M - 1])
+            for j in range(M - 2, -1, -1):
+                acc = acc * s + const(f.res[j])
+            got = reflect(f)
+            assert got.prec == [n] * M and got.res == acc.res
+
+    def test_evaluate_is_substitution_into_cyclotomic_sums(self):
+        # f(zeta - 1) in Q[x]/(x^q - 1), reduced mod Phi_q, against the
+        # (zeta - 1)-power vector that evaluate returns, mapped the same way
+        from eiscong.characters import CycSum
+
+        def at_zeta_minus_one(coeffs, q):
+            x_minus_1 = CycSum(q, [-1, 1] + [0] * (q - 2))
+            acc = CycSum(q)
+            for c in reversed(coeffs):
+                acc = acc * x_minus_1 + CycSum(q, [c] + [0] * (q - 1))
+            return acc.canonical()
+
+        rng = random.Random(43)
+        for _ in range(40):
+            p = rng.choice((3, 5, 7))
+            k = 1 if p == 7 else rng.choice((1, 2))
+            q = p**k
+            N, M = rng.randint(1, 6), rng.randint(1, 2 * q)
+            f = random_element(rng, p, N, M)
+            mod = p ** f.min_prec()
+            ev = evaluate(f, ("zeta", k))
+            assert len(ev.coeffs) == q - q // p
+            assert ev.prec == min(f.min_prec(), M // (q - q // p))
+            want = at_zeta_minus_one(f.res, q)
+            got = at_zeta_minus_one(ev.coeffs, q)
+            assert [c % mod for c in got] == [c % mod for c in want]
+
+
 class TestSerialization:
     def test_digit_strings_roundtrip(self):
         for p in (5, 7, 13):

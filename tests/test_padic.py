@@ -86,6 +86,14 @@ class TestPrimitives:
         row = binomial_row(10, 8, 5, 12)
         assert row == [math.comb(10, j) % 5**12 for j in range(8)]
 
+    def test_binomial_row_negative_c(self):
+        import math
+
+        # C(c, j) = (-1)^j C(j - c - 1, j) for c < 0
+        for c in (-1, -2, -7, -126):
+            row = binomial_row(c, 9, 5, 6)
+            assert row == [(-1) ** j * math.comb(j - c - 1, j) % 5**6 for j in range(9)]
+
     def test_binomial_row_padic_consistency(self):
         # C(c, j) mod p^w depends on c mod p^(w + v_p(j!)) only
         p, w = 5, 6
