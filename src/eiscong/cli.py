@@ -15,10 +15,11 @@ from fractions import Fraction
 
 from . import __version__
 from .arith import is_prime
-from .characters import DirichletCharacter, induce_quadratic, kronecker_character
+from .characters import induce_quadratic, kronecker_character
 from .eisenstein import (
     eisenstein_coeffs,
     scan_congruence,
+    scan_factored,
     stripped_eisenstein,
 )
 from .iwasawa import IndistinguishableFromZero, IwasawaElement, lambda_mu
@@ -194,8 +195,7 @@ def cmd_padic_l(args) -> int:
         raise ConfigError("--strip must be a JSON list of positive integers")
     config = _config_echo(args, "padic-l", ["p", "N", "M", "strip"])
     config["branch"] = {"chi1_disc": d1, "chi2_disc": d2, "twist": twist_disc}
-    chi1 = kronecker_character(d1) if d1 != 1 else DirichletCharacter.trivial(1)
-    chi2 = kronecker_character(d2) if d2 != 1 else DirichletCharacter.trivial(1)
+    chi1, chi2 = kronecker_character(d1), kronecker_character(d2)
     if twist_disc:
         tw = kronecker_character(twist_disc)
         chi1, chi2 = chi1.mul_quadratic(tw), chi2.mul_quadratic(tw)
@@ -255,8 +255,8 @@ def cmd_verify_example(args) -> int:
         _emit(args, bundle)
         return 3
 
-    # stage 2: congruence scan
-    reports = scan_congruence(field, args.m, rho_iters=args.rho_iters)
+    # stage 2: congruence scan on the stage-1 value and factorization
+    reports = scan_factored(field, args.m, rec, fac)
     bundle["scan"] = [r.to_json() for r in reports]
     candidates = [r.p for r in reports if r.verdict == "candidate"]
     bundle["candidates"] = candidates

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from .characters import HeckeCharacterQF, induce_quadratic, trivial_hecke
-from .lseries import hecke_L_neg_induced
+from .lseries import LValueRecord, hecke_L_neg_induced
 from .quadfield import (
     IdealQF,
     RealQuadraticField,
@@ -251,14 +251,24 @@ def scan_congruence(field: RealQuadraticField, m: int, *,
     means every implemented check passed; cohomology torsion-freeness
     remains an explicit unchecked assumption.
     """
-    eps = induce_quadratic(field, m)
-    lrec = hecke_L_neg_induced(eps, 2)
+    lrec = hecke_L_neg_induced(induce_quadratic(field, m), 2)
     fac = lrec.factorization(rho_iters=rho_iters)
-    lstr = str(lrec.value)
     if fac is None:
-        return [CongruenceReport(field.d, m, 0, lstr, None,
+        return [CongruenceReport(field.d, m, 0, str(lrec.value), None,
                                  False, False, False, False, False,
                                  verdict="unfactored")]
+    return scan_factored(field, m, lrec, fac)
+
+
+def scan_factored(field: RealQuadraticField, m: int, lrec: LValueRecord,
+                  fac: dict[int, int]) -> list[CongruenceReport]:
+    """The per-prime checks of scan_congruence, given L_F(-1, eps) factored.
+
+    lrec is hecke_L_neg_induced(induce_quadratic(field, m), 2) and fac the
+    factorization of its numerator; one report per prime that passes the
+    filters, in increasing order.
+    """
+    lstr = str(lrec.value)
     series = stripped_eisenstein(field, m)
     level = series.level
     level_primes = level.prime_factors()

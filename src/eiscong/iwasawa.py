@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 from .arith import is_prime, val_p
@@ -303,17 +304,15 @@ def reflect(f: IwasawaElement) -> IwasawaElement:
     it fixes T = 0 and preserves lambda and mu.  With s = (1+T)^-1 - 1 =
     -T/(1+T), the T^i coefficient of s^j is (-1)^i C(i-1, j-1) for
     1 <= j <= i, so the T^i coefficient of f(s) is
-    (-1)^i sum_{j=1..i} C(i-1, j-1) f_j, and f_0 at i = 0.  It is computed
-    mod p^n for n = f.min_prec(), and every output coefficient is stated to
-    that precision.
+    (-1)^i sum_{j=1..i} C(i-1, j-1) f_j, and f_0 at i = 0.  Output
+    coefficient i >= 1 depends only on f_1..f_i, so it is stated at
+    min(prec[1..i]); coefficient 0 keeps prec[0].
     """
-    p, M = f.p, f.t_prec
-    n = f.min_prec()
-    mod = p**n
-    out = [f.res[0] % mod] + [
-        (-1) ** i * sum(comb(i - 1, j - 1) * f.res[j] for j in range(1, i + 1)) % mod
-        for i in range(1, M)]
-    return IwasawaElement(p, n, M, out, [n] * M, f.pole_factor)
+    prec = f.prec[:1] + list(accumulate(f.prec[1:], min))
+    out = f.res[:1] + [
+        (-1) ** i * sum(comb(i - 1, j - 1) * f.res[j] for j in range(1, i + 1))
+        for i in range(1, f.t_prec)]
+    return IwasawaElement(f.p, min(prec), f.t_prec, out, prec, f.pole_factor)
 
 
 @dataclass

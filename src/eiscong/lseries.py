@@ -47,32 +47,27 @@ def bernoulli_poly(n: int, x: Fraction) -> Fraction:
 def gen_bernoulli(chi: DirichletCharacter, n: int):
     """B_{n,chi} for chi of modulus equal to its conductor.
 
-    Rational for order <= 2, a CycSum otherwise.  The n = 2 quadratic case
-    runs on integers over a common denominator (conductors above 10^5 stay
-    fast).
+    Rational for order <= 2, a CycSum otherwise.  For order <= 2 it runs on
+    the integer power sums S_j = sum_{a=1..f} chi(a) a^j:
+    B_{n,chi} = sum_k C(n,k) B_k f^(k-1) S_{n-k}.  The trivial character
+    (f = 1) gives B_n(1): B_n for n != 1, +1/2 at n = 1.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if not chi.is_primitive() and chi.kind != "trivial":
         raise ValueError("gen_bernoulli needs modulus = conductor")
     f = chi.conductor
-    if f == 1:
-        return bernoulli_poly(n, Fraction(1))  # B_n(1): B_n for n != 1, +1/2 at n = 1
     if chi.order <= 2:
-        if n == 2:
-            # B_2(a/f) = (6a^2 - 6af + f^2) / (6 f^2); sum the numerators
-            s = 0
-            for a in range(1, f):
-                c = chi(a)
-                if c:
-                    s += c * (6 * a * a - 6 * a * f + f * f)
-            return Fraction(s, 6 * f)
-        acc = Fraction(0)
-        for a in range(1, f):
-            c = chi(a)
-            if c:
-                acc += c * bernoulli_poly(n, Fraction(a, f))
-        return f ** (n - 1) * acc
+        sums = [0] * (n + 1)
+        js = range(n + 1)
+        for a in range(1, f + 1):
+            x = chi(a)
+            if x:
+                for j in js:
+                    sums[j] += x
+                    x *= a
+        return sum(math.comb(n, k) * bernoulli(k) * Fraction(f) ** (k - 1) * sums[n - k]
+                   for k in range(n + 1))
     e = chi.zeta_order_eff()
     acc = CycSum(e)
     for a in range(1, f):

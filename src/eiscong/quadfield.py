@@ -45,18 +45,6 @@ class QuadElement:
     def norm(self) -> Fraction:
         return self.x * self.x - self.d * self.y * self.y
 
-    def pow(self, n: int) -> "QuadElement":
-        if n < 0:
-            raise ValueError("negative powers not needed here")
-        result = QuadElement(self.d, Fraction(1), Fraction(0))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def embeds_above(self, bound: Fraction) -> bool:
         """True iff x + y*sqrt(d) > bound in the embedding with sqrt(d) > 0."""
         # x - bound > -y sqrt(d), squared by sign cases
@@ -99,60 +87,40 @@ def _rat_json(q: Fraction):
     return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _cf_pell_unit(d: int) -> QuadElement:
-    """Fundamental solution of x^2 - d y^2 = +-1 via the CF of sqrt(d)."""
-    a0 = math.isqrt(d)
-    if a0 * a0 == d:
+def _fundamental_unit(d: int, disc: int) -> QuadElement:
+    """The least unit > 1 of o_F, from one continued-fraction period of omega.
+
+    omega = (r + sqrt(disc))/2 with r = disc mod 2 generates o_F.  Its
+    complete quotients are (P + sqrt(disc))/Q, starting at (P, Q) = (r, 2);
+    Q returns to 2 exactly at the end of a period, and with p/q the last
+    convergent before it, p - q*conj(omega) is the fundamental unit.
+    """
+    s = math.isqrt(disc)
+    if s * s == disc:
         raise ValueError("d is a perfect square")
-    p_prev, p = 1, a0
-    q_prev, q = 0, 1
-    P, Q = 0, 1
-    a = a0
+    r = disc % 2
+    P, Q = r, 2
+    p_prev, p = 0, 1
+    q_prev, q = 1, 0
     for _ in range(_CF_MAX_PERIOD):
-        P = a * Q - P
-        Q = (d - P * P) // Q
-        a = (a0 + P) // Q
+        a = (P + s) // Q
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
-        if Q == 1:
-            # period complete: previous convergent gives the unit
-            return QuadElement(d, Fraction(p_prev), Fraction(q_prev))
+        P = a * Q - P
+        Q = (disc - P * P) // Q
+        if Q == 2:
+            # conj(omega) = (r - g sqrt(d))/2 with g^2 = disc/d
+            g = math.isqrt(disc // d)
+            return QuadElement(d, Fraction(2 * p - r * q, 2), Fraction(g * q, 2))
     raise ValueError("continued-fraction period exceeds cap")
-
-
-def _half_integer_cube_root(eps: QuadElement) -> QuadElement | None:
-    """u = (a + b sqrt(d))/2 with u^3 = eps, if one exists (d = 5 mod 8)."""
-    d = eps.d
-    x, y = eps.x, eps.y  # integers here
-    s3 = eps.norm()
-    if abs(s3) != 1:
-        return None
-    s = int(s3)  # norm of u equals the norm of eps when cubing (s^3 = s)
-    # (a + b sqrt(d))/2 cubed = eps  and  a^2 - d b^2 = 4s  give
-    #   a (s + d b^2) = 2x,   b (3 s + d b^2) = 2y.
-    b = 1
-    while d * b**3 <= 2 * y + 3 * b:
-        num = 2 * int(y)
-        if num % b == 0 and (num // b - 3 * s) % d == 0:
-            bb = (num // b - 3 * s) // d
-            if bb == b * b:
-                aa = 4 * s + d * b * b
-                a = math.isqrt(aa) if aa > 0 else -1
-                if a >= 0 and a * a == aa:
-                    for sa in (a, -a):
-                        u = QuadElement(d, Fraction(sa, 2), Fraction(b, 2))
-                        if u.pow(3) == eps:
-                            return u
-        b += 1
-    return None
 
 
 def make_field(d: int) -> RealQuadraticField:
     """Construct Q(sqrt(d)) with fundamental unit and totally positive u_plus.
 
-    The unit comes from the continued fraction of sqrt(d); for d = 1 mod 4
-    the Pell unit may be the cube of the true fundamental unit, which is
-    recovered exactly.
+    The unit comes from one continued-fraction period of the ring generator
+    omega = (r + sqrt(disc))/2, r = disc mod 2, which serves both integral
+    bases; u_plus is the unit or, when its norm is -1, its square.
     """
     if d <= 1:
         raise ValueError("need d >= 2")
@@ -160,14 +128,7 @@ def make_field(d: int) -> RealQuadraticField:
         raise ValueError("d must be squarefree")
     disc = d if d % 4 == 1 else 4 * d
     basis = "Z[(1+sqrt(d))/2]" if d % 4 == 1 else "Z[sqrt(d)]"
-    u = _cf_pell_unit(d)
-    if d % 4 == 1:
-        root = _half_integer_cube_root(u)
-        if root is not None:
-            u = root
-    # normalize to the embedding-largest associate > 1
-    if not u.embeds_above(Fraction(1)):
-        u = QuadElement(d, abs(u.x), abs(u.y))
+    u = _fundamental_unit(d, disc)
     nu = int(u.norm())
     assert nu in (1, -1)
     u_plus = u if nu == 1 else u * u
@@ -331,62 +292,27 @@ def index_iota1(field: RealQuadraticField, a: IdealQF) -> int:
     return int(val)
 
 
-def _uplus_matrix(field: RealQuadraticField) -> tuple[int, int, int, int]:
-    """Multiplication-by-u_plus matrix on the integral basis (1, omega)."""
-    d = field.d
-    up = field.u_plus
-    if d % 4 == 1:
-        # u_plus = c0 + c1*omega with omega = (1+sqrt d)/2
-        c1 = up.y * 2
-        c0 = up.x - up.y
-        assert c0.denominator == 1 and c1.denominator == 1
-        c0, c1 = int(c0), int(c1)
-        # omega^2 = (d-1)/4 + omega
-        t = (d - 1) // 4
-        return c0, c1 * t, c1, c0 + c1
-    c0, c1 = int(up.x), int(up.y)
-    return c0, c1 * d, c1, c0
-
-
 def unit_power_check(field: RealQuadraticField, p: int, e: int) -> str:
     """"divides" iff u_plus^e = 1 in some residue field above p.
 
-    Square-and-multiply on the 2x2 multiplication matrix mod p; equivalent
-    to p | N(u_plus^e - 1).  Ramified p is rejected (residue ring not etale).
+    N(u_plus) = 1 gives N(u_plus^e - 1) = 2 - V_e for the trace sequence
+    V_k = Tr(u_plus^k), so the test is V_e = 2 mod p.  V_e comes from the
+    doubling ladder on (V_k, V_(k+1)) with V_0 = 2, V_1 = t = Tr(u_plus):
+    V_2k = V_k^2 - 2 and V_(2k+1) = V_k V_(k+1) - t.  Ramified p is
+    rejected (residue ring not etale).
     """
     if field.disc % p == 0:
         raise ValueError("p divides the discriminant")
     if e <= 0:
         raise ValueError("need a positive exponent")
-    m00, m01, m10, m11 = (c % p for c in _uplus_matrix(field))
-    r00, r01, r10, r11 = 1, 0, 0, 1
-    a00, a01, a10, a11 = m00, m01, m10, m11
-    n = e
-    while n:
-        if n & 1:
-            r00, r01, r10, r11 = (
-                (r00 * a00 + r01 * a10) % p,
-                (r00 * a01 + r01 * a11) % p,
-                (r10 * a00 + r11 * a10) % p,
-                (r10 * a01 + r11 * a11) % p,
-            )
-        a00, a01, a10, a11 = (
-            (a00 * a00 + a01 * a10) % p,
-            (a00 * a01 + a01 * a11) % p,
-            (a10 * a00 + a11 * a10) % p,
-            (a10 * a01 + a11 * a11) % p,
-        )
-        n >>= 1
-    # u_plus^e - 1 has basis coordinates (r00 - 1, r10); its norm mod p is
-    # the determinant of multiplication by it, i.e. N(x + y*omega).
-    x, y = (r00 - 1) % p, r10 % p
-    d = field.d
-    if d % 4 == 1:
-        # N(x + y*omega) = x^2 + xy - y^2 (d-1)/4
-        norm = (x * x + x * y - y * y * ((d - 1) // 4)) % p
-    else:
-        norm = (x * x - d * y * y) % p
-    return "divides" if norm == 0 else "coprime"
+    t = int(2 * field.u_plus.x) % p
+    v, w = 2, t
+    for bit in bin(e)[2:]:
+        if bit == "1":
+            v, w = (v * w - t) % p, (w * w - 2) % p
+        else:
+            v, w = (v * v - 2) % p, (v * w - t) % p
+    return "divides" if (v - 2) % p == 0 else "coprime"
 
 
 def enumerate_ideals(field: RealQuadraticField, bound: int) -> list[IdealQF]:

@@ -177,6 +177,18 @@ class TestPadicL:
         dr = deligne_ribet_induced(eps, None, [], 7, 4, 10)
         assert json.loads(out)["series"] == dr.series.to_json()
 
+    def test_disc_one_is_the_trivial_character(self):
+        # chi2_disc 1 twisted by chi_8 is chi_8 itself
+        from eiscong.characters import kronecker_character
+        from eiscong.measures import branch_product
+
+        code, out = run_cli(["padic-l", "--branch",
+                             '{"chi1_disc":5,"chi2_disc":1,"twist":8}',
+                             "--p", "7", "--N", "3", "--M", "6"])
+        assert code == 0
+        res = branch_product(kronecker_character(40), kronecker_character(8), [], 7, 3, 6)
+        assert json.loads(out)["series"] == res.series.to_json()
+
     def test_branch_missing_key_exit_code(self):
         code, _ = run_cli(["padic-l", "--branch", '{"chi1_disc":5}', "--p", "7"])
         assert code == 2
@@ -235,6 +247,34 @@ class TestVerifyExample:
         a = run_cli(["verify-example", "--d", "2", "--m", "5", "--N", "2", "--M", "6"])
         b = run_cli(["verify-example", "--d", "2", "--m", "5", "--N", "2", "--M", "6"])
         assert a == b
+
+    def test_stage_one_value_feeds_the_scan(self, monkeypatch):
+        # one L-value and one factorization per run; the scan is unchanged
+        import eiscong.cli as cli
+        import eiscong.eisenstein as eisenstein
+        from eiscong.eisenstein import scan_congruence
+        from eiscong.lseries import LValueRecord
+        from eiscong.quadfield import make_field
+
+        want = [r.to_json() for r in scan_congruence(make_field(2), 17)]
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "hecke_L_neg_induced",
+                            counted("lvalue", cli.hecke_L_neg_induced))
+        monkeypatch.setattr(eisenstein, "hecke_L_neg_induced",
+                            counted("lvalue", eisenstein.hecke_L_neg_induced))
+        monkeypatch.setattr(LValueRecord, "factorization",
+                            counted("factor", LValueRecord.factorization))
+        code, out = run_cli(["verify-example", "--d", "2", "--m", "17"])
+        assert code == 0
+        assert sorted(calls) == ["factor", "lvalue"]
+        assert json.loads(out)["scan"] == want
 
     def test_forced_small_p_rejected(self):
         code, _ = run_cli(["verify-example", "--d", "2", "--m", "5", "--p", "3"])

@@ -261,7 +261,48 @@ class TestClosedFormsAgainstOracles:
             for j in range(M - 2, -1, -1):
                 acc = acc * s + const(f.res[j])
             got = reflect(f)
-            assert got.prec == [n] * M and got.res == acc.res
+            # coefficient i >= 1 depends on f_1..f_i only: prefix minimum
+            assert got.prec == [f.prec[0]] + [min(f.prec[1:i + 1]) for i in range(1, M)]
+            assert all((g - a) % p**n == 0 for g, a in zip(got.res, acc.res))
+            # each coefficient at its stated precision: the same Horner
+            # oracle, uniform at that precision, on f_0..f_i
+            for i, k in enumerate(got.prec):
+                def const_k(c):
+                    return IwasawaElement.from_integers(p, k, i + 1, [c])
+
+                s_k = IwasawaElement.from_integers(
+                    p, k, i + 1, [0] + [(-1) ** j for j in range(1, i + 1)])
+                acc_k = const_k(f.res[i])
+                for j in range(i - 1, -1, -1):
+                    acc_k = acc_k * s_k + const_k(f.res[j])
+                assert got.res[i] == acc_k.res[i], (i, k)
+
+    def test_reflect_ignores_digits_below_stated_precision(self):
+        # changing an input digit at or above its precision leaves every
+        # output coefficient unchanged at the precision reflect states
+        rng = random.Random(44)
+        for _ in range(60):
+            p = rng.choice((3, 5, 7))
+            f = random_element(rng, p, rng.randint(1, 6), rng.randint(1, 14))
+            got = reflect(f)
+            noisy = IwasawaElement(p, f.p_prec, f.t_prec,
+                                   [r + rng.randrange(1, p**3) * p**k
+                                    for r, k in zip(f.res, f.prec)],
+                                   [k + 3 for k in f.prec])
+            again = reflect(noisy)
+            assert all((a - b) % p**k == 0
+                       for a, b, k in zip(got.res, again.res, got.prec))
+
+    def test_reflect_keeps_bridge_precision(self):
+        # a Gamma-transform with mixed precision keeps it through reflect
+        from eiscong.characters import DirichletCharacter
+        from eiscong.measures import (
+            StabilizationParams, bernoulli_family, stabilize, to_iwasawa_series)
+
+        fam = stabilize(bernoulli_family(1, 5, 4), StabilizationParams(1, 1))
+        ser = to_iwasawa_series(fam, DirichletCharacter.trivial(1), 2, 6, 8, 12)
+        assert ser.prec == [8, 2, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0]
+        assert reflect(ser).prec == ser.prec
 
     def test_evaluate_is_substitution_into_cyclotomic_sums(self):
         # f(zeta - 1) in Q[x]/(x^q - 1), reduced mod Phi_q, against the

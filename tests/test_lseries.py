@@ -86,11 +86,14 @@ class TestGenBernoulli:
                         assert all(c == 0 for c in b.canonical()), (m, n)
 
     def test_fast_path_matches_slow(self):
-        chi = kronecker_character(-163)
-        f = chi.conductor
-        slow = f * sum(chi(a) * bernoulli_poly(2, Fraction(a, f))
-                       for a in range(1, f))
-        assert gen_bernoulli(chi, 2) == slow
+        # the defining sum f^(n-1) sum_{a=1..f} chi(a) B_n(a/f), both parities
+        for D in (1, 5, 8, 12, 1001, -3, -4, -8, -163):
+            chi = kronecker_character(D)
+            f = chi.conductor
+            for n in range(1, 7):
+                slow = Fraction(f) ** (n - 1) * sum(
+                    chi(a) * bernoulli_poly(n, Fraction(a, f)) for a in range(1, f + 1))
+                assert gen_bernoulli(chi, n) == slow, (D, n)
 
 
 class TestLValues:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eiscong.arith import kronecker, primes_up_to
+from eiscong.arith import is_squarefree, kronecker, primes_up_to
 from eiscong.quadfield import (
     INERT,
     QuadElement,
@@ -25,7 +25,10 @@ from eiscong.quadfield import (
 
 
 def brute_fundamental_unit(d):
-    """Least unit > 1 by searching b; the stated independent oracle."""
+    """Least unit > 1 by searching b < 1000; the stated independent oracle.
+
+    None when the search does not reach the unit.
+    """
     half = d % 4 == 1
     for b in range(1, 1000):
         for s in (-4, 4) if half else (-1, 1):
@@ -37,7 +40,12 @@ def brute_fundamental_unit(d):
                     if half and (a - b) % 2 != 0:
                         continue
                     return QuadElement(d, Fraction(a, den), Fraction(b, den))
-    raise AssertionError("no unit found")
+    return None
+
+
+# every squarefree d < 300 whose unit the oracle reaches (138 fields)
+BRUTE_REACHED = [d for d in range(2, 300)
+                 if is_squarefree(d) and brute_fundamental_unit(d) is not None]
 
 
 class TestMakeField:
@@ -48,7 +56,7 @@ class TestMakeField:
         assert f.fund_unit_norm == -1
         assert f.u_plus == QuadElement(2, Fraction(3), Fraction(2))
 
-    @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 17, 19, 21, 29])
+    @pytest.mark.parametrize("d", BRUTE_REACHED)
     def test_against_brute_force(self, d):
         f = make_field(d)
         assert f.fund_unit == brute_fundamental_unit(d)
@@ -60,6 +68,16 @@ class TestMakeField:
         f = make_field(94)
         assert f.fund_unit == QuadElement(94, Fraction(2143295), Fraction(221064))
         assert f.fund_unit_norm == 1
+
+    @pytest.mark.parametrize("d, x, y", [(1021, 85745895, 2683493),
+                                         (1069, 106822461, 3267185)])
+    def test_half_integer_units_with_large_coefficients(self, d, x, y):
+        # units (x + y sqrt d)/2 far beyond the brute-force oracle's reach
+        f = make_field(d)
+        assert f.basis_kind == "Z[(1+sqrt(d))/2]"
+        assert f.fund_unit == QuadElement(d, Fraction(x, 2), Fraction(y, 2))
+        assert f.fund_unit_norm == -1
+        assert f.u_plus == f.fund_unit * f.fund_unit
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_examples(self, d):
@@ -193,18 +211,20 @@ class TestUnitPower:
         with pytest.raises(ValueError):
             unit_power_check(f, 2, 1)
 
-    def test_matches_brute_force_norm(self):
-        # divides <=> p | N(u_plus^e - 1), checked by direct element powers
-        f = make_field(2)
-        up = f.u_plus
-        for p in [q for q in primes_up_to(100) if q > 2]:
-            x = QuadElement(2, Fraction(1), Fraction(0))
-            for e in range(1, 30):
-                x = x * up
-                x = QuadElement(2, Fraction(int(x.x) % p), Fraction(int(x.y) % p))
-                norm = (x.x - 1) ** 2 - 2 * x.y**2
+    @pytest.mark.parametrize("d", [2, 5, 13, 17, 21])
+    def test_matches_brute_force_norm(self, d):
+        # divides <=> p | N(u_plus^e - 1), checked by exact element powers
+        f = make_field(d)
+        x, norms = QuadElement(d, Fraction(1), Fraction(0)), []
+        for e in range(1, 30):
+            x = x * f.u_plus
+            norm = (x.x - 1) ** 2 - d * x.y**2
+            assert norm.denominator == 1
+            norms.append(int(norm))
+        for p in [q for q in primes_up_to(100) if f.disc % q]:
+            for e, norm in enumerate(norms, 1):
                 want = "divides" if norm % p == 0 else "coprime"
-                assert unit_power_check(f, p, e) == want
+                assert unit_power_check(f, p, e) == want, (p, e)
 
     def test_candidate_prime_exponent(self):
         f = make_field(2)
