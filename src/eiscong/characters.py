@@ -10,9 +10,11 @@ the cyclotomic polynomial only for comparison, which keeps everything exact.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 from .arith import crt, factorize, fundamental_discriminant, kronecker
 from .quadfield import IdealQF, RealQuadraticField, principal_ideal, unit_ideal
@@ -351,6 +353,41 @@ def enumerate_characters(m: int) -> list[DirichletCharacter]:
 
 def primitive_characters(m: int) -> list[DirichletCharacter]:
     return [c for c in enumerate_characters(m) if c.conductor == m]
+
+
+# sieve states: 0 is +1, 1 is -1, 2 is 0
+_FLIP_SIGN = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_STATE_TO_VALUE = bytes.maketrans(b"\x00\x01\x02", b"\x01\xff\x00")
+
+
+def value_table(chi: DirichletCharacter) -> array:
+    """chi(0), ..., chi(f - 1) for f = chi.conductor, chi of order <= 2.
+
+    Filled by complete multiplicativity from chi at the primes q < f: a
+    prime with chi(q) = 0 zeroes the multiples of q, and one with
+    chi(q) = -1 flips the sign of the multiples of every power q^k < f.
+    Every array is one byte per residue; the result is a signed-byte array.
+    """
+    f = chi.conductor
+    if f == 1:
+        return array("b", [chi(0)])
+    prime = bytearray([1]) * f
+    prime[:2] = b"\0\0"
+    for q in range(2, math.isqrt(f - 1) + 1):
+        if prime[q]:
+            prime[q * q::q] = bytes(len(range(q * q, f, q)))
+    state = bytearray(f)
+    state[0] = 2
+    for q in compress(range(f), prime):
+        c = chi(q)
+        if c == 0:
+            state[q::q] = b"\x02" * len(range(q, f, q))
+        elif c == -1:
+            qk = q
+            while qk < f:
+                state[qk::qk] = state[qk::qk].translate(_FLIP_SIGN)
+                qk *= q
+    return array("b", state.translate(_STATE_TO_VALUE))
 
 
 # ---------------------------------------------------------------------------

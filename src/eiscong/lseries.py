@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .arith import factorize
-from .characters import CycSum, DirichletCharacter, HeckeCharacterQF
+from .characters import CycSum, DirichletCharacter, HeckeCharacterQF, value_table
 from .quadfield import IdealQF
 
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
@@ -58,10 +58,11 @@ def gen_bernoulli(chi: DirichletCharacter, n: int):
         raise ValueError("gen_bernoulli needs modulus = conductor")
     f = chi.conductor
     if chi.order <= 2:
+        vals = value_table(chi)
         sums = [0] * (n + 1)
         js = range(n + 1)
         for a in range(1, f + 1):
-            x = chi(a)
+            x = vals[a % f]
             if x:
                 for j in js:
                     sums[j] += x

@@ -22,9 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 
 from .arith import crt, val_p
-from .characters import CycSum, DirichletCharacter, HeckeCharacterQF
+from .characters import (CycSum, DirichletCharacter, HeckeCharacterQF, _primitive_root,
+                         value_table)
 from .iwasawa import IwasawaElement, euler_factor, lambda_mu
 from .lseries import bernoulli
 from .padic import PadicScalar, binomial_row, inv_mod, teichmuller, unit_log_ratio
@@ -225,6 +228,29 @@ def pair_with_character(fam: LevelFamily, eta: DirichletCharacter):
 _BRIDGE_SLACK = 1  # certified digits kept back from the depth bound
 
 
+def _teichmuller_powers(p: int, w: int):
+    """The map e -> [omega(r)^e mod p^w for r = 0..p-1] (0 at r = 0).
+
+    One Teichmuller lift zeta = omega(g) of a primitive root g mod p gives
+    omega(r) = zeta^ind(r), ind the index of r to the base g, so every power
+    is read from one table of the p - 1 powers of zeta.
+    """
+    mod = p**w
+    g = _primitive_root(p, p)
+    zeta = teichmuller(g, p, w)
+    zeta_pow = [1]
+    ind = [0] * p
+    x = 1
+    for e in range(1, p - 1):
+        zeta_pow.append(zeta_pow[-1] * zeta % mod)
+        x = x * g % p
+        ind[x] = e
+
+    def powers(e: int) -> list[int]:
+        return [0] + [zeta_pow[e * ind[r] % (p - 1)] for r in range(1, p)]
+    return powers
+
+
 def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
                       omega_power: int, u: int, N: int, M: int) -> IwasawaElement:
     """Gamma-transform of a bounded family against the branch chi * omega^j.
@@ -241,6 +267,8 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
     so the finite depth loses nothing there.
     """
     p, m0, V = fam.p, fam.m0, fam.depth
+    if p < 3:
+        raise ValueError("p must be an odd prime")
     if chi_tame.conductor > 1 and m0 % chi_tame.conductor:
         raise ValueError("tame character must have conductor dividing m0")
     if chi_tame.order > 2:
@@ -258,9 +286,7 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
     mod = p**w
     den_inv = inv_mod(den % mod, mod)
     jinv = (-omega_power) % (p - 1)
-    # omega(r)^(-j) table on (Z/p)^x
-    om_inv = {r: pow(teichmuller(r, p, w), jinv, mod) if jinv else 1
-              for r in range(1, p)}
+    om_inv = _teichmuller_powers(p, w)(jinv)  # omega(r)^(-j), r mod p
     # log_u<a> depends on a mod p^V; cache the binomial rows per wild class
     rows: dict[int, list[int]] = {}
     acc = [0] * M
@@ -304,42 +330,84 @@ def bridge_certified_precision(depth: int, p: int, j: int, N: int) -> int:
 # Kubota-Leopoldt branch series
 
 
+# residues per block of the prefix-sum sweep: it bounds the rows of exact
+# powers held at once, so beyond the value table the sweep's memory does not
+# grow with the conductor
+_SWEEP_BLOCK = 4096
+
+
+def _prefix_power_sums(vals, cuts, mmax: int):
+    """Exact P_l(s) = sum_{j < s} vals[j] j^l, l = 0..mmax, at every s in cuts.
+
+    Returns ({s: [P_0(s), ..., P_mmax(s)]}, the same list at s = len(vals)).
+    One sweep over j; the powers are built a block of residues at a time.
+    """
+    f = len(vals)
+    bounds = sorted(set(cuts).union(range(0, f, _SWEEP_BLOCK), (f,)))
+    P = [0] * (mmax + 1)
+    at = {}
+    for lo, hi in zip(bounds, bounds[1:]):
+        at[lo] = P[:]
+        block = vals[lo:hi]
+        js = list(compress(range(lo, hi), block))
+        row = list(filter(None, block))
+        P[0] += sum(row)
+        for l in range(1, mmax + 1):
+            row = [x * j for x, j in zip(row, js)]
+            P[l] += sum(row)
+    return at, P
+
+
+def _binomial_shift(c: list[int], t: int) -> list[int]:
+    """[sum_l C(m,l) t^(m-l) c_l for m = 0..len(c)-1], exactly.
+
+    The m-th entry is the first one of (S + t)^m c, S the left shift.
+    """
+    out = [c[0]]
+    while len(c) > 1:
+        c = [y + t * x for x, y in zip(c, c[1:])]
+        out.append(c[0])
+    return out
+
+
 def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
     """Character power sums for the branch Bernoulli numbers.
 
-    Returns (U, U0) with U[m][r] = sum of chi(a) a^m over 1 <= a <= f0*p,
-    a = r mod p, gcd(a, f0 p) = 1, and U0[m] the same sum over 1 <= a <= f0.
-    One pass of f0*p*mmax modular multiplications; this is the dominant cost
-    of branch series at large conductors and is why every node shares it.
+    Returns (U, U0) mod p^wk, U[m][r] = sum of chi(a) a^m over 1 <= a <= f0*p
+    with a = r mod p and gcd(a, f0 p) = 1 (U[m][0] = 0), and U0[m] the same
+    sum over 1 <= a <= f0.
+
+    Write a = r + p k (1 <= r < p, 0 <= k < f0) and j = k + s mod f0 with
+    s = r p^-1 mod f0.  Then chi(a) = chi(p) chi(j) and a = p j + t, where
+    t = r - p s for j >= s and t + p f0 for j < s, so with the prefix sums
+    P_l(s) = sum_{j < s} chi(j) j^l
+        U[m][r] = chi(p) sum_l C(m,l) p^l [t^(m-l) (P_l(f0) - P_l(s))
+                                           + (t + p f0)^(m-l) P_l(s)].
+    One sweep over j < f0 gives P at the distinct shifts s and U0 = P(f0)
+    (chi(0) = chi(f0) = 0), and each r then costs O(mmax^2): about
+    f0 (mmax+1) + p (mmax+1)^2 operations in all.  The trivial character
+    (f0 = 1) has U[m][r] = r^m and U0[m] = 1.
     """
     f0 = chi.conductor
     mod = p**wk
+    if f0 == 1:
+        return ([[0] + [pow(r, m, mod) for r in range(1, p)] for m in range(mmax + 1)],
+                [1] * (mmax + 1))
+    vals = value_table(chi)
+    pinv = inv_mod(p % f0, f0)
+    shifts = [r * pinv % f0 for r in range(1, p)]
+    prefix, total = _prefix_power_sums(vals, shifts, mmax)
+    ppow = [p**l for l in range(mmax + 1)]
+    chi_p = vals[p % f0]
     U = [[0] * p for _ in range(mmax + 1)]
-    U0 = [0] * (mmax + 1)
-    # periodic value table keeps the 45M-iteration passes out of kronecker()
-    vals = [chi(r) for r in range(f0)] if f0 > 1 else [1]
-    for a in range(1, f0 * p + 1):
-        c = vals[a % f0] if f0 > 1 else 1
-        if not c or a % p == 0:
-            if a <= f0 and c:
-                apow = 1  # a divisible by p still counts in the tame-only sum
-                for m in range(mmax + 1):
-                    U0[m] = (U0[m] + c * apow) % mod
-                    apow = apow * a % mod
-            continue
-        r = a % p
-        apow = 1
-        if a <= f0:
-            for m in range(mmax + 1):
-                t = c * apow
-                U[m][r] = (U[m][r] + t) % mod
-                U0[m] = (U0[m] + t) % mod
-                apow = apow * a % mod
-        else:
-            for m in range(mmax + 1):
-                U[m][r] = (U[m][r] + c * apow) % mod
-                apow = apow * a % mod
-    return U, U0
+    for r, s in zip(range(1, p), shifts):
+        t = r - p * s
+        high = [(a - b) * q % mod for a, b, q in zip(total, prefix[s], ppow)]
+        low = [b * q % mod for b, q in zip(prefix[s], ppow)]
+        for m, (x, y) in enumerate(zip(_binomial_shift(high, t),
+                                       _binomial_shift(low, t + p * f0))):
+            U[m][r] = chi_p * (x + y) % mod
+    return U, [x % mod for x in total]
 
 
 def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
@@ -350,15 +418,17 @@ def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
     chi * omega^tw, tw = omega_power - n mod p - 1; eta(p) = chi(p) when
     tw = 0 and 0 otherwise.  B_{n,eta} is the classical f^(n-1) sum of
     eta(a) B_n(a/f), f = f0 p or f0, expanded through power sums:
-    B_{n,eta} = sum_k C(n,k) B_k f^(k-1) S_{n-k}.  The power sums and the
-    Teichmuller table are built once, at p^(w+6), for every node.
+    B_{n,eta} = sum_k C(n,k) B_k f^(k-1) S_{n-k}, where S_m is U0[m] when
+    tw = 0 and sum_r omega(r)^tw U[m][r] otherwise.  The power sums and the
+    Teichmuller powers come from one table each, built at p^(w+6) for every
+    node.
     """
     u = 1 + p
     f0 = chi.conductor
     wk = w + 6
     mod = p**wk
     U, U0 = _power_tables(chi, p, wk, count)
-    omega = [0] + [teichmuller(r, p, wk) for r in range(1, p)]
+    omega = _teichmuller_powers(p, wk)
     chi_p = chi(p % f0) if f0 > 1 else 1
     nodes = []
     for n in range(1, count + 1):
@@ -366,8 +436,8 @@ def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
         tw = (omega_power - n) % (p - 1)
         if tw:
             f = f0 * p
-            omp = [pow(o, tw, mod) for o in omega]
-            s = [sum(omp[r] * U[m][r] for r in range(1, p)) % mod for m in range(n + 1)]
+            omp = omega(tw)
+            s = [sum(map(mul, omp, U[m])) % mod for m in range(n + 1)]
         else:
             f = f0
             s = U0[:n + 1]

@@ -259,6 +259,31 @@ def test_criterion_7_substitution_statement():
     report(7, "substitution statement in verify-example", ok)
 
 
+# SHA-256 of the stdout of `verify-example --d 2 --m 20149`, recorded from the
+# per-residue power-sum pass the prefix-sum sweep replaced
+HEADLINE_BUNDLE_SHA256 = "04560e7a8653dd838fc5f874be098987868f4443e5acdd3575267ba9fda9406b"
+
+
+def test_criterion_8_headline_bundle():
+    """The headline run, branch product at p = 281 included, is byte-stable
+    and fits the tier-1 time budget."""
+    import contextlib
+    import hashlib
+    import io
+
+    from eiscong.cli import main
+
+    buf = io.StringIO()
+    t0 = time.time()
+    with contextlib.redirect_stdout(buf):
+        code = main(["verify-example", "--d", "2", "--m", "20149"])
+    elapsed = time.time() - t0
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    ok = code == 0 and digest == HEADLINE_BUNDLE_SHA256 and elapsed < 5 * GRACE
+    report(8, "headline verify-example bundle", ok,
+           f"exit={code} sha256={digest[:16]} time={elapsed:.2f}s")
+
+
 # -- helpers ----------------------------------------------------------------
 
 

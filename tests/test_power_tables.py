@@ -1,0 +1,154 @@
+"""The branch power-sum kernel and Teichmuller table against direct oracles.
+
+`_oracle_power_tables` is the per-residue pass the prefix-sum sweep
+replaced: it visits every a <= f0 p and is kept here only as the reference
+the sweep must equal exactly.  `_oracle_omega` lifts every residue with its
+own `teichmuller` call and raises it with `pow`.
+"""
+
+import random
+
+import pytest
+
+from eiscong import measures
+from eiscong.characters import (
+    DirichletCharacter,
+    kronecker_character,
+    primitive_characters,
+    value_table,
+)
+from eiscong.measures import (
+    _branch_nodes,
+    _power_tables,
+    _teichmuller_powers,
+    bernoulli_family,
+    stabilize,
+    StabilizationParams,
+    to_iwasawa_series,
+)
+from eiscong.padic import teichmuller
+
+
+def _oracle_power_tables(chi, p, wk, mmax):
+    """U[m][r], U0[m] mod p^wk by one visit to every a <= f0 p."""
+    f0 = chi.conductor
+    mod = p**wk
+    U = [[0] * p for _ in range(mmax + 1)]
+    U0 = [0] * (mmax + 1)
+    vals = [chi(r) for r in range(f0)] if f0 > 1 else [1]
+    for a in range(1, f0 * p + 1):
+        c = vals[a % f0] if f0 > 1 else 1
+        if not c or a % p == 0:
+            if a <= f0 and c:
+                apow = 1  # a divisible by p still counts in the tame-only sum
+                for m in range(mmax + 1):
+                    U0[m] = (U0[m] + c * apow) % mod
+                    apow = apow * a % mod
+            continue
+        r = a % p
+        apow = 1
+        if a <= f0:
+            for m in range(mmax + 1):
+                t = c * apow
+                U[m][r] = (U[m][r] + t) % mod
+                U0[m] = (U0[m] + t) % mod
+                apow = apow * a % mod
+        else:
+            for m in range(mmax + 1):
+                U[m][r] = (U[m][r] + c * apow) % mod
+                apow = apow * a % mod
+    return U, U0
+
+
+def _oracle_omega(p, w):
+    mod = p**w
+    lifts = [0] + [teichmuller(r, p, w) for r in range(1, p)]
+    return lambda e: [0] + [pow(o, e, mod) for o in lifts[1:]]
+
+
+def _chi(D):
+    return DirichletCharacter.trivial(1) if D == 1 else kronecker_character(D)
+
+
+EVEN_D = (8, 12, 24, 28, 40, 44, 56, 60, -4, -8, -20, -24, -40)
+ODD_D = (5, 13, 17, 21, 29, 33, 37, 41, -3, -7, -11, -15, -19, -23, -163)
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+          71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137)
+
+
+def _seeded_grid(seed, count):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        D = rng.choice((1,) + EVEN_D + ODD_D)
+        p = rng.choice([q for q in PRIMES if D % q])
+        out.append((D, p, rng.randint(1, 12), rng.randint(0, 7)))
+    return out
+
+
+class TestPowerTables:
+    @pytest.mark.parametrize("D,p,wk,mmax", _seeded_grid(20149, 150))
+    def test_seeded_grid(self, D, p, wk, mmax):
+        chi = _chi(D)
+        assert _power_tables(chi, p, wk, mmax) == _oracle_power_tables(chi, p, wk, mmax)
+
+    @pytest.mark.parametrize("D,p,wk,mmax", [
+        (1, 3, 5, 6), (1, 5, 9, 0), (1, 101, 4, 5),          # f0 = 1
+        (5, 101, 6, 5), (-3, 67, 8, 7), (8, 131, 3, 4),      # p > f0: shifts collide
+        (12, 137, 2, 3), (-4, 5, 10, 6),
+        (1001, 5, 12, 6), (-163, 7, 9, 5), (56, 3, 11, 7),   # p < f0
+        (-4, 3, 10, 6),
+        (13, 7, 6, 0), (-7, 5, 1, 0), (40, 11, 7, 0),        # mmax = 0
+        (24, 5, 1, 7),                                       # wk = 1
+    ])
+    def test_edge_cases(self, D, p, wk, mmax):
+        chi = _chi(D)
+        assert _power_tables(chi, p, wk, mmax) == _oracle_power_tables(chi, p, wk, mmax)
+
+    @pytest.mark.parametrize("m,p", [(5, 7), (12, 5), (21, 11), (24, 7)])
+    def test_generic_quadratic_characters(self, m, p):
+        for chi in primitive_characters(m):
+            if chi.order == 2:
+                assert _power_tables(chi, p, 6, 4) == _oracle_power_tables(chi, p, 6, 4)
+
+
+class TestTeichmullerTable:
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 101, 281))
+    def test_powers_equal_the_lifts(self, p):
+        w = 9
+        ours, want = _teichmuller_powers(p, w), _oracle_omega(p, w)
+        for e in (0, 1, 2, p - 2, 3 * p + 1):
+            assert ours(e) == want(e)
+
+    @pytest.mark.parametrize("D,p", [(1, 5), (12, 5), (13, 7), (8, 11), (24, 13), (5, 3)])
+    @pytest.mark.parametrize("omega_power", (0, 2, 4))
+    def test_branch_nodes_equal_the_parent_formula(self, monkeypatch, D, p, omega_power):
+        chi = _chi(D)
+        got = _branch_nodes(chi, p, omega_power, 9, 12)
+        monkeypatch.setattr(measures, "_power_tables", _oracle_power_tables)
+        monkeypatch.setattr(measures, "_teichmuller_powers", _oracle_omega)
+        assert got == _branch_nodes(chi, p, omega_power, 9, 12)
+
+    @pytest.mark.parametrize("D,p,omega_power", [(13, 5, 1), (8, 5, 3), (13, 7, 1), (12, 7, 5)])
+    def test_bridge_equals_the_parent_formula(self, monkeypatch, D, p, omega_power):
+        stab = stabilize(bernoulli_family(D, p, 3), StabilizationParams(1, 1))
+        chi = kronecker_character(D)
+        got = to_iwasawa_series(stab, chi, omega_power, 1 + p, 3, 4)
+        monkeypatch.setattr(measures, "_teichmuller_powers", _oracle_omega)
+        want = to_iwasawa_series(stab, chi, omega_power, 1 + p, 3, 4)
+        assert any(got.res) and (got.res, got.prec) == (want.res, want.prec)
+
+
+class TestValueTable:
+    @pytest.mark.parametrize("D", (1, 5, 8, 12, 13, 1001, -3, -4, -8, -163, 20149, 161192))
+    def test_equals_the_character(self, D):
+        chi = kronecker_character(D)
+        vals = value_table(chi)
+        assert len(vals) == chi.conductor
+        assert all(vals[a] == chi(a) for a in range(chi.conductor))
+
+    @pytest.mark.parametrize("m", (3, 4, 5, 8, 12, 15, 21, 24))
+    def test_generic_quadratic_characters(self, m):
+        for chi in primitive_characters(m):
+            if chi.order <= 2:
+                assert list(value_table(chi)) == [chi(a) for a in range(m)]
