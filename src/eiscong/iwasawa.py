@@ -76,7 +76,12 @@ class IwasawaElement:
 
     @staticmethod
     def from_json(obj: dict) -> "IwasawaElement":
-        """Inverse of to_json, every coefficient stamped with the serialized N.
+        """Inverse of to_json, lossless on the per-coefficient precision.
+
+        to_json writes coefficient j with prec[j] digits and N = min(prec),
+        so coefficient j is read at the precision of its digit string; a
+        string with fewer than N digits (high zero digits left out), and a
+        coefficient past the end of the list, is stated to precision N.
 
         A missing key raises KeyError.  Input of the wrong shape raises
         ValueError: not an object, p, N or M not a non-negative integer, p
@@ -95,9 +100,9 @@ class IwasawaElement:
             raise ValueError("coeffs must be a list of digit strings")
         if len(coeffs) > m:
             raise ValueError(f"{len(coeffs)} coefficients exceed M = {m}")
-        res = [parse_digit_string(s, p) for s in coeffs]
-        res += [0] * (m - len(res))
-        return IwasawaElement(p, n, m, res, [n] * m, obj.get("pole_factor", False))
+        res = [parse_digit_string(s, p) for s in coeffs] + [0] * (m - len(coeffs))
+        prec = [max(n, s.count(",") + 1 if s else 0) for s in coeffs] + [n] * (m - len(coeffs))
+        return IwasawaElement(p, n, m, res, prec, obj.get("pole_factor", False))
 
     # -- ring operations ----------------------------------------------------
     def _common(self, other: "IwasawaElement"):

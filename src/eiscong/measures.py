@@ -6,12 +6,18 @@ values), which is what makes the exact distribution identity hold on unit
 groups all the way down.  Stabilization twists by the tame Frobenius
 component and rescales by alpha^-nu; for the unit root alpha = 1 of
 X^2 - (1 + eps p) X + eps p (the Hecke data these families carry) the
-result is again exactly coherent.
+result is again exactly coherent.  The twist is multiplication by one tame
+unit per level (p mod m0, 1 mod p^nu), and the distribution check sums each
+fiber as integers over the upper level's common denominator.
 
 The series bridge is the Gamma-transform
     a_j = sum_a branch^-1(a) C(log_u<a>, j) mu(a)
 computed at the deepest level; it equals minus the Kubota-Leopoldt branch
-series (the classical Stickelberger sign).  kubota_leopoldt itself is built
+series (the classical Stickelberger sign).  The units are grouped by their
+wild class mod p^V, on which log_u<a> and omega(a) depend, into exact
+integer weights, and log<n> for every class comes from one sieve over the
+primes below p^V (padic.unit_log_table), so each class costs one binomial
+row and M multiply-adds.  kubota_leopoldt itself is built
 by exact Newton interpolation through the special values
     -(1 - chi omega^(j-n)(p) p^(n-1)) B_{n, chi omega^(j-n)} / n
 with a built-in stability self-check.
@@ -30,17 +36,12 @@ from .characters import (CycSum, DirichletCharacter, HeckeCharacterQF, _primitiv
                          value_table)
 from .iwasawa import IwasawaElement, euler_factor, lambda_mu
 from .lseries import bernoulli
-from .padic import PadicScalar, binomial_row, inv_mod, teichmuller, unit_log_ratio
+from .padic import (PadicScalar, _log_generator_inverse, binomial_row, inv_mod, teichmuller,
+                    unit_log_table)
 
 
 # ---------------------------------------------------------------------------
 # level families
-
-
-def _b1(a: int, q: int) -> Fraction:
-    """B1 of the fractional part of a/q: a/q - 1/2 on 0 <= a < q."""
-    a %= q
-    return Fraction(a, q) - Fraction(1, 2)
 
 
 @dataclass
@@ -66,13 +67,13 @@ class LevelFamily:
             return (a % q, nu - 1)
         return (self.p * a % self.m0 if self.m0 > 1 else 0, 0)
 
+    def tame_unit(self, nu: int) -> int:
+        """The unit e = p mod m0, 1 mod p^nu acting as Frobenius on the tame part."""
+        return crt(self.p % self.m0, self.m0, 1, self.p**nu)
+
     def tame_twist(self, a: int, nu: int) -> int:
-        """The unit acting as Frobenius on the tame part: p mod m0, 1 mod p^nu."""
-        if self.m0 == 1:
-            return a
-        if nu == 0:
-            return self.p * a % self.m0
-        return crt(self.p * a % self.m0, self.m0, a % self.p**nu, self.p**nu)
+        """a times the tame unit of level nu, mod m0 p^nu."""
+        return a * self.tame_unit(nu) % self.level_modulus(nu)
 
     def value(self, a: int, nu: int) -> Fraction:
         return self.values[nu][a]
@@ -85,33 +86,34 @@ class LevelFamily:
 def bernoulli_family(m0: int, p: int, depth: int) -> LevelFamily:
     """B1 values on the tower; the bottom level is the coherent pushforward.
 
-    Levels nu >= 1 carry B1(a / m0 p^nu) exactly.  At nu = 0 the unit-group
-    fiber over a loses the lift divisible by p, so the coherent value is
-    B1(a/m0) - B1(p^-1 a / m0); with the plain value there the distribution
+    Levels nu >= 1 carry B1(a / m0 p^nu) = (2a - q) / 2q, q = m0 p^nu,
+    exactly.  At nu = 0 the unit-group fiber over a loses the lift divisible
+    by p, so the coherent value is B1(a/m0) - B1(p^-1 a / m0) =
+    (a - (p^-1 a mod m0)) / m0; with the plain value there the distribution
     identity would fail at the bottom step (level m0 conventions).
     """
+    if m0 < 1:
+        raise ValueError("m0 must be a positive integer")
     if math.gcd(m0, p) != 1:
         raise ValueError("m0 must be coprime to p")
     if depth < 1:
         raise ValueError("need depth >= 1")
-    values = []
-    for nu in range(depth + 1):
+    if m0 == 1:
+        values = [{0: Fraction(0)}]
+    else:
+        pinv = inv_mod(p % m0, m0)
+        values = [{a: Fraction(a - pinv * a % m0, m0)
+                   for a in range(m0) if math.gcd(a, m0) == 1}]
+    for nu in range(1, depth + 1):
         q = m0 * p**nu
-        if nu >= 1:
-            lvl = {a: _b1(a, q) for a in range(q) if math.gcd(a, q) == 1}
-        else:
-            if m0 == 1:
-                lvl = {0: Fraction(0)}
-            else:
-                pinv = inv_mod(p % m0, m0)
-                lvl = {a: _b1(a, m0) - _b1(pinv * a % m0, m0)
-                       for a in range(m0) if math.gcd(a, m0) == 1}
-        values.append(lvl)
+        values.append({a: Fraction(2 * a - q, 2 * q) for a in range(q) if math.gcd(a, q) == 1})
     return LevelFamily(m0, p, depth, values)
 
 
 def delta_family(m0: int, p: int, depth: int, at: int = 1) -> LevelFamily:
     """Point mass at the tower point congruent to `at` at every level."""
+    if m0 < 1:
+        raise ValueError("m0 must be a positive integer")
     values = []
     for nu in range(depth + 1):
         q = m0 * p**nu
@@ -143,27 +145,42 @@ class StabilizationParams:
         object.__setattr__(self, "eps_p", Fraction(self.eps_p))
 
 
+def _common_denominator(lvl: dict) -> int:
+    return math.lcm(*{v.denominator for v in lvl.values()})
+
+
 def stabilize(fam: LevelFamily, params: StabilizationParams) -> LevelFamily:
     """alpha^-nu (1 - alpha^-1 eps_p R(p)) applied on the units tower.
 
     R(p) multiplies the underlying fraction by p; on the units tower its
     well-defined realization is the tame Frobenius twist (trivial wild
     component), which at the bottom level is literally a -> p a mod m0.
+    The twist is multiplication by the level's tame unit e (p mod m0, 1 mod
+    p^nu), found once per level with alpha^-nu and eps_p / alpha; each unit
+    then costs integer products and one Fraction,
+        alpha^-nu (v(a) - (eps_p / alpha) v(a e)).
     The p-adic valuation of alpha must be 0.
     """
     alpha, eps = params.alpha, params.eps_p
     if val_p(alpha.numerator, fam.p) or val_p(alpha.denominator, fam.p):
         raise ValueError("alpha must be a unit at p")
+    twist = eps / alpha
     out = []
-    for nu in range(fam.depth + 1):
-        scale = Fraction(1) / alpha**nu
-        lvl = {}
-        for a, v in fam.values[nu].items():
-            w = v
-            if eps:
-                w = w - fam.values[nu][fam.tame_twist(a, nu)] * eps / alpha
-            lvl[a] = scale * w
-        out.append(lvl)
+    for nu, lvl in enumerate(fam.values):
+        scale = 1 / alpha**nu
+        if eps:
+            q, e = fam.level_modulus(nu), fam.tame_unit(nu)
+            sn, tn = scale.numerator * twist.denominator, scale.numerator * twist.numerator
+            sd = scale.denominator * twist.denominator
+            # w = v(a e), bound by a one-element loop
+            out.append({a: Fraction(sn * v.numerator * w.denominator
+                                    - tn * w.numerator * v.denominator,
+                                    sd * v.denominator * w.denominator)
+                        for a, v in lvl.items() for w in (lvl[a * e % q],)})
+        else:
+            out.append({a: Fraction(scale.numerator * v.numerator,
+                                    scale.denominator * v.denominator)
+                        for a, v in lvl.items()})
     return LevelFamily(fam.m0, fam.p, fam.depth, out)
 
 
@@ -175,18 +192,24 @@ class DistributionReport:
 
 
 def check_distribution(fam: LevelFamily) -> DistributionReport:
-    """Fiber sums between consecutive levels, exactly, lexicographic-first failure."""
+    """Fiber sums between consecutive levels, exactly, lexicographic-first failure.
+
+    The fibers are summed as integers over the upper level's common
+    denominator d; a failing fiber reports its sum as Fraction(sum, d).
+    """
     checked = 0
     for nu in range(fam.depth):
         q = fam.level_modulus(nu)
-        sums: dict[int, Fraction] = {a: Fraction(0) for a in fam.values[nu]}
-        for b, v in fam.values[nu + 1].items():
-            sums[b % q if q > 1 else 0] += v
-        for a in sorted(fam.values[nu]):
+        lower, upper = fam.values[nu], fam.values[nu + 1]
+        d = _common_denominator(upper)
+        sums = dict.fromkeys(lower, 0)
+        for b, v in upper.items():
+            sums[b % q if q > 1 else 0] += v.numerator * (d // v.denominator)
+        for a in sorted(lower):
             checked += 1
-            if sums[a] != fam.values[nu][a]:
-                return DistributionReport(False, checked,
-                                          (nu, a, fam.values[nu][a], sums[a]))
+            want = lower[a]
+            if sums[a] * want.denominator != want.numerator * d:
+                return DistributionReport(False, checked, (nu, a, want, Fraction(sums[a], d)))
     return DistributionReport(True, checked)
 
 
@@ -255,11 +278,20 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
                       omega_power: int, u: int, N: int, M: int) -> IwasawaElement:
     """Gamma-transform of a bounded family against the branch chi * omega^j.
 
-    The branch character of the torsion part (Z/m0 p)^x is given as a tame
-    character mod m0 (order <= 2, exact values) times the j-th Teichmuller
-    power at p (p-adic values).  The coefficients are the Riemann sums
+    The branch character of the torsion part (Z/m0 p)^x is given as a
+    primitive tame character of conductor dividing m0 (order <= 2, exact
+    values read from its value table) times the j-th Teichmuller power at p
+    (p-adic values).  The coefficients are the Riemann sums
 
         a_j = sum over deepest-level units of branch^-1(a) C(log_u<a>, j) mu(a).
+
+    log_u<a> depends only on the wild class c = a mod p^V and omega^-j(a)
+    only on c mod p, so the units are first grouped by class: with the
+    deepest level over its common denominator d, class c weighs the exact
+    integer W(c) = sum_{a = c} chi(a) d mu(a), and
+        a_j = d^-1 sum_{r mod p} omega^-j(r) sum_{c = r} W(c) C(log_u<c>, j).
+    The logs come from one sieved table (padic.unit_log_table) and one
+    division by log u.
 
     The family must be p-integral (stabilize the Bernoulli family first).
     Coefficient j >= 1 is certified to min(N, depth - 1 - v_p(j!) - 1)
@@ -273,37 +305,40 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
         raise ValueError("tame character must have conductor dividing m0")
     if chi_tame.order > 2:
         raise NotImplementedError("tame branch characters of order > 2")
+    if chi_tame.conductor > 1 and not chi_tame.is_primitive():
+        raise ValueError("tame character must be primitive: it is read from its value table")
     if V < 2:
         raise ValueError("need depth >= 2 for the wild coordinate")
     deepest = fam.values[V]
-    den = 1
-    for v in deepest.values():
-        den = math.lcm(den, v.denominator)
+    den = _common_denominator(deepest)
     if den % p == 0:
         raise ValueError("family is not p-integral at the deepest level; stabilize first")
 
     w = N + V + 4
     mod = p**w
-    den_inv = inv_mod(den % mod, mod)
-    jinv = (-omega_power) % (p - 1)
-    om_inv = _teichmuller_powers(p, w)(jinv)  # omega(r)^(-j), r mod p
-    # log_u<a> depends on a mod p^V; cache the binomial rows per wild class
-    rows: dict[int, list[int]] = {}
-    acc = [0] * M
+    pV = p**V
+    chi = value_table(chi_tame) if chi_tame.conductor > 1 else (1,)
+    f = len(chi)
+    weight: dict[int, int] = {}
     for a, v in deepest.items():
-        sign = chi_tame(a) if chi_tame.conductor > 1 else 1
-        if not sign or not v:
-            continue
-        ap = a % p**V
-        if ap not in rows:
-            c = unit_log_ratio(ap, u, p, w)
-            rows[ap] = binomial_row(c, M, p, w)
-        row = rows[ap]
-        scal = sign * om_inv[a % p] % mod * \
-            ((v.numerator % mod) * ((den // v.denominator) % mod) % mod) % mod
-        for j in range(M):
-            acc[j] = (acc[j] + scal * row[j]) % mod
-    res = [a_ * den_inv % mod for a_ in acc]
+        sign = chi[a % f]
+        if sign and v:
+            c = a % pV
+            weight[c] = weight.get(c, 0) + sign * v.numerator * (den // v.denominator)
+    acc = [[0] * M for _ in range(p)]
+    if weight:
+        logs = unit_log_table(p, V, w)
+        lu_inv = _log_generator_inverse(u, p, w)
+        for c, wt in weight.items():
+            if wt:
+                row = binomial_row(logs[c] // p * lu_inv % mod, M, p, w)
+                acc_r = acc[c % p]
+                for j in range(M):
+                    acc_r[j] += wt * row[j]
+    om_inv = _teichmuller_powers(p, w)((-omega_power) % (p - 1))  # omega(r)^(-j)
+    den_inv = inv_mod(den % mod, mod)
+    res = [sum(o * acc_r[j] for o, acc_r in zip(om_inv, acc)) % mod * den_inv % mod
+           for j in range(M)]
     prec = [bridge_certified_precision(V, p, j, N) for j in range(M)]
     out = [r % p**k if k else 0 for r, k in zip(res, prec)]
     return IwasawaElement(p, min(prec) if prec else N, M, out, prec)
@@ -419,7 +454,8 @@ def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
     tw = 0 and 0 otherwise.  B_{n,eta} is the classical f^(n-1) sum of
     eta(a) B_n(a/f), f = f0 p or f0, expanded through power sums:
     B_{n,eta} = sum_k C(n,k) B_k f^(k-1) S_{n-k}, where S_m is U0[m] when
-    tw = 0 and sum_r omega(r)^tw U[m][r] otherwise.  The power sums and the
+    tw = 0 and sum_r omega(r)^tw U[m][r] otherwise; only the m = n - k with
+    B_k != 0 (k <= 1 or k even) are formed.  The power sums and the
     Teichmuller powers come from one table each, built at p^(w+6) for every
     node.
     """
@@ -434,15 +470,16 @@ def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
     for n in range(1, count + 1):
         t = Fraction(u) ** (1 - n) - 1
         tw = (omega_power - n) % (p - 1)
+        ks = [k for k in range(n + 1) if k < 2 or k % 2 == 0]  # B_k = 0 at odd k >= 3
         if tw:
             f = f0 * p
             omp = omega(tw)
-            s = [sum(map(mul, omp, U[m])) % mod for m in range(n + 1)]
+            s = {n - k: sum(map(mul, omp, U[n - k])) % mod for k in ks}
         else:
             f = f0
-            s = U0[:n + 1]
+            s = U0
         b = PadicScalar.zero(p, w + n + 2)
-        for k in range(n + 1):
+        for k in ks:
             if not s[n - k]:
                 continue
             coef = PadicScalar.from_rational(

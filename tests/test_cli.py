@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import eiscong
 from eiscong.cli import main
 
@@ -126,6 +128,12 @@ class TestCheckDistribution:
     def test_non_prime_p_exit_code(self):
         code, _ = run_cli(["check-distribution", "--p", "4", "--m0", "3"])
         assert code == 2
+
+    @pytest.mark.parametrize("m0", ["-3", "0"])
+    def test_non_positive_m0_exit_code(self, m0):
+        # a negative m0 used to build an empty tower and report ok with 0 cells
+        code, out = run_cli(["check-distribution", "--p", "5", "--m0", m0, "--depth", "3"])
+        assert code == 2 and out == ""
 
 
 # the full stdout of two padic-l runs, pinned byte for byte

@@ -345,6 +345,37 @@ class TestSerialization:
         assert g.res == f.res and g.t_prec == f.t_prec
         assert lambda_mu(g) == (0, 2, True)
 
+    def test_short_digit_strings_stand_for_precision_n(self):
+        g = IwasawaElement.from_json({"p": 5, "N": 3, "M": 4, "coeffs": ["0,1", "", "1,2,3,4"]})
+        assert g.res == [5, 0, 1 + 2 * 5 + 3 * 25 + 4 * 125, 0]
+        assert g.prec == [3, 3, 4, 3]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_mixed_precision_roundtrip(self, seed):
+        rng = random.Random(seed)
+        p = rng.choice((3, 5, 7, 11))
+        f = random_element(rng, p, rng.randint(0, 6), rng.randint(1, 12))
+        g = IwasawaElement.from_json(f.to_json())
+        assert (g.res, g.prec, g.p_prec, g.t_prec) == (f.res, f.prec, f.min_prec(), f.t_prec)
+
+    @pytest.mark.parametrize("m0,D,p,V,N,M,omega_power", [
+        (12, 12, 5, 5, 6, 12, 1), (8, 8, 5, 4, 3, 10, 3), (13, 13, 7, 4, 5, 9, 1),
+        (5, 5, 3, 6, 4, 12, 1), (1, 1, 5, 4, 8, 12, 2), (3, -3, 5, 6, 8, 12, 0),
+    ])
+    def test_bridge_series_roundtrip(self, m0, D, p, V, N, M, omega_power):
+        # the bridge states fewer digits at higher T-degree; to_json writes
+        # them all and N = their minimum, and from_json reads them all back
+        from eiscong.characters import kronecker_character
+        from eiscong.measures import StabilizationParams, bernoulli_family, stabilize, \
+            to_iwasawa_series
+
+        stab = stabilize(bernoulli_family(m0, p, V), StabilizationParams(1, 1))
+        f = to_iwasawa_series(stab, kronecker_character(D), omega_power, 1 + p, N, M)
+        assert len(set(f.prec)) > 1
+        g = IwasawaElement.from_json(f.to_json())
+        assert (g.res, g.prec) == (f.res, f.prec)
+        assert g.to_json() == f.to_json()
+
     @pytest.mark.parametrize("obj", [
         [1, 2],                                              # not an object
         {"p": 5, "N": "4", "M": 6, "coeffs": ["1"]},         # N not an integer

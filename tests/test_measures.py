@@ -66,6 +66,13 @@ class TestBernoulliFamily:
         with pytest.raises(ValueError):
             bernoulli_family(3, 5, 0)
 
+    @pytest.mark.parametrize("m0", (0, -1, -3))
+    def test_rejects_non_positive_m0(self, m0):
+        with pytest.raises(ValueError, match="positive"):
+            bernoulli_family(m0, 5, 3)
+        with pytest.raises(ValueError, match="positive"):
+            delta_family(m0, 5, 3)
+
 
 class TestDistribution:
     @pytest.mark.parametrize("p", (5, 7))

@@ -1,0 +1,260 @@
+"""The distribution-tower kernels against the per-unit code they replaced.
+
+The `_oracle_*` functions are the earlier per-unit forms of
+`bernoulli_family`, `stabilize`, `check_distribution` and
+`to_iwasawa_series`: two Fractions and a subtraction per B1 value, a CRT per
+twisted unit, Fraction fiber sums, and one `unit_log_ratio` (a Teichmuller
+lift and two logs) per wild class with an M-term update per unit.  They are
+kept here only as the references the tower kernels must equal exactly.
+"""
+
+import contextlib
+import hashlib
+import io
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from eiscong.arith import crt
+from eiscong.characters import DirichletCharacter, enumerate_characters, kronecker_character
+from eiscong.cli import main
+from eiscong.iwasawa import IwasawaElement
+from eiscong.measures import (
+    DistributionReport,
+    LevelFamily,
+    StabilizationParams,
+    _teichmuller_powers,
+    bernoulli_family,
+    bridge_certified_precision,
+    check_distribution,
+    stabilize,
+    to_iwasawa_series,
+)
+from eiscong.padic import (
+    binomial_row,
+    inv_mod,
+    padic_log_1unit,
+    teichmuller,
+    unit_log_ratio,
+    unit_log_table,
+)
+
+
+def _oracle_b1(a, q):
+    a %= q
+    return Fraction(a, q) - Fraction(1, 2)
+
+
+def _oracle_bernoulli_family(m0, p, depth):
+    values = []
+    for nu in range(depth + 1):
+        q = m0 * p**nu
+        if nu >= 1:
+            lvl = {a: _oracle_b1(a, q) for a in range(q) if math.gcd(a, q) == 1}
+        elif m0 == 1:
+            lvl = {0: Fraction(0)}
+        else:
+            pinv = inv_mod(p % m0, m0)
+            lvl = {a: _oracle_b1(a, m0) - _oracle_b1(pinv * a % m0, m0)
+                   for a in range(m0) if math.gcd(a, m0) == 1}
+        values.append(lvl)
+    return LevelFamily(m0, p, depth, values)
+
+
+def _oracle_tame_twist(fam, a, nu):
+    if fam.m0 == 1:
+        return a
+    if nu == 0:
+        return fam.p * a % fam.m0
+    return crt(fam.p * a % fam.m0, fam.m0, a % fam.p**nu, fam.p**nu)
+
+
+def _oracle_stabilize(fam, params):
+    alpha, eps = params.alpha, params.eps_p
+    out = []
+    for nu in range(fam.depth + 1):
+        scale = Fraction(1) / alpha**nu
+        lvl = {}
+        for a, v in fam.values[nu].items():
+            w = v
+            if eps:
+                w = w - fam.values[nu][_oracle_tame_twist(fam, a, nu)] * eps / alpha
+            lvl[a] = scale * w
+        out.append(lvl)
+    return LevelFamily(fam.m0, fam.p, fam.depth, out)
+
+
+def _oracle_check_distribution(fam):
+    checked = 0
+    for nu in range(fam.depth):
+        q = fam.level_modulus(nu)
+        sums = {a: Fraction(0) for a in fam.values[nu]}
+        for b, v in fam.values[nu + 1].items():
+            sums[b % q if q > 1 else 0] += v
+        for a in sorted(fam.values[nu]):
+            checked += 1
+            if sums[a] != fam.values[nu][a]:
+                return DistributionReport(False, checked, (nu, a, fam.values[nu][a], sums[a]))
+    return DistributionReport(True, checked)
+
+
+def _oracle_to_iwasawa_series(fam, chi_tame, omega_power, u, N, M):
+    p, V = fam.p, fam.depth
+    deepest = fam.values[V]
+    den = 1
+    for v in deepest.values():
+        den = math.lcm(den, v.denominator)
+    if den % p == 0:
+        raise ValueError("family is not p-integral at the deepest level; stabilize first")
+    w = N + V + 4
+    mod = p**w
+    den_inv = inv_mod(den % mod, mod)
+    om_inv = _teichmuller_powers(p, w)((-omega_power) % (p - 1))
+    rows = {}
+    acc = [0] * M
+    for a, v in deepest.items():
+        sign = chi_tame(a) if chi_tame.conductor > 1 else 1
+        if not sign or not v:
+            continue
+        ap = a % p**V
+        if ap not in rows:
+            rows[ap] = binomial_row(unit_log_ratio(ap, u, p, w), M, p, w)
+        row = rows[ap]
+        scal = sign * om_inv[a % p] % mod * \
+            ((v.numerator % mod) * ((den // v.denominator) % mod) % mod) % mod
+        for j in range(M):
+            acc[j] = (acc[j] + scal * row[j]) % mod
+    res = [a_ * den_inv % mod for a_ in acc]
+    prec = [bridge_certified_precision(V, p, j, N) for j in range(M)]
+    out = [r % p**k if k else 0 for r, k in zip(res, prec)]
+    return IwasawaElement(p, min(prec) if prec else N, M, out, prec)
+
+
+def _same_family(got, want):
+    assert (got.m0, got.p, got.depth) == (want.m0, want.p, want.depth)
+    for g, w in zip(got.values, want.values, strict=True):
+        assert list(g) == list(w)  # same units in the same order
+        assert g == w
+
+
+# (m0, tame discriminant D dividing m0, p, depth V)
+TOWERS = [(1, 1, 3, 4), (1, 1, 5, 3), (1, 1, 7, 2), (3, -3, 5, 3), (4, -4, 3, 4),
+          (5, 5, 3, 4), (8, 8, 3, 3), (8, 8, 5, 3), (12, 12, 5, 3), (12, -3, 7, 2),
+          (13, 13, 5, 3), (21, -7, 5, 2), (24, 24, 5, 2), (28, 28, 3, 3)]
+
+PARAMS = [StabilizationParams(1, 1), StabilizationParams(1, 0), StabilizationParams(1, -1),
+          StabilizationParams(Fraction(2, 11), Fraction(1, 2)), StabilizationParams(-4, 1),
+          StabilizationParams(Fraction(-11, 4), 0)]
+
+
+@pytest.mark.parametrize("m0,D,p,V", TOWERS)
+class TestTowerKernels:
+    def test_bernoulli_family(self, m0, D, p, V):
+        _same_family(bernoulli_family(m0, p, V), _oracle_bernoulli_family(m0, p, V))
+
+    def test_tame_twist_is_the_crt_twist(self, m0, D, p, V):
+        fam = bernoulli_family(m0, p, V)
+        for nu, lvl in enumerate(fam.values):
+            assert all(fam.tame_twist(a, nu) == _oracle_tame_twist(fam, a, nu) for a in lvl)
+
+    @pytest.mark.parametrize("params", PARAMS, ids=lambda s: f"{s.alpha}_{s.eps_p}")
+    def test_stabilize_and_check(self, m0, D, p, V, params):
+        fam = bernoulli_family(m0, p, V)
+        got = stabilize(fam, params)
+        want = _oracle_stabilize(fam, params)
+        _same_family(got, want)
+        assert check_distribution(got) == _oracle_check_distribution(want)
+
+    @pytest.mark.parametrize("omega_power", (0, 1, 2))
+    def test_bridge(self, m0, D, p, V, omega_power):
+        chi = kronecker_character(D)
+        for params in PARAMS:
+            stab = stabilize(bernoulli_family(m0, p, V), params)
+            try:
+                want = _oracle_to_iwasawa_series(stab, chi, omega_power, 1 + p, V - 1, 6)
+            except ValueError:
+                with pytest.raises(ValueError, match="p-integral"):
+                    to_iwasawa_series(stab, chi, omega_power, 1 + p, V - 1, 6)
+                continue
+            got = to_iwasawa_series(stab, chi, omega_power, 1 + p, V - 1, 6)
+            assert (got.res, got.prec, got.p_prec) == (want.res, want.prec, want.p_prec)
+            assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_families_and_corruptions(seed):
+    # random exact values, not coherent: stabilize on arbitrary input, and
+    # the first failing fiber of a corrupted coherent family
+    rng = random.Random(seed)
+    m0, D, p, V = rng.choice(TOWERS)
+    fam = bernoulli_family(m0, p, V).map_values(
+        lambda v: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 12, 25))))
+    params = rng.choice(PARAMS)
+    _same_family(stabilize(fam, params), _oracle_stabilize(fam, params))
+    assert check_distribution(fam) == _oracle_check_distribution(fam)
+
+    coherent = stabilize(bernoulli_family(m0, p, V), StabilizationParams(1, 1))
+    for _ in range(4):
+        bad = LevelFamily(m0, p, V, [dict(lvl) for lvl in coherent.values])
+        nu = rng.randrange(V + 1)
+        a = rng.choice(list(bad.values[nu]))
+        bad.values[nu][a] += Fraction(rng.choice((1, -1)), rng.choice((1, 3, 2 * p)))
+        got = check_distribution(bad)
+        assert not got.ok
+        assert got == _oracle_check_distribution(bad)
+
+
+def test_trivial_and_zero_weights():
+    # trivial tame character of a larger modulus on random p-integral values,
+    # and a family whose values cancel within each wild class
+    rng = random.Random(7)
+    fam = bernoulli_family(3, 5, 3).map_values(
+        lambda v: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7))))
+    chi = DirichletCharacter.trivial(3)
+    got = to_iwasawa_series(fam, chi, 1, 6, 4, 6)
+    want = _oracle_to_iwasawa_series(fam, chi, 1, 6, 4, 6)
+    assert any(got.res) and (got.res, got.prec) == (want.res, want.prec)
+    vals = [dict(lvl) for lvl in fam.values]
+    # the lifts c, c + 125, c + 250 of a class c mod 125 meet each residue mod 3 once
+    vals[3] = {a: Fraction(1 if a % 3 == 1 else -1) for a in vals[3]}
+    cancel = LevelFamily(3, 5, 3, vals)
+    got = to_iwasawa_series(cancel, chi, 1, 6, 4, 6)
+    assert got.res == _oracle_to_iwasawa_series(cancel, chi, 1, 6, 4, 6).res == [0] * 6
+
+
+@pytest.mark.parametrize("p,V", [(3, 7), (5, 5), (7, 4), (11, 3), (13, 2)])
+def test_unit_log_table_equals_per_unit_logs(p, V):
+    w = 9
+    mod_hi = p ** (w + 2)
+    logs = unit_log_table(p, V, w)
+    assert len(logs) == p**V
+    for n in range(p**V):
+        if n % p == 0:
+            assert logs[n] == 0
+            continue
+        xu = n * inv_mod(teichmuller(n, p, w + 2), mod_hi) % mod_hi
+        assert logs[n] == padic_log_1unit(xu, p, w + 1), n
+
+
+def test_bridge_rejects_an_imprimitive_tame_character():
+    # value_table reads chi mod its conductor, which a character of modulus
+    # 15 and conductor 5 is not periodic in: chi(8) != 0 = chi(3)
+    fam = stabilize(bernoulli_family(15, 7, 2), StabilizationParams(1, 1))
+    chi = next(c for c in enumerate_characters(15) if c.order == 2 and c.conductor == 5)
+    with pytest.raises(ValueError, match="primitive"):
+        to_iwasawa_series(fam, chi, 1, 8, 2, 4)
+
+
+# stdout sha256 of the parent's per-unit tower code on this input
+CHECK_DISTRIBUTION_SHA256 = "4acc67647cf6576ec92291525025babd00d35c0ec66338f5d1fe069ee588471a"
+
+
+def test_check_distribution_cli_pinned():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["check-distribution", "--p", "5", "--m0", "12", "--depth", "7",
+                     "--alpha", "1", "--eps-p", "1"])
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CHECK_DISTRIBUTION_SHA256
