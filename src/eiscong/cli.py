@@ -92,6 +92,8 @@ def cmd_lvalue(args) -> int:
 
 
 def cmd_eis(args) -> int:
+    if args.bound < 1:
+        raise ConfigError("--bound must be positive")
     field = make_field(args.d)
     series = stripped_eisenstein(field, args.m)
     sys_ = eisenstein_coeffs(series, args.bound)

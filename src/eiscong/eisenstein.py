@@ -21,7 +21,6 @@ from .quadfield import (
     RealQuadraticField,
     enumerate_ideals,
     ideal_divide,
-    ideal_divisors,
     ideal_gcd,
     ideal_mul,
     ideal_pow,
@@ -61,19 +60,26 @@ class EisensteinSeries:
         return ProductCharacter(self.psi1, self.psi2)
 
     def coefficient_at(self, a: IdealQF):
-        """C(a) = sum_{c | a} psi1(a/c) psi2(c) N(c)."""
-        acc = 0
-        for c in ideal_divisors(a):
-            v1 = self.psi1.value_on_ideal(ideal_divide(a, c))
-            if v1:
-                v2 = self.psi2.value_on_ideal(c)
-                if v2:
-                    acc += v1 * v2 * c.norm
+        """C(a) = sum_{c | a} psi1(a/c) psi2(c) N(c), as an Euler product.
+
+        Both psi are completely multiplicative, so C is multiplicative and a
+        prime power q^e in a contributes L_e = a1 L_(e-1) + a2^e, L_0 = 1,
+        with a1 = psi1(q) and a2 = psi2(q) N(q).
+        """
+        acc = 1
+        for p, tag, e in a.factors:
+            q = IdealQF(a.d, ((p, tag, 1),))
+            a1 = self.psi1.value_on_ideal(q)
+            a2 = self.psi2.value_on_ideal(q) * q.norm
+            local = 1
+            for k in range(1, e + 1):
+                local = a1 * local + a2**k
+            acc *= local
         return acc
 
     def t_eigenvalue(self, q: IdealQF):
-        """psi1(q) + psi2(q) N(q) for prime q not dividing the level."""
-        return self.psi1.value_on_ideal(q) + self.psi2.value_on_ideal(q) * q.norm
+        """psi1(q) + psi2(q) N(q) = C(q) for prime q not dividing the level."""
+        return self.coefficient_at(q)
 
 
 @dataclass
@@ -94,14 +100,12 @@ class CoefficientSystem:
 
 
 def eisenstein_coeffs(series: EisensteinSeries, bound: int) -> CoefficientSystem:
-    """Divisor-sum coefficients of the Eisenstein series up to the bound."""
+    """Coefficients C(a) of the Eisenstein series for N(a) <= bound."""
     eps = series.character()
     s1, s2 = series.psi1.signature(), series.psi2.signature()
     if any(a != b for a, b in zip(s1, s2)):
         raise ValueError("psi1*psi2 is not totally even; no such series")
-    coeffs = {}
-    for a in enumerate_ideals(series.field, bound):
-        coeffs[a] = series.coefficient_at(a)
+    coeffs = {a: series.coefficient_at(a) for a in enumerate_ideals(series.field, bound)}
     return CoefficientSystem(series.field, bound, coeffs, eps, series.level)
 
 

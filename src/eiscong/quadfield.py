@@ -316,9 +316,18 @@ def unit_power_check(field: RealQuadraticField, p: int, e: int) -> str:
 
 
 def enumerate_ideals(field: RealQuadraticField, bound: int) -> list[IdealQF]:
-    """All integral ideals of norm <= bound, sorted by norm."""
+    """All integral ideals of norm <= bound, sorted by (norm, factors).
+
+    One walk over (norm, factors, start) rows: a row is extended only by
+    powers of the prime ideals from index `start` on, in increasing (p, tag)
+    order, so appending the new factor keeps every factor tuple sorted and
+    each ideal is reached once.  N(q) >= p, so the scan of a row stops at the
+    first p with norm * p > bound.  Empty for bound < 1.
+    """
     from .arith import primes_up_to
 
+    if bound < 1:
+        return []
     primes = []
     for p in primes_up_to(bound):
         st = splitting_type(field, p)
@@ -327,17 +336,19 @@ def enumerate_ideals(field: RealQuadraticField, bound: int) -> list[IdealQF]:
             primes.append((p, SPLIT2, p))
         elif st == RAMIFIED:
             primes.append((p, RAMIFIED, p))
-        else:
-            if p * p <= bound:
-                primes.append((p, INERT, p * p))
-    ideals = [unit_ideal(field)]
-    for p, tag, nrm in primes:
-        new = []
-        for ideal in ideals:
-            n = ideal.norm
+        elif p * p <= bound:
+            primes.append((p, INERT, p * p))
+    rows: list[tuple[int, tuple, int]] = [(1, (), 0)]
+    for n, factors, start in rows:  # rows appended here are visited too
+        for j in range(start, len(primes)):
+            p, tag, nrm = primes[j]
+            if n * p > bound:
+                break
+            m = n * nrm
             e = 1
-            while n * nrm**e <= bound:
-                new.append(ideal_mul(ideal, IdealQF(field.d, ((p, tag, e),))))
+            while m <= bound:
+                rows.append((m, factors + ((p, tag, e),), j + 1))
+                m *= nrm
                 e += 1
-        ideals.extend(new)
-    return sorted(ideals, key=lambda i: (i.norm, i.factors))
+    rows.sort()
+    return [IdealQF(field.d, factors) for _, factors, _ in rows]

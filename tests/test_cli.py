@@ -1,5 +1,6 @@
 """CLI surface: JSON shapes, exit codes, determinism, pinned outputs."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -77,6 +78,23 @@ class TestEis:
             by_norm.setdefault(l["norm"], []).append(l["coeff"])
         assert by_norm[1] == [1]
         assert 9 in by_norm  # inert (3)
+
+    # stdout sha256 of the divisor-sum coefficients over the ideal_mul walk
+    @pytest.mark.parametrize("bound, lines, digest", [
+        ("1500", 932, "038dd37f5cf17cbd6e13cf20ae2688877bbb03453f21870019e202914dee591f"),
+        ("500", 312, "518afa6dda4cc2c1bb5fda273e85cf86d3bfee62a3cfc362c0ec2892d4f74a20"),
+    ])
+    def test_pinned_output(self, bound, lines, digest):
+        code, out = run_cli(["eis", "--d", "2", "--m", "20149", "--bound", bound])
+        assert code == 0
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    def test_non_positive_bound_exit_code(self, bound):
+        # the unit ideal (norm 1) used to be printed for any bound
+        code, out = run_cli(["eis", "--d", "2", "--m", "20149", "--bound", bound])
+        assert code == 2 and out == ""
 
 
 class TestPadicLambda:

@@ -1,0 +1,152 @@
+"""The Euler-product coefficient layer against the divisor-sum code it replaced.
+
+`_oracle_enumerate_ideals` is the earlier ideal walk: one `ideal_mul` per new
+ideal and an `IdealQF.norm` per (prime ideal, ideal so far) pair.
+`_oracle_coefficient_at` is the earlier divisor sum
+C(a) = sum_{c | a} psi1(a/c) psi2(c) N(c) over `ideal_divisors(a)`.  They are
+kept here only as the references `enumerate_ideals`, `coefficient_at` and
+`eisenstein_coeffs` must equal exactly: same ideals in the same order, same
+`int` values.
+"""
+
+import random
+
+import pytest
+
+from eiscong.arith import primes_up_to
+from eiscong.characters import induce_quadratic, trivial_hecke
+from eiscong.eisenstein import EisensteinSeries, eisenstein_coeffs, stripped_eisenstein
+from eiscong.quadfield import (
+    INERT,
+    RAMIFIED,
+    SPLIT1,
+    SPLIT2,
+    IdealQF,
+    enumerate_ideals,
+    ideal_divide,
+    ideal_divisors,
+    ideal_mul,
+    ideal_pow,
+    make_field,
+    principal_ideal,
+    splitting_type,
+    unit_ideal,
+)
+
+
+def _oracle_enumerate_ideals(field, bound):
+    primes = []
+    for p in primes_up_to(bound):
+        st = splitting_type(field, p)
+        if st == "split":
+            primes.append((p, SPLIT1, p))
+            primes.append((p, SPLIT2, p))
+        elif st == RAMIFIED:
+            primes.append((p, RAMIFIED, p))
+        else:
+            if p * p <= bound:
+                primes.append((p, INERT, p * p))
+    ideals = [unit_ideal(field)]
+    for p, tag, nrm in primes:
+        new = []
+        for ideal in ideals:
+            n = ideal.norm
+            e = 1
+            while n * nrm**e <= bound:
+                new.append(ideal_mul(ideal, IdealQF(field.d, ((p, tag, e),))))
+                e += 1
+        ideals.extend(new)
+    return sorted(ideals, key=lambda i: (i.norm, i.factors))
+
+
+def _oracle_coefficient_at(series, a):
+    acc = 0
+    for c in ideal_divisors(a):
+        v1 = series.psi1.value_on_ideal(ideal_divide(a, c))
+        if v1:
+            v2 = series.psi2.value_on_ideal(c)
+            if v2:
+                acc += v1 * v2 * c.norm
+    return acc
+
+
+# 2 ramifies in d = 2, 3, 7, is inert in d = 5, 13, 29 and splits in d = 17
+FIELDS = (2, 3, 5, 7, 13, 17, 29)
+BOUNDS = (1, 2, 3, 4, 97, 1500)
+
+
+def _smallest(field, kind, lo):
+    return next(p for p in primes_up_to(100)
+                if p >= lo and field.disc % p and splitting_type(field, p) == kind)
+
+
+def _inert_square(field):
+    return _smallest(field, INERT, 2) ** 2
+
+
+def _series_cases(field):
+    """(label, series): E_2(eps, 1 mod (m)) for m split, inert and both, and
+    the pairs (trivial, trivial) and (eps, trivial mod (1))."""
+    ls, li = _smallest(field, "split", 3), _smallest(field, INERT, 3)
+    cases = [(f"m={m}", stripped_eisenstein(field, m)) for m in (ls, li, ls * li)]
+    cases.append(("trivial,trivial", EisensteinSeries(trivial_hecke(field), trivial_hecke(field))))
+    cases.append(("eps,trivial(1)", EisensteinSeries(induce_quadratic(field, ls * li),
+                                                     trivial_hecke(field))))
+    return cases
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_enumerate_ideals_matches_oracle(d):
+    f = make_field(d)
+    q2 = _inert_square(f)
+    for bound in BOUNDS + (q2 - 1, q2):
+        assert enumerate_ideals(f, bound) == _oracle_enumerate_ideals(f, bound), bound
+
+
+@pytest.mark.parametrize("bound", [0, -5])
+def test_enumerate_ideals_empty_below_one(bound):
+    # the unit ideal has norm 1, which exceeds any bound < 1
+    assert enumerate_ideals(make_field(2), bound) == []
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_eisenstein_coeffs_match_oracle(d):
+    f = make_field(d)
+    ls, li = _smallest(f, "split", 3), _smallest(f, INERT, 3)
+    for label, series in _series_cases(f):
+        # m split or inert alone is a special case of m = split * inert
+        top = () if label in (f"m={ls}", f"m={li}") else (1500,)
+        for bound in BOUNDS[:-1] + (_inert_square(f),) + top:
+            got = eisenstein_coeffs(series, bound).coeffs
+            want = [(a, _oracle_coefficient_at(series, a))
+                    for a in _oracle_enumerate_ideals(f, bound)]
+            assert list(got.items()) == want, (label, bound)
+            assert all(type(v) is int for v in got.values()), (label, bound)
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_coefficient_at_high_exponents(d):
+    f = make_field(d)
+    ls, li = _smallest(f, "split", 3), _smallest(f, INERT, 3)
+    primes = []
+    for p in sorted({2, 3, 5, 7, ls, li}):
+        primes.extend(principal_ideal(f, p).prime_factors())
+    rng = random.Random(d)
+    products = []
+    for _ in range(12):
+        a = unit_ideal(f)
+        for q in rng.sample(primes, 3):
+            a = ideal_mul(a, ideal_pow(q, rng.randrange(1, 6)))
+        products.append(a)
+    for label, series in _series_cases(f):
+        for q in primes:
+            for e in range(7):
+                a = ideal_pow(q, e)
+                got = series.coefficient_at(a)
+                assert got == _oracle_coefficient_at(series, a), (label, str(a))
+                assert type(got) is int
+            if q.coprime_to(series.level):
+                want = series.psi1.value_on_ideal(q) + series.psi2.value_on_ideal(q) * q.norm
+                assert series.t_eigenvalue(q) == want, (label, str(q))
+        for a in products:
+            assert series.coefficient_at(a) == _oracle_coefficient_at(series, a), (label, str(a))
