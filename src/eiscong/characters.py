@@ -14,7 +14,6 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 
 from .arith import crt, factorize, fundamental_discriminant, kronecker
 from .quadfield import IdealQF, RealQuadraticField, principal_ideal, unit_ideal
@@ -355,38 +354,62 @@ def primitive_characters(m: int) -> list[DirichletCharacter]:
     return [c for c in enumerate_characters(m) if c.conductor == m]
 
 
-# sieve states: 0 is +1, 1 is -1, 2 is 0
-_FLIP_SIGN = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-_STATE_TO_VALUE = bytes.maketrans(b"\x00\x01\x02", b"\x01\xff\x00")
+# A table state is a sum of per-component exponents: 0 where the component
+# is +1, 1 where it is -1 and _ZERO where it is 0.  Fewer than 16 components
+# keep every sum below 256, so sums of byte tables never carry.
+_ZERO = 16
+_STATE_TO_VALUE = bytes(0 if v >= _ZERO else 0xFF if v % 2 else 1 for v in range(256))
+
+
+def _local_component(chi: DirichletCharacter, l: int, q: int) -> bytearray:
+    """The states of chi's component mod q = l^e, one byte per residue.
+
+    At an odd l the component of a primitive quadratic character is the
+    Legendre symbol mod l, so the non-squares get 1.  At l = 2 (q = 4 or 8)
+    it is read from chi at the CRT lifts of the odd residues that are 1
+    mod f/q.
+    """
+    state = bytearray(q)
+    if l > 2:
+        state[1:] = b"\x01" * (q - 1)
+        for x in range(1, (q + 1) // 2):
+            state[x * x % q] = 0
+    else:
+        rest = chi.conductor // q
+        for r in range(1, q, 2):
+            state[r] = chi(crt(r, q, 1, rest)) == -1
+    state[::l] = bytes([_ZERO]) * len(range(0, q, l))
+    return state
 
 
 def value_table(chi: DirichletCharacter) -> array:
-    """chi(0), ..., chi(f - 1) for f = chi.conductor, chi of order <= 2.
+    """chi(0), ..., chi(f - 1) for f = chi.conductor, chi primitive of order <= 2.
 
-    Filled by complete multiplicativity from chi at the primes q < f: a
-    prime with chi(q) = 0 zeroes the multiples of q, and one with
-    chi(q) = -1 flips the sign of the multiples of every power q^k < f.
-    Every array is one byte per residue; the result is a signed-byte array.
+    A primitive quadratic character is the product of its components at
+    the prime powers q || f (see `_local_component`).  By CRT the states
+    mod L q of the product so far (period L) and of the next component
+    (period q) are the sum of the first tiled q times and the second tiled
+    L times (`bytes * k`), added as big integers (`int.from_bytes`).
+    Taking the components in increasing order keeps the earlier tables
+    short, so the work is a few f-byte buffers and no call of chi per
+    residue; one `translate` maps the states to -1/0/+1.  The trivial
+    character (f = 1) gives [1].  The result is a signed-byte array.
     """
+    if chi.order > 2:
+        raise ValueError("value_table needs a character of order <= 2")
+    if chi.kind != "trivial" and not chi.is_primitive():
+        raise ValueError("value_table needs a primitive character")
     f = chi.conductor
     if f == 1:
-        return array("b", [chi(0)])
-    prime = bytearray([1]) * f
-    prime[:2] = b"\0\0"
-    for q in range(2, math.isqrt(f - 1) + 1):
-        if prime[q]:
-            prime[q * q::q] = bytes(len(range(q * q, f, q)))
-    state = bytearray(f)
-    state[0] = 2
-    for q in compress(range(f), prime):
-        c = chi(q)
-        if c == 0:
-            state[q::q] = b"\x02" * len(range(q, f, q))
-        elif c == -1:
-            qk = q
-            while qk < f:
-                state[qk::qk] = state[qk::qk].translate(_FLIP_SIGN)
-                qk *= q
+        return array("b", [1])
+    fac = factorize(f)
+    if len(fac) >= 16:
+        raise ValueError("a state byte holds fewer than 16 prime components")
+    state = b"\x00"
+    for q, l in sorted((l**e, l) for l, e in fac.items()):
+        comp = _local_component(chi, l, q)
+        state = (int.from_bytes(state * q, "little")
+                 + int.from_bytes(comp * len(state), "little")).to_bytes(len(state) * q, "little")
     return array("b", state.translate(_STATE_TO_VALUE))
 
 

@@ -254,6 +254,11 @@ def scan_congruence(field: RealQuadraticField, m: int, *,
     tests, and the totally-positive-unit order test.  Verdict "candidate"
     means every implemented check passed; cohomology torsion-freeness
     remains an explicit unchecked assumption.
+
+    Test (b) asks C(q) != N(q) mod p at some level prime q.  Every level
+    prime lies over a prime dividing m, where psi1 and psi2 vanish, so
+    C(q) = 0 and (b) reads p does not divide N(q): the p | m filter already
+    implies it, and `hypothesis_b` is true on every report.
     """
     lrec = hecke_L_neg_induced(induce_quadratic(field, m), 2)
     fac = lrec.factorization(rho_iters=rho_iters)
@@ -270,7 +275,9 @@ def scan_factored(field: RealQuadraticField, m: int, lrec: LValueRecord,
 
     lrec is hecke_L_neg_induced(induce_quadratic(field, m), 2) and fac the
     factorization of its numerator; one report per prime that passes the
-    filters, in increasing order.
+    filters, in increasing order.  Since C(q) = 0 at every level prime q,
+    hyp_b is p not dividing N(q), implied by the p | m filter (see
+    scan_congruence).
     """
     lstr = str(lrec.value)
     series = stripped_eisenstein(field, m)

@@ -53,6 +53,21 @@ class TestLValue:
         assert obj["config"]["command"] == "lvalue"
         assert obj["config"]["m"] == 5
 
+    @pytest.mark.parametrize("s", ["-10000", "-20000"])
+    def test_weight_above_bernoulli_cap_exit_code(self, monkeypatch, capsys, s):
+        # rejected before any power sum or Bernoulli number is computed: the
+        # O(n^2) recurrence used to run up to the cap before failing
+        from eiscong import lseries
+
+        def no_work(*args):
+            raise AssertionError("work done for a rejected weight")
+
+        monkeypatch.setattr(lseries, "_power_sums", no_work)
+        monkeypatch.setattr(lseries, "bernoulli", no_work)
+        code, out = run_cli(["lvalue", "--m", "7", "--s", s])
+        assert code == 2 and out == ""
+        assert "Bernoulli cap" in capsys.readouterr().err
+
 
 class TestScan:
     def test_candidates(self):

@@ -213,6 +213,24 @@ class TestScan:
                 assert r.hypothesis_b and r.hypothesis_c
                 assert r.residue_unit_check and r.iota1_check and r.unit_order_check
 
+    @pytest.mark.parametrize("d,m", [(2, 20149), (5, 12001)])
+    def test_hypothesis_b_reduces_to_the_norm_test(self, d, m):
+        # every level prime lies over a prime dividing m, where psi1 and psi2
+        # vanish, so C(q) = 0 and (b) reads p does not divide N(q), which the
+        # p | m filter already guarantees
+        field = make_field(d)
+        series = stripped_eisenstein(field, m)
+        level_primes = series.level.prime_factors()
+        assert level_primes
+        for q in level_primes:
+            assert m % q.factors[0][0] == 0
+            assert series.coefficient_at(q) == 0
+        reports = scan_congruence(field, m)
+        assert reports
+        for r in reports:
+            assert r.hypothesis_b
+            assert r.hypothesis_b == any(q.norm % r.p for q in level_primes)
+
     def test_small_m(self, f2):
         # m = 5: the candidate set is whatever the exact L-value yields
         from eiscong.arith import factorize

@@ -1,0 +1,166 @@
+"""The quadratic value table and power sums against the direct oracles.
+
+`_oracle_value_table` is the prime sieve the CRT-tiled table replaced: it
+fills the table by complete multiplicativity from chi at every prime below
+the conductor.  `_oracle_gen_bernoulli` is the per-residue loop the masked
+power-sum passes replaced.  Both are kept here only as the references the
+kernels must equal exactly.
+"""
+
+import math
+from array import array
+from fractions import Fraction
+from itertools import compress
+
+import pytest
+
+from eiscong.characters import (
+    DirichletCharacter,
+    enumerate_characters,
+    is_fundamental_discriminant,
+    kronecker_character,
+    primitive_characters,
+    value_table,
+)
+from eiscong import lseries
+from eiscong.lseries import bernoulli, gen_bernoulli
+
+# sieve states: 0 is +1, 1 is -1, 2 is 0
+_FLIP_SIGN = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_SIEVE_TO_VALUE = bytes.maketrans(b"\x00\x01\x02", b"\x01\xff\x00")
+
+
+def _oracle_value_table(chi):
+    """chi(0), ..., chi(f - 1) from chi at the primes q < f."""
+    f = chi.conductor
+    if f == 1:
+        return array("b", [chi(0)])
+    prime = bytearray([1]) * f
+    prime[:2] = b"\0\0"
+    for q in range(2, math.isqrt(f - 1) + 1):
+        if prime[q]:
+            prime[q * q::q] = bytes(len(range(q * q, f, q)))
+    state = bytearray(f)
+    state[0] = 2
+    for q in compress(range(f), prime):
+        c = chi(q)
+        if c == 0:
+            state[q::q] = b"\x02" * len(range(q, f, q))
+        elif c == -1:
+            qk = q
+            while qk < f:
+                state[qk::qk] = state[qk::qk].translate(_FLIP_SIGN)
+                qk *= q
+    return array("b", state.translate(_SIEVE_TO_VALUE))
+
+
+def _oracle_gen_bernoulli(chi, n):
+    """B_{n,chi} = sum_k C(n,k) B_k f^(k-1) S_{n-k}, S_j summed residue by residue."""
+    f = chi.conductor
+    vals = _oracle_value_table(chi)
+    sums = [0] * (n + 1)
+    for a in range(1, f + 1):
+        x = vals[a % f]
+        if x:
+            for j in range(n + 1):
+                sums[j] += x
+                x *= a
+    return sum(math.comb(n, k) * bernoulli(k) * Fraction(f) ** (k - 1) * sums[n - k]
+               for k in range(n + 1))
+
+
+FUNDAMENTAL_400 = [1] + [D for a in range(2, 401) for D in (a, -a)
+                         if is_fundamental_discriminant(D)]
+GENERIC_MODULI = (3, 4, 5, 8, 12, 15, 21, 24, 40, 105)
+
+
+def _chi(D):
+    return DirichletCharacter.trivial(1) if D == 1 else kronecker_character(D)
+
+
+def _two_part(D):
+    """The 2-part of a fundamental discriminant: D over its odd part p* product."""
+    u = D
+    while u % 2 == 0:
+        u //= 2
+    return D // (u if u % 4 == 1 else -u)
+
+
+def _generic_quadratics(m):
+    return [chi for chi in primitive_characters(m) if chi.order == 2]
+
+
+class TestValueTable:
+    def test_fundamental_discriminants_to_400(self):
+        assert len(FUNDAMENTAL_400) > 240
+        for D in FUNDAMENTAL_400:
+            chi = _chi(D)
+            assert value_table(chi) == _oracle_value_table(chi), D
+
+    @pytest.mark.parametrize("m", GENERIC_MODULI)
+    def test_generic_quadratic_characters(self, m):
+        chars = _generic_quadratics(m)
+        assert chars
+        for chi in chars:
+            assert value_table(chi) == _oracle_value_table(chi)
+
+    @pytest.mark.parametrize("D", (20149, 161192, -80596, 1021020, 2042040))
+    def test_large_conductors(self, D):
+        chi = kronecker_character(D)
+        assert value_table(chi) == _oracle_value_table(chi)
+
+    def test_rejects_order_above_two(self):
+        chi = next(c for c in enumerate_characters(7) if c.order == 3)
+        with pytest.raises(ValueError, match="order"):
+            value_table(chi)
+
+    def test_rejects_imprimitive(self):
+        # the quadratic character mod 15 induced from conductor 5, and the
+        # trivial character mod 5 in its generic form
+        induced = next(c for c in enumerate_characters(15)
+                       if c.order == 2 and c.conductor == 5)
+        principal = next(c for c in enumerate_characters(5) if c.order == 1)
+        for chi in (induced, principal):
+            with pytest.raises(ValueError, match="primitive"):
+                value_table(chi)
+
+    def test_trivial_kind_of_any_modulus(self):
+        assert list(value_table(DirichletCharacter.trivial(12))) == [1]
+
+
+class TestGenBernoulli:
+    def test_fundamental_discriminants_to_400(self):
+        # D = 1, both parities and the 2-parts -4, 8, -8 all occur
+        assert {_two_part(D) for D in FUNDAMENTAL_400} == {1, -4, 8, -8}
+        for D in FUNDAMENTAL_400:
+            chi = _chi(D)
+            for n in range(1, 7):
+                assert gen_bernoulli(chi, n) == _oracle_gen_bernoulli(chi, n), (D, n)
+
+    @pytest.mark.parametrize("m", GENERIC_MODULI)
+    def test_generic_quadratic_characters(self, m):
+        for chi in _generic_quadratics(m):
+            for n in range(1, 7):
+                assert gen_bernoulli(chi, n) == _oracle_gen_bernoulli(chi, n), (chi, n)
+
+    @pytest.mark.parametrize("D", (20149, 161192, -80596))
+    def test_large_conductors(self, D):
+        chi = kronecker_character(D)
+        for n in (1, 2):
+            assert gen_bernoulli(chi, n) == _oracle_gen_bernoulli(chi, n), n
+
+    def test_high_weight(self):
+        # many derived sums in a row: an error in one carries into the rest
+        for D in (5, -3, 8, -8, 12, -4):
+            chi = kronecker_character(D)
+            assert gen_bernoulli(chi, 15) == _oracle_gen_bernoulli(chi, 15), D
+            assert gen_bernoulli(chi, 16) == _oracle_gen_bernoulli(chi, 16), D
+
+    def test_weight_above_the_cap_is_rejected(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work done for a rejected weight")
+
+        monkeypatch.setattr(lseries, "_power_sums", no_work)
+        monkeypatch.setattr(lseries, "bernoulli", no_work)
+        with pytest.raises(ValueError, match="cap"):
+            gen_bernoulli(kronecker_character(5), 10**4 + 1)
