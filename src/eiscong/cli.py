@@ -136,13 +136,23 @@ def cmd_padic_lambda(args) -> int:
     return 0 if certified else 1
 
 
+def _rational(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ConfigError(f"{flag} has a zero denominator") from None
+
+
 def cmd_check_distribution(args) -> int:
     if not is_prime(args.p):
         raise ConfigError("--p must be prime")
-    fam = bernoulli_family(args.m0, args.p, args.depth)
+    params = None
     if args.alpha is not None or args.eps_p is not None:
-        fam = stabilize(fam, StabilizationParams(
-            Fraction(args.alpha or "1"), Fraction(args.eps_p or "0")))
+        params = StabilizationParams(_rational(args.alpha or "1", "--alpha"),
+                                     _rational(args.eps_p or "0", "--eps-p"))
+    fam = bernoulli_family(args.m0, args.p, args.depth)
+    if params is not None:
+        fam = stabilize(fam, params)
     rep = check_distribution(fam)
     result = {
         "config": _config_echo(args, "check-distribution",

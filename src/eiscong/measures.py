@@ -7,8 +7,13 @@ groups all the way down.  Stabilization twists by the tame Frobenius
 component and rescales by alpha^-nu; for the unit root alpha = 1 of
 X^2 - (1 + eps p) X + eps p (the Hecke data these families carry) the
 result is again exactly coherent.  The twist is multiplication by one tame
-unit per level (p mod m0, 1 mod p^nu), and the distribution check sums each
-fiber as integers over the upper level's common denominator.
+unit per level (p mod m0, 1 mod p^nu).
+
+A level is stored as integer numerators over its least positive common
+denominator, so building, stabilizing and checking a family is integer
+arithmetic per unit and one gcd per level: the distribution check compares
+fiber sums of numerators cross-multiplied by the two levels' denominators.
+LevelFamily.value is the one Fraction accessor.
 
 The series bridge is the Gamma-transform
     a_j = sum_a branch^-1(a) C(log_u<a>, j) mu(a)
@@ -46,12 +51,18 @@ from .padic import (PadicScalar, _log_generator_inverse, binomial_row, inv_mod, 
 
 @dataclass
 class LevelFamily:
-    """Exact values on (Z/m0 p^nu)^x for nu = 0..depth."""
+    """Exact values on (Z/m0 p^nu)^x for nu = 0..depth.
+
+    Level nu is the value num[nu][a] / den[nu] at each unit a, over the
+    least common denominator: den[nu] > 0 and gcd(den[nu], *num[nu]) == 1,
+    so an all-zero level has den 1.
+    """
 
     m0: int
     p: int
     depth: int
-    values: list  # values[nu] is {unit a mod m0 p^nu: Fraction}
+    den: list  # den[nu] is a positive int
+    num: list  # num[nu] is {unit a mod m0 p^nu: int}, a increasing
 
     def level_modulus(self, nu: int) -> int:
         return self.m0 * self.p**nu
@@ -76,11 +87,33 @@ class LevelFamily:
         return a * self.tame_unit(nu) % self.level_modulus(nu)
 
     def value(self, a: int, nu: int) -> Fraction:
-        return self.values[nu][a]
+        return Fraction(self.num[nu][a], self.den[nu])
 
-    def map_values(self, fn) -> "LevelFamily":
-        return LevelFamily(self.m0, self.p, self.depth,
-                           [{a: fn(v) for a, v in lvl.items()} for lvl in self.values])
+
+def _level(den: int, units, nums: list[int]) -> tuple[int, dict]:
+    """(den, {a: num}) over the least common denominator; den must be positive."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [x // g for x in nums]
+    return den, dict(zip(units, nums))
+
+
+def _family(m0: int, p: int, depth: int, levels: list[tuple[int, dict]]) -> LevelFamily:
+    dens, nums = zip(*levels)
+    return LevelFamily(m0, p, depth, list(dens), list(nums))
+
+
+def _unit_masks(m0: int, p: int, depth: int) -> list[bytes]:
+    """Masks of the units mod m0 p^nu over range(m0 p^nu), nu = 0..depth.
+
+    Mod 1 the one residue 0 counts as a unit.  A residue is a unit mod
+    m0 p^nu (nu >= 1) exactly when it is one mod m0 p, so the masks of the
+    levels >= 1 repeat one tile of period m0 p.
+    """
+    base = bytes(math.gcd(a, m0) == 1 for a in range(m0))
+    tile = bytes(u and r % p != 0 for r, u in zip(range(m0 * p), base * p))
+    return [base] + [tile * p**(nu - 1) for nu in range(1, depth + 1)]
 
 
 def bernoulli_family(m0: int, p: int, depth: int) -> LevelFamily:
@@ -98,33 +131,31 @@ def bernoulli_family(m0: int, p: int, depth: int) -> LevelFamily:
         raise ValueError("m0 must be coprime to p")
     if depth < 1:
         raise ValueError("need depth >= 1")
-    if m0 == 1:
-        values = [{0: Fraction(0)}]
-    else:
-        pinv = inv_mod(p % m0, m0)
-        values = [{a: Fraction(a - pinv * a % m0, m0)
-                   for a in range(m0) if math.gcd(a, m0) == 1}]
+    masks = _unit_masks(m0, p, depth)
+    pinv = inv_mod(p % m0, m0) if m0 > 1 else 0
+    units = list(compress(range(m0), masks[0]))
+    levels = [_level(m0, units, [a - pinv * a % m0 for a in units])]
     for nu in range(1, depth + 1):
         q = m0 * p**nu
-        values.append({a: Fraction(2 * a - q, 2 * q) for a in range(q) if math.gcd(a, q) == 1})
-    return LevelFamily(m0, p, depth, values)
+        # 2a - q runs over range(-q, q, 2) as a runs over range(q)
+        levels.append(_level(2 * q, compress(range(q), masks[nu]),
+                             list(compress(range(-q, q, 2), masks[nu]))))
+    return _family(m0, p, depth, levels)
 
 
 def delta_family(m0: int, p: int, depth: int, at: int = 1) -> LevelFamily:
     """Point mass at the tower point congruent to `at` at every level."""
     if m0 < 1:
         raise ValueError("m0 must be a positive integer")
-    values = []
-    for nu in range(depth + 1):
+    num = []
+    for nu, mask in enumerate(_unit_masks(m0, p, depth)):
         q = m0 * p**nu
-        if q == 1:
-            values.append({0: Fraction(1)})
-            continue
-        if math.gcd(at, q) != 1:
+        if q > 1 and math.gcd(at, q) != 1:
             raise ValueError("delta point must be a unit at every level")
-        values.append({a: Fraction(1) if a == at % q else Fraction(0)
-                       for a in range(q) if math.gcd(a, q) == 1})
-    return LevelFamily(m0, p, depth, values)
+        lvl = dict.fromkeys(compress(range(q), mask), 0)
+        lvl[at % q] = 1
+        num.append(lvl)
+    return LevelFamily(m0, p, depth, [1] * (depth + 1), num)
 
 
 @dataclass(frozen=True)
@@ -145,10 +176,6 @@ class StabilizationParams:
         object.__setattr__(self, "eps_p", Fraction(self.eps_p))
 
 
-def _common_denominator(lvl: dict) -> int:
-    return math.lcm(*{v.denominator for v in lvl.values()})
-
-
 def stabilize(fam: LevelFamily, params: StabilizationParams) -> LevelFamily:
     """alpha^-nu (1 - alpha^-1 eps_p R(p)) applied on the units tower.
 
@@ -156,32 +183,28 @@ def stabilize(fam: LevelFamily, params: StabilizationParams) -> LevelFamily:
     well-defined realization is the tame Frobenius twist (trivial wild
     component), which at the bottom level is literally a -> p a mod m0.
     The twist is multiplication by the level's tame unit e (p mod m0, 1 mod
-    p^nu), found once per level with alpha^-nu and eps_p / alpha; each unit
-    then costs integer products and one Fraction,
-        alpha^-nu (v(a) - (eps_p / alpha) v(a e)).
-    The p-adic valuation of alpha must be 0.
+    p^nu).  With alpha^-nu = s_n / s_d and eps_p / alpha = t_n / t_d, level
+    nu of numerators N over den becomes
+        s_n (t_d N(a) - t_n N(a e)) / (s_d t_d den),
+    integer products per unit and one gcd per level.  The p-adic valuation
+    of alpha must be 0.
     """
     alpha, eps = params.alpha, params.eps_p
-    if val_p(alpha.numerator, fam.p) or val_p(alpha.denominator, fam.p):
+    if not alpha or val_p(alpha.numerator, fam.p) or val_p(alpha.denominator, fam.p):
         raise ValueError("alpha must be a unit at p")
     twist = eps / alpha
-    out = []
-    for nu, lvl in enumerate(fam.values):
+    tn, td = twist.numerator, twist.denominator
+    levels = []
+    for nu, (den, lvl) in enumerate(zip(fam.den, fam.num)):
         scale = 1 / alpha**nu
-        if eps:
+        sn, sd = scale.numerator, scale.denominator
+        if tn:
             q, e = fam.level_modulus(nu), fam.tame_unit(nu)
-            sn, tn = scale.numerator * twist.denominator, scale.numerator * twist.numerator
-            sd = scale.denominator * twist.denominator
-            # w = v(a e), bound by a one-element loop
-            out.append({a: Fraction(sn * v.numerator * w.denominator
-                                    - tn * w.numerator * v.denominator,
-                                    sd * v.denominator * w.denominator)
-                        for a, v in lvl.items() for w in (lvl[a * e % q],)})
+            nums = [sn * (td * x - tn * lvl[a * e % q]) for a, x in lvl.items()]
         else:
-            out.append({a: Fraction(scale.numerator * v.numerator,
-                                    scale.denominator * v.denominator)
-                        for a, v in lvl.items()})
-    return LevelFamily(fam.m0, fam.p, fam.depth, out)
+            nums = [sn * x for x in lvl.values()]
+        levels.append(_level(sd * td * den, lvl, nums))
+    return _family(fam.m0, fam.p, fam.depth, levels)
 
 
 @dataclass
@@ -194,22 +217,23 @@ class DistributionReport:
 def check_distribution(fam: LevelFamily) -> DistributionReport:
     """Fiber sums between consecutive levels, exactly, lexicographic-first failure.
 
-    The fibers are summed as integers over the upper level's common
-    denominator d; a failing fiber reports its sum as Fraction(sum, d).
+    The fibers are summed as numerators over the upper level's denominator,
+    so a fiber over a holds when sum * den_lower == N_lower(a) * den_upper;
+    a failing fiber reports its sum as a Fraction.
     """
     checked = 0
     for nu in range(fam.depth):
         q = fam.level_modulus(nu)
-        lower, upper = fam.values[nu], fam.values[nu + 1]
-        d = _common_denominator(upper)
+        lower, upper = fam.num[nu], fam.num[nu + 1]
+        d_lo, d_up = fam.den[nu], fam.den[nu + 1]
         sums = dict.fromkeys(lower, 0)
-        for b, v in upper.items():
-            sums[b % q if q > 1 else 0] += v.numerator * (d // v.denominator)
+        for b, x in upper.items():
+            sums[b % q] += x
         for a in sorted(lower):
             checked += 1
-            want = lower[a]
-            if sums[a] * want.denominator != want.numerator * d:
-                return DistributionReport(False, checked, (nu, a, want, Fraction(sums[a], d)))
+            if sums[a] * d_lo != lower[a] * d_up:
+                return DistributionReport(False, checked, (nu, a, fam.value(a, nu),
+                                                           Fraction(sums[a], d_up)))
     return DistributionReport(True, checked)
 
 
@@ -228,21 +252,18 @@ def pair_with_character(fam: LevelFamily, eta: DirichletCharacter):
         raise ValueError("character modulus is not a level of the family")
     if not eta.is_primitive():
         return Fraction(0)
-    lvl = fam.values[nu]
+    lvl, den = fam.num[nu], fam.den[nu]
     if eta.zeta_order_eff() <= 2:
-        acc = Fraction(0)
-        for a, v in lvl.items():
-            c = eta(a) if eta.modulus > 1 else 1
-            if c:
-                acc += c * v
-        return acc
+        if eta.modulus == 1:
+            return Fraction(sum(lvl.values()), den)
+        return Fraction(sum(eta(a) * x for a, x in lvl.items()), den)
     e = eta.zeta_order_eff()
-    acc = CycSum(e)
-    for a, v in lvl.items():
+    coeffs = [0] * e
+    for a, x in lvl.items():
         k = eta.value_exp(a)
-        if k is not None and v:
-            acc.add_term(-k % e, v)
-    return acc
+        if k is not None:
+            coeffs[-k % e] += x
+    return CycSum(e, [Fraction(c, den) for c in coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +308,8 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
 
     log_u<a> depends only on the wild class c = a mod p^V and omega^-j(a)
     only on c mod p, so the units are first grouped by class: with the
-    deepest level over its common denominator d, class c weighs the exact
-    integer W(c) = sum_{a = c} chi(a) d mu(a), and
+    deepest level's numerators N over its denominator d, class c weighs the
+    exact integer W(c) = sum_{a = c} chi(a) N(a), and
         a_j = d^-1 sum_{r mod p} omega^-j(r) sum_{c = r} W(c) C(log_u<c>, j).
     The logs come from one sieved table (padic.unit_log_table) and one
     division by log u.
@@ -309,8 +330,7 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
         raise ValueError("tame character must be primitive: it is read from its value table")
     if V < 2:
         raise ValueError("need depth >= 2 for the wild coordinate")
-    deepest = fam.values[V]
-    den = _common_denominator(deepest)
+    deepest, den = fam.num[V], fam.den[V]
     if den % p == 0:
         raise ValueError("family is not p-integral at the deepest level; stabilize first")
 
@@ -319,17 +339,14 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
     pV = p**V
     chi = value_table(chi_tame) if chi_tame.conductor > 1 else (1,)
     f = len(chi)
-    weight: dict[int, int] = {}
-    for a, v in deepest.items():
-        sign = chi[a % f]
-        if sign and v:
-            c = a % pV
-            weight[c] = weight.get(c, 0) + sign * v.numerator * (den // v.denominator)
+    weight = [0] * pV
+    for a, x in deepest.items():
+        weight[a % pV] += chi[a % f] * x
     acc = [[0] * M for _ in range(p)]
-    if weight:
+    if any(weight):
         logs = unit_log_table(p, V, w)
         lu_inv = _log_generator_inverse(u, p, w)
-        for c, wt in weight.items():
+        for c, wt in enumerate(weight):
             if wt:
                 row = binomial_row(logs[c] // p * lu_inv % mod, M, p, w)
                 acc_r = acc[c % p]

@@ -168,6 +168,19 @@ class TestCheckDistribution:
         code, out = run_cli(["check-distribution", "--p", "5", "--m0", m0, "--depth", "3"])
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--alpha", "1/0", "--alpha has a zero denominator"),
+        ("--eps-p", "1/0", "--eps-p has a zero denominator"),
+        ("--alpha", "0", "alpha must be a unit at p"),
+    ], ids=["alpha-zero-denominator", "eps-p-zero-denominator", "alpha-zero"])
+    def test_bad_stabilization_exit_code(self, flag, value, message, capsys):
+        # a zero denominator used to end in a ZeroDivisionError traceback
+        # and exit 1, the code of a failed check
+        code, out = run_cli(["check-distribution", "--p", "5", "--m0", "3", "--depth", "3",
+                             flag, value])
+        assert code == 2 and out == ""
+        assert json.loads(capsys.readouterr().err) == {"error": message}
+
 
 # the full stdout of two padic-l runs, pinned byte for byte
 PADIC_L_D2_M5 = (

@@ -30,6 +30,8 @@ from eiscong.measures import (
 from eiscong.padic import PadicScalar, teichmuller
 from eiscong.quadfield import make_field, principal_ideal
 
+from fraction_levels import from_fractions, level_values, map_values
+
 
 def inverse_char(eta: DirichletCharacter) -> DirichletCharacter:
     if eta.kind != "generic":
@@ -47,7 +49,7 @@ class TestBernoulliFamily:
         fam = bernoulli_family(3, 5, 3)
         for nu in (1, 2, 3):
             q = fam.level_modulus(nu)
-            for a in fam.values[nu]:
+            for a in fam.num[nu]:
                 assert fam.value(q - a, nu) == -fam.value(a, nu)
 
     def test_plain_distribution_sum_oracle(self):
@@ -89,15 +91,16 @@ class TestDistribution:
         assert check_distribution(fam).ok
 
     def test_perturbed_cell_reported(self):
-        fam = bernoulli_family(3, 5, 3)
-        a0 = sorted(fam.values[2])[1]
-        fam.values[2][a0] += 1
+        vals = level_values(bernoulli_family(3, 5, 3))
+        a0 = sorted(vals[2])[1]
+        vals[2][a0] += 1
+        fam = from_fractions(3, 5, 3, vals)
         rep = check_distribution(fam)
         assert not rep.ok
         assert rep.first_failure[0] == 1  # the level below the perturbation
 
     def test_zero_family_passes(self):
-        fam = bernoulli_family(3, 5, 3).map_values(lambda v: Fraction(0))
+        fam = map_values(bernoulli_family(3, 5, 3), lambda v: Fraction(0))
         assert check_distribution(fam).ok
 
     def test_stabilize_idempotence_on_scaling(self):
@@ -108,7 +111,7 @@ class TestDistribution:
                           StabilizationParams(a2, 0))
         once = stabilize(fam, StabilizationParams(a1 * a2, 0))
         for nu in range(4):
-            assert twice.values[nu] == once.values[nu]
+            assert level_values(twice)[nu] == level_values(once)[nu]
 
     def test_alpha_must_be_unit(self):
         fam = bernoulli_family(3, 5, 2)
@@ -195,7 +198,7 @@ class TestSeriesBridge:
         assert all(c == 0 for c in ser.res[1:])
 
     def test_zero_family(self):
-        fam = bernoulli_family(3, 5, 3).map_values(lambda v: Fraction(0))
+        fam = map_values(bernoulli_family(3, 5, 3), lambda v: Fraction(0))
         ser = to_iwasawa_series(fam, DirichletCharacter.trivial(1), 1, 6, 8, 12)
         assert all(c == 0 for c in ser.res)
 
@@ -244,7 +247,7 @@ class TestTransformEvaluation:
         ev = evaluate(tr, ("zeta", 1))
         # exact side: sum over (Z/m0 p^2)^x of chi(a) zeta^(l(a) mod p) mu_2(a)
         acc = [Fraction(0)] * p
-        for a, v in stab.values[2].items():
+        for a, v in level_values(stab)[2].items():
             s = chi(a)
             if s:
                 ell = unit_log_ratio(a % p**2, 1 + p, p, 1)

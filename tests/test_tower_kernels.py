@@ -5,7 +5,8 @@ The `_oracle_*` functions are the earlier per-unit forms of
 `to_iwasawa_series`: two Fractions and a subtraction per B1 value, a CRT per
 twisted unit, Fraction fiber sums, and one `unit_log_ratio` (a Teichmuller
 lift and two logs) per wild class with an M-term update per unit.  They are
-kept here only as the references the tower kernels must equal exactly.
+kept here only as the references the tower kernels must equal exactly.  They
+read and build families by value, through the `fraction_levels` helpers.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from eiscong.arith import crt
 from eiscong.characters import DirichletCharacter, enumerate_characters, kronecker_character
@@ -23,12 +25,12 @@ from eiscong.cli import main
 from eiscong.iwasawa import IwasawaElement
 from eiscong.measures import (
     DistributionReport,
-    LevelFamily,
     StabilizationParams,
     _teichmuller_powers,
     bernoulli_family,
     bridge_certified_precision,
     check_distribution,
+    delta_family,
     stabilize,
     to_iwasawa_series,
 )
@@ -40,6 +42,8 @@ from eiscong.padic import (
     unit_log_ratio,
     unit_log_table,
 )
+
+from fraction_levels import from_fractions, level_values, map_values
 
 
 def _oracle_b1(a, q):
@@ -60,7 +64,7 @@ def _oracle_bernoulli_family(m0, p, depth):
             lvl = {a: _oracle_b1(a, m0) - _oracle_b1(pinv * a % m0, m0)
                    for a in range(m0) if math.gcd(a, m0) == 1}
         values.append(lvl)
-    return LevelFamily(m0, p, depth, values)
+    return from_fractions(m0, p, depth, values)
 
 
 def _oracle_tame_twist(fam, a, nu):
@@ -73,36 +77,38 @@ def _oracle_tame_twist(fam, a, nu):
 
 def _oracle_stabilize(fam, params):
     alpha, eps = params.alpha, params.eps_p
+    values = level_values(fam)
     out = []
     for nu in range(fam.depth + 1):
         scale = Fraction(1) / alpha**nu
         lvl = {}
-        for a, v in fam.values[nu].items():
+        for a, v in values[nu].items():
             w = v
             if eps:
-                w = w - fam.values[nu][_oracle_tame_twist(fam, a, nu)] * eps / alpha
+                w = w - values[nu][_oracle_tame_twist(fam, a, nu)] * eps / alpha
             lvl[a] = scale * w
         out.append(lvl)
-    return LevelFamily(fam.m0, fam.p, fam.depth, out)
+    return from_fractions(fam.m0, fam.p, fam.depth, out)
 
 
 def _oracle_check_distribution(fam):
+    values = level_values(fam)
     checked = 0
     for nu in range(fam.depth):
         q = fam.level_modulus(nu)
-        sums = {a: Fraction(0) for a in fam.values[nu]}
-        for b, v in fam.values[nu + 1].items():
+        sums = {a: Fraction(0) for a in values[nu]}
+        for b, v in values[nu + 1].items():
             sums[b % q if q > 1 else 0] += v
-        for a in sorted(fam.values[nu]):
+        for a in sorted(values[nu]):
             checked += 1
-            if sums[a] != fam.values[nu][a]:
-                return DistributionReport(False, checked, (nu, a, fam.values[nu][a], sums[a]))
+            if sums[a] != values[nu][a]:
+                return DistributionReport(False, checked, (nu, a, values[nu][a], sums[a]))
     return DistributionReport(True, checked)
 
 
 def _oracle_to_iwasawa_series(fam, chi_tame, omega_power, u, N, M):
     p, V = fam.p, fam.depth
-    deepest = fam.values[V]
+    deepest = level_values(fam)[V]
     den = 1
     for v in deepest.values():
         den = math.lcm(den, v.denominator)
@@ -133,8 +139,11 @@ def _oracle_to_iwasawa_series(fam, chi_tame, omega_power, u, N, M):
 
 
 def _same_family(got, want):
+    # both sides are over the least positive common denominator, so equal
+    # denominators and numerators are equal values
     assert (got.m0, got.p, got.depth) == (want.m0, want.p, want.depth)
-    for g, w in zip(got.values, want.values, strict=True):
+    assert got.den == want.den
+    for g, w in zip(got.num, want.num, strict=True):
         assert list(g) == list(w)  # same units in the same order
         assert g == w
 
@@ -156,7 +165,7 @@ class TestTowerKernels:
 
     def test_tame_twist_is_the_crt_twist(self, m0, D, p, V):
         fam = bernoulli_family(m0, p, V)
-        for nu, lvl in enumerate(fam.values):
+        for nu, lvl in enumerate(fam.num):
             assert all(fam.tame_twist(a, nu) == _oracle_tame_twist(fam, a, nu) for a in lvl)
 
     @pytest.mark.parametrize("params", PARAMS, ids=lambda s: f"{s.alpha}_{s.eps_p}")
@@ -183,24 +192,65 @@ class TestTowerKernels:
             assert got.to_json() == want.to_json()
 
 
+def _assert_least_denominators(fam):
+    for nu, (den, lvl) in enumerate(zip(fam.den, fam.num, strict=True)):
+        assert den > 0
+        assert math.gcd(den, *lvl.values()) == 1
+        assert den == math.lcm(*(fam.value(a, nu).denominator for a in lvl))
+
+
+# (m0, p): m0 = 1, odd m0, and even m0 with q = m0 p^nu 0 and 2 mod 4
+INVARIANT_TOWERS = [(1, 3), (1, 5), (2, 3), (3, 5), (4, 3), (6, 5), (8, 3), (10, 3),
+                    (12, 5), (13, 7)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tower=st.sampled_from(INVARIANT_TOWERS), depth=st.integers(1, 3),
+       alpha=st.fractions(-12, 12, max_denominator=12),
+       eps=st.fractions(-6, 6, max_denominator=6))
+@example(tower=(1, 5), depth=3, alpha=Fraction(1), eps=Fraction(1))
+@example(tower=(12, 5), depth=3, alpha=Fraction(-4), eps=Fraction(0))
+@example(tower=(10, 3), depth=2, alpha=Fraction(-11, 4), eps=Fraction(1, 2))
+def test_levels_are_over_their_least_denominator(tower, depth, alpha, eps):
+    m0, p = tower
+    assume(alpha and alpha.numerator % p and alpha.denominator % p)
+    fam = bernoulli_family(m0, p, depth)
+    _assert_least_denominators(fam)
+    _assert_least_denominators(delta_family(m0, p, depth))
+    stab = stabilize(fam, StabilizationParams(alpha, eps))
+    _assert_least_denominators(stab)
+    _assert_least_denominators(stabilize(stab, StabilizationParams(alpha, eps)))
+
+
+def test_all_zero_levels_have_denominator_one():
+    # at m0 = 1 the tame unit is 1, so eps_p = alpha cancels every value
+    for alpha in (1, 2, Fraction(-3, 2)):
+        stab = stabilize(bernoulli_family(1, 5, 3), StabilizationParams(alpha, alpha))
+        assert stab.den == [1] * 4
+        assert not any(x for lvl in stab.num for x in lvl.values())
+    zero = map_values(bernoulli_family(3, 5, 3), lambda v: 0)
+    assert stabilize(zero, StabilizationParams(Fraction(2, 3), 1)).den == [1] * 4
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_random_families_and_corruptions(seed):
     # random exact values, not coherent: stabilize on arbitrary input, and
     # the first failing fiber of a corrupted coherent family
     rng = random.Random(seed)
     m0, D, p, V = rng.choice(TOWERS)
-    fam = bernoulli_family(m0, p, V).map_values(
-        lambda v: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 12, 25))))
+    fam = map_values(bernoulli_family(m0, p, V),
+                     lambda v: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 12, 25))))
     params = rng.choice(PARAMS)
     _same_family(stabilize(fam, params), _oracle_stabilize(fam, params))
     assert check_distribution(fam) == _oracle_check_distribution(fam)
 
     coherent = stabilize(bernoulli_family(m0, p, V), StabilizationParams(1, 1))
     for _ in range(4):
-        bad = LevelFamily(m0, p, V, [dict(lvl) for lvl in coherent.values])
+        vals = level_values(coherent)
         nu = rng.randrange(V + 1)
-        a = rng.choice(list(bad.values[nu]))
-        bad.values[nu][a] += Fraction(rng.choice((1, -1)), rng.choice((1, 3, 2 * p)))
+        a = rng.choice(list(vals[nu]))
+        vals[nu][a] += Fraction(rng.choice((1, -1)), rng.choice((1, 3, 2 * p)))
+        bad = from_fractions(m0, p, V, vals)
         got = check_distribution(bad)
         assert not got.ok
         assert got == _oracle_check_distribution(bad)
@@ -210,16 +260,16 @@ def test_trivial_and_zero_weights():
     # trivial tame character of a larger modulus on random p-integral values,
     # and a family whose values cancel within each wild class
     rng = random.Random(7)
-    fam = bernoulli_family(3, 5, 3).map_values(
-        lambda v: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7))))
+    fam = map_values(bernoulli_family(3, 5, 3),
+                     lambda v: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7))))
     chi = DirichletCharacter.trivial(3)
     got = to_iwasawa_series(fam, chi, 1, 6, 4, 6)
     want = _oracle_to_iwasawa_series(fam, chi, 1, 6, 4, 6)
     assert any(got.res) and (got.res, got.prec) == (want.res, want.prec)
-    vals = [dict(lvl) for lvl in fam.values]
+    vals = level_values(fam)
     # the lifts c, c + 125, c + 250 of a class c mod 125 meet each residue mod 3 once
     vals[3] = {a: Fraction(1 if a % 3 == 1 else -1) for a in vals[3]}
-    cancel = LevelFamily(3, 5, 3, vals)
+    cancel = from_fractions(3, 5, 3, vals)
     got = to_iwasawa_series(cancel, chi, 1, 6, 4, 6)
     assert got.res == _oracle_to_iwasawa_series(cancel, chi, 1, 6, 4, 6).res == [0] * 6
 
