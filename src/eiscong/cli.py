@@ -150,6 +150,7 @@ def cmd_check_distribution(args) -> int:
     if args.alpha is not None or args.eps_p is not None:
         params = StabilizationParams(_rational(args.alpha or "1", "--alpha"),
                                      _rational(args.eps_p or "0", "--eps-p"))
+        params.check_unit(args.p)
     fam = bernoulli_family(args.m0, args.p, args.depth)
     if params is not None:
         fam = stabilize(fam, params)
@@ -281,6 +282,7 @@ def cmd_verify_example(args) -> int:
         branch_primes = [args.p]
     sigma0 = principal_ideal(field, args.m).prime_factors()
     branches = []
+    exhausted = False
     for p in branch_primes:
         try:
             res = deligne_ribet_induced(eps, None, sigma0, p, args.N, args.M)
@@ -290,14 +292,21 @@ def cmd_verify_example(args) -> int:
                      "series": res.series.to_json()}
             if not res.additivity:
                 failures += 1
-        except (ArithmeticError, ValueError) as e:
+        except (ArithmeticError, IndistinguishableFromZero) as e:
+            entry = {"p": p, "error": str(e)}
+            exhausted = True
+        except ValueError as e:
             entry = {"p": p, "error": str(e)}
             failures += 1
         branches.append(entry)
     bundle["branches"] = branches
-    bundle["verdict"] = "pass" if failures == 0 and candidates else "fail"
+    passed = failures == 0 and bool(candidates)
+    bundle["verdict"] = "pass" if passed and not exhausted else "fail"
     _emit(args, bundle)
-    return 0 if bundle["verdict"] == "pass" else 1
+    # a failed check outranks precision exhaustion
+    if not passed:
+        return 1
+    return 3 if exhausted else 0
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,12 @@ class StabilizationParams:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "eps_p", Fraction(self.eps_p))
 
+    def check_unit(self, p: int) -> None:
+        """Raise ValueError unless alpha has p-adic valuation 0."""
+        alpha = self.alpha
+        if not alpha or val_p(alpha.numerator, p) or val_p(alpha.denominator, p):
+            raise ValueError("alpha must be a unit at p")
+
 
 def stabilize(fam: LevelFamily, params: StabilizationParams) -> LevelFamily:
     """alpha^-nu (1 - alpha^-1 eps_p R(p)) applied on the units tower.
@@ -189,9 +195,8 @@ def stabilize(fam: LevelFamily, params: StabilizationParams) -> LevelFamily:
     integer products per unit and one gcd per level.  The p-adic valuation
     of alpha must be 0.
     """
+    params.check_unit(fam.p)
     alpha, eps = params.alpha, params.eps_p
-    if not alpha or val_p(alpha.numerator, fam.p) or val_p(alpha.denominator, fam.p):
-        raise ValueError("alpha must be a unit at p")
     twist = eps / alpha
     tn, td = twist.numerator, twist.denominator
     levels = []
@@ -512,9 +517,10 @@ def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
 
 # The self-check fits the same node values with this many extra points.  The
 # Newton coefficient c_k = f[t_0..t_k] depends only on t_0..t_k, so the
-# M'-point fit is the first M' coefficients of the (M' + 8)-point one: both
-# come from one pass of divided differences, and the series (the prefix) must
-# agree mod p^N with the full expansion.
+# K-point fit (K = _fit_points) is the first K coefficients of the
+# (K + 8)-point one: both come from one pass of divided differences, and by
+# the bound in _fit_points both determine T^0..T^(M-1) mod p^N, so the series
+# (the prefix) must agree mod p^N with the full expansion.
 _CHECK_POINTS = 8
 
 
@@ -530,10 +536,20 @@ def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,
     returned element is ((1+T) - u) times the branch, flagged pole_factor.
 
     Construction: exact Newton interpolation with p-adic precision tracked
-    per scalar.  The nodes n = 1..M'+8 (M' = _fit_points > M + N) are
+    per scalar.  The nodes n = 1..K+8 (K = _fit_points = N + M - 1) are
     evaluated once and their divided differences taken once.  The series is
-    the Newton form of the first M' coefficients expanded to T^0..T^(M-1);
-    the self-check expands all M' + 8 and must agree with it mod p^N.
+    the Newton form of the first K coefficients expanded to T^0..T^(M-1);
+    the self-check expands all K + 8 and must agree with it mod p^N.
+
+    K nodes suffice because what is interpolated lies in Lambda = Z_p[[T]].
+    theta = chi omega^omega_power has conductor f0 or f0 p, so it is of the
+    first kind, and its values lie in Z_p (chi is quadratic).  When theta is
+    nontrivial, omega_power != 0 included, the branch lies in Lambda; when
+    theta is trivial (the pole branch), ((1+T) - u) times it does, and that
+    product is what the node values times ((1+t_n) - u) interpolate
+    (Washington, Introduction to Cyclotomic Fields, Thm. 7.10).  Every node
+    t_n = u^(1-n) - 1 lies in pZ_p, so the bound proved in _fit_points
+    applies to both.
     """
     u = 1 + p
     if p < 3:
@@ -550,8 +566,8 @@ def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,
         raise ValueError("omega_power must be even to keep the branch even")
     pole = chi.is_trivial() and omega_power % (p - 1) == 0
 
-    mprime = _fit_points(p, N, M)
-    big = mprime + _CHECK_POINTS
+    fit = _fit_points(N, M)
+    big = fit + _CHECK_POINTS
     w = N + big + big // (p - 1) + 10
     ts, ys = [], []
     for t, y in _branch_nodes(chi, p, omega_power, big, w):
@@ -566,7 +582,7 @@ def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,
     for k in range(1, big):
         dd = [(dd[i + 1] - dd[i]) / (ts[i + k] - ts[i]) for i in range(len(dd) - 1)]
         coeffs.append(dd[0])
-    res = _newton_to_monomials(coeffs[:mprime], ts, p, N, M, w)
+    res = _newton_to_monomials(coeffs[:fit], ts, p, N, M, w)
     check = _newton_to_monomials(coeffs, ts, p, N, M, w)
     for j in range(M):
         if res[j] != check[j]:
@@ -575,8 +591,26 @@ def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,
     return IwasawaElement(p, N, M, res, [N] * M, pole_factor=pole)
 
 
-def _fit_points(p: int, N: int, M: int) -> int:
-    return (N + M + 8) * (p - 1) // (p - 2) + 1
+def _fit_points(N: int, M: int) -> int:
+    """K = N + M - 1 nodes fix T^0..T^(M-1) of a Lambda-valued series mod p^N.
+
+    Let f = sum_j a_j T^j with every a_j in Z_p, and let P interpolate f at
+    K nodes t_0..t_(K-1) in pZ_p.  Newton's remainder formula holds for
+    power series:
+        f - P = prod_i (T - t_i) * f[t_0..t_(K-1), T],
+    and the divided difference of T^j is the complete homogeneous symmetric
+    polynomial h_(j-K)(t_0..t_(K-1), T), which has integer coefficients.
+    Its T^m coefficient h_(j-K-m)(t) has valuation >= j - K - m, so
+    f[t_0..t_(K-1), T] = sum_j a_j h_(j-K)(t, T) converges coefficientwise
+    in Z_p[[T]].  The T^m coefficient of prod_i (T - t_i) is
+    +-e_(K-m)(t), a sum of products of K - m elements of pZ_p, so it has
+    valuation >= K - m.  Hence the T^j coefficient of f - P has valuation
+    >= K - j, and K - j >= N for every j <= M - 1 once K >= N + M - 1.  p
+    enters only through t_i in pZ_p, so the count is the same at every odd p.
+    The precision of the computed P is tracked per scalar and gated in
+    _newton_to_monomials.
+    """
+    return max(N + M - 1, 1)
 
 
 def _newton_to_monomials(coeffs: list, ts: list, p: int, N: int, M: int,

@@ -181,6 +181,18 @@ class TestCheckDistribution:
         assert code == 2 and out == ""
         assert json.loads(capsys.readouterr().err) == {"error": message}
 
+    def test_non_unit_alpha_rejected_before_any_level(self, monkeypatch, capsys):
+        import eiscong.cli as cli
+
+        def unreachable(*args):
+            raise AssertionError("bernoulli_family called")
+
+        monkeypatch.setattr(cli, "bernoulli_family", unreachable)
+        code, out = run_cli(["check-distribution", "--p", "5", "--m0", "12", "--depth", "8",
+                             "--alpha", "5", "--eps-p", "1"])
+        assert code == 2 and out == ""
+        assert json.loads(capsys.readouterr().err) == {"error": "alpha must be a unit at p"}
+
 
 # the full stdout of two padic-l runs, pinned byte for byte
 PADIC_L_D2_M5 = (
@@ -329,6 +341,21 @@ class TestVerifyExample:
         assert code == 0
         assert sorted(calls) == ["factor", "lvalue"]
         assert json.loads(out)["scan"] == want
+
+    @pytest.mark.parametrize("extra,code", [([], 3), (["--p", "7"], 1)],
+                             ids=["exhausted", "failed-check-outranks"])
+    def test_unstable_branch_exit_code(self, monkeypatch, extra, code):
+        # two nodes cannot fix T^0..T^5 mod p^2: the branch stage raises
+        # "interpolation unstable", which is precision exhaustion (exit 3)
+        # unless a check also failed (a forced non-candidate p: exit 1)
+        from eiscong import measures
+
+        monkeypatch.setattr(measures, "_fit_points", lambda N, M: 2)
+        got, out = run_cli(["verify-example", "--d", "2", "--m", "17"] + extra)
+        bundle = json.loads(out)
+        assert got == code and bundle["verdict"] == "fail"
+        [entry] = bundle["branches"]
+        assert entry["error"].startswith("interpolation unstable")
 
     def test_forced_small_p_rejected(self):
         code, _ = run_cli(["verify-example", "--d", "2", "--m", "5", "--p", "3"])

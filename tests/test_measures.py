@@ -316,13 +316,14 @@ class TestKubotaLeopoldt:
         # evaluate the fitted series at points far beyond the fit range and
         # compare against directly computed branch values, Euler factor and
         # all; exercises the tail accuracy rather than the fit consistency
-        from eiscong.measures import _branch_nodes, _fit_points
+        from eiscong.measures import _CHECK_POINTS, _branch_nodes, _fit_points
 
         p, N, M = 5, 10, 16
         chi = kronecker_character(12)
         kl = kubota_leopoldt(chi, p, N, M)
         u = 1 + p
-        beyond = _fit_points(p, N, M) + 9
+        # the fit and its self-check use the nodes n = 1..K + _CHECK_POINTS
+        beyond = _fit_points(N, M) + _CHECK_POINTS + 1
         nodes = _branch_nodes(chi, p, 0, beyond + 3, N + 6)
         for n in (beyond, beyond + 3):  # include an n = 0 mod 4 (tw = 0) point
             t = Fraction(u) ** (1 - n) - 1
@@ -405,14 +406,63 @@ class TestKubotaLeopoldtPinned:
         assert hashlib.sha256(blob).hexdigest() == KL_GRID_SHA256
 
 
+def _old_fit_points(p: int, N: int, M: int) -> int:
+    """The node count before the proved bound, kept as an oracle."""
+    return (N + M + 8) * (p - 1) // (p - 2) + 1
+
+
+class TestFitPointsOracle:
+    @pytest.mark.parametrize("p", [3, 5, 7, 101])  # p = 3 doubles the old count
+    def test_proved_count_matches_the_old_count(self, monkeypatch, p):
+        # the old count, N + M + 8 nodes and more, must give the same series,
+        # precision and pole flag as the proved N + M - 1
+        from eiscong import measures
+
+        def outcome(chi, N, M, om):
+            try:
+                kl = kubota_leopoldt(chi, p, N, M, omega_power=om)
+                return [kl.res, kl.prec, kl.pole_factor]
+            except ValueError as e:  # p | conductor: 12 and 24 at p = 3
+                return [type(e).__name__, str(e)]
+
+        new = measures._fit_points
+        cells = 0
+        for D in (1, 8, 12, 13, 53, 24):
+            chi = DirichletCharacter.trivial(1) if D == 1 else kronecker_character(D)
+            for N, M in ((1, 1), (1, 2), (2, 6), (8, 12), (10, 16)):
+                assert new(N, M) == N + M - 1 < _old_fit_points(p, N, M)
+                for om in (0, 2):  # D = 1, om = 0 is the pole branch
+                    monkeypatch.setattr(measures, "_fit_points",
+                                        lambda N, M: _old_fit_points(p, N, M))
+                    want = outcome(chi, N, M, om)
+                    monkeypatch.setattr(measures, "_fit_points", new)
+                    got = outcome(chi, N, M, om)
+                    assert got == want, (D, N, M, om)
+                    cells += isinstance(got[0], list)
+        assert cells == (40 if p == 3 else 60)
+
+
 class TestKubotaLeopoldtSelfCheck:
     @pytest.mark.parametrize("D,p,N,M", [(12, 5, 8, 12), (8, 7, 6, 10), (13, 101, 2, 6)])
     def test_too_few_points_fail_the_self_check(self, monkeypatch, D, p, N, M):
-        # with only M points the fit is underdetermined, and the fit over
-        # M + _CHECK_POINTS points must disagree with it mod p^N
+        # with only M points, N - 1 fewer than the proved count, the fit is
+        # underdetermined, and the fit over M + _CHECK_POINTS points must
+        # disagree with it mod p^N
         from eiscong import measures
 
-        monkeypatch.setattr(measures, "_fit_points", lambda p, N, M: M)
+        assert M < measures._fit_points(N, M)
+        monkeypatch.setattr(measures, "_fit_points", lambda N, M: M)
+        with pytest.raises(ArithmeticError, match="interpolation unstable"):
+            kubota_leopoldt(kronecker_character(D), p, N, M)
+
+    @pytest.mark.parametrize("D,p,N,M", [(13, 101, 2, 6), (13, 7, 2, 6), (12, 5, 1, 2)])
+    def test_one_point_below_the_bound_fails_the_self_check(self, monkeypatch, D, p, N, M):
+        # the count N + M - 1 is sharp here: one node fewer leaves T^(M-1)
+        # (or a lower coefficient) wrong mod p^N
+        from eiscong import measures
+
+        real = measures._fit_points
+        monkeypatch.setattr(measures, "_fit_points", lambda N, M: real(N, M) - 1)
         with pytest.raises(ArithmeticError, match="interpolation unstable"):
             kubota_leopoldt(kronecker_character(D), p, N, M)
 
@@ -420,7 +470,7 @@ class TestKubotaLeopoldtSelfCheck:
         from eiscong import measures
         from eiscong.cli import main
 
-        monkeypatch.setattr(measures, "_fit_points", lambda p, N, M: M)
+        monkeypatch.setattr(measures, "_fit_points", lambda N, M: M)
         code = main(["padic-l", "--branch", '{"chi1_disc":12,"chi2_disc":13}',
                      "--p", "5", "--N", "8", "--M", "12"])
         assert code == 3
