@@ -29,10 +29,9 @@ from .measures import (
     bernoulli_family,
     branch_product,
     check_distribution,
-    deligne_ribet_induced,
     stabilize,
 )
-from .quadfield import make_field, principal_ideal
+from .quadfield import make_field
 
 
 class ConfigError(ValueError):
@@ -173,6 +172,11 @@ def _parse_branch(text: str):
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ConfigError("--branch must be a JSON object")
+    for key in ("d", "m", "chi1_disc", "chi2_disc", "twist"):
+        if key not in obj or (key == "twist" and obj[key] is None):
+            continue  # a null twist is no twist, as the config echo writes it
+        if type(obj[key]) is not int:  # bool is a subclass of int
+            raise ConfigError(f"--branch {key} must be an integer")
     try:
         if "d" in obj and "m" in obj:
             field = make_field(obj["d"])
@@ -204,12 +208,12 @@ def cmd_padic_l(args) -> int:
     _require_positive(args)
     strip_primes = json.loads(args.strip) if args.strip else []
     if not (isinstance(strip_primes, list)
-            and all(isinstance(q, int) and q > 0 for q in strip_primes)):
-        raise ConfigError("--strip must be a JSON list of positive integers")
+            and all(type(q) is int and is_prime(q) for q in strip_primes)):
+        raise ConfigError("--strip must be a JSON list of rational primes")
     config = _config_echo(args, "padic-l", ["p", "N", "M", "strip"])
     config["branch"] = {"chi1_disc": d1, "chi2_disc": d2, "twist": twist_disc}
     chi1, chi2 = kronecker_character(d1), kronecker_character(d2)
-    if twist_disc:
+    if twist_disc is not None:
         tw = kronecker_character(twist_disc)
         chi1, chi2 = chi1.mul_quadratic(tw), chi2.mul_quadratic(tw)
     try:
@@ -280,12 +284,11 @@ def cmd_verify_example(args) -> int:
     branch_primes = candidates if args.all_branches else candidates[:1]
     if args.p is not None:
         branch_primes = [args.p]
-    sigma0 = principal_ideal(field, args.m).prime_factors()
     branches = []
     exhausted = False
     for p in branch_primes:
         try:
-            res = deligne_ribet_induced(eps, None, sigma0, p, args.N, args.M)
+            res = branch_product(eps.chi1, eps.chi2, [], p, args.N, args.M)
             entry = {"p": p, "u": 1 + p,
                      "parts": _parts_json(res.lambda_mu_parts),
                      "additivity": res.additivity,

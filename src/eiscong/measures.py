@@ -17,12 +17,13 @@ LevelFamily.value is the one Fraction accessor.
 
 The series bridge is the Gamma-transform
     a_j = sum_a branch^-1(a) C(log_u<a>, j) mu(a)
-computed at the deepest level; it equals minus the Kubota-Leopoldt branch
-series (the classical Stickelberger sign).  The units are grouped by their
-wild class mod p^V, on which log_u<a> and omega(a) depend, into exact
-integer weights, and log<n> for every class comes from one sieve over the
-primes below p^V (padic.unit_log_table), so each class costs one binomial
-row and M multiply-adds.  kubota_leopoldt itself is built
+computed at the deepest level V; it equals minus the Kubota-Leopoldt branch
+series (the classical Stickelberger sign).  It is taken as the image of mu
+in Z_p[T]/((1+T)^(p^(V-1)) - 1): <a> mod p^V is u^i for one i < p^(V-1),
+read from one table of the powers of u, and log_u<a> = i mod p^(V-1), one
+digit past every certified digit.  So no logarithm is taken: the units are
+summed into one weight per exponent i, and one Horner pass in (1+T) gives
+every coefficient.  kubota_leopoldt itself is built
 by exact Newton interpolation through the special values
     -(1 - chi omega^(j-n)(p) p^(n-1)) B_{n, chi omega^(j-n)} / n
 with a built-in stability self-check.
@@ -41,8 +42,7 @@ from .characters import (CycSum, DirichletCharacter, HeckeCharacterQF, _primitiv
                          value_table)
 from .iwasawa import IwasawaElement, euler_factor, lambda_mu
 from .lseries import bernoulli
-from .padic import (PadicScalar, _log_generator_inverse, binomial_row, inv_mod, teichmuller,
-                    unit_log_table)
+from .padic import PadicScalar, inv_mod, teichmuller
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +300,24 @@ def _teichmuller_powers(p: int, w: int):
     return powers
 
 
+def _exponent_table(u: int, p: int, V: int) -> list[int]:
+    """index[u^i mod p^V] = i for i < p^(V-1), 0 off the 1-units mod p^V.
+
+    u must generate 1 + pZp (u = 1 mod p, u != 1 mod p^2); then the powers
+    u^i, i < p^(V-1), run once over the 1-units mod p^V, so every <c> mod
+    p^V is u^i for exactly one such i, and log_u<c> = i mod p^(V-1).
+    """
+    if u % p != 1 or u % p**2 == 1:
+        raise ValueError("u must generate 1 + pZp (u = 1 mod p, u != 1 mod p^2)")
+    pV = p**V
+    index = [0] * pV
+    x = 1
+    for i in range(p ** (V - 1)):
+        index[x] = i
+        x = x * u % pV
+    return index
+
+
 def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
                       omega_power: int, u: int, N: int, M: int) -> IwasawaElement:
     """Gamma-transform of a bounded family against the branch chi * omega^j.
@@ -309,15 +327,19 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
     values read from its value table) times the j-th Teichmuller power at p
     (p-adic values).  The coefficients are the Riemann sums
 
-        a_j = sum over deepest-level units of branch^-1(a) C(log_u<a>, j) mu(a).
+        a_j = sum over deepest-level units of branch^-1(a) C(log_u<a>, j) mu(a)
 
-    log_u<a> depends only on the wild class c = a mod p^V and omega^-j(a)
-    only on c mod p, so the units are first grouped by class: with the
-    deepest level's numerators N over its denominator d, class c weighs the
-    exact integer W(c) = sum_{a = c} chi(a) N(a), and
-        a_j = d^-1 sum_{r mod p} omega^-j(r) sum_{c = r} W(c) C(log_u<c>, j).
-    The logs come from one sieved table (padic.unit_log_table) and one
-    division by log u.
+    read as the image of mu in Z_p[T]/((1+T)^(p^(V-1)) - 1), the group ring
+    of Gamma/Gamma^(p^(V-1)) (Washington, Introduction to Cyclotomic Fields,
+    7.2): <a> mod p^V is u^i for one i < p^(V-1) (_exponent_table), and
+    log_u<a> = i mod p^(V-1).  With the deepest level's numerators N over
+    its denominator d, the units a = c mod p^V first sum to the exact
+    integer W(c) = sum chi(a) N(a); class c adds W(c) omega^-j(c) to the
+    weight of its exponent i, and one Horner pass in (1+T) gives
+        a_j = d^-1 sum_i weight(i) C(i, j).
+    No logarithm is taken.  For x = y mod p^e, C(x, j) - C(y, j) has
+    valuation >= e - v_p(j!), so with e = V - 1 this sum agrees with the one
+    over C(log_u<a>, j) one digit past every certified digit below.
 
     The family must be p-integral (stabilize the Bernoulli family first).
     Coefficient j >= 1 is certified to min(N, depth - 1 - v_p(j!) - 1)
@@ -335,6 +357,7 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
         raise ValueError("tame character must be primitive: it is read from its value table")
     if V < 2:
         raise ValueError("need depth >= 2 for the wild coordinate")
+    index = _exponent_table(u, p, V)
     deepest, den = fam.num[V], fam.den[V]
     if den % p == 0:
         raise ValueError("family is not p-integral at the deepest level; stabilize first")
@@ -342,25 +365,24 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
     w = N + V + 4
     mod = p**w
     pV = p**V
-    chi = value_table(chi_tame) if chi_tame.conductor > 1 else (1,)
+    chi = value_table(chi_tame)
     f = len(chi)
-    weight = [0] * pV
+    classes = [0] * pV
     for a, x in deepest.items():
-        weight[a % pV] += chi[a % f] * x
-    acc = [[0] * M for _ in range(p)]
-    if any(weight):
-        logs = unit_log_table(p, V, w)
-        lu_inv = _log_generator_inverse(u, p, w)
-        for c, wt in enumerate(weight):
-            if wt:
-                row = binomial_row(logs[c] // p * lu_inv % mod, M, p, w)
-                acc_r = acc[c % p]
-                for j in range(M):
-                    acc_r[j] += wt * row[j]
-    om_inv = _teichmuller_powers(p, w)((-omega_power) % (p - 1))  # omega(r)^(-j)
+        classes[a % pV] += chi[a % f] * x
+    omega = _teichmuller_powers(p, w)
+    om_j = omega((-omega_power) % (p - 1))  # omega(r)^(-j) mod p^w
+    om_1 = [x % pV for x in omega(p - 2)]  # omega(r)^(-1) mod p^V
+    weight = [0] * p ** (V - 1)
+    for c, wt in enumerate(classes):
+        if wt:
+            r = c % p
+            weight[index[c * om_1[r] % pV]] += wt * om_j[r]
+    series = [0] * M
+    for wt in reversed(weight):  # series <- series (1+T) + wt, mod (p^w, T^M)
+        series = [(x + y) % mod for x, y in zip(series, [wt] + series)]
     den_inv = inv_mod(den % mod, mod)
-    res = [sum(o * acc_r[j] for o, acc_r in zip(om_inv, acc)) % mod * den_inv % mod
-           for j in range(M)]
+    res = [x * den_inv % mod for x in series]
     prec = [bridge_certified_precision(V, p, j, N) for j in range(M)]
     out = [r % p**k if k else 0 for r, k in zip(res, prec)]
     return IwasawaElement(p, min(prec) if prec else N, M, out, prec)
@@ -487,7 +509,7 @@ def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
     mod = p**wk
     U, U0 = _power_tables(chi, p, wk, count)
     omega = _teichmuller_powers(p, wk)
-    chi_p = chi(p % f0) if f0 > 1 else 1
+    chi_p = chi(p)
     nodes = []
     for n in range(1, count + 1):
         t = Fraction(u) ** (1 - n) - 1
@@ -675,8 +697,7 @@ def branch_product(chi1: DirichletCharacter, chi2: DirichletCharacter,
     prod = f1 * f2
     for nq in strip_norms:
         for chi_b in (chi1, chi2):
-            val = chi_b(nq % chi_b.conductor) if chi_b.conductor > 1 else 1
-            e = euler_factor(val, nq, u, p, N, M)
+            e = euler_factor(chi_b(nq), nq, u, p, N, M)
             eulers.append(e)
             prod = prod * e
     parts = {}
@@ -707,10 +728,11 @@ def deligne_ribet_induced(eps: HeckeCharacterQF, twist: DirichletCharacter | Non
     each gets the factor 1 - eta(N(q)) N(q)^-1 (1+T)^c(N(q)), eta its own
     character.  An inert q thus enters with N(q) = q^2 on both branches.
 
-    verify-example passes the prime ideals dividing (m) as sigma0.  Both
-    branch characters have conductor divisible by m, so eta(N(q)) = 0 there:
-    every Euler factor is exactly 1 and the "euler" part reads lambda =
-    mu = 0.  Which Euler factor the paper strips is still open.
+    Both branch characters have conductor divisible by m, so at a prime q
+    dividing (m) eta(N(q)) = 0 and the Euler factor is exactly 1; that is
+    why verify-example strips nothing (branch_product with no norms) and its
+    "euler" part reads lambda = mu = 0.  Which Euler factor the paper strips
+    is still open.
     """
     chi1 = eps.chi1 if twist is None else eps.chi1.mul_quadratic(twist)
     chi2 = eps.chi2 if twist is None else eps.chi2.mul_quadratic(twist)

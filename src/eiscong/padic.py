@@ -8,7 +8,6 @@ integers mod p^W and wrap results at the end.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -196,55 +195,20 @@ def padic_log_1unit(x: int, p: int, w: int) -> int:
     return acc % p**w
 
 
-def _log_generator_inverse(u: int, p: int, w: int) -> int:
-    """(log(u) / p)^-1 mod p^w; u must generate 1 + pZp, i.e. v(log u) = 1."""
-    lu = padic_log_1unit(u % p ** (w + 2), p, w + 1)
-    if lu == 0 or val_p(lu, p) != 1:
-        raise ValueError("u must generate 1 + pZp (v(log u) = 1)")
-    return inv_mod(lu // p, p**w)
-
-
 def unit_log_ratio(x: int, u: int, p: int, w: int) -> int:
     """c = log<x> / log(u) mod p^w, x a unit, u a generator of 1 + pZp."""
     mod_hi = p ** (w + 2)
     om = teichmuller(x, p, w + 2)
     xu = x % mod_hi * inv_mod(om, mod_hi) % mod_hi  # <x> in 1 + pZp
     lx = padic_log_1unit(xu, p, w + 1)
-    lu_inv = _log_generator_inverse(u, p, w)
+    lu = padic_log_1unit(u % mod_hi, p, w + 1)
+    if lu == 0 or val_p(lu, p) != 1:
+        raise ValueError("u must generate 1 + pZp (v(log u) = 1)")
     if lx == 0:
         return 0
     if val_p(lx, p) < 1:
         raise ValueError("log x has smaller valuation than log u")
-    return (lx // p) * lu_inv % p**w
-
-
-def unit_log_table(p: int, V: int, w: int) -> list[int]:
-    """log<n> mod p^(w+1) for every n < p^V, 0 where p divides n.
-
-    <n> = n / omega(n) lies in 1 + pZp and log<ab> = log<a> + log<b> holds
-    exactly, so a smallest-prime-factor sieve fills the table from the
-    primes q < p^V: one padic_log_1unit call per prime, with omega(q)^-1
-    read from the p - 1 Teichmuller lifts, and one addition per composite.
-    """
-    size = p**V
-    mod = p ** (w + 1)
-    mod_hi = p ** (w + 2)
-    om_inv = [0] + [inv_mod(teichmuller(r, p, w + 2), mod_hi) for r in range(1, p)]
-    root = math.isqrt(size - 1)
-    small = [q for q in range(2, root + 1) if all(q % d for d in range(2, math.isqrt(q) + 1))]
-    spf = [0] * size  # smallest prime factor of a composite n, 0 elsewhere
-    for q in reversed(small):  # the smallest prime writes last
-        spf[q * q::q] = [q] * len(range(q * q, size, q))
-    logs = [0] * size
-    for n in range(2, size):
-        if n % p == 0:
-            continue
-        q = spf[n]
-        if q:
-            logs[n] = (logs[q] + logs[n // q]) % mod
-        else:
-            logs[n] = padic_log_1unit(n * om_inv[n % p] % mod_hi, p, w + 1)
-    return logs
+    return (lx // p) * inv_mod(lu // p, p**w) % p**w
 
 
 def binomial_row(c: int, length: int, p: int, w: int) -> list[int]:

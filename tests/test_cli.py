@@ -266,6 +266,32 @@ class TestPadicL:
                            "--strip", '["a"]'])
         assert code == 2
 
+    @pytest.mark.parametrize("branch", [
+        '{"d":2,"m":"x"}', '{"d":2.5,"m":20149}', '{"d":null,"m":5}',
+        '{"chi1_disc":12,"chi2_disc":[13]}', '{"chi1_disc":12,"chi2_disc":13,"twist":"x"}',
+        '{"chi1_disc":12,"chi2_disc":13,"twist":true}', '{"d":true,"m":5}',
+        '{"chi1_disc":12,"chi2_disc":13,"twist":0}'])
+    def test_non_integer_branch_exit_code(self, capsys, branch):
+        code, out = run_cli(["padic-l", "--branch", branch, "--p", "7", "--N", "2", "--M", "4"])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error" in json.loads(err)
+
+    def test_null_twist_is_no_twist(self):
+        args = ["--p", "7", "--N", "3", "--M", "6"]
+        code, out = run_cli(["padic-l", "--branch", '{"chi1_disc":5,"chi2_disc":40}'] + args)
+        code_null, out_null = run_cli(
+            ["padic-l", "--branch", '{"chi1_disc":5,"chi2_disc":40,"twist":null}'] + args)
+        assert code == code_null == 0 and out == out_null
+
+    @pytest.mark.parametrize("strip", ["[1]", "[4]", "[true]", "[-29]", "[29.0]"])
+    def test_strip_must_list_primes(self, capsys, strip):
+        code, out = run_cli(["padic-l", "--branch", '{"d":2,"m":5}', "--p", "7",
+                             "--N", "2", "--M", "4", "--strip", strip])
+        assert code == 2 and out == ""
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "--strip must be a JSON list of rational primes"}
+
     def test_branch_series_with_strip(self):
         code, out = run_cli(["padic-l", "--branch", '{"d":2,"m":5}',
                              "--p", "7", "--N", "4", "--M", "10",

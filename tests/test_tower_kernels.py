@@ -6,12 +6,15 @@ The `_oracle_*` functions are the earlier per-unit forms of
 twisted unit, Fraction fiber sums, and one `unit_log_ratio` (a Teichmuller
 lift and two logs) per wild class with an M-term update per unit.  They are
 kept here only as the references the tower kernels must equal exactly.  They
-read and build families by value, through the `fraction_levels` helpers.
+read and build families by value, through the `fraction_levels` helpers.  The
+bridge oracle is also the only code left that reads log_u<a> through p-adic
+logarithms and binomial rows; the kernel reads it off the powers of u.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -26,6 +29,7 @@ from eiscong.iwasawa import IwasawaElement
 from eiscong.measures import (
     DistributionReport,
     StabilizationParams,
+    _exponent_table,
     _teichmuller_powers,
     bernoulli_family,
     bridge_certified_precision,
@@ -34,14 +38,7 @@ from eiscong.measures import (
     stabilize,
     to_iwasawa_series,
 )
-from eiscong.padic import (
-    binomial_row,
-    inv_mod,
-    padic_log_1unit,
-    teichmuller,
-    unit_log_ratio,
-    unit_log_table,
-)
+from eiscong.padic import binomial_row, inv_mod, teichmuller, unit_log_ratio
 
 from fraction_levels import from_fractions, level_values, map_values
 
@@ -274,18 +271,56 @@ def test_trivial_and_zero_weights():
     assert got.res == _oracle_to_iwasawa_series(cancel, chi, 1, 6, 4, 6).res == [0] * 6
 
 
-@pytest.mark.parametrize("p,V", [(3, 7), (5, 5), (7, 4), (11, 3), (13, 2)])
-def test_unit_log_table_equals_per_unit_logs(p, V):
-    w = 9
-    mod_hi = p ** (w + 2)
-    logs = unit_log_table(p, V, w)
-    assert len(logs) == p**V
-    for n in range(p**V):
-        if n % p == 0:
-            assert logs[n] == 0
-            continue
-        xu = n * inv_mod(teichmuller(n, p, w + 2), mod_hi) % mod_hi
-        assert logs[n] == padic_log_1unit(xu, p, w + 1), n
+def _generators(p):
+    return (1 + p, 1 + 2 * p, 1 - p, (1 + p) ** 2 * (1 + p**2))
+
+
+@pytest.mark.parametrize("p,V", [(3, 6), (5, 4), (7, 3), (11, 3), (13, 2)])
+def test_exponent_table_is_the_log_to_base_u(p, V):
+    # log_u<c> = i mod p^(V-1) where <c> = u^i mod p^V, at every unit c
+    pV = p**V
+    for u in _generators(p):
+        index = _exponent_table(u, p, V)
+        assert sorted(index[x] for x in range(1, pV, p)) == list(range(p ** (V - 1)))
+        for c in range(pV):
+            if c % p:
+                one_unit = c * inv_mod(teichmuller(c, p, V), pV) % pV
+                assert (unit_log_ratio(c, u, p, V + 2) - index[one_unit]) % p ** (V - 1) == 0, \
+                    (u, c)
+
+
+@pytest.mark.parametrize("m0,p,V", [(13, 5, 5), (5, 7, 4), (8, 3, 6), (12, 5, 5), (1, 11, 3)])
+def test_bridge_at_other_generators(m0, p, V):
+    stab = stabilize(bernoulli_family(m0, p, V), StabilizationParams(1, 1))
+    chi = kronecker_character(m0)
+    for u in _generators(p):
+        for omega_power in (0, 1, 2):
+            got = to_iwasawa_series(stab, chi, omega_power, u, V - 1, 7)
+            want = _oracle_to_iwasawa_series(stab, chi, omega_power, u, V - 1, 7)
+            assert got.to_json() == want.to_json(), (u, omega_power)
+
+
+@pytest.mark.parametrize("u", [26, 2])
+def test_bridge_rejects_a_non_generator(u):
+    # checked before any weight is read, so an all-zero family raises too
+    zero = map_values(bernoulli_family(1, 5, 3), lambda v: 0)
+    with pytest.raises(ValueError, match="generate"):
+        to_iwasawa_series(zero, DirichletCharacter.trivial(1), 0, u, 2, 4)
+
+
+# prefix of the sha256 of these series from the log-and-binomial-row bridge
+DEEP_BRIDGE_SHA256 = "62a9bd8a9745e6e4"
+
+
+def test_deep_towers_pinned():
+    # (D, p, V, j) at depths the oracle comparisons above do not reach
+    series = []
+    for D, p, V, j in [(12, 5, 7, 1), (13, 3, 10, 1), (5, 7, 6, 2)]:
+        stab = stabilize(bernoulli_family(D, p, V), StabilizationParams(1, 1))
+        series.append(to_iwasawa_series(stab, kronecker_character(D), j, 1 + p, V - 2,
+                                        12).to_json())
+    digest = hashlib.sha256(json.dumps(series, sort_keys=True).encode()).hexdigest()
+    assert digest.startswith(DEEP_BRIDGE_SHA256), digest
 
 
 def test_bridge_rejects_an_imprimitive_tame_character():
