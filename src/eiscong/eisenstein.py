@@ -59,21 +59,34 @@ class EisensteinSeries:
     def character(self) -> ProductCharacter:
         return ProductCharacter(self.psi1, self.psi2)
 
-    def coefficient_at(self, a: IdealQF):
+    def local_factor(self, p: int, tag: str, e: int):
+        """L_e = a1 L_(e-1) + a2^e, L_0 = 1, at the prime power q^e, q = (p, tag).
+
+        a1 = psi1(q) and a2 = psi2(q) N(q): the Euler factor of C at q^e.
+        """
+        q = IdealQF(self.field.d, ((p, tag, 1),))
+        a1 = self.psi1.value_on_ideal(q)
+        a2 = self.psi2.value_on_ideal(q) * q.norm
+        local = 1
+        for k in range(1, e + 1):
+            local = a1 * local + a2**k
+        return local
+
+    def coefficient_at(self, a: IdealQF, local_factors: dict | None = None):
         """C(a) = sum_{c | a} psi1(a/c) psi2(c) N(c), as an Euler product.
 
         Both psi are completely multiplicative, so C is multiplicative and a
-        prime power q^e in a contributes L_e = a1 L_(e-1) + a2^e, L_0 = 1,
-        with a1 = psi1(q) and a2 = psi2(q) N(q).
+        prime power q^e in a contributes `local_factor`.  `local_factors` maps
+        (p, tag, e) to its local factor; it is filled as factors are met, so
+        a caller that passes one dict for many ideals computes each once.
         """
+        if local_factors is None:
+            local_factors = {}
         acc = 1
-        for p, tag, e in a.factors:
-            q = IdealQF(a.d, ((p, tag, 1),))
-            a1 = self.psi1.value_on_ideal(q)
-            a2 = self.psi2.value_on_ideal(q) * q.norm
-            local = 1
-            for k in range(1, e + 1):
-                local = a1 * local + a2**k
+        for pe in a.factors:
+            local = local_factors.get(pe)
+            if local is None:
+                local = local_factors[pe] = self.local_factor(*pe)
             acc *= local
         return acc
 
@@ -105,7 +118,9 @@ def eisenstein_coeffs(series: EisensteinSeries, bound: int) -> CoefficientSystem
     s1, s2 = series.psi1.signature(), series.psi2.signature()
     if any(a != b for a, b in zip(s1, s2)):
         raise ValueError("psi1*psi2 is not totally even; no such series")
-    coeffs = {a: series.coefficient_at(a) for a in enumerate_ideals(series.field, bound)}
+    local_factors: dict = {}
+    coeffs = {a: series.coefficient_at(a, local_factors)
+              for a in enumerate_ideals(series.field, bound)}
     return CoefficientSystem(series.field, bound, coeffs, eps, series.level)
 
 

@@ -4,13 +4,21 @@ All values are exact: rationals for quadratic characters, cyclotomic
 rationals otherwise, via generalized Bernoulli numbers
 B_{n,chi} = f^(n-1) sum_{a=1..f} chi(a) B_n(a/f).  No floating point.
 
-For order <= 2 the sum runs on the integer power sums
+For a nontrivial chi of order <= 2, B_{n,chi} = 0 when chi(-1) != (-1)^n,
+and that is returned before any work.  At weight 2 an even chi of conductor
+f > 1 is chi_f, and Siegel's formula for K = Q(sqrt f),
+zeta_K(-1) = (1/60) sum_{b^2 < f, b = f mod 2} sigma_1((f - b^2)/4)
+(Siegel 1969; Zagier 1977; Cohen, Math. Ann. 217, 1975), together with
+zeta_K(-1) = zeta(-1) L(-1, chi_f) = B_{2,chi_f}/24, gives
+B_{2,chi} = (2/5) sum_b sigma_1((f - b^2)/4): about sqrt(f)/2 divisor sums
+instead of a pass over the conductor.
+
+Other weights run on the integer power sums
 S_j = sum_{a=1..f} chi(a) a^j, read from the character's value table
 (`characters.value_table`) with C-level passes: pow over the residues
 where chi is +1 minus pow over those where it is -1.  The parity relation
-chi(f - a) = chi(-1) chi(a) fixes half of the S_j from the lower ones, so
-L(-1, chi) of an even character costs one pass.  Weights above the
-Bernoulli cap are rejected before any work.
+chi(f - a) = chi(-1) chi(a) fixes half of the S_j from the lower ones.
+Weights above the Bernoulli cap are rejected before any work.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import compress, repeat
 
-from .arith import factorize
+from .arith import factorize, primes_up_to
 from .characters import CycSum, DirichletCharacter, HeckeCharacterQF, value_table
 from .quadfield import IdealQF
 
@@ -30,19 +38,41 @@ _PLUS_MASK = bytes.maketrans(b"\xff", b"\x00")
 _MINUS_MASK = bytes.maketrans(b"\x01\xff", b"\x00\x01")
 
 
+def _bernoulli_table(n: int) -> list[Fraction]:
+    """[B_0, ..., B_n] from the integer tangent numbers T_1, ..., T_(n//2).
+
+    The T_k come from the O(k^2) integer recurrence of Brent and Harvey
+    ("Fast computation of Bernoulli, tangent and secant numbers", 2011), and
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)); B_1 = -1/2 and the other odd
+    B_k are 0.
+    """
+    half = n // 2
+    t = [0, 1] + [0] * (half - 1)
+    for k in range(2, half + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    table = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n - 1)
+    for k in range(1, half + 1):
+        table[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1))
+    return table[:n + 1]
+
+
 def bernoulli(n: int) -> Fraction:
-    """Classical Bernoulli number B_n (B_1 = -1/2), by the standard recurrence."""
+    """Classical Bernoulli number B_n (B_1 = -1/2).
+
+    A request beyond the cached table rebuilds it to max(n, twice its old
+    length), capped at the Bernoulli cap: a small n builds a small table, and
+    calls in increasing n cost O(n^2) in all, not O(n^3).
+    """
     if n < 0:
         raise ValueError("need n >= 0")
     if n > BERNOULLI_CAP:
         raise ValueError(f"Bernoulli cap is {BERNOULLI_CAP}")
-    while len(_BERNOULLI_CACHE) <= n:
-        m = len(_BERNOULLI_CACHE)
-        # sum_{k<=m} C(m+1,k) B_k = 0
-        acc = Fraction(0)
-        for k in range(m):
-            acc += math.comb(m + 1, k) * _BERNOULLI_CACHE[k]
-        _BERNOULLI_CACHE.append(-acc / (m + 1))
+    if n >= len(_BERNOULLI_CACHE):
+        size = min(max(n, 2 * len(_BERNOULLI_CACHE)), BERNOULLI_CAP)
+        _BERNOULLI_CACHE[:] = _bernoulli_table(size)
     return _BERNOULLI_CACHE[n]
 
 
@@ -57,18 +87,15 @@ def bernoulli_poly(n: int, x: Fraction) -> Fraction:
 
 
 def _power_sums(chi: DirichletCharacter, n: int) -> list[int]:
-    """[S_0, ..., S_n] with S_j = sum_{a=1..f} chi(a) a^j, chi of order <= 2.
+    """[S_0, ..., S_n] with S_j = sum_{a=1..f} chi(a) a^j, chi of order 2.
 
     S_0 is a count on the value table and each other S_j one pass of
     pow(a, j) over the residues where chi is +1, minus one over those where
     it is -1.  Since chi(f - a) = chi(-1) chi(a), a sum with
     chi(-1) (-1)^j = -1 is fixed by the lower ones,
     2 S_j = chi(-1) sum_{i<j} C(j,i) f^(j-i) (-1)^i S_i, and gets no pass.
-    The trivial character (f = 1) has S_j = 1.
     """
     f = chi.conductor
-    if f == 1:
-        return [1] * (n + 1)
     table = value_table(chi).tobytes()
     plus = table.translate(_PLUS_MASK)
     minus = table.translate(_MINUS_MASK)
@@ -84,14 +111,49 @@ def _power_sums(chi: DirichletCharacter, n: int) -> list[int]:
     return sums
 
 
+def _sigma1(n: int, primes: list[int]) -> int:
+    """Sum of the divisors of n >= 1, by trial division; primes holds every prime <= sqrt(n)."""
+    total = 1
+    for p in primes:
+        if p * p > n:
+            break
+        if n % p == 0:
+            power = term = 1
+            while n % p == 0:
+                n //= p
+                power *= p
+                term += power
+            total *= term
+    return total * (n + 1) if n > 1 else total
+
+
+def _siegel_b2(f: int) -> Fraction:
+    """B_{2,chi_f} = (2/5) sum_{b^2 < f, b = f mod 2} sigma_1((f - b^2)/4), f > 1.
+
+    f is a positive fundamental discriminant.  The sum runs over all integers
+    b, so b = 0 counts once and each b > 0 twice (for b and -b).
+    """
+    primes = primes_up_to(math.isqrt(f // 4))
+    total = 0
+    for b in range(f % 2, math.isqrt(f - 1) + 1, 2):
+        s = _sigma1((f - b * b) // 4, primes)
+        total += 2 * s if b else s
+    return Fraction(2 * total, 5)
+
+
 def gen_bernoulli(chi: DirichletCharacter, n: int):
     """B_{n,chi} for chi of modulus equal to its conductor.
 
-    Rational for order <= 2, a CycSum otherwise.  For order <= 2 it runs on
-    the integer power sums of `_power_sums`:
-    B_{n,chi} = sum_k C(n,k) B_k f^(k-1) S_{n-k}.  The trivial character
-    (f = 1) gives B_n(1): B_n for n != 1, +1/2 at n = 1.  n above the
-    Bernoulli cap is rejected before any work.
+    Rational for order <= 2, a CycSum otherwise.  For order <= 2:
+      - the trivial character (f = 1) gives B_n(1): B_n for n != 1, +1/2 at
+        n = 1;
+      - a nontrivial chi with chi(-1) != (-1)^n gives 0, before any work;
+      - at n = 2 the remaining (even) chi is chi_f, and Siegel's divisor sum
+        (`_siegel_b2`, see the module docstring) gives
+        B_{2,chi} = (2/5) sum_{b^2 < f, b = f mod 2} sigma_1((f - b^2)/4);
+      - any other n runs on the integer power sums of `_power_sums`:
+        B_{n,chi} = sum_k C(n,k) B_k f^(k-1) S_{n-k}.
+    n above the Bernoulli cap is rejected before any work.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -101,6 +163,12 @@ def gen_bernoulli(chi: DirichletCharacter, n: int):
         raise ValueError("gen_bernoulli needs modulus = conductor")
     f = chi.conductor
     if chi.order <= 2:
+        if f == 1:
+            return Fraction(1, 2) if n == 1 else bernoulli(n)
+        if chi.is_even() != (n % 2 == 0):
+            return Fraction(0)
+        if n == 2:
+            return _siegel_b2(f)
         sums = _power_sums(chi, n)
         return sum(math.comb(n, k) * bernoulli(k) * Fraction(f) ** (k - 1) * sums[n - k]
                    for k in range(n + 1))

@@ -8,6 +8,7 @@ import pytest
 from eiscong.characters import induce_quadratic, trivial_hecke
 from eiscong.eisenstein import (
     CoefficientSystem,
+    EisensteinSeries,
     eisenstein_coeffs,
     hecke_T,
     hecke_U,
@@ -107,6 +108,20 @@ class TestCoefficients:
                 ev = eps.value_on_ideal(q)
                 for e in range(1, 4):
                     assert cs[e + 1] == cs[1] * cs[e] - ev * q.norm * cs[e - 1]
+
+    def test_one_local_factor_per_prime_power(self, f2, monkeypatch):
+        series = stripped_eisenstein(f2, 20149)
+        calls = []
+        real = EisensteinSeries.local_factor
+
+        def counted(self, p, tag, e):
+            calls.append((p, tag, e))
+            return real(self, p, tag, e)
+
+        monkeypatch.setattr(EisensteinSeries, "local_factor", counted)
+        sys = eisenstein_coeffs(series, 2000)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {pe for a in sys.coeffs for pe in a.factors}
 
 
 class TestHecke:

@@ -1,10 +1,13 @@
-"""The quadratic value table and power sums against the direct oracles.
+"""The quadratic value table, power sums, Siegel's divisor sum and the
+Bernoulli numbers against the direct oracles.
 
 `_oracle_value_table` is the prime sieve the CRT-tiled table replaced: it
 fills the table by complete multiplicativity from chi at every prime below
 the conductor.  `_oracle_gen_bernoulli` is the per-residue loop the masked
-power-sum passes replaced.  Both are kept here only as the references the
-kernels must equal exactly.
+power-sum passes replaced.  `_oracle_bernoulli` is the `Fraction` recurrence
+the tangent numbers replaced.  At weight 2 the power sums of
+`lseries._power_sums` are the reference for Siegel's divisor sum.  All are
+kept here only as the references the kernels must equal exactly.
 """
 
 import math
@@ -17,13 +20,15 @@ import pytest
 from eiscong.characters import (
     DirichletCharacter,
     enumerate_characters,
+    induce_quadratic,
     is_fundamental_discriminant,
     kronecker_character,
     primitive_characters,
     value_table,
 )
 from eiscong import lseries
-from eiscong.lseries import bernoulli, gen_bernoulli
+from eiscong.lseries import bernoulli, gen_bernoulli, hecke_L_neg_induced
+from eiscong.quadfield import make_field
 
 # sieve states: 0 is +1, 1 is -1, 2 is 0
 _FLIP_SIGN = bytes.maketrans(b"\x00\x01", b"\x01\x00")
@@ -67,6 +72,25 @@ def _oracle_gen_bernoulli(chi, n):
                 x *= a
     return sum(math.comb(n, k) * bernoulli(k) * Fraction(f) ** (k - 1) * sums[n - k]
                for k in range(n + 1))
+
+
+def _oracle_bernoulli(n):
+    """[B_0, ..., B_n] by the recurrence sum_{k<=m} C(m+1,k) B_k = 0."""
+    table = [Fraction(1)]
+    for m in range(1, n + 1):
+        table.append(-sum(math.comb(m + 1, k) * table[k] for k in range(m)) / (m + 1))
+    return table
+
+
+def _power_sum_b2(chi):
+    """B_{2,chi} = S_2/f - S_1 + f S_0/6 from the power sums."""
+    f = chi.conductor
+    s0, s1, s2 = lseries._power_sums(chi, 2)
+    return Fraction(s2, f) - s1 + Fraction(f * s0, 6)
+
+
+def _no_work(*args):
+    raise AssertionError("a value table or power sum was built")
 
 
 FUNDAMENTAL_400 = [1] + [D for a in range(2, 401) for D in (a, -a)
@@ -164,3 +188,63 @@ class TestGenBernoulli:
         monkeypatch.setattr(lseries, "bernoulli", no_work)
         with pytest.raises(ValueError, match="cap"):
             gen_bernoulli(kronecker_character(5), 10**4 + 1)
+
+
+class TestSiegelWeightTwo:
+    def test_fundamental_discriminants_to_5000(self):
+        discs = [D for a in range(5, 5001) for D in (a, -a)
+                 if is_fundamental_discriminant(D)]
+        assert len(discs) > 3000
+        for D in discs:
+            chi = kronecker_character(D)
+            assert gen_bernoulli(chi, 2) == _power_sum_b2(chi), D
+
+    @pytest.mark.parametrize("m", GENERIC_MODULI)
+    def test_generic_quadratic_characters(self, m):
+        for chi in _generic_quadratics(m):
+            assert gen_bernoulli(chi, 2) == _power_sum_b2(chi), chi
+
+    def test_headline_value(self):
+        # L_F(-1, eps) for F = Q(sqrt 2), m = 20149: B_{2,chi1}/2 = 134170 and
+        # B_{2,chi2}/2 = 2782462
+        eps = induce_quadratic(make_field(2), 20149)
+        assert hecke_L_neg_induced(eps, 2).value == 373322926540
+        assert gen_bernoulli(kronecker_character(20149), 2) == 268340
+        assert gen_bernoulli(kronecker_character(161192), 2) == 5564924
+
+    def test_weight_two_builds_no_table(self, monkeypatch):
+        monkeypatch.setattr(lseries, "_power_sums", _no_work)
+        monkeypatch.setattr(lseries, "value_table", _no_work)
+        generic = [chi for m in GENERIC_MODULI for chi in _generic_quadratics(m)
+                   if chi.is_even()]
+        assert generic
+        for chi in [kronecker_character(D) for D in (5, 8, 12, 20149, 161192)] + generic:
+            assert gen_bernoulli(chi, 2) > 0, chi
+
+    def test_parity_zero_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(lseries, "_power_sums", _no_work)
+        monkeypatch.setattr(lseries, "value_table", _no_work)
+        for D, n in ((-4, 2), (-80596, 2), (5, 3), (5, 1), (-3, 6), (8, 15)):
+            b = gen_bernoulli(kronecker_character(D), n)
+            assert b == 0 and isinstance(b, Fraction), (D, n)
+
+
+class TestBernoulliNumbers:
+    def test_tangent_numbers_match_recurrence(self, monkeypatch):
+        monkeypatch.setattr(lseries, "_BERNOULLI_CACHE", [Fraction(1)])
+        want = _oracle_bernoulli(600)
+        assert [bernoulli(n) for n in range(601)] == want
+        assert lseries._bernoulli_table(600) == want
+        assert lseries._bernoulli_table(0) == [1]
+        assert lseries._bernoulli_table(1) == want[:2]
+
+    def test_small_n_builds_a_small_table(self, monkeypatch):
+        monkeypatch.setattr(lseries, "_BERNOULLI_CACHE", [Fraction(1)])
+        assert bernoulli(12) == Fraction(-691, 2730)
+        assert len(lseries._BERNOULLI_CACHE) <= 2 * 12 + 1
+        # increasing requests grow the table by doubling, up to the cap
+        bernoulli(13)
+        assert len(lseries._BERNOULLI_CACHE) == 2 * 13 + 1
+        monkeypatch.setattr(lseries, "BERNOULLI_CAP", 30)
+        bernoulli(27)
+        assert len(lseries._BERNOULLI_CACHE) == 31
