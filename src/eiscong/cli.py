@@ -395,11 +395,19 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    # exact values may exceed CPython's default 4300-digit int/str limit
+    # (3.11+ and late 3.10 patch releases); lift it for this call only
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ConfigError, ValueError, NotImplementedError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -13,11 +13,12 @@ zeta_K(-1) = zeta(-1) L(-1, chi_f) = B_{2,chi_f}/24, gives
 B_{2,chi} = (2/5) sum_b sigma_1((f - b^2)/4): about sqrt(f)/2 divisor sums
 instead of a pass over the conductor.
 
-Other weights run on the integer power sums
-S_j = sum_{a=1..f} chi(a) a^j, read from the character's value table
-(`characters.value_table`) with C-level passes: pow over the residues
-where chi is +1 minus pow over those where it is -1.  The parity relation
-chi(f - a) = chi(-1) chi(a) fixes half of the S_j from the lower ones.
+Other weights run on the centered power sums
+T_m = sum_{a=1..f} chi(a) (2a - f)^m, read from the character's value
+table (`characters.value_table`) with C-level passes: pow over the
+residues where chi is +1 minus pow over those where it is -1.  Expanding
+B_n(x) about x = 1/2 leaves only the T_m with m = n mod 2, and for those
+a and f - a contribute alike, so each is one pass over half the residues.
 Weights above the Bernoulli cap are rejected before any work.
 """
 
@@ -86,29 +87,23 @@ def bernoulli_poly(n: int, x: Fraction) -> Fraction:
     return acc
 
 
-def _power_sums(chi: DirichletCharacter, n: int) -> list[int]:
-    """[S_0, ..., S_n] with S_j = sum_{a=1..f} chi(a) a^j, chi of order 2.
+def _centered_power_sums(chi: DirichletCharacter, n: int) -> dict[int, int]:
+    """{m: T_m} for m = n, n - 2, ..., n mod 2, T_m = sum_{a=1..f} chi(a) (2a - f)^m.
 
-    S_0 is a count on the value table and each other S_j one pass of
-    pow(a, j) over the residues where chi is +1, minus one over those where
-    it is -1.  Since chi(f - a) = chi(-1) chi(a), a sum with
-    chi(-1) (-1)^j = -1 is fixed by the lower ones,
-    2 S_j = chi(-1) sum_{i<j} C(j,i) f^(j-i) (-1)^i S_i, and gets no pass.
+    chi is of order 2 with chi(-1) = (-1)^n.  Then a and f - a give the same
+    term (chi(f - a) (f - 2a)^m = chi(-1) (-1)^m chi(a) (2a - f)^m), and
+    a = f/2 has chi(a) = 0, so T_m is twice the sum over f/2 < a < f: one
+    pass of pow over those a where chi is +1, minus one over those where it
+    is -1.
     """
     f = chi.conductor
-    table = value_table(chi).tobytes()
-    plus = table.translate(_PLUS_MASK)
-    minus = table.translate(_MINUS_MASK)
-    sign = -1 if table[-1] == 0xFF else 1  # chi(-1)
-    sums = [table.count(1) - table.count(0xFF)]
-    for j in range(1, n + 1):
-        if sign * (-1) ** j == -1:
-            acc = sum(math.comb(j, i) * f ** (j - i) * (-1) ** i * sums[i] for i in range(j))
-            sums.append(sign * acc // 2)
-        else:
-            sums.append(sum(map(pow, compress(range(f), plus), repeat(j)))
-                        - sum(map(pow, compress(range(f), minus), repeat(j))))
-    return sums
+    half = value_table(chi).tobytes()[f // 2 + 1:]
+    plus = half.translate(_PLUS_MASK)
+    minus = half.translate(_MINUS_MASK)
+    xs = range(f - 2 * len(half), f, 2)  # 2a - f
+    return {m: 2 * (sum(map(pow, compress(xs, plus), repeat(m)))
+                    - sum(map(pow, compress(xs, minus), repeat(m))))
+            for m in range(n % 2, n + 1, 2)}
 
 
 def _sigma1(n: int, primes: list[int]) -> int:
@@ -151,8 +146,11 @@ def gen_bernoulli(chi: DirichletCharacter, n: int):
       - at n = 2 the remaining (even) chi is chi_f, and Siegel's divisor sum
         (`_siegel_b2`, see the module docstring) gives
         B_{2,chi} = (2/5) sum_{b^2 < f, b = f mod 2} sigma_1((f - b^2)/4);
-      - any other n runs on the integer power sums of `_power_sums`:
-        B_{n,chi} = sum_k C(n,k) B_k f^(k-1) S_{n-k}.
+      - any other n runs on the centered power sums T_m of
+        `_centered_power_sums`: with B_n(x) = sum_k C(n,k) (2^(1-k) - 1) B_k
+        (x - 1/2)^(n-k), B_{n,chi} = f^(n-1) sum_a chi(a) B_n(a/f) is
+        2^-n sum_{k even} C(n,k) (2 - 2^k) B_k f^(k-1) T_{n-k}
+        (the k = 1 term vanishes and so do the odd B_k, k >= 3).
     n above the Bernoulli cap is rejected before any work.
     """
     if n < 1:
@@ -169,9 +167,9 @@ def gen_bernoulli(chi: DirichletCharacter, n: int):
             return Fraction(0)
         if n == 2:
             return _siegel_b2(f)
-        sums = _power_sums(chi, n)
-        return sum(math.comb(n, k) * bernoulli(k) * Fraction(f) ** (k - 1) * sums[n - k]
-                   for k in range(n + 1))
+        sums = _centered_power_sums(chi, n)
+        return sum(math.comb(n, k) * (2 - 2**k) * bernoulli(k) * Fraction(f) ** (k - 1)
+                   * sums[n - k] for k in range(0, n + 1, 2)) / 2**n
     e = chi.zeta_order_eff()
     acc = CycSum(e)
     for a in range(1, f):

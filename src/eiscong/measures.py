@@ -32,16 +32,17 @@ with a built-in stability self-check.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import mul
+from itertools import accumulate, compress
+from operator import add, mul, sub
 
 from .arith import crt, val_p
 from .characters import (CycSum, DirichletCharacter, HeckeCharacterQF, _primitive_root,
                          value_table)
 from .iwasawa import IwasawaElement, euler_factor, lambda_mu
-from .lseries import bernoulli
+from .lseries import _MINUS_MASK, _PLUS_MASK, bernoulli
 from .padic import PadicScalar, inv_mod, teichmuller
 
 
@@ -409,31 +410,94 @@ def bridge_certified_precision(depth: int, p: int, j: int, N: int) -> int:
 # Kubota-Leopoldt branch series
 
 
-# residues per block of the prefix-sum sweep: it bounds the rows of exact
-# powers held at once, so beyond the value table the sweep's memory does not
-# grow with the conductor
-_SWEEP_BLOCK = 4096
+# residues per block of the prefix-sum sweep: it bounds the
+# packed rows held at once (about 1.4 kbit each at the default 15 powers), so
+# beyond the value table the sweep's memory does not grow with the conductor
+_SWEEP_BLOCK = 1024
 
 
 def _prefix_power_sums(vals, cuts, mmax: int):
     """Exact P_l(s) = sum_{j < s} vals[j] j^l, l = 0..mmax, at every s in cuts.
 
-    Returns ({s: [P_0(s), ..., P_mmax(s)]}, the same list at s = len(vals)).
-    One sweep over j; the powers are built a block of residues at a time.
+    Returns ({s: [P_0(s), ..., P_mmax(s)]}, the same list at s = len(vals));
+    vals is an array("b") of 0, 1 and -1.
+
+    With n = min(_SWEEP_BLOCK, len(vals)) and W = bitlen(n - 1), the row
+    R_i = sum_l i^l 2^off_l of i < n packs the powers into slots of
+    W (l + 1) + 2 bits, rounded up to bytes.  Over a block [lo, lo + n),
+    the sum of R_(j-lo) where vals is +1, minus the sum where it is -1,
+    holds the moment sum_j vals[j] (j - lo)^l in slot l: one big-int
+    addition per residue.  That running sum is read at each cut in the
+    block and at its end; past the first block the moments are shifted
+    binomially by lo and added to the prefix at lo.  No slot carries or
+    borrows: either sum has at most n terms of at most (n - 1)^l (0^0 = 1),
+    so its slot l is at most n^(l+1) <= 2^(W (l + 1)), and with half the
+    slot's range added (`bias`) the difference stays inside the slot.  The
+    bound is met: n = 2^W values +1 put 2^W in slot 0.
+
+    A block shifts its reads together: moment l of read r goes to bit r Z
+    of one int (Z = 8 zb) and one `_binomial_shift` of those ints by lo
+    moves every read.  A result is at most f (f - 1)^l <= 2^(F (l + 1)) in
+    absolute value (f = len(vals), F = bitlen(f - 1)) and Z >= F (mmax+1) + 2,
+    so with 2^(Z - 1) added and that bit flipped back, each read's zb bytes
+    hold it in two's complement.
     """
     f = len(vals)
-    bounds = sorted(set(cuts).union(range(0, f, _SWEEP_BLOCK), (f,)))
-    P = [0] * (mmax + 1)
+    n = min(_SWEEP_BLOCK, f)
+    width = (n - 1).bit_length()
+    sizes = [(width * (l + 1) + 9) // 8 for l in range(mmax + 1)]  # bytes per slot
+    starts = list(accumulate(sizes, initial=0))
+    half = [1 << (8 * b - 1) for b in sizes]
+    bias = sum(h << 8 * a for h, a in zip(half, starts))
+    # R_i is a polynomial of degree mmax in i: rows from the forward
+    # differences of R_0, ..., R_mmax, one pass of additions per degree
+    head = [sum(i**l << 8 * a for l, a in enumerate(starts[:-1])) for i in range(mmax + 1)]
+    diffs = []
+    while head:
+        diffs.append(head[0])
+        head = list(map(sub, head[1:], head[:-1]))
+    rows = [diffs.pop()] * n
+    for d in reversed(diffs):
+        rows = list(accumulate(rows[:-1], initial=d))
+    table = vals.tobytes()
+    plus, minus = table.translate(_PLUS_MASK), table.translate(_MINUS_MASK)
+    zb = ((f - 1).bit_length() * (mmax + 1) + 9) // 8
+    size = starts[-1] + zb  # a read, with room to take zb bytes at any slot
+    spans = list(zip(starts, starts[1:], half))
+
+    def moments(read):
+        return [int.from_bytes(read[a:e], "little") - h for a, e, h in spans]
+
+    def shifted(lo, reads, base):  # base + the moments of each read, shifted by lo
+        k = len(reads)
+        if k == 1:  # a block without cuts: packing its one read would buy nothing
+            return [list(map(add, base, _binomial_shift(moments(reads[0]), lo)))]
+        rep = int.from_bytes(b"\1".ljust(zb, b"\0") * k, "little")  # sum_r 2^(r Z)
+        cols = [(int.from_bytes(b"".join([r[a:a + zb] for r in reads]), "little")
+                 & (2 * h - 1) * rep) - h * rep for a, h in zip(starts, half)]
+        top = (1 << (8 * zb - 1)) * rep
+        out = []
+        for x, b in zip(_binomial_shift(cols, lo), base):
+            buf = ((x + b * rep + top) ^ top).to_bytes(k * zb, "little")
+            out.append([int.from_bytes(buf[i:i + zb], "little", signed=True)
+                        for i in range(0, k * zb, zb)])
+        return [list(r) for r in zip(*out)]
+
+    cuts = sorted(set(cuts))
     at = {}
-    for lo, hi in zip(bounds, bounds[1:]):
-        at[lo] = P[:]
-        block = vals[lo:hi]
-        js = list(compress(range(lo, hi), block))
-        row = list(filter(None, block))
-        P[0] += sum(row)
-        for l in range(1, mmax + 1):
-            row = [x * j for x, j in zip(row, js)]
-            P[l] += sum(row)
+    P = [0] * (mmax + 1)
+    for lo in range(0, f, n):
+        hi = min(lo + n, f)
+        ends = cuts[bisect_left(cuts, lo):bisect_left(cuts, hi)]
+        x, pos, reads = 0, lo, []
+        for s in ends + [hi]:
+            seg = rows[pos - lo:s - lo]
+            x += sum(compress(seg, plus[pos:s])) - sum(compress(seg, minus[pos:s]))
+            pos = s
+            reads.append((x + bias).to_bytes(size, "little"))
+        reads = shifted(lo, reads, P) if lo else list(map(moments, reads))
+        at.update(zip(ends, reads))
+        P = reads[-1]
     return at, P
 
 
@@ -462,10 +526,12 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
     P_l(s) = sum_{j < s} chi(j) j^l
         U[m][r] = chi(p) sum_l C(m,l) p^l [t^(m-l) (P_l(f0) - P_l(s))
                                            + (t + p f0)^(m-l) P_l(s)].
-    One sweep over j < f0 gives P at the distinct shifts s and U0 = P(f0)
-    (chi(0) = chi(f0) = 0), and each r then costs O(mmax^2): about
-    f0 (mmax+1) + p (mmax+1)^2 operations in all.  The trivial character
-    (f0 = 1) has U[m][r] = r^m and U0[m] = 1.
+    One sweep over j < f0 (`_prefix_power_sums`) gives P at the distinct
+    shifts s and U0 = P(f0) (chi(0) = chi(f0) = 0): f0 packed big-int
+    additions, O(mmax) slot reads per shift and one O(mmax^2) binomial
+    shift per block of residues past the first.  Each r then costs
+    O(mmax^2), so p (mmax+1)^2 operations come on top of the f0 additions.
+    The trivial character (f0 = 1) has U[m][r] = r^m and U0[m] = 1.
     """
     f0 = chi.conductor
     mod = p**wk

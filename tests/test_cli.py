@@ -47,6 +47,31 @@ class TestLValue:
         assert obj["value"] == "373322926540"
         assert obj["factorization"] == [[2, 2], [5, 1], [281, 1], [4951, 1], [13417, 1]]
 
+    def test_value_above_the_int_str_digit_limit(self, monkeypatch):
+        # 2^20000/3 has 6021 digits, above CPython's default limit of 4300
+        from fractions import Fraction
+
+        from eiscong import cli
+        from eiscong.lseries import LValueRecord
+
+        value = Fraction(2**20000, 3)
+        monkeypatch.setattr(cli, "hecke_L_neg_induced",
+                            lambda eps, n: LValueRecord(eps, 1 - n, value))
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code, out = run_cli(["lvalue", "--d", "2", "--m", "5"])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["factorization"] == [[2, 20000]]
+        num, den = obj["value"].split("/")
+        assert den == "3" and len(num) == 6021
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit  # restored after main()
+            sys.set_int_max_str_digits(0)
+            try:
+                assert num == str(2**20000)
+            finally:
+                sys.set_int_max_str_digits(limit)
+
     def test_config_echo(self):
         _, out = run_cli(["lvalue", "--d", "2", "--m", "5"])
         obj = json.loads(out)
@@ -62,7 +87,7 @@ class TestLValue:
         def no_work(*args):
             raise AssertionError("work done for a rejected weight")
 
-        monkeypatch.setattr(lseries, "_power_sums", no_work)
+        monkeypatch.setattr(lseries, "_centered_power_sums", no_work)
         monkeypatch.setattr(lseries, "bernoulli", no_work)
         code, out = run_cli(["lvalue", "--m", "7", "--s", s])
         assert code == 2 and out == ""

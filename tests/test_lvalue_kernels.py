@@ -5,15 +5,16 @@ Bernoulli numbers against the direct oracles.
 fills the table by complete multiplicativity from chi at every prime below
 the conductor.  `_oracle_gen_bernoulli` is the per-residue loop the masked
 power-sum passes replaced.  `_oracle_bernoulli` is the `Fraction` recurrence
-the tangent numbers replaced.  At weight 2 the power sums of
-`lseries._power_sums` are the reference for Siegel's divisor sum.  All are
-kept here only as the references the kernels must equal exactly.
+the tangent numbers replaced.  `_oracle_power_sums` is the parity-derived
+power-sum kernel the centered power sums replaced; at weight 2 its sums are
+also the reference for Siegel's divisor sum.  All are kept here only as
+the references the kernels must equal exactly.
 """
 
 import math
 from array import array
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 
 import pytest
 
@@ -85,7 +86,7 @@ def _oracle_bernoulli(n):
 def _power_sum_b2(chi):
     """B_{2,chi} = S_2/f - S_1 + f S_0/6 from the power sums."""
     f = chi.conductor
-    s0, s1, s2 = lseries._power_sums(chi, 2)
+    s0, s1, s2 = _oracle_power_sums(chi, 2)
     return Fraction(s2, f) - s1 + Fraction(f * s0, 6)
 
 
@@ -96,6 +97,37 @@ def _no_work(*args):
 FUNDAMENTAL_400 = [1] + [D for a in range(2, 401) for D in (a, -a)
                          if is_fundamental_discriminant(D)]
 GENERIC_MODULI = (3, 4, 5, 8, 12, 15, 21, 24, 40, 105)
+
+
+def _oracle_power_sums(chi, n):
+    """[S_0, ..., S_n], S_j = sum_{a=1..f} chi(a) a^j, chi of order 2.
+
+    A sum with chi(-1) (-1)^j = -1 is derived from all lower ones,
+    2 S_j = chi(-1) sum_{i<j} C(j,i) f^(j-i) (-1)^i S_i; the others are one
+    masked pass of pow each.
+    """
+    f = chi.conductor
+    table = value_table(chi).tobytes()
+    plus = table.translate(lseries._PLUS_MASK)
+    minus = table.translate(lseries._MINUS_MASK)
+    sign = -1 if table[-1] == 0xFF else 1  # chi(-1)
+    sums = [table.count(1) - table.count(0xFF)]
+    for j in range(1, n + 1):
+        if sign * (-1) ** j == -1:
+            acc = sum(math.comb(j, i) * f ** (j - i) * (-1) ** i * sums[i] for i in range(j))
+            sums.append(sign * acc // 2)
+        else:
+            sums.append(sum(map(pow, compress(range(f), plus), repeat(j)))
+                        - sum(map(pow, compress(range(f), minus), repeat(j))))
+    return sums
+
+
+def _power_sums_bernoulli(chi, n):
+    """B_{n,chi} = sum_k C(n,k) B_k f^(k-1) S_{n-k} from `_oracle_power_sums`."""
+    f = chi.conductor
+    sums = _oracle_power_sums(chi, n)
+    return sum(math.comb(n, k) * bernoulli(k) * Fraction(f) ** (k - 1) * sums[n - k]
+               for k in range(n + 1))
 
 
 def _chi(D):
@@ -180,11 +212,32 @@ class TestGenBernoulli:
             assert gen_bernoulli(chi, 15) == _oracle_gen_bernoulli(chi, 15), D
             assert gen_bernoulli(chi, 16) == _oracle_gen_bernoulli(chi, 16), D
 
+    @pytest.mark.parametrize("D", (5, 8, 12, 13, 28, 56, 1001, -4, -3, -163))
+    def test_centered_sums_equal_the_derived_power_sums(self, D):
+        chi = kronecker_character(D)
+        for n in range(1, 30):
+            assert gen_bernoulli(chi, n) == _power_sums_bernoulli(chi, n), n
+
+    @pytest.mark.parametrize("D,n", [(28, 200), (-3, 151), (1001, 60), (-163, 47)])
+    def test_centered_sums_at_high_weight(self, D, n):
+        chi = kronecker_character(D)
+        assert gen_bernoulli(chi, n) == _power_sums_bernoulli(chi, n)
+
+    @pytest.mark.parametrize("D", (5, 8, -4, -3, 12, 21, -20, 105))
+    def test_centered_sums_are_their_definition(self, D):
+        chi = kronecker_character(D)
+        f = chi.conductor
+        for n in (1, 2, 6, 7):
+            if chi.is_even() == (n % 2 == 0):
+                want = {m: sum(chi(a) * (2 * a - f) ** m for a in range(1, f + 1))
+                        for m in range(n % 2, n + 1, 2)}
+                assert lseries._centered_power_sums(chi, n) == want
+
     def test_weight_above_the_cap_is_rejected(self, monkeypatch):
         def no_work(*args):
             raise AssertionError("work done for a rejected weight")
 
-        monkeypatch.setattr(lseries, "_power_sums", no_work)
+        monkeypatch.setattr(lseries, "_centered_power_sums", no_work)
         monkeypatch.setattr(lseries, "bernoulli", no_work)
         with pytest.raises(ValueError, match="cap"):
             gen_bernoulli(kronecker_character(5), 10**4 + 1)
@@ -213,7 +266,7 @@ class TestSiegelWeightTwo:
         assert gen_bernoulli(kronecker_character(161192), 2) == 5564924
 
     def test_weight_two_builds_no_table(self, monkeypatch):
-        monkeypatch.setattr(lseries, "_power_sums", _no_work)
+        monkeypatch.setattr(lseries, "_centered_power_sums", _no_work)
         monkeypatch.setattr(lseries, "value_table", _no_work)
         generic = [chi for m in GENERIC_MODULI for chi in _generic_quadratics(m)
                    if chi.is_even()]
@@ -222,7 +275,7 @@ class TestSiegelWeightTwo:
             assert gen_bernoulli(chi, 2) > 0, chi
 
     def test_parity_zero_before_any_work(self, monkeypatch):
-        monkeypatch.setattr(lseries, "_power_sums", _no_work)
+        monkeypatch.setattr(lseries, "_centered_power_sums", _no_work)
         monkeypatch.setattr(lseries, "value_table", _no_work)
         for D, n in ((-4, 2), (-80596, 2), (5, 3), (5, 1), (-3, 6), (8, 15)):
             b = gen_bernoulli(kronecker_character(D), n)

@@ -2,11 +2,15 @@
 
 `_oracle_power_tables` is the per-residue pass the prefix-sum sweep
 replaced: it visits every a <= f0 p and is kept here only as the reference
-the sweep must equal exactly.  `_oracle_omega` lifts every residue with its
-own `teichmuller` call and raises it with `pow`.
+the sweep must equal exactly.  `_oracle_prefix_power_sums` is the sweep
+before packed block moments: it builds chi(j) j^l with one multiply per
+residue and power.  `_oracle_omega` lifts every residue with its own
+`teichmuller` call and raises it with `pow`.
 """
 
 import random
+from array import array
+from itertools import compress
 
 import pytest
 
@@ -18,8 +22,10 @@ from eiscong.characters import (
     value_table,
 )
 from eiscong.measures import (
+    _SWEEP_BLOCK,
     _branch_nodes,
     _power_tables,
+    _prefix_power_sums,
     _teichmuller_powers,
     bernoulli_family,
     stabilize,
@@ -58,6 +64,24 @@ def _oracle_power_tables(chi, p, wk, mmax):
                 U[m][r] = (U[m][r] + c * apow) % mod
                 apow = apow * a % mod
     return U, U0
+
+
+def _oracle_prefix_power_sums(vals, cuts, mmax):
+    """({s: [P_0(s), ..., P_mmax(s)]}, P at len(vals)) by exact products per residue."""
+    f = len(vals)
+    bounds = sorted(set(cuts).union(range(0, f, 4096), (f,)))
+    P = [0] * (mmax + 1)
+    at = {}
+    for lo, hi in zip(bounds, bounds[1:]):
+        at[lo] = P[:]
+        block_vals = vals[lo:hi]
+        js = list(compress(range(lo, hi), block_vals))
+        row = list(filter(None, block_vals))
+        P[0] += sum(row)
+        for l in range(1, mmax + 1):
+            row = [x * j for x, j in zip(row, js)]
+            P[l] += sum(row)
+    return {s: at[s] for s in cuts}, P
 
 
 def _oracle_omega(p, w):
@@ -110,6 +134,57 @@ class TestPowerTables:
         for chi in primitive_characters(m):
             if chi.order == 2:
                 assert _power_tables(chi, p, 6, 4) == _oracle_power_tables(chi, p, 6, 4)
+
+
+def _assert_sweep_equals_oracle(vals, cuts, mmax):
+    got = _prefix_power_sums(vals, cuts, mmax)
+    assert got == _oracle_prefix_power_sums(vals, cuts, mmax)
+
+
+def _branch_cuts(f0, p):
+    pinv = pow(p, -1, f0)
+    return [r * pinv % f0 for r in range(1, p)]
+
+
+B = _SWEEP_BLOCK
+
+
+class TestPrefixSweep:
+    # the trivial character (D = 1) never reaches the sweep
+    @pytest.mark.parametrize("D,p,wk,mmax", [c for c in _seeded_grid(20149, 150) if c[0] != 1])
+    def test_seeded_grid(self, D, p, wk, mmax):
+        vals = value_table(_chi(D))
+        _assert_sweep_equals_oracle(vals, _branch_cuts(len(vals), p), mmax)
+
+    @pytest.mark.parametrize("D,p,mmax", [
+        (-1023, 5, 15), (1032, 7, 29), (-1031, 1033, 15),   # f0 near the block size
+        (3389, 5, 29), (2557, 7, 15), (20149, 13, 1),       # several blocks
+        (20149, 281, 15), (-4003, 5, 0),
+    ])
+    def test_branch_cuts_at_larger_conductors(self, D, p, mmax):
+        vals = value_table(kronecker_character(D))
+        _assert_sweep_equals_oracle(vals, _branch_cuts(len(vals), p), mmax)
+
+    @pytest.mark.parametrize("fill", (1, -1))
+    @pytest.mark.parametrize("mmax", (0, 1, 15, 29))
+    def test_constant_tables_do_not_carry(self, fill, mmax):
+        # every residue in one mask fills each slot as far as it goes
+        f = 2 * B + 3
+        vals = array("b", [fill]) * f
+        cuts = [0, 1, B - 1, B, B + 1, 2 * B, 2 * B + 1, f - 1]
+        _assert_sweep_equals_oracle(vals, cuts, mmax)
+
+    @pytest.mark.parametrize("f", (B - 1, B, B + 1, 3 * B + 7))
+    @pytest.mark.parametrize("mmax", (0, 1, 15, 29))
+    def test_random_tables_around_the_block_size(self, f, mmax):
+        rng = random.Random(f * 31 + mmax)
+        vals = array("b", (rng.choice((-1, 0, 1)) for _ in range(f)))
+        cuts = {0, f - 1} | set(range(0, f, B)) | {rng.randrange(f) for _ in range(20)}
+        _assert_sweep_equals_oracle(vals, sorted(cuts), mmax)
+
+    def test_no_cuts(self):
+        vals = array("b", [1, -1, 0, 1]) * (B // 2 + 1)
+        _assert_sweep_equals_oracle(vals, [], 7)
 
 
 class TestTeichmullerTable:
