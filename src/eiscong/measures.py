@@ -36,7 +36,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .arith import crt, val_p
 from .characters import (CycSum, DirichletCharacter, HeckeCharacterQF, _primitive_root,
@@ -470,8 +470,6 @@ def _prefix_power_sums(vals, cuts, mmax: int):
 
     def shifted(lo, reads, base):  # base + the moments of each read, shifted by lo
         k = len(reads)
-        if k == 1:  # a block without cuts: packing its one read would buy nothing
-            return [list(map(add, base, _binomial_shift(moments(reads[0]), lo)))]
         rep = int.from_bytes(b"\1".ljust(zb, b"\0") * k, "little")  # sum_r 2^(r Z)
         cols = [(int.from_bytes(b"".join([r[a:a + zb] for r in reads]), "little")
                  & (2 * h - 1) * rep) - h * rep for a, h in zip(starts, half)]
