@@ -2,14 +2,15 @@
 
 Every command echoes its effective configuration so runs are reproducible
 byte-for-byte.  Scan-style output is one JSON object per line.  Exit codes:
-0 ok, 1 a check failed, 2 configuration error, 3 precision or factorization
-exhaustion.
+0 ok, 1 a check failed, 2 configuration or output error, 3 precision or
+factorization exhaustion.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -47,10 +48,13 @@ def _emit(args, payload) -> None:
         if isinstance(payload, list) else json.dumps(payload, sort_keys=True)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise ConfigError(f"cannot write --out: {e}") from None
     else:
-        print(text)
+        print(text, flush=True)  # a closed pipe raises here, inside main
 
 
 def _config_echo(args, command: str, keys: list[str]) -> dict:
@@ -404,6 +408,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ValueError, NotImplementedError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout early; what is still buffered goes to
+        # devnull so the interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     finally:
         if limit is not None:

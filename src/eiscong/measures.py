@@ -36,7 +36,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
-from operator import mul, sub
+from operator import add, mul
 
 from .arith import crt, val_p
 from .characters import (CycSum, DirichletCharacter, HeckeCharacterQF, _primitive_root,
@@ -410,10 +410,11 @@ def bridge_certified_precision(depth: int, p: int, j: int, N: int) -> int:
 # Kubota-Leopoldt branch series
 
 
-# residues per block of the prefix-sum sweep: it bounds the
-# packed rows held at once (about 1.4 kbit each at the default 15 powers), so
-# beyond the value table the sweep's memory does not grow with the conductor
+# residues per block of the prefix-sum sweep and of the power tables' shift:
+# they bound the packed rows (about 1.4 kbit each at the default 15 powers)
+# and the shifted columns held at once, whatever the conductor and p
 _SWEEP_BLOCK = 1024
+_RESIDUE_BLOCK = 256
 
 
 def _prefix_power_sums(vals, cuts, mmax: int):
@@ -452,10 +453,7 @@ def _prefix_power_sums(vals, cuts, mmax: int):
     # R_i is a polynomial of degree mmax in i: rows from the forward
     # differences of R_0, ..., R_mmax, one pass of additions per degree
     head = [sum(i**l << 8 * a for l, a in enumerate(starts[:-1])) for i in range(mmax + 1)]
-    diffs = []
-    while head:
-        diffs.append(head[0])
-        head = list(map(sub, head[1:], head[:-1]))
+    diffs = [d for (d,) in _binomial_shift(head, [-1])]
     rows = [diffs.pop()] * n
     for d in reversed(diffs):
         rows = list(accumulate(rows[:-1], initial=d))
@@ -474,12 +472,10 @@ def _prefix_power_sums(vals, cuts, mmax: int):
         cols = [(int.from_bytes(b"".join([r[a:a + zb] for r in reads]), "little")
                  & (2 * h - 1) * rep) - h * rep for a, h in zip(starts, half)]
         top = (1 << (8 * zb - 1)) * rep
-        out = []
-        for x, b in zip(_binomial_shift(cols, lo), base):
-            buf = ((x + b * rep + top) ^ top).to_bytes(k * zb, "little")
-            out.append([int.from_bytes(buf[i:i + zb], "little", signed=True)
-                        for i in range(0, k * zb, zb)])
-        return [list(r) for r in zip(*out)]
+        bufs = [((x + b * rep + top) ^ top).to_bytes(k * zb, "little")
+                for (x,), b in zip(_binomial_shift(cols, [lo]), base)]
+        return [[int.from_bytes(buf[i:i + zb], "little", signed=True) for buf in bufs]
+                for i in range(0, k * zb, zb)]
 
     cuts = sorted(set(cuts))
     at = {}
@@ -499,16 +495,18 @@ def _prefix_power_sums(vals, cuts, mmax: int):
     return at, P
 
 
-def _binomial_shift(c: list[int], t: int) -> list[int]:
-    """[sum_l C(m,l) t^(m-l) c_l for m = 0..len(c)-1], exactly.
+def _binomial_shift(c: list[int], ts: list[int]):
+    """Yield [sum_l C(m,l) t_i^(m-l) c_l[i] for i < len(ts)] for m = 0, 1, ...
 
-    The m-th entry is the first one of (S + t)^m c, S the left shift.
+    c holds columns c_0, c_1, ... of len(ts) entries end to end; column m is
+    the first one of (S + T)^m c, S the left shift by a column and T the
+    entrywise product with ts.  Each step is one C-level pass, exactly.
     """
-    out = [c[0]]
-    while len(c) > 1:
-        c = [y + t * x for x, y in zip(c, c[1:])]
-        out.append(c[0])
-    return out
+    k = len(ts)
+    ts = ts * (len(c) // k)
+    while c:
+        yield c[:k]
+        c = list(map(add, c[k:], map(mul, ts, c)))
 
 
 def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
@@ -526,9 +524,9 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
                                            + (t + p f0)^(m-l) P_l(s)].
     One sweep over j < f0 (`_prefix_power_sums`) gives P at the distinct
     shifts s and U0 = P(f0) (chi(0) = chi(f0) = 0): f0 packed big-int
-    additions, O(mmax) slot reads per shift and one O(mmax^2) binomial
-    shift per block of residues past the first.  Each r then costs
-    O(mmax^2), so p (mmax+1)^2 operations come on top of the f0 additions.
+    additions.  Then each block of _RESIDUE_BLOCK residues shifts its columns
+    p^l (P_l(f0) - P_l(s)) by t and p^l P_l(s) by t + p f0 at once: the
+    p (mmax+1)^2 element operations run as C-level passes over blocks.
     The trivial character (f0 = 1) has U[m][r] = r^m and U0[m] = 1.
     """
     f0 = chi.conductor
@@ -542,14 +540,16 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
     prefix, total = _prefix_power_sums(vals, shifts, mmax)
     ppow = [p**l for l in range(mmax + 1)]
     chi_p = vals[p % f0]
-    U = [[0] * p for _ in range(mmax + 1)]
-    for r, s in zip(range(1, p), shifts):
-        t = r - p * s
-        high = [(a - b) * q % mod for a, b, q in zip(total, prefix[s], ppow)]
-        low = [b * q % mod for b, q in zip(prefix[s], ppow)]
-        for m, (x, y) in enumerate(zip(_binomial_shift(high, t),
-                                       _binomial_shift(low, t + p * f0))):
-            U[m][r] = chi_p * (x + y) % mod
+    U = [[0] for _ in range(mmax + 1)]
+    for i in range(0, p - 1, _RESIDUE_BLOCK):
+        block = shifts[i:i + _RESIDUE_BLOCK]
+        ts = [r - p * s for r, s in zip(range(i + 1, p), block)]
+        # the block's high sums (shifted by t), then its low ones (t + p f0)
+        cols = []
+        for a, q, col in zip(total, ppow, zip(*map(prefix.__getitem__, block))):
+            cols += [(a - b) * q % mod for b in col] + [b * q % mod for b in col]
+        for Um, c in zip(U, _binomial_shift(cols, ts + [t + p * f0 for t in ts])):
+            Um.extend([chi_p * (x + y) % mod for x, y in zip(c, c[len(ts):])])
     return U, [x % mod for x in total]
 
 

@@ -427,12 +427,37 @@ class TestVerifyExample:
         assert json.loads(dest.read_text())["config"]["m"] == 5
 
 
+class TestOutputErrors:
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "x.json"
+        code, out = run_cli(["field", "--d", "2", "--out", str(dest)])
+        assert code == 2 and out == ""
+        assert "cannot write --out" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_reader_closing_stdout_early_exit_code(self):
+        # about 0.5 MB of output, far past a pipe's buffer: the writer meets
+        # the closed pipe whatever the timing
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eiscong.cli", "eis", "--d", "2", "--m", "20149",
+             "--bound", "10000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+        assert proc.stdout.read(10) == b'{"config":'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+def _child_env():
+    # the child imports eiscong from the same checkout as this test
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(eiscong.__file__))}
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        # the child imports eiscong from the same checkout as this test
-        src = os.path.dirname(os.path.dirname(eiscong.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "eiscong.cli", "field", "--d", "3"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["u"] == [2, 1]

@@ -2,10 +2,12 @@
 
 `_oracle_power_tables` is the per-residue pass the prefix-sum sweep
 replaced: it visits every a <= f0 p and is kept here only as the reference
-the sweep must equal exactly.  `_oracle_prefix_power_sums` is the sweep
-before packed block moments: it builds chi(j) j^l with one multiply per
-residue and power.  `_oracle_omega` lifts every residue with its own
-`teichmuller` call and raises it with `pow`.
+the sweep must equal exactly.  `_oracle_residue_tables` is the power tables
+before the residue-major shift: two scalar binomial shifts per residue
+r mod p.  `_oracle_prefix_power_sums` is the sweep before packed block
+moments: it builds chi(j) j^l with one multiply per residue and power.
+`_oracle_omega` lifts every residue with its own `teichmuller` call and
+raises it with `pow`.
 """
 
 import random
@@ -22,7 +24,9 @@ from eiscong.characters import (
     value_table,
 )
 from eiscong.measures import (
+    _RESIDUE_BLOCK,
     _SWEEP_BLOCK,
+    _binomial_shift,
     _branch_nodes,
     _power_tables,
     _prefix_power_sums,
@@ -64,6 +68,34 @@ def _oracle_power_tables(chi, p, wk, mmax):
                 U[m][r] = (U[m][r] + c * apow) % mod
                 apow = apow * a % mod
     return U, U0
+
+
+def _oracle_shift(c, t):
+    """[sum_l C(m,l) t^(m-l) c_l for m = 0..len(c)-1] for one scalar shift t."""
+    out = [c[0]]
+    while len(c) > 1:
+        c = [y + t * x for x, y in zip(c, c[1:])]
+        out.append(c[0])
+    return out
+
+
+def _oracle_residue_tables(chi, p, wk, mmax):
+    """U, U0 with the high and low sums of each residue r shifted on their own."""
+    f0 = chi.conductor
+    mod = p**wk
+    vals = value_table(chi)
+    shifts = [r * pow(p, -1, f0) % f0 for r in range(1, p)]
+    prefix, total = _prefix_power_sums(vals, shifts, mmax)
+    ppow = [p**l for l in range(mmax + 1)]
+    chi_p = vals[p % f0]
+    U = [[0] * p for _ in range(mmax + 1)]
+    for r, s in zip(range(1, p), shifts):
+        t = r - p * s
+        high = [(a - b) * q % mod for a, b, q in zip(total, prefix[s], ppow)]
+        low = [b * q % mod for b, q in zip(prefix[s], ppow)]
+        for m, (x, y) in enumerate(zip(_oracle_shift(high, t), _oracle_shift(low, t + p * f0))):
+            U[m][r] = chi_p * (x + y) % mod
+    return U, [x % mod for x in total]
 
 
 def _oracle_prefix_power_sums(vals, cuts, mmax):
@@ -134,6 +166,60 @@ class TestPowerTables:
         for chi in primitive_characters(m):
             if chi.order == 2:
                 assert _power_tables(chi, p, 6, 4) == _oracle_power_tables(chi, p, 6, 4)
+
+
+class TestResidueBlocks:
+    """The residue-major shift at the shapes kubota_leopoldt asks for.
+
+    At the defaults N = 2, M = 6 a branch asks for mmax = 15 and wk = 33.
+    """
+
+    @staticmethod
+    def _assert_both_oracles(D, p, wk, mmax):
+        chi = kronecker_character(D)
+        got = _power_tables(chi, p, wk, mmax)
+        assert got == _oracle_residue_tables(chi, p, wk, mmax)
+        assert got == _oracle_power_tables(chi, p, wk, mmax)
+
+    # branch-prime shapes: chi_m and chi_8m (the pair over Q(sqrt 2)) for m = 13, 41
+    @pytest.mark.parametrize("D", (13, 104, 41, 328))
+    @pytest.mark.parametrize("p", (101, 107))
+    def test_branch_prime_shape(self, D, p):
+        self._assert_both_oracles(D, p, 33, 15)
+
+    # p - 1 = 1030 and 2052 residues: several full blocks and a short last
+    # one; the whole tables hold both sides of every block boundary
+    @pytest.mark.parametrize("D", (5, 8, 13, -4, -3, -8))
+    @pytest.mark.parametrize("p", (1031, 2053))
+    def test_several_blocks(self, D, p):
+        assert (p - 1) // _RESIDUE_BLOCK >= 4
+        self._assert_both_oracles(D, p, 33, 15)
+
+    # p - 1 = 256, 262, 768: one full block, one and a short one, three full
+    @pytest.mark.parametrize("p", (257, 263, 769))
+    @pytest.mark.parametrize("D", (-20, 12))
+    def test_around_the_block_size(self, D, p):
+        self._assert_both_oracles(D, p, 33, 15)
+
+    # odd characters: the kernel must not assume chi(-1) = 1
+    @pytest.mark.parametrize("D,p", [(D, p) for D in (-3, -4, -7, -8, -20, -163)
+                                     for p in (5, 101, 107) if D % p])
+    def test_odd_characters(self, D, p):
+        self._assert_both_oracles(D, p, 33, 15)
+
+    @pytest.mark.parametrize("block", (1, 2, 3, 7))
+    @pytest.mark.parametrize("D,p", [(13, 31), (-163, 11), (5, 13), (328, 3)])
+    def test_any_block_size(self, monkeypatch, block, D, p):
+        monkeypatch.setattr(measures, "_RESIDUE_BLOCK", block)
+        self._assert_both_oracles(D, p, 12, 15)
+
+    def test_columns_shift_as_scalars(self):
+        rng = random.Random(15)
+        ts = [rng.randrange(-10**9, 10**9) for _ in range(9)] + [0]
+        cols = [[rng.randrange(-10**40, 10**40) for _ in ts] for _ in range(16)]
+        got = list(_binomial_shift([x for c in cols for x in c], ts))
+        for i, t in enumerate(ts):
+            assert [c[i] for c in got] == _oracle_shift([c[i] for c in cols], t)
 
 
 def _assert_sweep_equals_oracle(vals, cuts, mmax):
