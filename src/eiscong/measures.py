@@ -9,10 +9,9 @@ X^2 - (1 + eps p) X + eps p (the Hecke data these families carry) the
 result is again exactly coherent.  The twist is multiplication by one tame
 unit per level (p mod m0, 1 mod p^nu).
 
-A level is stored as integer numerators over its least positive common
-denominator, so building, stabilizing and checking a family is integer
-arithmetic per unit and one gcd per level: the distribution check compares
-fiber sums of numerators cross-multiplied by the two levels' denominators.
+A level is one flat list of integer numerators over its least positive
+common denominator, in residue-block order (LevelFamily), so each stage is
+a few C-level passes over whole blocks and one gcd per level.
 LevelFamily.value is the one Fraction accessor.
 
 The series bridge is the Gamma-transform
@@ -22,9 +21,9 @@ series (the classical Stickelberger sign).  It is taken as the image of mu
 in Z_p[T]/((1+T)^(p^(V-1)) - 1): <a> mod p^V is u^i for one i < p^(V-1),
 read from one table of the powers of u, and log_u<a> = i mod p^(V-1), one
 digit past every certified digit.  So no logarithm is taken: the units are
-summed into one weight per exponent i, and one Horner pass in (1+T) gives
-every coefficient.  kubota_leopoldt itself is built
-by exact Newton interpolation through the special values
+summed into one weight per exponent i, and M passes of suffix sums give
+the coefficients.  kubota_leopoldt itself is built by exact Newton
+interpolation through the special values
     -(1 - chi omega^(j-n)(p) p^(n-1)) B_{n, chi omega^(j-n)} / n
 with a built-in stability self-check.
 """
@@ -35,8 +34,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
-from operator import add, mul
+from itertools import accumulate, chain, compress, repeat
+from operator import add, floordiv, mul, sub
 
 from .arith import crt, val_p
 from .characters import (CycSum, DirichletCharacter, HeckeCharacterQF, _primitive_root,
@@ -50,71 +49,81 @@ from .padic import PadicScalar, inv_mod, teichmuller
 # level families
 
 
+def _blocks(m0: int, p: int) -> list[tuple[int, int]]:
+    """[(r, s)]: the units r mod m0 increasing (0 when m0 = 1), p | r + m0 t at t = s mod p."""
+    minv = inv_mod(m0 % p, p)
+    return [(r, -r * minv % p) for r in range(m0) if math.gcd(r, m0) == 1]
+
+
+def _mask(p: int, s: int, nu: int) -> bytes:
+    """The mask of a block over t < p^nu: 0 at t = s mod p (nu >= 1), 1 at nu = 0."""
+    return bytes(t != s for t in range(p)) * p**(nu - 1) if nu else b"\1"
+
+
+def _position(t: int, s: int, p: int) -> int:
+    """Index of t in a block skipping t = s mod p: t minus the skipped t' < t."""
+    return t - (t - s + p - 1) // p
+
+
 @dataclass
 class LevelFamily:
     """Exact values on (Z/m0 p^nu)^x for nu = 0..depth.
 
-    Level nu is the value num[nu][a] / den[nu] at each unit a, over the
-    least common denominator: den[nu] > 0 and gcd(den[nu], *num[nu]) == 1,
-    so an all-zero level has den 1.
+    Level nu is the value num[nu][i] / den[nu] at the i-th unit of
+    `units(nu)`, over the least common denominator: den[nu] > 0 and
+    gcd(den[nu], *num[nu]) == 1, so an all-zero level has den 1.  The units
+    are in residue-block order: block r (a unit mod m0, `_blocks`) holds
+    a = r + m0 t for t < p^nu in increasing t, less the t with p | a, so
+    p^nu - p^(nu-1) entries (1 at nu = 0).
     """
 
     m0: int
     p: int
     depth: int
     den: list  # den[nu] is a positive int
-    num: list  # num[nu] is {unit a mod m0 p^nu: int}, a increasing
+    num: list  # num[nu] is a list of ints, the units in block order
+
+    def __post_init__(self):
+        self.blocks = _blocks(self.m0, self.p)
+        self._rank = [0] * self.m0  # the block index of each unit r mod m0
+        for i, (r, _) in enumerate(self.blocks):
+            self._rank[r] = i
 
     def level_modulus(self, nu: int) -> int:
         return self.m0 * self.p**nu
-
-    def r_action(self, a: int, nu: int) -> tuple[int, int]:
-        """The R(p) label map: multiply the underlying fraction by p.
-
-        Level nu >= 1 drops one level (a mod m0 p^(nu-1)); the bottom level
-        maps to itself through a -> p a mod m0.
-        """
-        if nu >= 1:
-            q = self.level_modulus(nu - 1)
-            return (a % q, nu - 1)
-        return (self.p * a % self.m0 if self.m0 > 1 else 0, 0)
 
     def tame_unit(self, nu: int) -> int:
         """The unit e = p mod m0, 1 mod p^nu acting as Frobenius on the tame part."""
         return crt(self.p % self.m0, self.m0, 1, self.p**nu)
 
-    def tame_twist(self, a: int, nu: int) -> int:
-        """a times the tame unit of level nu, mod m0 p^nu."""
-        return a * self.tame_unit(nu) % self.level_modulus(nu)
+    def units(self, nu: int):
+        """The units mod m0 p^nu in block order, the order of num[nu]."""
+        q = self.level_modulus(nu)
+        return chain.from_iterable(compress(range(r, q, self.m0), _mask(self.p, s, nu))
+                                   for r, s in self.blocks)
 
     def value(self, a: int, nu: int) -> Fraction:
-        return Fraction(self.num[nu][a], self.den[nu])
+        """The value at the unit a, 0 <= a < m0 p^nu."""
+        q, p = self.level_modulus(nu), self.p
+        if not 0 <= a < q or math.gcd(a, q) != 1:
+            raise KeyError(a)
+        i = self._rank[a % self.m0]
+        if nu:
+            i = i * (p**nu - p**(nu - 1)) + _position(a // self.m0, self.blocks[i][1], p)
+        return Fraction(self.num[nu][i], self.den[nu])
 
 
-def _level(den: int, units, nums: list[int]) -> tuple[int, dict]:
-    """(den, {a: num}) over the least common denominator; den must be positive."""
+def _level(den: int, nums: list[int]) -> tuple[int, list[int]]:
+    """(den, nums) over the least common denominator; den must be positive."""
     g = math.gcd(den, *nums)
     if g != 1:
-        den //= g
-        nums = [x // g for x in nums]
-    return den, dict(zip(units, nums))
+        return den // g, list(map(floordiv, nums, repeat(g)))
+    return den, nums
 
 
-def _family(m0: int, p: int, depth: int, levels: list[tuple[int, dict]]) -> LevelFamily:
-    dens, nums = zip(*levels)
-    return LevelFamily(m0, p, depth, list(dens), list(nums))
-
-
-def _unit_masks(m0: int, p: int, depth: int) -> list[bytes]:
-    """Masks of the units mod m0 p^nu over range(m0 p^nu), nu = 0..depth.
-
-    Mod 1 the one residue 0 counts as a unit.  A residue is a unit mod
-    m0 p^nu (nu >= 1) exactly when it is one mod m0 p, so the masks of the
-    levels >= 1 repeat one tile of period m0 p.
-    """
-    base = bytes(math.gcd(a, m0) == 1 for a in range(m0))
-    tile = bytes(u and r % p != 0 for r, u in zip(range(m0 * p), base * p))
-    return [base] + [tile * p**(nu - 1) for nu in range(1, depth + 1)]
+def _scaled(k: int, xs):
+    """k times each of xs, lazily; xs itself when k = 1."""
+    return xs if k == 1 else map(mul, repeat(k), xs)
 
 
 def bernoulli_family(m0: int, p: int, depth: int) -> LevelFamily:
@@ -132,31 +141,16 @@ def bernoulli_family(m0: int, p: int, depth: int) -> LevelFamily:
         raise ValueError("m0 must be coprime to p")
     if depth < 1:
         raise ValueError("need depth >= 1")
-    masks = _unit_masks(m0, p, depth)
+    blocks = _blocks(m0, p)
     pinv = inv_mod(p % m0, m0) if m0 > 1 else 0
-    units = list(compress(range(m0), masks[0]))
-    levels = [_level(m0, units, [a - pinv * a % m0 for a in units])]
+    levels = [_level(m0, [r - pinv * r % m0 for r, _ in blocks])]
     for nu in range(1, depth + 1):
         q = m0 * p**nu
-        # 2a - q runs over range(-q, q, 2) as a runs over range(q)
-        levels.append(_level(2 * q, compress(range(q), masks[nu]),
-                             list(compress(range(-q, q, 2), masks[nu]))))
-    return _family(m0, p, depth, levels)
-
-
-def delta_family(m0: int, p: int, depth: int, at: int = 1) -> LevelFamily:
-    """Point mass at the tower point congruent to `at` at every level."""
-    if m0 < 1:
-        raise ValueError("m0 must be a positive integer")
-    num = []
-    for nu, mask in enumerate(_unit_masks(m0, p, depth)):
-        q = m0 * p**nu
-        if q > 1 and math.gcd(at, q) != 1:
-            raise ValueError("delta point must be a unit at every level")
-        lvl = dict.fromkeys(compress(range(q), mask), 0)
-        lvl[at % q] = 1
-        num.append(lvl)
-    return LevelFamily(m0, p, depth, [1] * (depth + 1), num)
+        k = 2 - q % 2  # (2a - q) / k over 2q / k, a = r + m0 t over block r
+        levels.append(_level(2 * q // k, list(chain.from_iterable(
+            compress(range((2 * r - q) // k, (2 * r + q) // k, 2 * m0 // k), _mask(p, s, nu))
+            for r, s in blocks))))
+    return LevelFamily(m0, p, depth, *map(list, zip(*levels)))
 
 
 @dataclass(frozen=True)
@@ -190,27 +184,33 @@ def stabilize(fam: LevelFamily, params: StabilizationParams) -> LevelFamily:
     well-defined realization is the tame Frobenius twist (trivial wild
     component), which at the bottom level is literally a -> p a mod m0.
     The twist is multiplication by the level's tame unit e (p mod m0, 1 mod
-    p^nu).  With alpha^-nu = s_n / s_d and eps_p / alpha = t_n / t_d, level
-    nu of numerators N over den becomes
+    p^nu): with r e = r' + m0 c it sends r + m0 t to r' + m0 (t + c), so
+    the twisted block r is block r' rotated by c.  With alpha^-nu = s_n / s_d
+    and eps_p / alpha = t_n / t_d, level nu of numerators N over den becomes
         s_n (t_d N(a) - t_n N(a e)) / (s_d t_d den),
-    integer products per unit and one gcd per level.  The p-adic valuation
+    passes of integer products and one gcd per level.  The p-adic valuation
     of alpha must be 0.
     """
     params.check_unit(fam.p)
     alpha, eps = params.alpha, params.eps_p
     twist = eps / alpha
     tn, td = twist.numerator, twist.denominator
+    m0, p, blocks = fam.m0, fam.p, fam.blocks
     levels = []
-    for nu, (den, lvl) in enumerate(zip(fam.den, fam.num)):
+    for nu, (den, nums) in enumerate(zip(fam.den, fam.num)):
         scale = 1 / alpha**nu
         sn, sd = scale.numerator, scale.denominator
         if tn:
-            q, e = fam.level_modulus(nu), fam.tame_unit(nu)
-            nums = [sn * (td * x - tn * lvl[a * e % q]) for a, x in lvl.items()]
-        else:
-            nums = [sn * x for x in lvl.values()]
-        levels.append(_level(sd * td * den, lvl, nums))
-    return _family(fam.m0, fam.p, fam.depth, levels)
+            q, e, size = fam.level_modulus(nu), fam.tame_unit(nu), len(nums) // len(blocks)
+            twisted = []
+            for r, _ in blocks:
+                c, r2 = divmod(r * e % q, m0)
+                i = fam._rank[r2]
+                blk, k = nums[i * size:(i + 1) * size], _position(c, blocks[i][1], p)
+                twisted += blk[k:] + blk[:k]
+            nums = map(sub, _scaled(td, nums), _scaled(tn, twisted))
+        levels.append(_level(sd * td * den, list(_scaled(sn, nums))))
+    return LevelFamily(m0, p, fam.depth, *map(list, zip(*levels)))
 
 
 @dataclass
@@ -225,21 +225,24 @@ def check_distribution(fam: LevelFamily) -> DistributionReport:
 
     The fibers are summed as numerators over the upper level's denominator,
     so a fiber over a holds when sum * den_lower == N_lower(a) * den_upper;
-    a failing fiber reports its sum as a Fraction.
+    a failing fiber reports its sum as a Fraction.  Block r of level nu + 1
+    is p chunks aligned with block r of level nu >= 1 (t + k p^nu), and all
+    of it lies over the one unit r at nu = 0: its chunks sum to the fibers.
     """
-    checked = 0
+    checked, nb = 0, len(fam.blocks)
     for nu in range(fam.depth):
-        q = fam.level_modulus(nu)
         lower, upper = fam.num[nu], fam.num[nu + 1]
         d_lo, d_up = fam.den[nu], fam.den[nu + 1]
-        sums = dict.fromkeys(lower, 0)
-        for b, x in upper.items():
-            sums[b % q] += x
-        for a in sorted(lower):
-            checked += 1
-            if sums[a] * d_lo != lower[a] * d_up:
-                return DistributionReport(False, checked, (nu, a, fam.value(a, nu),
-                                                           Fraction(sums[a], d_up)))
+        n, size = len(lower) // nb, len(upper) // nb
+        sums = []
+        for i in range(0, len(upper), size):
+            sums += map(sum, zip(*[upper[j:j + n] for j in range(i, i + size, n)]))
+        if list(_scaled(d_lo, sums)) != list(_scaled(d_up, lower)):
+            units = list(fam.units(nu))
+            a, x = min((a, x) for a, x, y in zip(units, sums, lower) if x * d_lo != y * d_up)
+            return DistributionReport(False, checked + sum(map(a.__ge__, units)),
+                                      (nu, a, fam.value(a, nu), Fraction(x, d_up)))
+        checked += len(lower)
     return DistributionReport(True, checked)
 
 
@@ -249,11 +252,7 @@ def pair_with_character(fam: LevelFamily, eta: DirichletCharacter):
     Imprimitive eta returns the degenerate value 0 by contract.  Exact: the
     result is a Fraction for order <= 2 and a CycSum otherwise.
     """
-    nu = None
-    for k in range(fam.depth + 1):
-        if fam.level_modulus(k) == eta.modulus:
-            nu = k
-            break
+    nu = next((k for k in range(fam.depth + 1) if fam.level_modulus(k) == eta.modulus), None)
     if nu is None:
         raise ValueError("character modulus is not a level of the family")
     if not eta.is_primitive():
@@ -261,11 +260,11 @@ def pair_with_character(fam: LevelFamily, eta: DirichletCharacter):
     lvl, den = fam.num[nu], fam.den[nu]
     if eta.zeta_order_eff() <= 2:
         if eta.modulus == 1:
-            return Fraction(sum(lvl.values()), den)
-        return Fraction(sum(eta(a) * x for a, x in lvl.items()), den)
+            return Fraction(sum(lvl), den)
+        return Fraction(sum(eta(a) * x for a, x in zip(fam.units(nu), lvl)), den)
     e = eta.zeta_order_eff()
     coeffs = [0] * e
-    for a, x in lvl.items():
+    for a, x in zip(fam.units(nu), lvl):
         k = eta.value_exp(a)
         if k is not None:
             coeffs[-k % e] += x
@@ -335,12 +334,13 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
     7.2): <a> mod p^V is u^i for one i < p^(V-1) (_exponent_table), and
     log_u<a> = i mod p^(V-1).  With the deepest level's numerators N over
     its denominator d, the units a = c mod p^V first sum to the exact
-    integer W(c) = sum chi(a) N(a); class c adds W(c) omega^-j(c) to the
-    weight of its exponent i, and one Horner pass in (1+T) gives
-        a_j = d^-1 sum_i weight(i) C(i, j).
-    No logarithm is taken.  For x = y mod p^e, C(x, j) - C(y, j) has
-    valuation >= e - v_p(j!), so with e = V - 1 this sum agrees with the one
-    over C(log_u<a>, j) one digit past every certified digit below.
+    integer W(c) = sum chi(a) N(a), the blocks rotated to line up and
+    signed by chi(r) = +-1.  Class c adds W(c) omega^-j(c) to the weight of
+    its exponent i, and a_j = d^-1 sum_i weight(i) C(i, j) is the (j+1)-fold
+    suffix sum of the weights at i = j.  No logarithm is taken.  For
+    x = y mod p^e, C(x, j) - C(y, j) has valuation >= e - v_p(j!), so with
+    e = V - 1 this sum agrees with the one over C(log_u<a>, j) one digit
+    past every certified digit below.
 
     The family must be p-integral (stabilize the Bernoulli family first).
     Coefficient j >= 1 is certified to min(N, depth - 1 - v_p(j!) - 1)
@@ -364,24 +364,27 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
         raise ValueError("family is not p-integral at the deepest level; stabilize first")
 
     w = N + V + 4
-    mod = p**w
-    pV = p**V
-    chi = value_table(chi_tame)
+    mod, pV = p**w, p**V
+    chi = value_table(chi_tame)  # f | m0, so chi(a) = chi(r) at a = r mod m0
     f = len(chi)
-    classes = [0] * pV
-    for a, x in deepest.items():
-        classes[a % pV] += chi[a % f] * x
+    # a = r + m0 t = m0 (t + r/m0) mod p^V: rotated to start at t = 1 - r/m0, the blocks line up
+    size, minv = len(deepest) // len(fam.blocks), inv_mod(m0 % pV, pV)
+    classes = [0] * size
+    for i, (r, s) in enumerate(fam.blocks):
+        blk, k = deepest[i * size:(i + 1) * size], _position((1 - r * minv) % pV, s, p)
+        classes = list(map(add if chi[r % f] > 0 else sub, classes, blk[k:] + blk[:k]))
     omega = _teichmuller_powers(p, w)
     om_j = omega((-omega_power) % (p - 1))  # omega(r)^(-j) mod p^w
     om_1 = [x % pV for x in omega(p - 2)]  # omega(r)^(-1) mod p^V
     weight = [0] * p ** (V - 1)
-    for c, wt in enumerate(classes):
+    for c, wt in zip(compress(range(0, m0 * pV, m0), _mask(p, 0, V)), classes):
         if wt:
             r = c % p
             weight[index[c * om_1[r] % pV]] += wt * om_j[r]
-    series = [0] * M
-    for wt in reversed(weight):  # series <- series (1+T) + wt, mod (p^w, T^M)
-        series = [(x + y) % mod for x, y in zip(series, [wt] + series)]
+    series, acc = [], weight[::-1]
+    for j in range(M):
+        acc = list(accumulate(acc[:len(weight) - j]))
+        series.append(acc[-1] if acc else 0)
     den_inv = inv_mod(den % mod, mod)
     res = [x * den_inv % mod for x in series]
     prec = [bridge_certified_precision(V, p, j, N) for j in range(M)]
@@ -390,13 +393,8 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
 
 
 def _vfact(j: int, p: int) -> int:
-    """v_p(j!)."""
-    v = 0
-    q = p
-    while q <= j:
-        v += j // q
-        q *= p
-    return v
+    """v_p(j!), by Legendre's formula."""
+    return sum(j // p**k for k in range(1, j.bit_length() + 1))
 
 
 def bridge_certified_precision(depth: int, p: int, j: int, N: int) -> int:
@@ -526,8 +524,8 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
     shifts s and U0 = P(f0) (chi(0) = chi(f0) = 0): f0 packed big-int
     additions.  Then each block of _RESIDUE_BLOCK residues shifts its columns
     p^l (P_l(f0) - P_l(s)) by t and p^l P_l(s) by t + p f0 at once: the
-    p (mmax+1)^2 element operations run as C-level passes over blocks.
-    The trivial character (f0 = 1) has U[m][r] = r^m and U0[m] = 1.
+    p (mmax+1)^2 element operations run as C-level passes over blocks; a
+    cut is freed after its last block.  Trivial chi (f0 = 1): U[m][r] = r^m, U0[m] = 1.
     """
     f0 = chi.conductor
     mod = p**wk
@@ -548,6 +546,8 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
         cols = []
         for a, q, col in zip(total, ppow, zip(*map(prefix.__getitem__, block))):
             cols += [(a - b) * q % mod for b in col] + [b * q % mod for b in col]
+        for s in compress(block, map((p - f0).__le__, range(i + 1, p))):
+            del prefix[s]  # r + f0 >= p: no later residue r + f0 reads s
         for Um, c in zip(U, _binomial_shift(cols, ts + [t + p * f0 for t in ts])):
             Um.extend([chi_p * (x + y) % mod for x, y in zip(c, c[len(ts):])])
     return U, [x % mod for x in total]

@@ -19,7 +19,6 @@ from eiscong.measures import (
     bernoulli_family,
     bridge_certified_precision,
     check_distribution,
-    delta_family,
     deligne_ribet_induced,
     kl_value_at_zero,
     kubota_leopoldt,
@@ -49,7 +48,7 @@ class TestBernoulliFamily:
         fam = bernoulli_family(3, 5, 3)
         for nu in (1, 2, 3):
             q = fam.level_modulus(nu)
-            for a in fam.num[nu]:
+            for a in fam.units(nu):
                 assert fam.value(q - a, nu) == -fam.value(a, nu)
 
     def test_plain_distribution_sum_oracle(self):
@@ -72,8 +71,6 @@ class TestBernoulliFamily:
     def test_rejects_non_positive_m0(self, m0):
         with pytest.raises(ValueError, match="positive"):
             bernoulli_family(m0, 5, 3)
-        with pytest.raises(ValueError, match="positive"):
-            delta_family(m0, 5, 3)
 
 
 class TestDistribution:
@@ -192,7 +189,9 @@ def _assert_exact_equal(got, want):
 
 class TestSeriesBridge:
     def test_delta_measure_is_constant_one(self):
-        fam = delta_family(3, 5, 3, at=1)
+        # the point mass at the tower point 1
+        fam = from_fractions(3, 5, 3, [{a: int(a == 1) for a in range(3 * 5**nu)
+                                        if math.gcd(a, 15) == 1} for nu in range(4)])
         ser = to_iwasawa_series(fam, DirichletCharacter.trivial(1), 0, 6, 8, 12)
         assert ser.res[0] == 1
         assert all(c == 0 for c in ser.res[1:])
@@ -226,13 +225,6 @@ class TestSeriesBridge:
 
 
 class TestTransformEvaluation:
-    def test_r_action_contract(self):
-        # fraction-times-p: level nu >= 1 drops a level, the bottom twists by p
-        fam = bernoulli_family(3, 5, 3)
-        assert fam.r_action(7, 2) == (7, 1)
-        assert fam.r_action(22, 1) == (22 % 3, 0)
-        assert fam.r_action(2, 0) == (10 % 3, 0)
-
     def test_zeta_evaluation_matches_exact_pairing(self):
         # evaluate(transform, zeta of order p) equals the exact wild-twisted
         # pairing at level m0 p^2, embedded into the (zeta - 1) basis; this

@@ -213,6 +213,25 @@ class TestResidueBlocks:
         monkeypatch.setattr(measures, "_RESIDUE_BLOCK", block)
         self._assert_both_oracles(D, p, 12, 15)
 
+    # p < f0, and p > f0 with cuts shared within a block and across blocks
+    @pytest.mark.parametrize("D,p,block", [(328, 3, 1), (13, 31, 2), (12, 263, 256),
+                                           (-20, 769, 256), (5, 13, 3)])
+    def test_every_cut_is_dropped_once(self, monkeypatch, D, p, block):
+        # a cut dropped before its last reader raises KeyError; one never
+        # dropped stays in the sweep's dict
+        monkeypatch.setattr(measures, "_RESIDUE_BLOCK", block)
+        sweeps = []
+        sweep = measures._prefix_power_sums
+
+        def spy(*args):
+            prefix, total = sweep(*args)
+            sweeps.append(prefix)
+            return prefix, total
+
+        monkeypatch.setattr(measures, "_prefix_power_sums", spy)
+        _power_tables(kronecker_character(D), p, 12, 6)
+        assert sweeps == [{}]
+
     def test_columns_shift_as_scalars(self):
         rng = random.Random(15)
         ts = [rng.randrange(-10**9, 10**9) for _ in range(9)] + [0]

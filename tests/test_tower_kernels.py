@@ -34,7 +34,6 @@ from eiscong.measures import (
     bernoulli_family,
     bridge_certified_precision,
     check_distribution,
-    delta_family,
     stabilize,
     to_iwasawa_series,
 )
@@ -140,8 +139,10 @@ def _same_family(got, want):
     # denominators and numerators are equal values
     assert (got.m0, got.p, got.depth) == (want.m0, want.p, want.depth)
     assert got.den == want.den
-    for g, w in zip(got.num, want.num, strict=True):
-        assert list(g) == list(w)  # same units in the same order
+    for nu, (g, w) in enumerate(zip(got.num, want.num, strict=True)):
+        units = list(got.units(nu))
+        assert units == list(want.units(nu))  # the same unit sequence in block order
+        assert len(g) == len(units)
         assert g == w
 
 
@@ -162,8 +163,9 @@ class TestTowerKernels:
 
     def test_tame_twist_is_the_crt_twist(self, m0, D, p, V):
         fam = bernoulli_family(m0, p, V)
-        for nu, lvl in enumerate(fam.num):
-            assert all(fam.tame_twist(a, nu) == _oracle_tame_twist(fam, a, nu) for a in lvl)
+        for nu in range(V + 1):
+            q, e = fam.level_modulus(nu), fam.tame_unit(nu)
+            assert all(a * e % q == _oracle_tame_twist(fam, a, nu) for a in fam.units(nu))
 
     @pytest.mark.parametrize("params", PARAMS, ids=lambda s: f"{s.alpha}_{s.eps_p}")
     def test_stabilize_and_check(self, m0, D, p, V, params):
@@ -192,8 +194,8 @@ class TestTowerKernels:
 def _assert_least_denominators(fam):
     for nu, (den, lvl) in enumerate(zip(fam.den, fam.num, strict=True)):
         assert den > 0
-        assert math.gcd(den, *lvl.values()) == 1
-        assert den == math.lcm(*(fam.value(a, nu).denominator for a in lvl))
+        assert math.gcd(den, *lvl) == 1
+        assert den == math.lcm(*(fam.value(a, nu).denominator for a in fam.units(nu)))
 
 
 # (m0, p): m0 = 1, odd m0, and even m0 with q = m0 p^nu 0 and 2 mod 4
@@ -213,10 +215,79 @@ def test_levels_are_over_their_least_denominator(tower, depth, alpha, eps):
     assume(alpha and alpha.numerator % p and alpha.denominator % p)
     fam = bernoulli_family(m0, p, depth)
     _assert_least_denominators(fam)
-    _assert_least_denominators(delta_family(m0, p, depth))
     stab = stabilize(fam, StabilizationParams(alpha, eps))
     _assert_least_denominators(stab)
     _assert_least_denominators(stabilize(stab, StabilizationParams(alpha, eps)))
+
+
+# (m0, p, depth) for the block layout: m0 = 1, p < m0 and p > m0, and even m0
+# with q = m0 p^nu = 2 mod 4
+BLOCK_TOWERS = sorted({(m0, p, V) for m0, D, p, V in TOWERS}
+                      | {(m0, p, 2) for m0, p in INVARIANT_TOWERS})
+
+
+@pytest.mark.parametrize("m0,p,V", BLOCK_TOWERS)
+class TestBlockLayout:
+    def test_units_are_the_units_in_block_order(self, m0, p, V):
+        fam = bernoulli_family(m0, p, V)
+        for nu in range(V + 1):
+            q = fam.level_modulus(nu)
+            units = list(fam.units(nu))
+            assert sorted(units) == [a for a in range(q) if math.gcd(a, q) == 1]
+            assert units == sorted(units, key=lambda a: (a % m0, a))
+            assert len(units) == len(fam.num[nu])
+
+    def test_value_is_the_increasing_oracle(self, m0, p, V):
+        fam = bernoulli_family(m0, p, V)
+        want = level_values(_oracle_bernoulli_family(m0, p, V))
+        rng = random.Random(m0 * 1000 + p)
+        noise = [{a: Fraction(rng.randint(-30, 30), rng.choice((1, 2, 9))) for a in lvl}
+                 for lvl in want]
+        rand = from_fractions(m0, p, V, noise)
+        for nu in range(V + 1):
+            q = fam.level_modulus(nu)
+            for a in range(q):
+                if math.gcd(a, q) != 1:
+                    with pytest.raises(KeyError):
+                        fam.value(a, nu)
+                    continue
+                assert fam.value(a, nu) == want[nu][a]
+                assert rand.value(a, nu) == noise[nu][a]
+                if nu:
+                    assert want[nu][a] == _oracle_b1(a, q)
+
+    def test_block_edge_corruptions(self, m0, p, V):
+        # each block's first and last unit, perturbed, against the oracles:
+        # the first failing fiber, and the twist that rotates the block edges
+        coherent = stabilize(bernoulli_family(m0, p, V), StabilizationParams(1, 1))
+        params = StabilizationParams(Fraction(2, 11), Fraction(1, 2))
+        nb = len(coherent.blocks)
+        for nu in range(V + 1):
+            units = list(coherent.units(nu))
+            size = len(units) // nb
+            for i in sorted({j for b in range(0, len(units), size) for j in (b, b + size - 1)}):
+                vals = level_values(coherent)
+                vals[nu][units[i]] += Fraction(1, 2 * p)
+                bad = from_fractions(m0, p, V, vals)
+                got = check_distribution(bad)
+                assert not got.ok
+                assert got == _oracle_check_distribution(bad)
+                _same_family(stabilize(bad, params), _oracle_stabilize(bad, params))
+
+
+def test_block_towers_rotate_by_zero_before_and_past_the_skip():
+    # stabilize's twist rotates block r' by c: the towers above reach c = 0,
+    # 0 < c <= the skipped class of r', and c past it
+    seen = set()
+    for m0, p, V in BLOCK_TOWERS:
+        fam = bernoulli_family(m0, p, V)
+        skip = dict(fam.blocks)
+        for nu in range(1, V + 1):
+            q, e = fam.level_modulus(nu), fam.tame_unit(nu)
+            for r, _ in fam.blocks:
+                c, r2 = divmod(r * e % q, m0)
+                seen.add("zero" if c == 0 else "past" if c > skip[r2] else "before")
+    assert seen == {"zero", "before", "past"}
 
 
 def test_all_zero_levels_have_denominator_one():
@@ -224,7 +295,7 @@ def test_all_zero_levels_have_denominator_one():
     for alpha in (1, 2, Fraction(-3, 2)):
         stab = stabilize(bernoulli_family(1, 5, 3), StabilizationParams(alpha, alpha))
         assert stab.den == [1] * 4
-        assert not any(x for lvl in stab.num for x in lvl.values())
+        assert not any(x for lvl in stab.num for x in lvl)
     zero = map_values(bernoulli_family(3, 5, 3), lambda v: 0)
     assert stabilize(zero, StabilizationParams(Fraction(2, 3), 1)).den == [1] * 4
 
