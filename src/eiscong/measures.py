@@ -22,16 +22,16 @@ in Z_p[T]/((1+T)^(p^(V-1)) - 1): <a> mod p^V is u^i for one i < p^(V-1),
 read from one table of the powers of u, and log_u<a> = i mod p^(V-1), one
 digit past every certified digit.  So no logarithm is taken: the units are
 summed into one weight per exponent i, and M passes of suffix sums give
-the coefficients.  kubota_leopoldt itself is built by exact Newton
-interpolation through the special values
+the coefficients.  kubota_leopoldt itself is built by Newton interpolation
+on integers mod p^W through the special values
     -(1 - chi omega^(j-n)(p) p^(n-1)) B_{n, chi omega^(j-n)} / n
-with a built-in stability self-check.
+with a proved precision per level and a built-in stability self-check.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
@@ -554,59 +554,50 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
 
 
 def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
-                  w: int) -> list[tuple[Fraction, PadicScalar]]:
-    """(t_n, L(t_n)) for n = 1..count, t_n = u^(1-n) - 1, values mod p^w.
+                  w: int) -> list[tuple[int, int]]:
+    """[(y_n, k_n)] for n = 1..count: the branch at t_n = u^(1-n) - 1 is y_n mod p^k_n.
 
-    L(t_n) = -(1 - eta(p) p^(n-1)) B_{n,eta}/n with eta the primitive part of
-    chi * omega^tw, tw = omega_power - n mod p - 1; eta(p) = chi(p) when
-    tw = 0 and 0 otherwise.  B_{n,eta} is the classical f^(n-1) sum of
-    eta(a) B_n(a/f), f = f0 p or f0, expanded through power sums:
-    B_{n,eta} = sum_k C(n,k) B_k f^(k-1) S_{n-k}, where S_m is U0[m] when
-    tw = 0 and sum_r omega(r)^tw U[m][r] otherwise; only the m = n - k with
-    B_k != 0 (k <= 1 or k even) are formed.  The power sums and the
-    Teichmuller powers come from one table each, built at p^(w+6) for every
-    node.
+    The value is -(1 - eta(p) p^(n-1)) B_{n,eta}/n, eta the primitive part of
+    chi * omega^tw, tw = omega_power - n mod p - 1, eta(p) = chi(p) when
+    tw = 0 and 0 otherwise, times u^(1-n) - u = (1 + t_n) - u on the pole
+    branch (chi trivial, omega_power = 0 mod p - 1).  With f = f0 p, or f0
+    when tw = 0, B_{n,eta} = sum_k C(n,k) B_k f^(k-1) S_{n-k} over k <= 1 and
+    even k, S_m = U0[m] when tw = 0 and sum_r omega(r)^tw U[m][r] otherwise,
+    from one power-sum and one Teichmuller table exact mod p^wk, wk = w + 6.
+    By von Staudt-Clausen g_k = p B_k f^(k-1) and g_0 = p/f = p^(1-v_p(f))/f0
+    are p-integral, so p B_{n,eta} = sum_k C(n,k) g_k S_{n-k} is one integer
+    sum known mod p^wk, and so is x = -(1 - eta(p) p^(n-1)) p B_{n,eta} n0^-1
+    z, n = p^v n0, z = 1 or u^(1-n) - u.  The value x / p^(v+1) lies in Z_p
+    (kubota_leopoldt), so p^(v+1) | x (checked) and x // p^(v+1) is the value
+    mod p^(wk - 1 - v): k_n = wk - 1 - v_p(n), not uniform in n.
     """
-    u = 1 + p
-    f0 = chi.conductor
-    wk = w + 6
+    u, wk, f0, chi_p = 1 + p, w + 6, chi.conductor, chi(p)
     mod = p**wk
     U, U0 = _power_tables(chi, p, wk, count)
     omega = _teichmuller_powers(p, wk)
-    chi_p = chi(p)
+    pole = chi.is_trivial() and omega_power % (p - 1) == 0
+    ks = [k for k in range(count + 1) if k < 2 or k % 2 == 0]  # B_k = 0 at odd k >= 3
+    gs = [[g.numerator * inv_mod(g.denominator, mod) % mod
+           for g in (p * bernoulli(k) * Fraction(f) ** (k - 1) for k in ks)] for f in (f0, f0 * p)]
     nodes = []
     for n in range(1, count + 1):
-        t = Fraction(u) ** (1 - n) - 1
         tw = (omega_power - n) % (p - 1)
-        ks = [k for k in range(n + 1) if k < 2 or k % 2 == 0]  # B_k = 0 at odd k >= 3
-        if tw:
-            f = f0 * p
-            omp = omega(tw)
-            s = {n - k: sum(map(mul, omp, U[n - k])) % mod for k in ks}
-        else:
-            f = f0
-            s = U0
-        b = PadicScalar.zero(p, w + n + 2)
-        for k in ks:
-            if not s[n - k]:
-                continue
-            coef = PadicScalar.from_rational(
-                Fraction(math.comb(n, k)) * bernoulli(k) * Fraction(f) ** (k - 1),
-                p, w + n + 2)
-            b = b + coef * PadicScalar.from_unit(p, 0, s[n - k], wk)
-        eta_p = 0 if tw else chi_p
-        fac = PadicScalar.from_rational(1 - eta_p * Fraction(p) ** (n - 1), p, w)
-        y = -(fac * b / PadicScalar.from_rational(n, p, w + val_p(n, p) + 1))
-        nodes.append((t, y))
+        kn = ks[:bisect_right(ks, n)]
+        omp = omega(tw) if tw else None
+        s = [sum(map(mul, omp, U[n - k])) if tw else U0[n - k] for k in kn]
+        pb = sum(map(mul, map(mul, map(math.comb, repeat(n), kn), gs[tw > 0]), s))
+        v = val_p(n, p)
+        x = -(1 - (0 if tw else chi_p) * p ** (n - 1)) * pb * inv_mod(n // p**v, mod)
+        x = x * (pow(u, 1 - n, mod) - u if pole else 1) % mod
+        if x % p ** (v + 1):
+            raise ArithmeticError("non-integral coefficient at T^0 (unexpected pole)")
+        nodes.append((x // p ** (v + 1), wk - 1 - v))
     return nodes
 
 
-# The self-check fits the same node values with this many extra points.  The
-# Newton coefficient c_k = f[t_0..t_k] depends only on t_0..t_k, so the
-# K-point fit (K = _fit_points) is the first K coefficients of the
-# (K + 8)-point one: both come from one pass of divided differences, and by
-# the bound in _fit_points both determine T^0..T^(M-1) mod p^N, so the series
-# (the prefix) must agree mod p^N with the full expansion.
+# The self-check fits the same nodes with this many extra points: c_k =
+# f[t_0..t_k] depends only on t_0..t_k, so the K-point fit is the first K
+# coefficients of the (K + 8)-point one, and by _fit_points both fix T^0..T^(M-1) mod p^N.
 _CHECK_POINTS = 8
 
 
@@ -621,23 +612,20 @@ def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,
     trivial, omega_power = 0) is the p-adic zeta pseudo-measure: the
     returned element is ((1+T) - u) times the branch, flagged pole_factor.
 
-    Construction: exact Newton interpolation with p-adic precision tracked
-    per scalar.  The nodes n = 1..K+8 (K = _fit_points = N + M - 1) are
-    evaluated once and their divided differences taken once.  The series is
-    the Newton form of the first K coefficients expanded to T^0..T^(M-1);
-    the self-check expands all K + 8 and must agree with it mod p^N.
+    Construction: Newton interpolation on integers mod p^wk, with one proved
+    precision per node (_branch_nodes) and per level of divided differences
+    (_fit_points).  The nodes n = 1..K+8 (K = _fit_points = N + M - 1) are
+    evaluated once and their divided differences taken once; the series is
+    the first K Newton coefficients expanded to T^0..T^(M-1), and the
+    self-check expands all K + 8, which must agree mod p^N (_newton_fit).
 
-    K nodes suffice because what is interpolated lies in Lambda = Z_p[[T]].
-    theta = chi omega^omega_power has conductor f0 or f0 p, so it is of the
-    first kind, and its values lie in Z_p (chi is quadratic).  When theta is
-    nontrivial, omega_power != 0 included, the branch lies in Lambda; when
-    theta is trivial (the pole branch), ((1+T) - u) times it does, and that
-    product is what the node values times ((1+t_n) - u) interpolate
-    (Washington, Introduction to Cyclotomic Fields, Thm. 7.10).  Every node
-    t_n = u^(1-n) - 1 lies in pZ_p, so the bound proved in _fit_points
-    applies to both.
+    K nodes suffice because what is interpolated lies in Lambda = Z_p[[T]]:
+    theta = chi omega^omega_power (conductor f0 or f0 p, values in Z_p) is of
+    the first kind, so the branch lies in Lambda when theta is nontrivial and
+    ((1+T) - u) times it does when theta is trivial (the pole branch;
+    Washington, Introduction to Cyclotomic Fields, Thm. 7.10).  Every node
+    t_n = u^(1-n) - 1 lies in pZ_p, so _fit_points applies to both.
     """
-    u = 1 + p
     if p < 3:
         raise ValueError("p must be an odd prime")
     if N < 1 or M < 1:
@@ -655,25 +643,7 @@ def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,
     fit = _fit_points(N, M)
     big = fit + _CHECK_POINTS
     w = N + big + big // (p - 1) + 10
-    ts, ys = [], []
-    for t, y in _branch_nodes(chi, p, omega_power, big, w):
-        if pole:
-            y = y * PadicScalar.from_rational(t - (u - 1), p, w)  # ((1+T)-u) at t
-        ts.append(PadicScalar.from_rational(t, p, w))
-        ys.append(y)
-    # Newton divided differences; keep every order (the high ones carry the
-    # tail accuracy that makes the low monomial coefficients good mod p^N)
-    dd = ys
-    coeffs = [dd[0]]
-    for k in range(1, big):
-        dd = [(dd[i + 1] - dd[i]) / (ts[i + k] - ts[i]) for i in range(len(dd) - 1)]
-        coeffs.append(dd[0])
-    res = _newton_to_monomials(coeffs[:fit], ts, p, N, M, w)
-    check = _newton_to_monomials(coeffs, ts, p, N, M, w)
-    for j in range(M):
-        if res[j] != check[j]:
-            raise ArithmeticError(
-                f"interpolation unstable at T^{j}; raise the point count")
+    res = _newton_fit(_branch_nodes(chi, p, omega_power, big, w), p, N, M, fit)
     return IwasawaElement(p, N, M, res, [N] * M, pole_factor=pole)
 
 
@@ -693,33 +663,63 @@ def _fit_points(N: int, M: int) -> int:
     valuation >= K - m.  Hence the T^j coefficient of f - P has valuation
     >= K - j, and K - j >= N for every j <= M - 1 once K >= N + M - 1.  p
     enters only through t_i in pZ_p, so the count is the same at every odd p.
-    The precision of the computed P is tracked per scalar and gated in
-    _newton_to_monomials.
+
+    Precision of the computed P: at t_i = u^-i - 1, t_(i+k) - t_i =
+    u^-(i+k) (1 - u^k) has valuation e_k = v_p(u - 1) + v_p(k) = 1 + v_p(k)
+    for odd p (lifting the exponent).  So with node i known mod
+    p^(k_i), c_k = f[t_0..t_k] is known mod p^(pi_k), pi_k = min(k_0..k_k) -
+    sum_(j<=k) e_j = min(k_0..k_k) - k - v_p(k!) (a floor division by p^(e_k)
+    keeps this even on fewer known digits), and T^j of c_k prod_(i<k) (T - t_i),
+    +-c_k e_(k-j)(t_0..t_(k-1)), is known mod p^(pi_k + k - j).  Every divided
+    difference of f is in Z_p, so one known to be off Z_p is a pole.
     """
     return max(N + M - 1, 1)
 
 
-def _newton_to_monomials(coeffs: list, ts: list, p: int, N: int, M: int,
-                         w: int) -> list[int]:
-    """The Newton form's T^0..T^(M-1) coefficients mod p^N (Horner)."""
-    poly = [PadicScalar.zero(p, w)] * M
-    for k in range(len(coeffs) - 1, -1, -1):
-        new = [PadicScalar.zero(p, w)] + poly[:M - 1]
-        for j in range(M):
-            new[j] = new[j] - poly[j] * ts[k]
-        new[0] = new[0] + coeffs[k]
-        poly = new
+def _newton_fit(nodes: list[tuple[int, int]], p: int, N: int, M: int, fit: int) -> list[int]:
+    """T^0..T^(M-1) mod p^N of the Newton fit through the first `fit` nodes.
+
+    nodes[i] = (y, k) is the value at t_i = u^-i - 1 (u = 1 + p) mod p^k.  Level k
+    of the divided differences is one pass mod p^max(k): the differences divided
+    exactly by p^(e_k), e_k = 1 + v_p(k), times u^(i+k) and ((1 - u^k)/p^(e_k))^-1.
+    Horner expands the first `fit` coefficients and, as the self-check, all of
+    them.  Gates (bounds in _fit_points): differences known to be off p^(e_k) Z_p
+    (c_k is the T^k coefficient of the fit through t_0..t_k), a T^j known to
+    fewer than N digits, and a fit that disagrees with its self-check mod p^N.
+    """
+    u, big = 1 + p, len(nodes)
+    ys, ks = zip(*nodes)
+    mod, low, lost = p ** max(ks), min(ks), 0
+    upow, d = [pow(u, i, mod) for i in range(big)], [y % mod for y in ys]
+    coeffs, precs = [d[0]], [ks[0]]
+    for k in range(1, big):
+        e = 1 + val_p(k, p)
+        diffs = list(map(sub, d[1:], d))
+        if any(map((p ** min(e, max(low - lost, 0))).__rmod__, diffs)):  # only digits the level knows
+            raise ArithmeticError(f"non-integral coefficient at T^{k} (unexpected pole)")
+        lost += e
+        c = inv_mod((1 - u**k) // p**e, mod)
+        d = list(map(mod.__rmod__, map(mul, map(floordiv, diffs, repeat(p**e)),
+                                       map(c.__mul__, upow[k:]))))
+        coeffs.append(d[0])
+        precs.append(min(ks[:k + 1]) - lost)
+    ts = [pow(u, -i, mod) - 1 for i in range(big)]
     res = []
-    for j, c in enumerate(poly):
-        if c.u != 0 and c.v < 0:
-            raise ArithmeticError(f"non-integral coefficient at T^{j} (unexpected pole)")
-        k = min(N, c.abs_prec)
-        if k < N:
-            raise ArithmeticError(
-                f"precision exhausted at T^{j}: have {k}, need N={N}; "
-                f"raise the working precision")
-        res.append(c.residue_mod(N) if c.u else 0)
-    return res
+    for count in (fit, big):
+        poly = [0] * M
+        for k in range(count - 1, -1, -1):
+            poly = list(map(mod.__rmod__, map(sub, [coeffs[k]] + poly[:-1],
+                                              map(ts[k].__mul__, poly))))
+        for j in range(M):
+            have = min([N] + [precs[k] + k - j for k in range(j, count)])
+            if have < N:
+                raise ArithmeticError(f"precision exhausted at T^{j}: have {have}, need N={N}; "
+                                      f"raise the working precision")
+        res.append([x % p**N for x in poly])
+    for j in range(M):
+        if res[0][j] != res[1][j]:
+            raise ArithmeticError(f"interpolation unstable at T^{j}; raise the point count")
+    return res[0]
 
 
 def kl_value_at_zero(series: IwasawaElement, u: int) -> PadicScalar:

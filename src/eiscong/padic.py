@@ -3,7 +3,10 @@
 A PadicScalar is u * p^v + O(p^(v+n)) with unit mantissa u (or the pure
 error term O(p^v) when nothing is known).  Negative valuations are allowed;
 they occur only in the pseudo-measure branch.  Heavy kernels work on plain
-integers mod p^W and wrap results at the end.
+integers mod p^W and wrap results at the end: the power tables, the series
+bridge and the branch tail in `measures` (node values, divided differences
+and the Newton expansion, with one proved precision per node and per level)
+build no PadicScalar.
 """
 
 from __future__ import annotations

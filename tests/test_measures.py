@@ -297,10 +297,9 @@ class TestKubotaLeopoldt:
                 acc = acc * PadicScalar.from_rational(t, p, N + 4) + \
                     PadicScalar.from_rational(kl.res[j], p, N)
             # eta(p) = 0 at n = 2, 3 (chi omega^-n is ramified at p), so the
-            # node value is -B_{n,eta}/n
-            node_t, want = nodes[n - 1]
-            assert node_t == t
-            diff = acc - want
+            # node value is -B_{n,eta}/n, known mod p^k
+            y, k = nodes[n - 1]
+            diff = acc - PadicScalar.from_unit(p, 0, y, k)
             # truncation at T^M costs ~M digits of (u^(1-n)-1)^M; modest check
             assert diff.is_zero_to_precision() and diff.abs_prec >= 8
 
@@ -323,9 +322,8 @@ class TestKubotaLeopoldt:
             for j in range(M - 1, -1, -1):
                 acc = acc * PadicScalar.from_rational(t, p, N + 4) + \
                     PadicScalar.from_rational(kl.res[j], p, N)
-            node_t, want = nodes[n - 1]  # Euler factor at p included
-            assert node_t == t
-            diff = acc - want
+            y, k = nodes[n - 1]  # Euler factor at p included, known mod p^k
+            diff = acc - PadicScalar.from_unit(p, 0, y, k)
             assert diff.is_zero_to_precision() and diff.abs_prec >= 8, n
 
     def test_omega_squared_branch_mu_zero(self):
