@@ -41,13 +41,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def next_prime(n: int) -> int:
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
-
-
 def primes_up_to(bound: int) -> list[int]:
     """Simple sieve."""
     if bound < 2:

@@ -16,16 +16,12 @@ LevelFamily.value is the one Fraction accessor.
 
 The series bridge is the Gamma-transform
     a_j = sum_a branch^-1(a) C(log_u<a>, j) mu(a)
-computed at the deepest level V; it equals minus the Kubota-Leopoldt branch
-series (the classical Stickelberger sign).  It is taken as the image of mu
-in Z_p[T]/((1+T)^(p^(V-1)) - 1): <a> mod p^V is u^i for one i < p^(V-1),
-read from one table of the powers of u, and log_u<a> = i mod p^(V-1), one
-digit past every certified digit.  So no logarithm is taken: the units are
-summed into one weight per exponent i, and M passes of suffix sums give
-the coefficients.  kubota_leopoldt itself is built by Newton interpolation
-on integers mod p^W through the special values
+at the deepest level V, taken with no logarithm (to_iwasawa_series); it
+equals minus the Kubota-Leopoldt branch series (the classical Stickelberger
+sign).  kubota_leopoldt itself is a Newton interpolation on integers mod
+p^wk through the special values
     -(1 - chi omega^(j-n)(p) p^(n-1)) B_{n, chi omega^(j-n)} / n
-with a proved precision per level and a built-in stability self-check.
+with a proved precision per node and per level and a built-in self-check.
 """
 
 from __future__ import annotations
@@ -408,38 +404,33 @@ def bridge_certified_precision(depth: int, p: int, j: int, N: int) -> int:
 # Kubota-Leopoldt branch series
 
 
-# residues per block of the prefix-sum sweep and of the power tables' shift:
-# they bound the packed rows (about 1.4 kbit each at the default 15 powers)
-# and the shifted columns held at once, whatever the conductor and p
+# residues per block of the prefix-sum sweep and of the power tables' shift: they bound the packed
+# rows (about 1.4 kbit each at the default 15 powers) and the columns held at once, for any f0, p
 _SWEEP_BLOCK = 1024
 _RESIDUE_BLOCK = 256
 
 
 def _prefix_power_sums(vals, cuts, mmax: int):
-    """Exact P_l(s) = sum_{j < s} vals[j] j^l, l = 0..mmax, at every s in cuts.
+    """Exact prefix moments at every s in cuts, each in its block's frame.
 
-    Returns ({s: [P_0(s), ..., P_mmax(s)]}, the same list at s = len(vals));
-    vals is an array("b") of 0, 1 and -1.
+    Cut s lies in the block [lo, lo + n), n = min(_SWEEP_BLOCK, len(vals)).
+    Returns (at, frames): at[s] = (lo, [Q_0(s), ..., Q_mmax(s)]), Q_l(s) =
+    sum_{j < s} vals[j] (j - lo)^l, and frames[lo] the sums over every j, at
+    lo = 0 and each lo holding a cut.  vals is an array("b") of 0, 1 and -1.
 
-    With n = min(_SWEEP_BLOCK, len(vals)) and W = bitlen(n - 1), the row
-    R_i = sum_l i^l 2^off_l of i < n packs the powers into slots of
-    W (l + 1) + 2 bits, rounded up to bytes.  Over a block [lo, lo + n),
-    the sum of R_(j-lo) where vals is +1, minus the sum where it is -1,
-    holds the moment sum_j vals[j] (j - lo)^l in slot l: one big-int
-    addition per residue.  That running sum is read at each cut in the
-    block and at its end; past the first block the moments are shifted
-    binomially by lo and added to the prefix at lo.  No slot carries or
+    With W = bitlen(n - 1), the row R_i = sum_l i^l 2^off_l of i < n packs
+    the powers into slots of W (l + 1) + 2 bits, rounded up to bytes.  Over a
+    block, the sum of R_(j-lo) where vals is +1, minus the sum where it is
+    -1, holds sum_j vals[j] (j - lo)^l in slot l: one big-int addition per
+    residue, read at each cut and at the block's end.  No slot carries or
     borrows: either sum has at most n terms of at most (n - 1)^l (0^0 = 1),
     so its slot l is at most n^(l+1) <= 2^(W (l + 1)), and with half the
     slot's range added (`bias`) the difference stays inside the slot.  The
     bound is met: n = 2^W values +1 put 2^W in slot 0.
 
-    A block shifts its reads together: moment l of read r goes to bit r Z
-    of one int (Z = 8 zb) and one `_binomial_shift` of those ints by lo
-    moves every read.  A result is at most f (f - 1)^l <= 2^(F (l + 1)) in
-    absolute value (f = len(vals), F = bitlen(f - 1)) and Z >= F (mmax+1) + 2,
-    so with 2^(Z - 1) added and that bit flipped back, each read's zb bytes
-    hold it in two's complement.
+    One `_binomial_shift` moves the block-end reads to the frame of 0, where
+    their running sums are the prefix at each lo; one more moves that and
+    the total to each lo > 0 holding a cut, whose reads add it.
     """
     f = len(vals)
     n = min(_SWEEP_BLOCK, f)
@@ -455,42 +446,43 @@ def _prefix_power_sums(vals, cuts, mmax: int):
     rows = [diffs.pop()] * n
     for d in reversed(diffs):
         rows = list(accumulate(rows[:-1], initial=d))
-    table = vals.tobytes()
-    plus, minus = table.translate(_PLUS_MASK), table.translate(_MINUS_MASK)
-    zb = ((f - 1).bit_length() * (mmax + 1) + 9) // 8
-    size = starts[-1] + zb  # a read, with room to take zb bytes at any slot
+    plus, minus = (vals.tobytes().translate(m) for m in (_PLUS_MASK, _MINUS_MASK))
     spans = list(zip(starts, starts[1:], half))
 
-    def moments(read):
+    def moments(x):
+        read = (x + bias).to_bytes(starts[-1], "little")
         return [int.from_bytes(read[a:e], "little") - h for a, e, h in spans]
 
-    def shifted(lo, reads, base):  # base + the moments of each read, shifted by lo
-        k = len(reads)
-        rep = int.from_bytes(b"\1".ljust(zb, b"\0") * k, "little")  # sum_r 2^(r Z)
-        cols = [(int.from_bytes(b"".join([r[a:a + zb] for r in reads]), "little")
-                 & (2 * h - 1) * rep) - h * rep for a, h in zip(starts, half)]
-        top = (1 << (8 * zb - 1)) * rep
-        bufs = [((x + b * rep + top) ^ top).to_bytes(k * zb, "little")
-                for (x,), b in zip(_binomial_shift(cols, [lo]), base)]
-        return [[int.from_bytes(buf[i:i + zb], "little", signed=True) for buf in bufs]
-                for i in range(0, k * zb, zb)]
-
     cuts = sorted(set(cuts))
-    at = {}
-    P = [0] * (mmax + 1)
+    at, ends, held = {}, [], []
     for lo in range(0, f, n):
         hi = min(lo + n, f)
-        ends = cuts[bisect_left(cuts, lo):bisect_left(cuts, hi)]
-        x, pos, reads = 0, lo, []
-        for s in ends + [hi]:
+        block = cuts[bisect_left(cuts, lo):bisect_left(cuts, hi)]
+        x, pos = 0, lo
+        for s in block + [hi]:
             seg = rows[pos - lo:s - lo]
             x += sum(compress(seg, plus[pos:s])) - sum(compress(seg, minus[pos:s]))
             pos = s
-            reads.append((x + bias).to_bytes(size, "little"))
-        reads = shifted(lo, reads, P) if lo else list(map(moments, reads))
-        at.update(zip(ends, reads))
-        P = reads[-1]
-    return at, P
+            at[s] = (lo, moments(x))
+        ends.append(at.pop(hi)[1])
+        if lo and block:
+            held.append((lo, block))
+    del rows, plus, minus  # the frame work below needs none of them
+    pre = []  # per moment: the prefix at each held lo, then the total, in 0's frame
+    for c in _binomial_shift(list(chain.from_iterable(zip(*ends))), list(range(0, f, n))):
+        acc = list(accumulate(c, initial=0))
+        pre.append([acc[lo // n] for lo, _ in held] + [acc[-1]])
+    frames = {0: [c[-1] for c in pre]}
+    if held:
+        k = len(held)
+        cols = list(chain.from_iterable(c[:-1] + c[-1:] * k for c in pre))
+        out = list(_binomial_shift(cols, [-lo for lo, _ in held] * 2))
+        for i, (lo, block) in enumerate(held):
+            base = [c[i] for c in out]
+            frames[lo] = [c[k + i] for c in out]
+            for s in block:
+                at[s] = (lo, [a + b for a, b in zip(base, at[s][1])])
+    return at, frames
 
 
 def _binomial_shift(c: list[int], ts: list[int]):
@@ -514,18 +506,17 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
     with a = r mod p and gcd(a, f0 p) = 1 (U[m][0] = 0), and U0[m] the same
     sum over 1 <= a <= f0.
 
-    Write a = r + p k (1 <= r < p, 0 <= k < f0) and j = k + s mod f0 with
-    s = r p^-1 mod f0.  Then chi(a) = chi(p) chi(j) and a = p j + t, where
-    t = r - p s for j >= s and t + p f0 for j < s, so with the prefix sums
-    P_l(s) = sum_{j < s} chi(j) j^l
-        U[m][r] = chi(p) sum_l C(m,l) p^l [t^(m-l) (P_l(f0) - P_l(s))
-                                           + (t + p f0)^(m-l) P_l(s)].
-    One sweep over j < f0 (`_prefix_power_sums`) gives P at the distinct
-    shifts s and U0 = P(f0) (chi(0) = chi(f0) = 0): f0 packed big-int
-    additions.  Then each block of _RESIDUE_BLOCK residues shifts its columns
-    p^l (P_l(f0) - P_l(s)) by t and p^l P_l(s) by t + p f0 at once: the
-    p (mmax+1)^2 element operations run as C-level passes over blocks; a
-    cut is freed after its last block.  Trivial chi (f0 = 1): U[m][r] = r^m, U0[m] = 1.
+    Write a = r + p k (1 <= r < p, 0 <= k < f0), j = k + s mod f0 with
+    s = r p^-1 mod f0, and lo for the start of the sweep block of s.  Then
+    chi(a) = chi(p) chi(j) and a = p (j - lo) + t, t = r - p (s - lo) for
+    j >= s and t + p f0 for j < s.  So with Q_l(s) = sum_{j < s} chi(j)
+    (j - lo)^l and T_l the sum over all j < f0 (`_prefix_power_sums`)
+        U[m][r] = chi(p) sum_l C(m,l) p^l [t^(m-l) (T_l - Q_l(s))
+                                           + (t + p f0)^(m-l) Q_l(s)],
+    and U0 = T at lo = 0 (chi(0) = chi(f0) = 0).  A block of _RESIDUE_BLOCK
+    residues shifts its columns p^l (T_l - Q_l(s)) by t and p^l Q_l(s) by
+    t + p f0 at once, so the p (mmax+1)^2 element operations run as C-level
+    passes; a cut is freed after its last block.  f0 = 1: U[m][r] = r^m, U0[m] = 1.
     """
     f0 = chi.conductor
     mod = p**wk
@@ -535,26 +526,28 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
     vals = value_table(chi)
     pinv = inv_mod(p % f0, f0)
     shifts = [r * pinv % f0 for r in range(1, p)]
-    prefix, total = _prefix_power_sums(vals, shifts, mmax)
+    prefix, frames = _prefix_power_sums(vals, shifts, mmax)
     ppow = [p**l for l in range(mmax + 1)]
     chi_p = vals[p % f0]
     U = [[0] for _ in range(mmax + 1)]
     for i in range(0, p - 1, _RESIDUE_BLOCK):
         block = shifts[i:i + _RESIDUE_BLOCK]
-        ts = [r - p * s for r, s in zip(range(i + 1, p), block)]
+        los = [prefix[s][0] for s in block]
+        ts = [r - p * (s - lo) for r, s, lo in zip(range(i + 1, p), block, los)]
         # the block's high sums (shifted by t), then its low ones (t + p f0)
         cols = []
-        for a, q, col in zip(total, ppow, zip(*map(prefix.__getitem__, block))):
-            cols += [(a - b) * q % mod for b in col] + [b * q % mod for b in col]
+        for q, tot, col in zip(ppow, zip(*map(frames.__getitem__, los)),
+                               zip(*[prefix[s][1] for s in block])):
+            cols += [(a - b) * q % mod for a, b in zip(tot, col)] + [b * q % mod for b in col]
         for s in compress(block, map((p - f0).__le__, range(i + 1, p))):
             del prefix[s]  # r + f0 >= p: no later residue r + f0 reads s
         for Um, c in zip(U, _binomial_shift(cols, ts + [t + p * f0 for t in ts])):
             Um.extend([chi_p * (x + y) % mod for x, y in zip(c, c[len(ts):])])
-    return U, [x % mod for x in total]
+    return U, [x % mod for x in frames[0]]
 
 
 def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
-                  w: int) -> list[tuple[int, int]]:
+                  wk: int) -> list[tuple[int, int]]:
     """[(y_n, k_n)] for n = 1..count: the branch at t_n = u^(1-n) - 1 is y_n mod p^k_n.
 
     The value is -(1 - eta(p) p^(n-1)) B_{n,eta}/n, eta the primitive part of
@@ -563,15 +556,15 @@ def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
     branch (chi trivial, omega_power = 0 mod p - 1).  With f = f0 p, or f0
     when tw = 0, B_{n,eta} = sum_k C(n,k) B_k f^(k-1) S_{n-k} over k <= 1 and
     even k, S_m = U0[m] when tw = 0 and sum_r omega(r)^tw U[m][r] otherwise,
-    from one power-sum and one Teichmuller table exact mod p^wk, wk = w + 6.
-    By von Staudt-Clausen g_k = p B_k f^(k-1) and g_0 = p/f = p^(1-v_p(f))/f0
+    from one power-sum and one Teichmuller table exact mod p^wk.  By von
+    Staudt-Clausen g_k = p B_k f^(k-1) and g_0 = p/f = p^(1-v_p(f))/f0
     are p-integral, so p B_{n,eta} = sum_k C(n,k) g_k S_{n-k} is one integer
     sum known mod p^wk, and so is x = -(1 - eta(p) p^(n-1)) p B_{n,eta} n0^-1
     z, n = p^v n0, z = 1 or u^(1-n) - u.  The value x / p^(v+1) lies in Z_p
     (kubota_leopoldt), so p^(v+1) | x (checked) and x // p^(v+1) is the value
     mod p^(wk - 1 - v): k_n = wk - 1 - v_p(n), not uniform in n.
     """
-    u, wk, f0, chi_p = 1 + p, w + 6, chi.conductor, chi(p)
+    u, f0, chi_p = 1 + p, chi.conductor, chi(p)
     mod = p**wk
     U, U0 = _power_tables(chi, p, wk, count)
     omega = _teichmuller_powers(p, wk)
@@ -595,9 +588,8 @@ def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
     return nodes
 
 
-# The self-check fits the same nodes with this many extra points: c_k =
-# f[t_0..t_k] depends only on t_0..t_k, so the K-point fit is the first K
-# coefficients of the (K + 8)-point one, and by _fit_points both fix T^0..T^(M-1) mod p^N.
+# The self-check fits the same nodes with 8 more points: c_k = f[t_0..t_k] depends only on t_0..t_k,
+# so the K-point fit is the first K of the (K + 8)-point one, and both fix T^0..T^(M-1) mod p^N.
 _CHECK_POINTS = 8
 
 
@@ -612,12 +604,10 @@ def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,
     trivial, omega_power = 0) is the p-adic zeta pseudo-measure: the
     returned element is ((1+T) - u) times the branch, flagged pole_factor.
 
-    Construction: Newton interpolation on integers mod p^wk, with one proved
-    precision per node (_branch_nodes) and per level of divided differences
-    (_fit_points).  The nodes n = 1..K+8 (K = _fit_points = N + M - 1) are
-    evaluated once and their divided differences taken once; the series is
-    the first K Newton coefficients expanded to T^0..T^(M-1), and the
-    self-check expands all K + 8, which must agree mod p^N (_newton_fit).
+    Construction: Newton interpolation on integers mod p^wk through the nodes
+    n = 1..big, big = K + 8 (K = _fit_points = N + M - 1), each evaluated and
+    differenced once; the series expands the first K Newton coefficients to
+    T^0..T^(M-1), and the self-check all big, which must agree mod p^N.
 
     K nodes suffice because what is interpolated lies in Lambda = Z_p[[T]]:
     theta = chi omega^omega_power (conductor f0 or f0 p, values in Z_p) is of
@@ -625,6 +615,15 @@ def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,
     ((1+T) - u) times it does when theta is trivial (the pole branch;
     Washington, Introduction to Cyclotomic Fields, Thm. 7.10).  Every node
     t_n = u^(1-n) - 1 lies in pZ_p, so _fit_points applies to both.
+
+    Working precision: wk = max(big, N + min(M, big)) + v_p((big - 1)!) + v,
+    v = max_{n <= big} v_p(n), is the least wk at which both bounds of
+    _newton_fit hold.  Nodes hold wk - 1 - v digits or more, and the pole
+    gate at level k sees all its e_k = 1 + v_p(k) digits iff wk - 1 - v >=
+    k + v_p(k!), the digits levels 1..k use; k = big - 1 binds.  T^j of the
+    check, j < big, is held to wk - 1 - v - v_p((big - 1)!) - j digits
+    (_fit_points), and T^j = 0 at j >= big: N digits at every j < M iff wk
+    reaches the N + min(M, big) term.  At the proved K, big > N + M.
     """
     if p < 3:
         raise ValueError("p must be an odd prime")
@@ -642,8 +641,9 @@ def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,
 
     fit = _fit_points(N, M)
     big = fit + _CHECK_POINTS
-    w = N + big + big // (p - 1) + 10
-    res = _newton_fit(_branch_nodes(chi, p, omega_power, big, w), p, N, M, fit)
+    v = max(val_p(n, p) for n in range(1, big + 1))
+    wk = max(big, N + min(M, big)) + _vfact(big - 1, p) + v
+    res = _newton_fit(_branch_nodes(chi, p, omega_power, big, wk), p, N, M, fit)
     return IwasawaElement(p, N, M, res, [N] * M, pole_factor=pole)
 
 

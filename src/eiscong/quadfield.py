@@ -266,18 +266,6 @@ def ideal_gcd(a: IdealQF, b: IdealQF) -> IdealQF:
     return IdealQF(a.d, tuple(sorted(out)))
 
 
-def ideal_divisors(a: IdealQF) -> list[IdealQF]:
-    """All integral divisors of a; count is prod(e_i + 1)."""
-    divisors = [IdealQF(a.d, ())]
-    for p, tag, e in a.factors:
-        divisors = [
-            ideal_mul(dv, IdealQF(a.d, ((p, tag, k),)) if k else IdealQF(a.d, ()))
-            for dv in divisors
-            for k in range(e + 1)
-        ]
-    return sorted(divisors, key=lambda i: (i.norm, i.factors))
-
-
 def index_iota1(field: RealQuadraticField, a: IdealQF) -> int:
     """iota^1(a) = 1/2 #(o_F/a)^x N(a) prod_{q|a} (1 + 1/N(q)); a != (2)."""
     if a.is_one():

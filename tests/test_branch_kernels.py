@@ -189,7 +189,7 @@ class TestGates:
         chi = kronecker_character(12)
         fit = _fit_points(N, M)
         big = fit + _CHECK_POINTS
-        nodes = _branch_nodes(chi, p, 0, big, N + big + big // (p - 1) + 10)
+        nodes = _branch_nodes(chi, p, 0, big, N + big + big // (p - 1) + 16)
 
         def cut(P):
             return [(y % p**P, P) for y, _ in nodes]
@@ -222,7 +222,7 @@ class TestGates:
     def test_too_few_points_are_unstable(self):
         p, N, M = 5, 8, 12
         big = _fit_points(N, M) + _CHECK_POINTS
-        nodes = _branch_nodes(kronecker_character(12), p, 0, big, N + big + big // (p - 1) + 10)
+        nodes = _branch_nodes(kronecker_character(12), p, 0, big, N + big + big // (p - 1) + 16)
         with pytest.raises(ArithmeticError, match=r"interpolation unstable at T\^\d+"):
             _newton_fit(nodes, p, N, M, M)
 
@@ -236,10 +236,83 @@ class TestNodePrecision:
         w, count, u = 12, 30, 1 + p
         pole = D == 1 and om % (p - 1) == 0
         want = _oracle_branch_nodes(_chi(D), p, om, count, w + 10)
-        for n, ((y, k), (t, z)) in enumerate(zip(_branch_nodes(_chi(D), p, om, count, w), want), 1):
+        for n, ((y, k), (t, z)) in enumerate(zip(_branch_nodes(_chi(D), p, om, count, w + 6), want), 1):
             assert k == w + 6 - 1 - val_p(n, p)
             if pole:
                 z = z * PadicScalar.from_rational(t - (u - 1), p, w + 16)
             assert z.abs_prec > k
             diff = PadicScalar.from_unit(p, 0, y, k) - z
             assert diff.is_zero_to_precision() and diff.abs_prec == k, n
+
+
+class _Stop(Exception):
+    pass
+
+
+def _counts(p):
+    return {"proved": _fit_points, "M": lambda N, M: M, "2": lambda N, M: 2,
+            "proved-1": lambda N, M: N + M - 2,
+            "old": lambda N, M: (N + M + 8) * (p - 1) // (p - 2) + 1}
+
+
+class TestWorkingPrecision:
+    """kubota_leopoldt's wk is the least at which both bounds of _newton_fit hold.
+
+    Node i (t_i = u^-i - 1) is known mod p^(wk - 1 - v_p(i + 1)), as
+    _branch_nodes states.  The pole gate at level K sees its e_K digits
+    exactly when it rejects T^K / p, whose divided differences lie in Z_p
+    below level K and equal 1/p there.  Every T^j is held to N digits
+    exactly when the all-zero nodes pass the precision gate.
+    """
+
+    @staticmethod
+    def _fit_and_wk(monkeypatch, p, N, M, count):
+        monkeypatch.setattr(measures, "_fit_points", count)
+        seen = []
+
+        def spy(chi, p, omega_power, big, wk):
+            seen.append((big, wk))
+            raise _Stop
+
+        monkeypatch.setattr(measures, "_branch_nodes", spy)
+        with pytest.raises(_Stop):
+            kubota_leopoldt(kronecker_character(8), p, N, M)
+        monkeypatch.undo()
+        [(big, wk)] = seen
+        return count(N, M), big, wk
+
+    @staticmethod
+    def _nodes(p, big, wk, K):
+        # T^K / p at the nodes (0 for K = 0), each to the digits it states
+        out = []
+        for i in range(big):
+            k = wk - 1 - val_p(i + 1, p)
+            t = pow(1 + p, -i, p ** (k + 1)) - 1
+            out.append((pow(t, K, p ** (k + 1)) // p if K else 0, k))
+        return out
+
+    def _gate_sees(self, p, N, M, fit, big, wk, K):
+        try:
+            _newton_fit(self._nodes(p, big, wk, K), p, N, M, fit)
+        except ArithmeticError as e:
+            return str(e) == f"non-integral coefficient at T^{K} (unexpected pole)"
+        return False
+
+    def _holds_n_digits(self, p, N, M, fit, big, wk):
+        try:
+            return _newton_fit(self._nodes(p, big, wk, 0), p, N, M, fit) == [0] * M
+        except ArithmeticError as e:
+            assert str(e).startswith("precision exhausted"), e
+            return False
+
+    @pytest.mark.parametrize("count", ("proved", "M", "2", "proved-1", "old"))
+    @pytest.mark.parametrize("N,M", [(1, 1), (2, 6), (6, 16), (10, 16)])
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 101, 281))
+    def test_least_working_precision(self, monkeypatch, p, N, M, count):
+        fit, big, wk = self._fit_and_wk(monkeypatch, p, N, M, _counts(p)[count])
+        assert big == fit + _CHECK_POINTS
+        assert all(self._gate_sees(p, N, M, fit, big, wk, K) for K in range(1, big))
+        assert self._holds_n_digits(p, N, M, fit, big, wk)
+        # one digit less: the last level's gate goes blind or T^(M-1) falls short
+        assert (not self._gate_sees(p, N, M, fit, big, wk - 1, big - 1)
+                or not self._holds_n_digits(p, N, M, fit, big, wk - 1))

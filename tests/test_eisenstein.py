@@ -286,8 +286,14 @@ class TestScan:
         # a resistant semiprime cofactor produces the "unfactored" report
         from unittest import mock
         from eiscong import eisenstein as eis
-        from eiscong.arith import next_prime
+        from eiscong.arith import is_prime
         from eiscong.lseries import LValueRecord
+
+        def next_prime(n):
+            n += 1
+            while not is_prime(n):
+                n += 1
+            return n
 
         hard = next_prime(2**82) * next_prime(2**83 + 9)
         eps = induce_quadratic(f2, 5)

@@ -24,7 +24,6 @@ from eiscong.quadfield import (
     IdealQF,
     enumerate_ideals,
     ideal_divide,
-    ideal_divisors,
     ideal_mul,
     ideal_pow,
     make_field,
@@ -32,6 +31,8 @@ from eiscong.quadfield import (
     splitting_type,
     unit_ideal,
 )
+
+from ideal_oracles import ideal_divisors
 
 
 def _oracle_enumerate_ideals(field, bound):

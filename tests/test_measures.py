@@ -288,7 +288,7 @@ class TestKubotaLeopoldt:
         u = 1 + p
         from eiscong.measures import _branch_nodes
 
-        nodes = _branch_nodes(chi, p, 0, 3, N + 6)
+        nodes = _branch_nodes(chi, p, 0, 3, N + 12)
         for n in (2, 3):
             t = Fraction(u) ** (1 - n) - 1
             # Horner evaluation of the truncated series at the exact point
@@ -315,7 +315,7 @@ class TestKubotaLeopoldt:
         u = 1 + p
         # the fit and its self-check use the nodes n = 1..K + _CHECK_POINTS
         beyond = _fit_points(N, M) + _CHECK_POINTS + 1
-        nodes = _branch_nodes(chi, p, 0, beyond + 3, N + 6)
+        nodes = _branch_nodes(chi, p, 0, beyond + 3, N + 12)
         for n in (beyond, beyond + 3):  # include an n = 0 mod 4 (tw = 0) point
             t = Fraction(u) ** (1 - n) - 1
             acc = PadicScalar.zero(p, N)

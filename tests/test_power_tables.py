@@ -85,14 +85,16 @@ def _oracle_residue_tables(chi, p, wk, mmax):
     mod = p**wk
     vals = value_table(chi)
     shifts = [r * pow(p, -1, f0) % f0 for r in range(1, p)]
-    prefix, total = _prefix_power_sums(vals, shifts, mmax)
+    prefix, frames = _prefix_power_sums(vals, shifts, mmax)
+    total = frames[0]
     ppow = [p**l for l in range(mmax + 1)]
     chi_p = vals[p % f0]
     U = [[0] * p for _ in range(mmax + 1)]
     for r, s in zip(range(1, p), shifts):
         t = r - p * s
-        high = [(a - b) * q % mod for a, b, q in zip(total, prefix[s], ppow)]
-        low = [b * q % mod for b, q in zip(prefix[s], ppow)]
+        at = _oracle_shift(prefix[s][1], prefix[s][0])  # from the frame of lo to that of 0
+        high = [(a - b) * q % mod for a, b, q in zip(total, at, ppow)]
+        low = [b * q % mod for b, q in zip(at, ppow)]
         for m, (x, y) in enumerate(zip(_oracle_shift(high, t), _oracle_shift(low, t + p * f0))):
             U[m][r] = chi_p * (x + y) % mod
     return U, [x % mod for x in total]
@@ -171,7 +173,9 @@ class TestPowerTables:
 class TestResidueBlocks:
     """The residue-major shift at the shapes kubota_leopoldt asks for.
 
-    At the defaults N = 2, M = 6 a branch asks for mmax = 15 and wk = 33.
+    At the defaults N = 2, M = 6 a branch asks for mmax = 15 and wk = 15 at
+    p > 15 (18 at p = 5).  The tables here run at wk = 33, more digits than
+    any default branch reads.
     """
 
     @staticmethod
@@ -224,9 +228,9 @@ class TestResidueBlocks:
         sweep = measures._prefix_power_sums
 
         def spy(*args):
-            prefix, total = sweep(*args)
+            prefix, frames = sweep(*args)
             sweeps.append(prefix)
-            return prefix, total
+            return prefix, frames
 
         monkeypatch.setattr(measures, "_prefix_power_sums", spy)
         _power_tables(kronecker_character(D), p, 12, 6)
@@ -242,8 +246,15 @@ class TestResidueBlocks:
 
 
 def _assert_sweep_equals_oracle(vals, cuts, mmax):
-    got = _prefix_power_sums(vals, cuts, mmax)
-    assert got == _oracle_prefix_power_sums(vals, cuts, mmax)
+    # each read and frame total, moved from the frame of its block start lo
+    # to that of 0, must equal the oracle's prefix sums exactly
+    at, frames = _prefix_power_sums(vals, cuts, mmax)
+    want, total = _oracle_prefix_power_sums(vals, cuts, mmax)
+    n = min(measures._SWEEP_BLOCK, len(vals))
+    assert all(lo == s - s % n for s, (lo, _) in at.items())
+    assert {s: _oracle_shift(m, lo) for s, (lo, m) in at.items()} == want
+    assert set(frames) == {0} | {lo for lo, _ in at.values()}
+    assert all(_oracle_shift(t, lo) == total for lo, t in frames.items())
 
 
 def _branch_cuts(f0, p):
@@ -286,6 +297,17 @@ class TestPrefixSweep:
         vals = array("b", (rng.choice((-1, 0, 1)) for _ in range(f)))
         cuts = {0, f - 1} | set(range(0, f, B)) | {rng.randrange(f) for _ in range(20)}
         _assert_sweep_equals_oracle(vals, sorted(cuts), mmax)
+
+    # the test_any_block_size shapes above, and conductor 1009: more than 100
+    # blocks at every size here, most of them holding a cut
+    @pytest.mark.parametrize("block", (1, 2, 3, 7))
+    @pytest.mark.parametrize("D,p", [(13, 31), (-163, 11), (5, 13), (328, 3), (1009, 101)])
+    def test_any_block_size(self, monkeypatch, block, D, p):
+        monkeypatch.setattr(measures, "_SWEEP_BLOCK", block)
+        chi = kronecker_character(D)
+        vals = value_table(chi)
+        _assert_sweep_equals_oracle(vals, _branch_cuts(len(vals), p), 15)
+        assert _power_tables(chi, p, 12, 15) == _oracle_power_tables(chi, p, 12, 15)
 
     def test_no_cuts(self):
         vals = array("b", [1, -1, 0, 1]) * (B // 2 + 1)

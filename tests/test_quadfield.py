@@ -12,7 +12,6 @@ from eiscong.quadfield import (
     RAMIFIED,
     enumerate_ideals,
     ideal_divide,
-    ideal_divisors,
     ideal_mul,
     ideal_pow,
     index_iota1,
@@ -22,6 +21,8 @@ from eiscong.quadfield import (
     unit_ideal,
     unit_power_check,
 )
+
+from ideal_oracles import ideal_divisors
 
 
 def brute_fundamental_unit(d):
