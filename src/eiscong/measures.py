@@ -30,7 +30,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
 from operator import add, floordiv, mul, sub
 
 from .arith import crt, val_p
@@ -405,84 +405,149 @@ def bridge_certified_precision(depth: int, p: int, j: int, N: int) -> int:
 
 
 # residues per block of the prefix-sum sweep and of the power tables' shift: they bound the packed
-# rows (about 1.4 kbit each at the default 15 powers) and the columns held at once, for any f0, p
+# rows (about 1.4 kbit each at the default 15 powers, 2.4 kbit for the wrap rows at f0 = 161192)
+# and the columns held at once, for any f0, p
 _SWEEP_BLOCK = 1024
 _RESIDUE_BLOCK = 256
 
 
-def _prefix_power_sums(vals, cuts, mmax: int):
-    """Exact prefix moments at every s in cuts, each in its block's frame.
+def _packed_rows(n: int, mmax: int, wide: int, term):
+    """(rows, read): rows[i] packs term(i, l), l = 0..mmax, for i < n; read unpacks signed sums.
 
-    Cut s lies in the block [lo, lo + n), n = min(_SWEEP_BLOCK, len(vals)).
-    Returns (at, frames): at[s] = (lo, [Q_0(s), ..., Q_mmax(s)]), Q_l(s) =
-    sum_{j < s} vals[j] (j - lo)^l, and frames[lo] the sums over every j, at
-    lo = 0 and each lo holding a cut.  vals is an array("b") of 0, 1 and -1.
-
-    With W = bitlen(n - 1), the row R_i = sum_l i^l 2^off_l of i < n packs
-    the powers into slots of W (l + 1) + 2 bits, rounded up to bytes.  Over a
-    block, the sum of R_(j-lo) where vals is +1, minus the sum where it is
-    -1, holds sum_j vals[j] (j - lo)^l in slot l: one big-int addition per
-    residue, read at each cut and at the block's end.  No slot carries or
-    borrows: either sum has at most n terms of at most (n - 1)^l (0^0 = 1),
-    so its slot l is at most n^(l+1) <= 2^(W (l + 1)), and with half the
-    slot's range added (`bias`) the difference stays inside the slot.  The
-    bound is met: n = 2^W values +1 put 2^W in slot 0.
-
-    One `_binomial_shift` moves the block-end reads to the frame of 0, where
-    their running sums are the prefix at each lo; one more moves that and
-    the total to each lo > 0 holding a cut, whose reads add it.
+    With W = bitlen(n - 1), slot l takes W + wide l + 2 bits, rounded up to
+    bytes, and 0 <= term(i, l) <= 2^(wide l) must hold.  A sum of rows over
+    at most n indices, minus another such sum, holds the signed sums of the
+    terms slot by slot: no slot carries or borrows, since either sum has slot
+    l at most n 2^(wide l) <= 2^(W + wide l), and with half the slot's range
+    added (`bias`) the difference stays inside the slot.  term(i, l) is a
+    polynomial of degree <= mmax in i: rows from the forward differences of
+    rows 0..mmax, one pass of additions per degree.
     """
-    f = len(vals)
-    n = min(_SWEEP_BLOCK, f)
     width = (n - 1).bit_length()
-    sizes = [(width * (l + 1) + 9) // 8 for l in range(mmax + 1)]  # bytes per slot
+    sizes = [(width + wide * l + 9) // 8 for l in range(mmax + 1)]  # bytes per slot
     starts = list(accumulate(sizes, initial=0))
     half = [1 << (8 * b - 1) for b in sizes]
     bias = sum(h << 8 * a for h, a in zip(half, starts))
-    # R_i is a polynomial of degree mmax in i: rows from the forward
-    # differences of R_0, ..., R_mmax, one pass of additions per degree
-    head = [sum(i**l << 8 * a for l, a in enumerate(starts[:-1])) for i in range(mmax + 1)]
+    head = [sum(term(i, l) << 8 * a for l, a in enumerate(starts[:-1])) for i in range(mmax + 1)]
     diffs = [d for (d,) in _binomial_shift(head, [-1])]
     rows = [diffs.pop()] * n
     for d in reversed(diffs):
         rows = list(accumulate(rows[:-1], initial=d))
-    plus, minus = (vals.tobytes().translate(m) for m in (_PLUS_MASK, _MINUS_MASK))
     spans = list(zip(starts, starts[1:], half))
 
-    def moments(x):
-        read = (x + bias).to_bytes(starts[-1], "little")
-        return [int.from_bytes(read[a:e], "little") - h for a, e, h in spans]
+    def read(x):
+        b = (x + bias).to_bytes(starts[-1], "little")
+        return [int.from_bytes(b[a:e], "little") - h for a, e, h in spans]
+    return rows, read
 
+
+def _walk(rows, signs, lo: int, stops):
+    """Yield (s, x) for s in stops (increasing, within the block at lo), x = sum of
+    sign(j) rows[j - lo] over lo <= j < s; signs is the pair of masks of vals = +1, -1."""
+    plus, minus = signs
+    x, pos = 0, lo
+    for s in stops:
+        seg = rows[pos - lo:s - lo]
+        x += sum(compress(seg, plus[pos:s])) - sum(compress(seg, minus[pos:s]))
+        pos = s
+        yield s, x
+
+
+def _wraps_by_rows(signs, held, n: int, mmax: int, f: int):
+    """Yield (s, w(s)) over the cuts of each (lo, block) in held, in order:
+    w_l(s) = sum_{lo <= j < s} vals[j] ((j - lo + f)^l - (j - lo)^l), read off
+    packed rows of (i + f)^l - i^l summed up to each block's last cut."""
+    rows, read = _packed_rows(n, mmax, (n - 1 + f).bit_length(),
+                              lambda i, l: (i + f)**l - i**l)
+    for lo, block in held:
+        for s, x in _walk(rows, signs, lo, block):
+            yield s, read(x)
+
+
+def _wraps_by_shift(reads: dict, f: int):
+    """Yield (s, w(s)) for each s of reads, w(s) = shift_f(q) - q for the
+    in-block read q = reads[s] (q_l = sum_{lo <= j < s} vals[j] (j - lo)^l):
+    one batched `_binomial_shift` of every read by f."""
+    qs = list(reads.values())
+    moved = zip(*_binomial_shift(list(chain.from_iterable(zip(*qs))), [f] * len(qs)))
+    for s, q, m in zip(reads, qs, moved):
+        yield s, list(map(sub, m, q))
+
+
+def _signs(vals) -> tuple[bytes, bytes]:
+    """The masks of vals = +1 and of vals = -1, vals an array("b") of 0, 1 and -1."""
+    return vals.tobytes().translate(_PLUS_MASK), vals.tobytes().translate(_MINUS_MASK)
+
+
+def _prefix_power_sums(vals, cuts, mmax: int):
+    """Exact window moments at every s in cuts, each in its block's frame, from one prefix sweep.
+
+    Cut s lies in the block [lo, lo + n), n = min(_SWEEP_BLOCK, len(vals)) = f
+    at most.  Returns (at, total): at[s] = (lo, [D_0(s), ..., D_mmax(s)]),
+    with D_l(s) = sum_{s <= j < s + f} vals[j mod f] (j - lo)^l the moments of
+    one period from s, and total[l] = T_l = sum_{j < f} vals[j] j^l, which is
+    D(0).  vals is an array("b") of 0, 1 and -1.
+
+    In the frame of lo, with Q_l(s) = sum_{j < s} vals[j] (j - lo)^l and T_lo
+    the sums over every j, the window is D(s) = T_lo - Q(s) + Q'(s): Q' puts
+    (j - lo + f)^l for (j - lo)^l, as j + f runs over the wrapped part.  The
+    wrap term Q' - Q splits at lo.  Below lo it is shift_f(P) - P, P = Q(lo)
+    the block prefix; from lo to s it is the in-block wrap w(s), so
+        D(s) = T_lo + shift_f(P) - P + w(s).
+    One sweep of packed rows of i^l (`_packed_rows`, one big-int addition
+    per residue) reads each block's end; one `_binomial_shift` moves those
+    reads to the frame of 0, where their running sums are P at each lo and
+    the total, and one more moves T - P by -lo and P by f - lo to each lo
+    that holds a cut.
+
+    w(s) comes one of two ways, whichever takes fewer element operations by
+    the sizes alone (the cut count, n, mmax and each block's last cut):
+    - rows (`_wraps_by_rows`): n mmax additions build packed rows of
+      (i + f)^l - i^l, then one addition per residue from each block's
+      start to its last cut;
+    - shift (`_wraps_by_shift`): the sweep also reads each cut's in-block
+      sum q(s), and w = shift_f(q) - q costs (mmax + 1)(mmax + 2)/2 per
+      cut: mmax (mmax + 1)/2 multiply-adds of one batched shift, and the
+      subtractions.
+    Dense cuts take the rows: every cut of a conductor below p (the bench's
+    branch-prime shapes) and the headline's p = 4951, 13417.  A few cuts on
+    a long conductor take the shift: p = 5, 7 at f0 in the thousands.  Near
+    the break-even point the two ways measured within 25% of each other
+    (f0 = 20149, 161192 at mmax = 7, 15, 29).
+    """
+    f = len(vals)
+    n = min(_SWEEP_BLOCK, f)
     cuts = sorted(set(cuts))
-    at, ends, held = {}, [], []
+    held = [(lo, list(block)) for lo, block in groupby(cuts, lambda s: s - s % n)]
+    by_rows = (n * mmax + sum(block[-1] - lo for lo, block in held)
+               < len(cuts) * (mmax + 1) * (mmax + 2) // 2)
+    signs = _signs(vals)
+    rows, read = _packed_rows(n, mmax, (n - 1).bit_length(), pow)
+    reads, ends = {}, []
     for lo in range(0, f, n):
         hi = min(lo + n, f)
-        block = cuts[bisect_left(cuts, lo):bisect_left(cuts, hi)]
-        x, pos = 0, lo
-        for s in block + [hi]:
-            seg = rows[pos - lo:s - lo]
-            x += sum(compress(seg, plus[pos:s])) - sum(compress(seg, minus[pos:s]))
-            pos = s
-            at[s] = (lo, moments(x))
-        ends.append(at.pop(hi)[1])
-        if lo and block:
-            held.append((lo, block))
-    del rows, plus, minus  # the frame work below needs none of them
-    pre = []  # per moment: the prefix at each held lo, then the total, in 0's frame
+        stops = [] if by_rows else cuts[bisect_left(cuts, lo):bisect_left(cuts, hi)]
+        for s, x in _walk(rows, signs, lo, stops + [hi]):
+            reads[s] = read(x)
+        ends.append(reads.pop(hi))
+    del rows  # the frame work below needs no rows
+    pre = []  # per moment: P at each held lo, then the total, in 0's frame
     for c in _binomial_shift(list(chain.from_iterable(zip(*ends))), list(range(0, f, n))):
         acc = list(accumulate(c, initial=0))
         pre.append([acc[lo // n] for lo, _ in held] + [acc[-1]])
-    frames = {0: [c[-1] for c in pre]}
-    if held:
-        k = len(held)
-        cols = list(chain.from_iterable(c[:-1] + c[-1:] * k for c in pre))
-        out = list(_binomial_shift(cols, [-lo for lo, _ in held] * 2))
-        for i, (lo, block) in enumerate(held):
-            base = [c[i] for c in out]
-            frames[lo] = [c[k + i] for c in out]
-            for s in block:
-                at[s] = (lo, [a + b for a, b in zip(base, at[s][1])])
-    return at, frames
+    total = [c[-1] for c in pre]
+    if not held:
+        return {}, total
+    k = len(held)
+    cols = list(chain.from_iterable([c[-1] - x for x in c[:-1]] + c[:-1] for c in pre))
+    out = list(_binomial_shift(cols, [-lo for lo, _ in held] + [f - lo for lo, _ in held]))
+    # D(lo), the window from each held block start: there w(lo) = 0
+    base = {lo: [c[i] + c[k + i] for c in out] for i, (lo, _) in enumerate(held)}
+    at = {}
+    for s, w in (_wraps_by_rows(signs, held, n, mmax, f) if by_rows else _wraps_by_shift(reads, f)):
+        lo = s - s % n
+        at[s] = (lo, list(map(add, base[lo], w)))
+    return at, total
 
 
 def _binomial_shift(c: list[int], ts: list[int]):
@@ -506,17 +571,16 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
     with a = r mod p and gcd(a, f0 p) = 1 (U[m][0] = 0), and U0[m] the same
     sum over 1 <= a <= f0.
 
-    Write a = r + p k (1 <= r < p, 0 <= k < f0), j = k + s mod f0 with
-    s = r p^-1 mod f0, and lo for the start of the sweep block of s.  Then
-    chi(a) = chi(p) chi(j) and a = p (j - lo) + t, t = r - p (s - lo) for
-    j >= s and t + p f0 for j < s.  So with Q_l(s) = sum_{j < s} chi(j)
-    (j - lo)^l and T_l the sum over all j < f0 (`_prefix_power_sums`)
-        U[m][r] = chi(p) sum_l C(m,l) p^l [t^(m-l) (T_l - Q_l(s))
-                                           + (t + p f0)^(m-l) Q_l(s)],
-    and U0 = T at lo = 0 (chi(0) = chi(f0) = 0).  A block of _RESIDUE_BLOCK
-    residues shifts its columns p^l (T_l - Q_l(s)) by t and p^l Q_l(s) by
-    t + p f0 at once, so the p (mmax+1)^2 element operations run as C-level
-    passes; a cut is freed after its last block.  f0 = 1: U[m][r] = r^m, U0[m] = 1.
+    Write a = r + p k (1 <= r < p, 0 <= k < f0), j = k + s with s = r p^-1
+    mod f0, and lo for the start of the sweep block of s.  Then chi(a) =
+    chi(p) chi(j mod f0) and a = p (j - lo) + t, t = r - p (s - lo), as j
+    runs over the window [s, s + f0).  So with the window moments D_l(s) =
+    sum_{s <= j < s + f0} chi(j) (j - lo)^l (`_prefix_power_sums`)
+        U[m][r] = chi(p) sum_l C(m,l) t^(m-l) p^l D_l(s),
+    and U0 = D(0) (chi(0) = chi(f0) = 0).  A block of _RESIDUE_BLOCK residues
+    shifts its columns chi(p) p^l D_l(s) by t at once, so the p mmax (mmax+1)/2
+    multiply-adds run as C-level passes; a cut is freed after its last
+    block.  f0 = 1: U[m][r] = r^m, U0[m] = 1.
     """
     f0 = chi.conductor
     mod = p**wk
@@ -526,24 +590,20 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
     vals = value_table(chi)
     pinv = inv_mod(p % f0, f0)
     shifts = [r * pinv % f0 for r in range(1, p)]
-    prefix, frames = _prefix_power_sums(vals, shifts, mmax)
-    ppow = [p**l for l in range(mmax + 1)]
-    chi_p = vals[p % f0]
+    windows, total = _prefix_power_sums(vals, shifts, mmax)
+    scale = [vals[p % f0] * p**l for l in range(mmax + 1)]  # chi(p) p^l
     U = [[0] for _ in range(mmax + 1)]
     for i in range(0, p - 1, _RESIDUE_BLOCK):
         block = shifts[i:i + _RESIDUE_BLOCK]
-        los = [prefix[s][0] for s in block]
-        ts = [r - p * (s - lo) for r, s, lo in zip(range(i + 1, p), block, los)]
-        # the block's high sums (shifted by t), then its low ones (t + p f0)
+        ts = [r - p * (s - windows[s][0]) for r, s in zip(range(i + 1, p), block)]
         cols = []
-        for q, tot, col in zip(ppow, zip(*map(frames.__getitem__, los)),
-                               zip(*[prefix[s][1] for s in block])):
-            cols += [(a - b) * q % mod for a, b in zip(tot, col)] + [b * q % mod for b in col]
+        for q, col in zip(scale, zip(*[windows[s][1] for s in block])):
+            cols += [d * q % mod for d in col]
         for s in compress(block, map((p - f0).__le__, range(i + 1, p))):
-            del prefix[s]  # r + f0 >= p: no later residue r + f0 reads s
-        for Um, c in zip(U, _binomial_shift(cols, ts + [t + p * f0 for t in ts])):
-            Um.extend([chi_p * (x + y) % mod for x, y in zip(c, c[len(ts):])])
-    return U, [x % mod for x in frames[0]]
+            del windows[s]  # r + f0 >= p: no later residue r + f0 reads s
+        for Um, c in zip(U, _binomial_shift(cols, ts)):
+            Um.extend([x % mod for x in c])
+    return U, [x % mod for x in total]
 
 
 def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,

@@ -3,16 +3,17 @@
 `_oracle_power_tables` is the per-residue pass the prefix-sum sweep
 replaced: it visits every a <= f0 p and is kept here only as the reference
 the sweep must equal exactly.  `_oracle_residue_tables` is the power tables
-before the residue-major shift: two scalar binomial shifts per residue
-r mod p.  `_oracle_prefix_power_sums` is the sweep before packed block
-moments: it builds chi(j) j^l with one multiply per residue and power.
+before the residue-major shift and the window sums: two scalar binomial
+shifts per residue r mod p, of the sums above and below its cut.
+`_oracle_prefix_power_sums` is the sweep before packed block moments: it
+builds chi(j) j^l with one multiply per residue and power.
 `_oracle_omega` lifts every residue with its own `teichmuller` call and
 raises it with `pow`.
 """
 
 import random
 from array import array
-from itertools import compress
+from itertools import compress, groupby
 
 import pytest
 
@@ -30,7 +31,10 @@ from eiscong.measures import (
     _branch_nodes,
     _power_tables,
     _prefix_power_sums,
+    _signs,
     _teichmuller_powers,
+    _wraps_by_rows,
+    _wraps_by_shift,
     bernoulli_family,
     stabilize,
     StabilizationParams,
@@ -85,14 +89,13 @@ def _oracle_residue_tables(chi, p, wk, mmax):
     mod = p**wk
     vals = value_table(chi)
     shifts = [r * pow(p, -1, f0) % f0 for r in range(1, p)]
-    prefix, frames = _prefix_power_sums(vals, shifts, mmax)
-    total = frames[0]
+    prefix, total = _oracle_prefix_power_sums(vals, shifts, mmax)
     ppow = [p**l for l in range(mmax + 1)]
     chi_p = vals[p % f0]
     U = [[0] * p for _ in range(mmax + 1)]
     for r, s in zip(range(1, p), shifts):
         t = r - p * s
-        at = _oracle_shift(prefix[s][1], prefix[s][0])  # from the frame of lo to that of 0
+        at = prefix[s]
         high = [(a - b) * q % mod for a, b, q in zip(total, at, ppow)]
         low = [b * q % mod for b, q in zip(at, ppow)]
         for m, (x, y) in enumerate(zip(_oracle_shift(high, t), _oracle_shift(low, t + p * f0))):
@@ -217,6 +220,32 @@ class TestResidueBlocks:
         monkeypatch.setattr(measures, "_RESIDUE_BLOCK", block)
         self._assert_both_oracles(D, p, 12, 15)
 
+    # small sweep and residue blocks together: cuts on block starts, at s = 0
+    # when p > f0, and (sweep block 7, mmax = 1) the shift side of the rule
+    @pytest.mark.parametrize("sweep,block", [(1, 3), (2, 1), (3, 2), (7, 1), (7, 3)])
+    @pytest.mark.parametrize("D,p,mmax", [(13, 31, 15), (5, 13, 15), (-163, 11, 1), (1009, 101, 1)])
+    def test_small_sweep_and_residue_blocks(self, monkeypatch, sweep, block, D, p, mmax):
+        monkeypatch.setattr(measures, "_SWEEP_BLOCK", sweep)
+        monkeypatch.setattr(measures, "_RESIDUE_BLOCK", block)
+        self._assert_both_oracles(D, p, 12, mmax)
+
+    # the two sides of the wrap-term rule in _prefix_power_sums: branch-prime
+    # shapes (every residue a cut of a short conductor) read the in-block wrap
+    # off packed rows, p = 3, 5, 7 on conductors in the thousands shift the cuts
+    @pytest.mark.parametrize("D,p,side", [
+        (13, 101, "rows"), (104, 101, "rows"), (41, 107, "rows"), (328, 107, "rows"),
+        (2557, 3, "shift"), (3389, 5, "shift"), (-4003, 7, "shift"), (8 * 1009, 5, "shift"),
+    ])
+    def test_both_sides_of_the_wrap_rule(self, monkeypatch, D, p, side):
+        ran = []
+        for name in ("_wraps_by_rows", "_wraps_by_shift"):
+            def spy(*args, name=name, helper=getattr(measures, name)):
+                ran.append(name)
+                return helper(*args)
+            monkeypatch.setattr(measures, name, spy)
+        self._assert_both_oracles(D, p, 33, 15)
+        assert ran == ["_wraps_by_" + side]
+
     # p < f0, and p > f0 with cuts shared within a block and across blocks
     @pytest.mark.parametrize("D,p,block", [(328, 3, 1), (13, 31, 2), (12, 263, 256),
                                            (-20, 769, 256), (5, 13, 3)])
@@ -228,9 +257,9 @@ class TestResidueBlocks:
         sweep = measures._prefix_power_sums
 
         def spy(*args):
-            prefix, frames = sweep(*args)
-            sweeps.append(prefix)
-            return prefix, frames
+            windows, total = sweep(*args)
+            sweeps.append(windows)
+            return windows, total
 
         monkeypatch.setattr(measures, "_prefix_power_sums", spy)
         _power_tables(kronecker_character(D), p, 12, 6)
@@ -246,15 +275,16 @@ class TestResidueBlocks:
 
 
 def _assert_sweep_equals_oracle(vals, cuts, mmax):
-    # each read and frame total, moved from the frame of its block start lo
-    # to that of 0, must equal the oracle's prefix sums exactly
-    at, frames = _prefix_power_sums(vals, cuts, mmax)
-    want, total = _oracle_prefix_power_sums(vals, cuts, mmax)
-    n = min(measures._SWEEP_BLOCK, len(vals))
+    # each window, moved from the frame of its block start lo to that of 0,
+    # must equal T - P(s) + shift_f(P(s)) from the oracle's prefix sums P
+    at, total = _prefix_power_sums(vals, cuts, mmax)
+    prefix, T = _oracle_prefix_power_sums(vals, cuts, mmax)
+    f = len(vals)
+    n = min(measures._SWEEP_BLOCK, f)
     assert all(lo == s - s % n for s, (lo, _) in at.items())
-    assert {s: _oracle_shift(m, lo) for s, (lo, m) in at.items()} == want
-    assert set(frames) == {0} | {lo for lo, _ in at.values()}
-    assert all(_oracle_shift(t, lo) == total for lo, t in frames.items())
+    assert {s: _oracle_shift(m, lo) for s, (lo, m) in at.items()} == {
+        s: [t - a + b for t, a, b in zip(T, P, _oracle_shift(P, f))] for s, P in prefix.items()}
+    assert total == T
 
 
 def _branch_cuts(f0, p):
@@ -312,6 +342,40 @@ class TestPrefixSweep:
     def test_no_cuts(self):
         vals = array("b", [1, -1, 0, 1]) * (B // 2 + 1)
         _assert_sweep_equals_oracle(vals, [], 7)
+
+
+def _oracle_in_block(vals, cuts, n, mmax):
+    """{s: (q, w)}: q_l = sum vals[j] (j - lo)^l and w_l = sum vals[j] ((j - lo + f)^l - (j - lo)^l)
+    over lo <= j < s, lo = s - s % n, by one power per residue and moment."""
+    f = len(vals)
+    out = {}
+    for s in sorted(set(cuts)):
+        lo = s - s % n
+        js = range(lo, s)
+        out[s] = ([sum(vals[j] * (j - lo)**l for j in js) for l in range(mmax + 1)],
+                  [sum(vals[j] * ((j - lo + f)**l - (j - lo)**l) for j in js) for l in range(mmax + 1)])
+    return out
+
+
+class TestWrapTerm:
+    """The in-block wrap term both ways on one input, whichever the rule would pick."""
+
+    @pytest.mark.parametrize("block", (1, 2, 3, 7, B))
+    @pytest.mark.parametrize("D,p,mmax", [
+        (13, 31, 15),                                      # p > f0: a cut at s = 0
+        (-163, 11, 15), (328, 107, 15), (3389, 5, 15), (2557, 7, 29), (-4003, 3, 0),
+        (1009, 13, 1),
+    ])
+    def test_rows_equal_the_shift(self, block, D, p, mmax):
+        vals = value_table(kronecker_character(D))
+        f = len(vals)
+        n = min(block, f)
+        cuts = sorted(set(_branch_cuts(f, p)))
+        want = _oracle_in_block(vals, cuts, n, mmax)
+        held = [(lo, list(g)) for lo, g in groupby(cuts, lambda s: s - s % n)]
+        by_rows = dict(_wraps_by_rows(_signs(vals), held, n, mmax, f))
+        by_shift = dict(_wraps_by_shift({s: q for s, (q, _) in want.items()}, f))
+        assert by_rows == by_shift == {s: w for s, (_, w) in want.items()}
 
 
 class TestTeichmullerTable:
