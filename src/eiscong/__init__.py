@@ -2,7 +2,7 @@
 
 Modules:
   quadfield   real quadratic fields, units, factored ideals
-  characters  Dirichlet characters, Gauss sums, induced Hecke characters
+  characters  Dirichlet characters, induced Hecke characters
   lseries     exact L-values at non-positive integers
   eisenstein  coefficient systems, Hecke action, congruence scanner
   padic       p-adic scalars with explicit precision

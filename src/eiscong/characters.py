@@ -1,7 +1,7 @@
-"""Exact Dirichlet characters, Gauss sums, and quadratic Hecke characters.
+"""Exact Dirichlet characters and quadratic Hecke characters.
 
 Quadratic characters are Kronecker symbols of fundamental discriminants and
-evaluate to -1/0/+1 directly.  Characters of higher order store logarithms
+take the values -1/0/+1 directly.  Characters of higher order store logarithms
 against unit-group generators and take values as exact powers of a root of
 unity; sums over values are accumulated in Q[x]/(x^e - 1) and reduced mod
 the cyclotomic polynomial only for comparison, which keeps everything exact.
@@ -89,13 +89,6 @@ class CycSum:
                 for j in range(len(phi)):
                     work[i - deg + j] -= c * phi[j]
         return tuple(work[:deg])
-
-    def as_rational(self) -> Fraction:
-        """The value as a rational; raises if it is not one."""
-        can = self.canonical()
-        if any(c for c in can[1:]):
-            raise ValueError("value is not rational")
-        return can[0]
 
     def equals(self, other: "CycSum") -> bool:
         assert self.e == other.e
@@ -414,52 +407,6 @@ def value_table(chi: DirichletCharacter) -> array:
 
 
 # ---------------------------------------------------------------------------
-# Gauss sums
-
-
-@dataclass(frozen=True)
-class QuadraticGaussSum:
-    """Gauss sum of a primitive quadratic character, exactly sqrt(f) or i*sqrt(f).
-
-    The sign is Gauss's theorem: +sqrt(f) for even characters, +i*sqrt(f)
-    for odd ones.
-    """
-
-    conductor: int
-    imaginary: bool
-
-    def abs_squared(self) -> int:
-        return self.conductor
-
-    def __str__(self):
-        return ("i*" if self.imaginary else "") + f"sqrt({self.conductor})"
-
-
-def gauss_sum(chi: DirichletCharacter):
-    """tau(chi) = sum_a chi(a) e(a/f), exactly.
-
-    Order <= 2 gives 1 or a QuadraticGaussSum.  Beyond, chi(a) = zeta_e^k
-    and e(a/f) = zeta_f^a, so the sum lies in Q(zeta_L), L = lcm(e, f): the
-    result is a CycSum(L) with one term at exponent k L/e + a L/f.
-    """
-    if not chi.is_primitive():
-        raise ValueError("gauss_sum requires a primitive character")
-    if chi.order == 1:
-        return 1
-    if chi.order == 2:
-        return QuadraticGaussSum(chi.conductor, chi.parity == ODD)
-    f = chi.conductor
-    e = chi.zeta_order_eff()
-    big = math.lcm(e, f)
-    total = CycSum(big)
-    for a in range(1, f):
-        k = chi.value_exp(a)
-        if k is not None:
-            total.add_term(k * (big // e) + a * (big // f), 1)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # quadratic Hecke characters of F, presented by their induced pair
 
 
@@ -488,9 +435,6 @@ class HeckeCharacterQF:
         if self.kind == "trivial":
             return (EVEN, EVEN)
         return (self.chi1.parity, self.chi2.parity)
-
-    def is_totally_even(self) -> bool:
-        return self.signature() == (EVEN, EVEN)
 
     def to_json(self) -> dict:
         return {

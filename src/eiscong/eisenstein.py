@@ -13,7 +13,7 @@ fundamental-unit order test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from .characters import HeckeCharacterQF, induce_quadratic, trivial_hecke
 from .lseries import LValueRecord, hecke_L_neg_induced
 from .quadfield import (
@@ -152,67 +152,6 @@ def hecke_U(sys: CoefficientSystem, q: IdealQF) -> CoefficientSystem:
     new_bound = sys.bound // q.norm
     out = {m: sys.coeffs[ideal_mul(m, q)] for m in sys.coeffs if m.norm <= new_bound}
     return CoefficientSystem(sys.field, new_bound, out, sys.s_char, sys.level)
-
-
-class _TwistedScalar:
-    def __init__(self, base, chi):
-        self.base = base
-        self.chi = chi
-
-    def value_on_ideal(self, a):
-        v = self.chi.value_on_ideal(a)
-        return self.base.value_on_ideal(a) * v * v
-
-
-def twist(sys: CoefficientSystem, chi: HeckeCharacterQF) -> CoefficientSystem:
-    """C(a) -> C(a) chi(a); the S-scalar picks up chi^2."""
-    out = {a: c * chi.value_on_ideal(a) for a, c in sys.coeffs.items()}
-    return CoefficientSystem(sys.field, sys.bound, out,
-                             _TwistedScalar(sys.s_char, chi),
-                             ideal_mul(sys.level, chi.modulus_ideal))
-
-
-@dataclass
-class EigenReport:
-    ok: bool
-    degenerate: bool = False
-    failures: list = dataclass_field(default_factory=list)  # (op, q, ideal, expected, got)
-    checked: int = 0
-
-
-def is_eigenform(sys: CoefficientSystem, primes: list[IdealQF],
-                 expected: dict | None = None) -> EigenReport:
-    """Check sys|V(q) = lambda_q sys on the shrunken bound for each prime q.
-
-    Expected eigenvalues default to C(q) for U(q) (q | level) and must be
-    supplied (or derivable) for T(q).  A zero system is flagged degenerate.
-    """
-    report = EigenReport(ok=True)
-    if all(not c for c in sys.coeffs.values()):
-        report.degenerate = True
-        return report
-    for q in primes:
-        if q.coprime_to(sys.level):
-            lam = (expected or {}).get(q)
-            if lam is None:
-                raise ValueError(f"no expected T-eigenvalue for {q}")
-            image = hecke_T(sys, q)
-            opname = "T"
-        else:
-            lam = (expected or {}).get(q, sys.coeffs.get(q))
-            if lam is None:
-                raise ValueError(f"bound too small to read U-eigenvalue at {q}")
-            image = hecke_U(sys, q)
-            opname = "U"
-        for m in image.ideals():
-            got = image.at(m)
-            want = lam * sys.at(m)
-            report.checked += 1
-            if got != want:
-                report.ok = False
-                report.failures.append((opname, str(q), str(m), want, got))
-                break
-    return report
 
 
 @dataclass

@@ -15,7 +15,6 @@ from itertools import accumulate
 from math import comb
 
 from .arith import is_prime, val_p
-from .characters import cyclotomic_poly
 from .padic import PadicScalar, binomial_row, inv_mod, unit_log_ratio
 
 
@@ -84,15 +83,20 @@ class IwasawaElement:
         coefficient past the end of the list, is stated to precision N.
 
         A missing key raises KeyError.  Input of the wrong shape raises
-        ValueError: not an object, p, N or M not a non-negative integer, p
-        not prime, coeffs not a list of digit strings or longer than M, or a
-        digit outside [0, p).
+        ValueError: not an object, p, N or M not a non-negative integer, M
+        zero, p not prime, coeffs not a list of digit strings or longer than
+        M, a digit outside [0, p), or pole_factor not a boolean.
         """
         if not isinstance(obj, dict):
             raise ValueError("a serialized series must be a JSON object")
         p, n, m = obj["p"], obj["N"], obj["M"]
         if not all(type(x) is int and x >= 0 for x in (p, n, m)):
             raise ValueError("p, N and M must be non-negative integers")
+        if m == 0:
+            raise ValueError("M must be positive: a series needs a coefficient")
+        pole = obj.get("pole_factor", False)
+        if type(pole) is not bool:
+            raise ValueError("pole_factor must be a boolean")
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         coeffs = obj["coeffs"]
@@ -102,7 +106,7 @@ class IwasawaElement:
             raise ValueError(f"{len(coeffs)} coefficients exceed M = {m}")
         res = [parse_digit_string(s, p) for s in coeffs] + [0] * (m - len(coeffs))
         prec = [max(n, s.count(",") + 1 if s else 0) for s in coeffs] + [n] * (m - len(coeffs))
-        return IwasawaElement(p, n, m, res, prec, obj.get("pole_factor", False))
+        return IwasawaElement(p, n, m, res, prec, pole)
 
     # -- ring operations ----------------------------------------------------
     def _common(self, other: "IwasawaElement"):
@@ -116,14 +120,6 @@ class IwasawaElement:
         res = [(a + b) % self.p**k for a, b, k in zip(self.res, other.res, prec)]
         return IwasawaElement(self.p, min(prec), m, res[:m], prec[:m],
                               self.pole_factor or other.pole_factor)
-
-    def __neg__(self) -> "IwasawaElement":
-        return IwasawaElement(self.p, self.p_prec, self.t_prec,
-                              [-r % self.p**k if k else 0 for r, k in zip(self.res, self.prec)],
-                              list(self.prec), self.pole_factor)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other: "IwasawaElement") -> "IwasawaElement":
         m = self._common(other)
@@ -275,7 +271,7 @@ def weierstrass_prepare(f: IwasawaElement) -> WeierstrassData:
 
 
 # ---------------------------------------------------------------------------
-# Euler factors and evaluation
+# Euler factors
 
 
 def euler_factor(chi_q, n_q: int, u: int, p: int, N: int, M: int) -> IwasawaElement:
@@ -318,50 +314,3 @@ def reflect(f: IwasawaElement) -> IwasawaElement:
         (-1) ** i * sum(comb(i - 1, j - 1) * f.res[j] for j in range(1, i + 1))
         for i in range(1, f.t_prec)]
     return IwasawaElement(f.p, min(prec), f.t_prec, out, prec, f.pole_factor)
-
-
-@dataclass
-class ExtensionValue:
-    """Value in Zp[zeta_{p^k}] as a vector in powers of (zeta - 1)."""
-
-    p: int
-    k: int
-    coeffs: list  # length phi(p^k), integers mod p^prec
-    prec: int  # conservative p-precision of the vector entries
-
-
-def evaluate(f: IwasawaElement, point="T=0"):
-    """f at T = 0 (a PadicScalar) or at zeta - 1 for zeta of order p^k.
-
-    For k >= 1 pass ("zeta", k); the value is returned as an integer vector
-    against powers of (zeta - 1): the remainder of f(X), mod p^n for
-    n = f.min_prec(), by the monic Eisenstein polynomial Phi_{p^k}(1+X) of
-    zeta - 1, whose X^j coefficient is sum_i phi_i C(i, j) for
-    Phi_{p^k}(Y) = sum_i phi_i Y^i.  Truncation at T^M costs
-    floor(M / phi(p^k)) digits, which is reflected in the declared
-    precision.
-    """
-    if point == "T=0":
-        if f.pole_factor:
-            raise ValueError("divide by ((1+T)-u) externally; see kubota_leopoldt")
-        return f.coefficient(0)
-    tag, k = point
-    if tag != "zeta" or k < 1:
-        raise ValueError("point must be 'T=0' or ('zeta', k)")
-    p = f.p
-    e = p ** (k - 1) * (p - 1)  # degree of the extension
-    n = f.min_prec()
-    mod = p**n
-    phi = cyclotomic_poly(p**k)
-    eis = [sum(c * comb(i, j) for i, c in enumerate(phi)) for j in range(e + 1)]
-    assert eis[e] == 1
-    # f mod eis: replace X^i (i >= e) by -X^(i-e) * sum_{j<e} eis_j X^j, top down
-    rem = list(f.res) + [0] * e
-    for i in range(len(rem) - 1, e - 1, -1):
-        c = rem[i] % mod
-        if c:
-            for j in range(e):
-                rem[i - e + j] -= c * eis[j]
-    acc = [c % mod for c in rem[:e]]
-    prec = min(n, f.t_prec // e)
-    return ExtensionValue(p, k, acc, prec)

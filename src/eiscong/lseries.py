@@ -31,7 +31,6 @@ from itertools import compress, repeat
 
 from .arith import factorize, primes_up_to
 from .characters import CycSum, DirichletCharacter, HeckeCharacterQF, value_table
-from .quadfield import IdealQF
 
 BERNOULLI_CAP = 10**4
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
@@ -181,18 +180,12 @@ def gen_bernoulli(chi: DirichletCharacter, n: int):
 
 @dataclass
 class LValueRecord:
-    """An exact special value L(s, character) with its stripping history."""
+    """An exact special value L(s, character)."""
 
     character: object
     s: int
     value: Fraction
-    stripped: tuple = ()
     flags: tuple = dataclass_field(default_factory=tuple)
-
-    @property
-    def weight(self) -> int:
-        """n with s = 1 - n."""
-        return 1 - self.s
 
     def factorization(self, rho_iters: int = 200000):
         """Prime factorization of the numerator; None on rho failure."""
@@ -227,22 +220,3 @@ def hecke_L_neg_induced(eps: HeckeCharacterQF, n: int) -> LValueRecord:
     return LValueRecord(eps, 1 - n, l1.value * l2.value,
                         flags=tuple(set(l1.flags + l2.flags)))
 
-
-def strip_euler(rec: LValueRecord, sigma0) -> LValueRecord:
-    """Multiply by prod_{q in sigma0} (1 - eps(q) N(q)^(n-1)) at s = 1-n.
-
-    Primes dividing the conductor contribute the factor 1 (eps(q) = 0).
-    The exponent is n - 1: the factor is 1 - eps(q) N(q)^(-s) specialized
-    to s = 1 - n.
-    """
-    eps = rec.character
-    n = rec.weight
-    val = rec.value
-    stripped = list(rec.stripped)
-    for q in sigma0:
-        if not isinstance(q, IdealQF):
-            raise TypeError("sigma0 must contain ideals")
-        ev = eps.value_on_ideal(q) if isinstance(eps, HeckeCharacterQF) else eps(q.norm)
-        val *= 1 - ev * Fraction(q.norm) ** (n - 1)
-        stripped.append(q)
-    return LValueRecord(eps, rec.s, val, tuple(stripped), rec.flags)

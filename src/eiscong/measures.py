@@ -813,7 +813,13 @@ def branch_product(chi1: DirichletCharacter, chi2: DirichletCharacter,
     u = 1 + p.  Reports lambda/mu of each part and the additivity verdict:
     lambda and mu of the product equal the sums over the branches and the
     Euler factors, all certified.
+
+    A trivial chi1 or chi2 is refused before either branch is computed: its
+    omega^0 branch is the pole branch, which has no lambda/mu invariants.
     """
+    if chi1.is_trivial() or chi2.is_trivial():
+        raise ValueError("a trivial branch character gives the pole branch (omega^0), "
+                         "which has no lambda/mu invariants")
     u = 1 + p
     f1 = kubota_leopoldt(chi1, p, N, M)
     f2 = kubota_leopoldt(chi2, p, N, M)

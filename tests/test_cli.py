@@ -280,6 +280,20 @@ class TestPadicL:
         res = branch_product(kronecker_character(40), kronecker_character(8), [], 7, 3, 6)
         assert json.loads(out)["series"] == res.series.to_json()
 
+    def test_trivial_branch_character_is_refused_first(self, capsys, monkeypatch):
+        # chi1_disc 1 is the trivial character, whose omega^0 branch is the
+        # pole branch; neither branch may be computed before the refusal
+        from eiscong import measures
+
+        def no_branch(*args, **kwargs):
+            raise AssertionError("a branch was computed")
+
+        monkeypatch.setattr(measures, "kubota_leopoldt", no_branch)
+        code, out = run_cli(["padic-l", "--branch", '{"chi1_disc":1,"chi2_disc":5}',
+                             "--p", "13417"])
+        assert code == 2 and out == ""
+        assert "pole" in json.loads(capsys.readouterr().err)["error"]
+
     def test_branch_missing_key_exit_code(self):
         code, _ = run_cli(["padic-l", "--branch", '{"chi1_disc":5}', "--p", "7"])
         assert code == 2

@@ -1,4 +1,4 @@
-"""Lambda/mu invariants, Weierstrass preparation, Euler factors, evaluation."""
+"""Lambda/mu invariants, Weierstrass preparation, Euler factors, serialization."""
 
 import random
 import pytest
@@ -9,7 +9,6 @@ from eiscong.iwasawa import (
     IwasawaElement,
     digit_string,
     euler_factor,
-    evaluate,
     lambda_mu,
     parse_digit_string,
     reflect,
@@ -176,43 +175,11 @@ class TestEulerFactor:
 class TestEvaluate:
     def test_at_zero(self):
         f = IwasawaElement.from_integers(5, 8, 6, [1, 1])
-        v = evaluate(f)
-        assert v.residue_mod(8) == 1
+        assert f.coefficient(0).residue_mod(8) == 1
 
     def test_euler_at_zero(self):
         e = euler_factor(1, 36, 6, 5, 8, 10)
-        v = evaluate(e)
-        assert v.residue_mod(8) == (1 - pow(36, -1, 5**8)) % 5**8
-
-    def test_one_plus_T_at_zeta(self):
-        f = IwasawaElement.from_integers(5, 8, 12, [1, 1])
-        ev = evaluate(f, ("zeta", 1))
-        assert ev.coeffs[:2] == [1, 1] and all(c == 0 for c in ev.coeffs[2:])
-
-    def test_minimal_polynomial_vanishes_at_zeta(self):
-        # (1+T)^(p^k) - 1 evaluates to zero at zeta of order p^k
-        import math as _math
-
-        for p, k in ((5, 1), (5, 2), (7, 1)):
-            q = p**k
-            coeffs = [_math.comb(q, j) for j in range(q + 1)]
-            coeffs[0] -= 1
-            f = IwasawaElement.from_integers(p, 6, q + 1, coeffs)
-            ev = evaluate(f, ("zeta", k))
-            mod = p**ev.prec if ev.prec else 1
-            assert all(c % mod == 0 for c in ev.coeffs)
-
-    def test_binomial_power_at_zeta(self):
-        # (1+T)^c at zeta of order p is zeta^(c mod p)
-        p, c = 5, 7
-        from eiscong.padic import binomial_row
-
-        row = binomial_row(c, 30, p, 8)
-        f = IwasawaElement.from_integers(p, 8, 30, row)
-        ev = evaluate(f, ("zeta", 1))
-        # zeta^7 = zeta^2 = (1+X)^2 = 1 + 2X + X^2
-        want = [1, 2, 1, 0]
-        assert [c % 5**ev.prec for c in ev.coeffs] == [w % 5**ev.prec for w in want]
+        assert e.res[0] == (1 - pow(36, -1, 5**8)) % 5**8
 
 
 class TestReflection:
@@ -304,33 +271,6 @@ class TestClosedFormsAgainstOracles:
         assert ser.prec == [8, 2, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0]
         assert reflect(ser).prec == ser.prec
 
-    def test_evaluate_is_substitution_into_cyclotomic_sums(self):
-        # f(zeta - 1) in Q[x]/(x^q - 1), reduced mod Phi_q, against the
-        # (zeta - 1)-power vector that evaluate returns, mapped the same way
-        from eiscong.characters import CycSum
-
-        def at_zeta_minus_one(coeffs, q):
-            x_minus_1 = CycSum(q, [-1, 1] + [0] * (q - 2))
-            acc = CycSum(q)
-            for c in reversed(coeffs):
-                acc = acc * x_minus_1 + CycSum(q, [c] + [0] * (q - 1))
-            return acc.canonical()
-
-        rng = random.Random(43)
-        for _ in range(40):
-            p = rng.choice((3, 5, 7))
-            k = 1 if p == 7 else rng.choice((1, 2))
-            q = p**k
-            N, M = rng.randint(1, 6), rng.randint(1, 2 * q)
-            f = random_element(rng, p, N, M)
-            mod = p ** f.min_prec()
-            ev = evaluate(f, ("zeta", k))
-            assert len(ev.coeffs) == q - q // p
-            assert ev.prec == min(f.min_prec(), M // (q - q // p))
-            want = at_zeta_minus_one(f.res, q)
-            got = at_zeta_minus_one(ev.coeffs, q)
-            assert [c % mod for c in got] == [c % mod for c in want]
-
 
 class TestSerialization:
     def test_digit_strings_roundtrip(self):
@@ -383,8 +323,12 @@ class TestSerialization:
         {"p": 6, "N": 4, "M": 6, "coeffs": ["1"]},           # p not prime
         {"p": 5, "N": 4, "M": 6, "coeffs": ["1,5"]},         # digit >= p
         {"p": 5, "N": 4, "M": 2, "coeffs": ["1", "", "1"]},  # more than M
+        {"p": 5, "N": 4, "M": 0, "coeffs": []},              # no coefficient
+        {"p": 5, "N": 4, "M": 6, "coeffs": ["1"], "pole_factor": "no"},
+        {"p": 5, "N": 4, "M": 6, "coeffs": ["1"], "pole_factor": []},
     ], ids=["not-object", "N-not-int", "coeff-not-str", "p-not-prime",
-            "digit-out-of-range", "too-many-coeffs"])
+            "digit-out-of-range", "too-many-coeffs", "M-zero", "pole-factor-str",
+            "pole-factor-list"])
     def test_malformed_input_rejected(self, obj):
         with pytest.raises(ValueError):
             IwasawaElement.from_json(obj)

@@ -16,9 +16,8 @@ from eiscong.lseries import (
     dirichlet_L_neg,
     gen_bernoulli,
     hecke_L_neg_induced,
-    strip_euler,
 )
-from eiscong.quadfield import enumerate_ideals, make_field, principal_ideal
+from eiscong.quadfield import enumerate_ideals, make_field
 
 
 class TestBernoulli:
@@ -155,38 +154,3 @@ class TestLValues:
                     rhs[n1 * n2] += c1 * c2
         for n in range(1, bound + 1):
             assert lhs[n] == rhs[n], n
-
-
-class TestStripEuler:
-    def test_identity_on_empty(self):
-        f = make_field(2)
-        eps = induce_quadratic(f, 20149)
-        rec = hecke_L_neg_induced(eps, 2)
-        assert strip_euler(rec, []).value == rec.value
-
-    def test_conductor_prime_contributes_one(self):
-        f = make_field(2)
-        eps = induce_quadratic(f, 20149)
-        rec = hecke_L_neg_induced(eps, 2)
-        q = principal_ideal(f, 20149)
-        assert strip_euler(rec, [q]).value == rec.value
-
-    def test_inert_three(self):
-        f = make_field(2)
-        eps = induce_quadratic(f, 20149)
-        rec = hecke_L_neg_induced(eps, 2)
-        out = strip_euler(rec, [principal_ideal(f, 3)])
-        assert out.value == rec.value * (1 - 1 * 9)
-
-    def test_multiplicative_over_disjoint_sets(self):
-        f = make_field(2)
-        eps = induce_quadratic(f, 5)
-        rec = hecke_L_neg_induced(eps, 2)
-        q3 = principal_ideal(f, 3)
-        q7 = principal_ideal(f, 7)
-        both = strip_euler(rec, [q3, q7])
-        one_then_other = strip_euler(strip_euler(rec, [q3]), [q7])
-        assert both.value == one_then_other.value
-        f1 = strip_euler(rec, [q3]).value / rec.value
-        f2 = strip_euler(rec, [q7]).value / rec.value
-        assert both.value == rec.value * f1 * f2
