@@ -1,10 +1,12 @@
-"""Exact Dirichlet characters and quadratic Hecke characters.
+"""Exact Dirichlet characters and the quadratic Hecke character eps.
 
 Quadratic characters are Kronecker symbols of fundamental discriminants and
-take the values -1/0/+1 directly.  Characters of higher order store logarithms
-against unit-group generators and take values as exact powers of a root of
-unity; sums over values are accumulated in Q[x]/(x^e - 1) and reduced mod
-the cyclotomic polynomial only for comparison, which keeps everything exact.
+take the values -1/0/+1 directly; the trivial character is the Kronecker
+symbol of D = 1 (order 1, conductor 1).  Characters of higher order store
+logarithms against unit-group generators and take values as exact powers of
+a root of unity; sums over values are accumulated in Q[x]/(x^e - 1) and
+reduced mod the cyclotomic polynomial only for comparison, which keeps
+everything exact.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import crt, factorize, fundamental_discriminant, kronecker
-from .quadfield import IdealQF, RealQuadraticField, principal_ideal, unit_ideal
+from .quadfield import IdealQF, RealQuadraticField, principal_ideal
 
 EVEN = "even"
 ODD = "odd"
@@ -199,8 +201,9 @@ def is_fundamental_discriminant(D: int) -> bool:
 class DirichletCharacter:
     """Exact Dirichlet character; quadratic fast path via Kronecker symbols.
 
-    `kind` is "kronecker" (fundamental discriminant D), "trivial", or
-    "generic" (log-values against the unit-group generators of the modulus).
+    `kind` is "kronecker" (fundamental discriminant D; D = 1 is the trivial
+    character) or "generic" (log-values against the unit-group generators of
+    the modulus).
     """
 
     def __init__(self, modulus: int, kind: str, D: int = 0,
@@ -212,22 +215,14 @@ class DirichletCharacter:
         self.zeta_order = zeta_order
         if kind == "kronecker":
             self.conductor = abs(D)
-            self.order = 2
+            self.order = 1 if D == 1 else 2
             self.parity = EVEN if D > 0 else ODD
-        elif kind == "trivial":
-            self.conductor = 1
-            self.order = 1
-            self.parity = EVEN
         else:
             ords = [zeta_order // math.gcd(zeta_order, k) if k else 1
                     for k in log_values]
             self.order = math.lcm(*ords) if ords else 1
             self.parity = EVEN if self._log_at(-1) == 0 else ODD
             self.conductor = self._conductor()
-
-    @staticmethod
-    def trivial(modulus: int = 1) -> "DirichletCharacter":
-        return DirichletCharacter(modulus, "trivial")
 
     @staticmethod
     def generic(modulus: int, log_values: tuple[int, ...]) -> "DirichletCharacter":
@@ -255,8 +250,6 @@ class DirichletCharacter:
         """Value as an integer; only meaningful for order <= 2."""
         if self.kind == "kronecker":
             return kronecker(self.D, a)
-        if self.kind == "trivial":
-            return 1
         if self.order > 2:
             raise ValueError("character has order > 2; use value_exp")
         k = self.value_exp(a)
@@ -266,8 +259,6 @@ class DirichletCharacter:
 
     def value_exp(self, a: int) -> int | None:
         """k with chi(a) = zeta^k, zeta of order zeta_order_eff(); None if 0."""
-        if self.kind == "trivial":
-            return 0
         if math.gcd(a, self.modulus) != 1:
             return None
         if self.kind == "kronecker":
@@ -277,8 +268,6 @@ class DirichletCharacter:
     def zeta_order_eff(self) -> int:
         if self.kind == "kronecker":
             return 2
-        if self.kind == "trivial":
-            return 1
         return self.zeta_order
 
     def is_primitive(self) -> bool:
@@ -291,11 +280,7 @@ class DirichletCharacter:
         return self.order == 1
 
     def mul_quadratic(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        """Product of quadratic/trivial Kronecker characters, coprime discs."""
-        if self.kind == "trivial":
-            return other
-        if other.kind == "trivial":
-            return self
+        """Product of Kronecker characters with coprime discriminants."""
         if self.kind != "kronecker" or other.kind != "kronecker":
             raise NotImplementedError("general character products not supported")
         if math.gcd(self.D, other.D) != 1:
@@ -305,8 +290,6 @@ class DirichletCharacter:
     def __repr__(self):
         if self.kind == "kronecker":
             return f"chi_{self.D}"
-        if self.kind == "trivial":
-            return f"1 mod {self.modulus}"
         return f"chi mod {self.modulus} logs {self.log_values}"
 
 
@@ -318,9 +301,7 @@ def _divisors_of(m: int) -> list[int]:
 
 
 def kronecker_character(D: int) -> DirichletCharacter:
-    """The quadratic character a -> (D|a) of modulus and conductor |D|."""
-    if D == 1:
-        return DirichletCharacter.trivial(1)
+    """The character a -> (D|a) of modulus and conductor |D|; trivial at D = 1."""
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
     return DirichletCharacter(abs(D), "kronecker", D=D)
@@ -386,16 +367,14 @@ def value_table(chi: DirichletCharacter) -> array:
     Taking the components in increasing order keeps the earlier tables
     short, so the work is a few f-byte buffers and no call of chi per
     residue; one `translate` maps the states to -1/0/+1.  The trivial
-    character (f = 1) gives [1].  The result is a signed-byte array.
+    character (f = 1, no components) gives [1].  The result is a signed-byte
+    array.
     """
     if chi.order > 2:
         raise ValueError("value_table needs a character of order <= 2")
-    if chi.kind != "trivial" and not chi.is_primitive():
+    if not chi.is_primitive():
         raise ValueError("value_table needs a primitive character")
-    f = chi.conductor
-    if f == 1:
-        return array("b", [1])
-    fac = factorize(f)
+    fac = factorize(chi.conductor)
     if len(fac) >= 16:
         raise ValueError("a state byte holds fewer than 16 prime components")
     state = b"\x00"
@@ -407,52 +386,41 @@ def value_table(chi: DirichletCharacter) -> array:
 
 
 # ---------------------------------------------------------------------------
-# quadratic Hecke characters of F, presented by their induced pair
+# the quadratic Hecke character eps of F, presented by its induced pair
 
 
 @dataclass(frozen=True)
 class HeckeCharacterQF:
-    """Character of F whose induction to Q splits as chi1 + chi2.
+    """The character eps of F whose induction to Q splits as chi1 + chi2.
 
-    Values on ideals coprime to `modulus_ideal` are chi1(N(a)); ideals
-    sharing a prime with the modulus map to 0.  `kind` distinguishes the
-    induced quadratic family from trivial characters modulo an ideal.
+    Its conductor and its modulus are both `modulus_ideal` = (m).  Values on
+    ideals coprime to (m) are chi1(N(a)); ideals sharing a prime with (m)
+    map to 0.
     """
 
     field: RealQuadraticField
     chi1: DirichletCharacter
     chi2: DirichletCharacter
-    conductor_ideal: IdealQF
     modulus_ideal: IdealQF
-    kind: str = "induced"
-    aux_m: int = 0  # the rational conductor generator, when built by induction
+    aux_m: int  # the rational generator m of the modulus
 
     def value_on_ideal(self, a: IdealQF) -> int:
-        return value_on_ideal(self, a)
-
-    def signature(self) -> tuple[str, str]:
-        """Parities of the induced pair; (even, even) means totally even."""
-        if self.kind == "trivial":
-            return (EVEN, EVEN)
-        return (self.chi1.parity, self.chi2.parity)
+        """eps(a): 0 on ideals meeting the modulus, else chi1(N(a)), multiplicative."""
+        if a.shares_rational_prime(self.modulus_ideal):
+            return 0
+        return self.chi1(a.norm)
 
     def to_json(self) -> dict:
+        modulus = self.modulus_ideal.to_json()
         return {
             "d": self.field.d,
             "m": self.aux_m,
-            "kind": self.kind,
-            "chi1_disc": self.chi1.D if self.chi1.kind == "kronecker" else 1,
-            "chi2_disc": self.chi2.D if self.chi2.kind == "kronecker" else 1,
-            "conductor": self.conductor_ideal.to_json(),
-            "modulus": self.modulus_ideal.to_json(),
+            "kind": "induced",
+            "chi1_disc": self.chi1.D,
+            "chi2_disc": self.chi2.D,
+            "conductor": modulus,
+            "modulus": modulus,
         }
-
-
-def trivial_hecke(field: RealQuadraticField, modulus: IdealQF | None = None) -> HeckeCharacterQF:
-    """The trivial character of F modulo the given ideal (default (1))."""
-    triv = DirichletCharacter.trivial(1)
-    mod = modulus if modulus is not None else unit_ideal(field)
-    return HeckeCharacterQF(field, triv, triv, unit_ideal(field), mod, kind="trivial")
 
 
 def induce_quadratic(field: RealQuadraticField, m: int) -> HeckeCharacterQF:
@@ -472,16 +440,4 @@ def induce_quadratic(field: RealQuadraticField, m: int) -> HeckeCharacterQF:
         raise ValueError("m must be squarefree")
     chi1 = kronecker_character(fundamental_discriminant(m))
     chi2 = kronecker_character(fundamental_discriminant(field.d * m))
-    cond = principal_ideal(field, m)
-    return HeckeCharacterQF(field, chi1, chi2, cond, cond, kind="induced", aux_m=m)
-
-
-def value_on_ideal(eps: HeckeCharacterQF, a: IdealQF) -> int:
-    """eps(a): 0 on ideals meeting the modulus, else chi1(N(a)), multiplicative."""
-    if a.is_one():
-        return 1
-    if a.shares_rational_prime(eps.modulus_ideal):
-        return 0
-    if eps.kind == "trivial":
-        return 1
-    return eps.chi1(a.norm)
+    return HeckeCharacterQF(field, chi1, chi2, principal_ideal(field, m), m)

@@ -1,9 +1,12 @@
-"""Eisenstein coefficient systems, Hecke action, and the congruence scanner.
+"""The Eisenstein series E_2(eps, 1 mod (m)), its Hecke action, the scanner.
 
-Coefficient systems map integral ideals of norm <= bound to exact ring
-elements.  The Hecke action follows the classical double-coset relation
-C(m, f|V(q)) = sum over ideals c containing m + q of N(c) eps(c) C(c^-2 m q);
-for prime q the sum has at most the two terms c = (1) and c = q.
+The series has coefficients C(a) = sum_{c | a} eps(a/c) 1_(m)(c) N(c), with
+1_(m) the trivial character modulo (m): every Euler factor at a prime over
+m is removed.  Coefficient systems map integral ideals of norm <= bound to
+exact ring elements.  The Hecke action follows the classical double-coset
+relation C(m, f|V(q)) = sum over ideals c containing m + q of
+N(c) eps(c) C(c^-2 m q); for prime q the sum has at most the two terms
+c = (1) and c = q.
 
 The scanner reproduces the worked congruence-prime search: candidate primes
 divide the exact value L_F(-1, eps), then must pass the level-coefficient
@@ -14,7 +17,7 @@ fundamental-unit order test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .characters import HeckeCharacterQF, induce_quadratic, trivial_hecke
+from .characters import HeckeCharacterQF, induce_quadratic
 from .lseries import LValueRecord, hecke_L_neg_induced
 from .quadfield import (
     IdealQF,
@@ -30,52 +33,42 @@ from .quadfield import (
 )
 
 
-class ProductCharacter:
-    """Pointwise product psi1 * psi2 on ideals; the S-operator scalar."""
-
-    def __init__(self, psi1: HeckeCharacterQF, psi2: HeckeCharacterQF):
-        self.psi1 = psi1
-        self.psi2 = psi2
-
-    def value_on_ideal(self, a: IdealQF):
-        return self.psi1.value_on_ideal(a) * self.psi2.value_on_ideal(a)
-
-
 @dataclass(frozen=True)
 class EisensteinSeries:
-    """Weight-2 Eisenstein data (psi1, psi2); level is the product of moduli."""
+    """Weight-2 Eisenstein series E_2(eps, 1 mod (m)) of level (m)^2, (m) eps's modulus."""
 
-    psi1: HeckeCharacterQF
-    psi2: HeckeCharacterQF
+    eps: HeckeCharacterQF
 
     @property
     def field(self) -> RealQuadraticField:
-        return self.psi1.field
+        return self.eps.field
 
     @property
     def level(self) -> IdealQF:
-        return ideal_mul(self.psi1.modulus_ideal, self.psi2.modulus_ideal)
+        return ideal_mul(self.eps.modulus_ideal, self.eps.modulus_ideal)
 
-    def character(self) -> ProductCharacter:
-        return ProductCharacter(self.psi1, self.psi2)
+    def character(self) -> HeckeCharacterQF:
+        """The S-operator scalar eps * 1_(m), which equals eps on every ideal."""
+        return self.eps
 
     def local_factor(self, p: int, tag: str, e: int):
-        """L_e = a1 L_(e-1) + a2^e, L_0 = 1, at the prime power q^e, q = (p, tag).
+        """The Euler factor of C at the prime power q^e, q = (p, tag).
 
-        a1 = psi1(q) and a2 = psi2(q) N(q): the Euler factor of C at q^e.
+        0 when q divides (m), else L_e = eps(q) L_(e-1) + N(q)^e, L_0 = 1.
         """
+        if self.eps.aux_m % p == 0:
+            return 0
         q = IdealQF(self.field.d, ((p, tag, 1),))
-        a1 = self.psi1.value_on_ideal(q)
-        a2 = self.psi2.value_on_ideal(q) * q.norm
+        a1 = self.eps.value_on_ideal(q)
         local = 1
         for k in range(1, e + 1):
-            local = a1 * local + a2**k
+            local = a1 * local + q.norm**k
         return local
 
     def coefficient_at(self, a: IdealQF, local_factors: dict | None = None):
-        """C(a) = sum_{c | a} psi1(a/c) psi2(c) N(c), as an Euler product.
+        """C(a) = sum_{c | a} eps(a/c) 1_(m)(c) N(c), as an Euler product.
 
-        Both psi are completely multiplicative, so C is multiplicative and a
+        eps and 1_(m) are completely multiplicative, so C is multiplicative and a
         prime power q^e in a contributes `local_factor`.  `local_factors` maps
         (p, tag, e) to its local factor; it is filled as factors are met, so
         a caller that passes one dict for many ideals computes each once.
@@ -91,7 +84,7 @@ class EisensteinSeries:
         return acc
 
     def t_eigenvalue(self, q: IdealQF):
-        """psi1(q) + psi2(q) N(q) = C(q) for prime q not dividing the level."""
+        """eps(q) + N(q) = C(q) for prime q not dividing the level."""
         return self.coefficient_at(q)
 
 
@@ -114,14 +107,10 @@ class CoefficientSystem:
 
 def eisenstein_coeffs(series: EisensteinSeries, bound: int) -> CoefficientSystem:
     """Coefficients C(a) of the Eisenstein series for N(a) <= bound."""
-    eps = series.character()
-    s1, s2 = series.psi1.signature(), series.psi2.signature()
-    if any(a != b for a, b in zip(s1, s2)):
-        raise ValueError("psi1*psi2 is not totally even; no such series")
     local_factors: dict = {}
     coeffs = {a: series.coefficient_at(a, local_factors)
               for a in enumerate_ideals(series.field, bound)}
-    return CoefficientSystem(series.field, bound, coeffs, eps, series.level)
+    return CoefficientSystem(series.field, bound, coeffs, series.character(), series.level)
 
 
 def hecke_T(sys: CoefficientSystem, q: IdealQF) -> CoefficientSystem:
@@ -193,9 +182,7 @@ class CongruenceReport:
 
 def stripped_eisenstein(field: RealQuadraticField, m: int) -> EisensteinSeries:
     """E_2(eps, 1 mod (m)): both Euler factors at the level primes removed."""
-    eps = induce_quadratic(field, m)
-    one_mod_m = trivial_hecke(field, principal_ideal(field, m))
-    return EisensteinSeries(eps, one_mod_m)
+    return EisensteinSeries(induce_quadratic(field, m))
 
 
 def scan_congruence(field: RealQuadraticField, m: int, *,
@@ -210,7 +197,7 @@ def scan_congruence(field: RealQuadraticField, m: int, *,
     remains an explicit unchecked assumption.
 
     Test (b) asks C(q) != N(q) mod p at some level prime q.  Every level
-    prime lies over a prime dividing m, where psi1 and psi2 vanish, so
+    prime lies over a prime dividing m, where eps and 1_(m) vanish, so
     C(q) = 0 and (b) reads p does not divide N(q): the p | m filter already
     implies it, and `hypothesis_b` is true on every report.
     """

@@ -4,9 +4,12 @@ All values are exact: rationals for quadratic characters, cyclotomic
 rationals otherwise, via generalized Bernoulli numbers
 B_{n,chi} = f^(n-1) sum_{a=1..f} chi(a) B_n(a/f).  No floating point.
 
-For a nontrivial chi of order <= 2, B_{n,chi} = 0 when chi(-1) != (-1)^n,
-and that is returned before any work.  At weight 2 an even chi of conductor
-f > 1 is chi_f, and Siegel's formula for K = Q(sqrt f),
+The trivial character is the Kronecker symbol of D = 1, and
+L(1-n, chi_1) = -B_{n,chi_1}/n is zeta(1-n): B_{n,chi_1} = B_n(1), which is
++1/2 at n = 1, so zeta(0) = -1/2.  For a nontrivial chi of order <= 2,
+B_{n,chi} = 0 when chi(-1) != (-1)^n, and that is returned before any work.
+At weight 2 an even chi of conductor f > 1 is chi_f, and Siegel's formula
+for K = Q(sqrt f),
 zeta_K(-1) = (1/60) sum_{b^2 < f, b = f mod 2} sigma_1((f - b^2)/4)
 (Siegel 1969; Zagier 1977; Cohen, Math. Ann. 217, 1975), together with
 zeta_K(-1) = zeta(-1) L(-1, chi_f) = B_{2,chi_f}/24, gives
@@ -25,7 +28,7 @@ Weights above the Bernoulli cap are rejected before any work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 
@@ -139,8 +142,8 @@ def gen_bernoulli(chi: DirichletCharacter, n: int):
     """B_{n,chi} for chi of modulus equal to its conductor.
 
     Rational for order <= 2, a CycSum otherwise.  For order <= 2:
-      - the trivial character (f = 1) gives B_n(1): B_n for n != 1, +1/2 at
-        n = 1;
+      - conductor 1 (the trivial character) gives B_n(1): B_n for n != 1,
+        +1/2 at n = 1;
       - a nontrivial chi with chi(-1) != (-1)^n gives 0, before any work;
       - at n = 2 the remaining (even) chi is chi_f, and Siegel's divisor sum
         (`_siegel_b2`, see the module docstring) gives
@@ -156,7 +159,7 @@ def gen_bernoulli(chi: DirichletCharacter, n: int):
         raise ValueError("need n >= 1")
     if n > BERNOULLI_CAP:
         raise ValueError(f"weight {n} is above the Bernoulli cap {BERNOULLI_CAP}")
-    if not chi.is_primitive() and chi.kind != "trivial":
+    if not chi.is_primitive():
         raise ValueError("gen_bernoulli needs modulus = conductor")
     f = chi.conductor
     if chi.order <= 2:
@@ -185,7 +188,6 @@ class LValueRecord:
     character: object
     s: int
     value: Fraction
-    flags: tuple = dataclass_field(default_factory=tuple)
 
     def factorization(self, rho_iters: int = 200000):
         """Prime factorization of the numerator; None on rho failure."""
@@ -194,29 +196,18 @@ class LValueRecord:
 
 
 def dirichlet_L_neg(chi: DirichletCharacter, n: int) -> LValueRecord:
-    """L(1-n, chi) = -B_{n,chi}/n, exact.
-
-    The excluded point (trivial chi, n = 1, the zeta pole) returns
-    -B_1 = 1/2 carrying a "non-primitive-at-infinity" flag instead of
-    raising.
-    """
+    """L(1-n, chi) = -B_{n,chi}/n, exact; zeta(0) = -1/2 at the trivial chi."""
     if n < 1:
         raise ValueError("need n >= 1")
-    flags = ()
-    if chi.is_trivial() and n == 1:
-        return LValueRecord(chi, 0, Fraction(1, 2), flags=("non-primitive-at-infinity",))
     b = gen_bernoulli(chi, n)
     if isinstance(b, CycSum):
         raise NotImplementedError("exact L-values only for order <= 2 here")
-    return LValueRecord(chi, 1 - n, -b / n, flags=flags)
+    return LValueRecord(chi, 1 - n, -b / n)
 
 
 def hecke_L_neg_induced(eps: HeckeCharacterQF, n: int) -> LValueRecord:
     """L_F(1-n, eps) as the product of the two induced Dirichlet factors."""
-    if eps.kind != "induced":
-        raise ValueError("need a character from induce_quadratic")
     l1 = dirichlet_L_neg(eps.chi1, n)
     l2 = dirichlet_L_neg(eps.chi2, n)
-    return LValueRecord(eps, 1 - n, l1.value * l2.value,
-                        flags=tuple(set(l1.flags + l2.flags)))
+    return LValueRecord(eps, 1 - n, l1.value * l2.value)
 

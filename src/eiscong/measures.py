@@ -255,8 +255,6 @@ def pair_with_character(fam: LevelFamily, eta: DirichletCharacter):
         return Fraction(0)
     lvl, den = fam.num[nu], fam.den[nu]
     if eta.zeta_order_eff() <= 2:
-        if eta.modulus == 1:
-            return Fraction(sum(lvl), den)
         return Fraction(sum(eta(a) * x for a, x in zip(fam.units(nu), lvl)), den)
     e = eta.zeta_order_eff()
     coeffs = [0] * e
@@ -346,11 +344,11 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
     p, m0, V = fam.p, fam.m0, fam.depth
     if p < 3:
         raise ValueError("p must be an odd prime")
-    if chi_tame.conductor > 1 and m0 % chi_tame.conductor:
+    if m0 % chi_tame.conductor:
         raise ValueError("tame character must have conductor dividing m0")
     if chi_tame.order > 2:
         raise NotImplementedError("tame branch characters of order > 2")
-    if chi_tame.conductor > 1 and not chi_tame.is_primitive():
+    if not chi_tame.is_primitive():
         raise ValueError("tame character must be primitive: it is read from its value table")
     if V < 2:
         raise ValueError("need depth >= 2 for the wild coordinate")

@@ -75,7 +75,10 @@ def test_criterion_2_congruence_scan():
 
 
 def test_criterion_3_eisenstein_eigenforms():
-    """T/U eigen-relations and the prime-power recursion, norms <= 200, exact."""
+    """T/U eigen-relations and the prime-power recursion, norms <= 200, exact.
+
+    U(q) runs at the level prime (5) of m = 5, inert of norm 25, with
+    eigenvalue C(q) = 0; T(q) at every other tested prime."""
     t0 = time.time()
     field = make_field(2)
     failures = []
@@ -83,7 +86,7 @@ def test_criterion_3_eisenstein_eigenforms():
         series = stripped_eisenstein(field, m)
         eps = series.character()
         # coefficients up to 200 * max tested prime norm so every relation closes
-        test_primes = [q for p in (3, 5, 7, 11, 13) if p != m
+        test_primes = [q for p in (3, 5, 7, 11, 13)
                        for q in principal_ideal(field, p).prime_factors()
                        if q.norm <= 25]
         bound = 200 * max(q.norm for q in test_primes)
@@ -170,7 +173,7 @@ def test_criterion_5_kubota_leopoldt_consistency():
         for D in (1, 5, 8, 12):
             if D % p == 0:
                 continue
-            chi = kronecker_character(D) if D > 1 else DirichletCharacter.trivial(1)
+            chi = kronecker_character(D)
             kl = kubota_leopoldt(chi, p, N, M)
             got = kl_value_at_zero(kl, 1 + p)
             want = -_direct_b1(chi, p, N)

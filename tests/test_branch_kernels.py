@@ -19,7 +19,7 @@ import pytest
 
 from eiscong import measures
 from eiscong.arith import val_p
-from eiscong.characters import DirichletCharacter, kronecker_character
+from eiscong.characters import kronecker_character
 from eiscong.iwasawa import IwasawaElement
 from eiscong.lseries import bernoulli
 from eiscong.measures import (
@@ -129,13 +129,10 @@ def _oracle_kubota_leopoldt(chi, p, N, M, omega_power=0):
     return IwasawaElement(p, N, M, res, [N] * M, pole_factor=pole)
 
 
-def _chi(D):
-    return DirichletCharacter.trivial(1) if D == 1 else kronecker_character(D)
-
 
 def _outcome(fn, D, p, N, M, om):
     try:
-        kl = fn(_chi(D), p, N, M, omega_power=om)
+        kl = fn(kronecker_character(D), p, N, M, omega_power=om)
         return [kl.res, kl.prec, kl.pole_factor]
     except (ArithmeticError, ValueError) as e:  # p | conductor: 12, 24, 69 at p = 3
         return [type(e).__name__, str(e)]
@@ -210,10 +207,10 @@ class TestGates:
         big = fit + _CHECK_POINTS
         w = N + big + big // (p - 1) + 10
         u = 1 + p
-        nodes = _oracle_branch_nodes(DirichletCharacter.trivial(1), p, 0, big, w)
+        nodes = _oracle_branch_nodes(kronecker_character(1), p, 0, big, w)
         cleared = [y * PadicScalar.from_rational(t - (u - 1), p, w) for t, y in nodes]
         got = _newton_fit(_integer_nodes(cleared, 0), p, N, M, fit)
-        assert got == kubota_leopoldt(DirichletCharacter.trivial(1), p, N, M).res
+        assert got == kubota_leopoldt(kronecker_character(1), p, N, M).res
         shift = -min(y.v for _, y in nodes)
         assert shift >= 1
         with pytest.raises(ArithmeticError, match=r"non-integral coefficient at T\^\d+ \(unexpected pole\)"):
@@ -235,8 +232,8 @@ class TestNodePrecision:
         # after (1+t_n) - u); 30 nodes reach v_p(n) = 3 at p = 3
         w, count, u = 12, 30, 1 + p
         pole = D == 1 and om % (p - 1) == 0
-        want = _oracle_branch_nodes(_chi(D), p, om, count, w + 10)
-        for n, ((y, k), (t, z)) in enumerate(zip(_branch_nodes(_chi(D), p, om, count, w + 6), want), 1):
+        want = _oracle_branch_nodes(kronecker_character(D), p, om, count, w + 10)
+        for n, ((y, k), (t, z)) in enumerate(zip(_branch_nodes(kronecker_character(D), p, om, count, w + 6), want), 1):
             assert k == w + 6 - 1 - val_p(n, p)
             if pole:
                 z = z * PadicScalar.from_rational(t - (u - 1), p, w + 16)

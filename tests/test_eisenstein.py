@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eiscong.characters import induce_quadratic, trivial_hecke
+from eiscong.characters import induce_quadratic
 from eiscong.eisenstein import (
     CoefficientSystem,
     EisensteinSeries,
@@ -24,6 +24,13 @@ from eiscong.quadfield import (
     principal_ideal,
     unit_ideal,
 )
+
+
+class _One:
+    """An S-scalar that is 1 on every ideal, for synthetic coefficient systems."""
+
+    def value_on_ideal(self, a):
+        return 1
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +58,11 @@ class TestCoefficients:
             assert e20149.coefficient_at(pr) == 0
 
     def test_prime_formula(self, f2, e20149):
-        # C(q) = psi1(q) + psi2(q) N(q) at primes away from the level
+        # C(q) = eps(q) + N(q) at primes coprime to (m)
         for p in (3, 5, 7, 11, 13):
             for q in principal_ideal(f2, p).prime_factors():
-                want = e20149.psi1.value_on_ideal(q) + \
-                    e20149.psi2.value_on_ideal(q) * q.norm
+                assert q.coprime_to(e20149.eps.modulus_ideal)
+                want = e20149.eps.value_on_ideal(q) + q.norm
                 assert e20149.coefficient_at(q) == want
 
     def test_multiplicativity(self, f2):
@@ -69,8 +76,8 @@ class TestCoefficients:
                 assert sys.at(ideal_mul(a, b)) == sys.at(a) * sys.at(b)
 
     def test_dirichlet_series_factorization(self, f2):
-        # norm-indexed coefficients of E2(psi1, psi2) are the convolution of
-        # the psi1-coefficients with the N(a)-weighted psi2-coefficients
+        # norm-indexed coefficients of E_2(eps, 1 mod (m)) are the convolution
+        # of the eps-coefficients with N(a) over the ideals coprime to (m)
         from collections import Counter
 
         series = stripped_eisenstein(f2, 5)
@@ -82,12 +89,11 @@ class TestCoefficients:
         c1 = Counter()
         c2 = Counter()
         for a in enumerate_ideals(f2, bound):
-            v1 = series.psi1.value_on_ideal(a)
+            v1 = series.eps.value_on_ideal(a)
             if v1:
                 c1[a.norm] += v1
-            v2 = series.psi2.value_on_ideal(a)
-            if v2:
-                c2[a.norm] += v2 * a.norm
+            if a.coprime_to(series.eps.modulus_ideal):
+                c2[a.norm] += a.norm
         conv = Counter()
         for n1, x in c1.items():
             for n2, y in c2.items():
@@ -156,7 +162,7 @@ class TestHecke:
         ideals = enumerate_ideals(f2, 625)
         q5 = principal_ideal(f2, 5).prime_factors()[0]
         coeffs = {a: Fraction(rng.randrange(-50, 50)) for a in ideals}
-        sys = CoefficientSystem(f2, 625, coeffs, trivial_hecke(f2), ideal_pow(q5, 2))
+        sys = CoefficientSystem(f2, 625, coeffs, _One(), ideal_pow(q5, 2))
         once = hecke_U(hecke_U(sys, q5), q5)
         # U(q^2) directly: C(m) -> C(m q^2)
         for m in once.ideals():
@@ -166,7 +172,7 @@ class TestHecke:
         rng = random.Random(5)
         ideals = enumerate_ideals(f2, 441)
         coeffs = {a: Fraction(rng.randrange(-9, 9)) for a in ideals}
-        sys = CoefficientSystem(f2, 441, coeffs, trivial_hecke(f2), unit_ideal(f2))
+        sys = CoefficientSystem(f2, 441, coeffs, _One(), unit_ideal(f2))
         q3, q7 = prime_ideal(f2, 3), prime_ideal(f2, 7)
         ab = hecke_T(hecke_T(sys, q3), q7)
         ba = hecke_T(hecke_T(sys, q7), q3)
@@ -213,7 +219,7 @@ class TestScan:
 
     @pytest.mark.parametrize("d,m", [(2, 20149), (5, 12001)])
     def test_hypothesis_b_reduces_to_the_norm_test(self, d, m):
-        # every level prime lies over a prime dividing m, where psi1 and psi2
+        # every level prime lies over a prime dividing m, where eps and 1_(m)
         # vanish, so C(q) = 0 and (b) reads p does not divide N(q), which the
         # p | m filter already guarantees
         field = make_field(d)

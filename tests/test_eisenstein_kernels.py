@@ -3,7 +3,7 @@
 `_oracle_enumerate_ideals` is the earlier ideal walk: one `ideal_mul` per new
 ideal and an `IdealQF.norm` per (prime ideal, ideal so far) pair.
 `_oracle_coefficient_at` is the earlier divisor sum
-C(a) = sum_{c | a} psi1(a/c) psi2(c) N(c) over `ideal_divisors(a)`.  They are
+C(a) = sum_{c | a} eps(a/c) 1_(m)(c) N(c) over `ideal_divisors(a)`.  They are
 kept here only as the references `enumerate_ideals`, `coefficient_at` and
 `eisenstein_coeffs` must equal exactly: same ideals in the same order, same
 `int` values.
@@ -14,8 +14,7 @@ import random
 import pytest
 
 from eiscong.arith import primes_up_to
-from eiscong.characters import induce_quadratic, trivial_hecke
-from eiscong.eisenstein import EisensteinSeries, eisenstein_coeffs, stripped_eisenstein
+from eiscong.eisenstein import eisenstein_coeffs, stripped_eisenstein
 from eiscong.quadfield import (
     INERT,
     RAMIFIED,
@@ -61,13 +60,12 @@ def _oracle_enumerate_ideals(field, bound):
 
 
 def _oracle_coefficient_at(series, a):
+    eps = series.eps
     acc = 0
     for c in ideal_divisors(a):
-        v1 = series.psi1.value_on_ideal(ideal_divide(a, c))
-        if v1:
-            v2 = series.psi2.value_on_ideal(c)
-            if v2:
-                acc += v1 * v2 * c.norm
+        v1 = eps.value_on_ideal(ideal_divide(a, c))
+        if v1 and c.coprime_to(eps.modulus_ideal):
+            acc += v1 * c.norm
     return acc
 
 
@@ -86,14 +84,9 @@ def _inert_square(field):
 
 
 def _series_cases(field):
-    """(label, series): E_2(eps, 1 mod (m)) for m split, inert and both, and
-    the pairs (trivial, trivial) and (eps, trivial mod (1))."""
+    """(label, series): E_2(eps, 1 mod (m)) for m split, inert and both."""
     ls, li = _smallest(field, "split", 3), _smallest(field, INERT, 3)
-    cases = [(f"m={m}", stripped_eisenstein(field, m)) for m in (ls, li, ls * li)]
-    cases.append(("trivial,trivial", EisensteinSeries(trivial_hecke(field), trivial_hecke(field))))
-    cases.append(("eps,trivial(1)", EisensteinSeries(induce_quadratic(field, ls * li),
-                                                     trivial_hecke(field))))
-    return cases
+    return [(f"m={m}", stripped_eisenstein(field, m)) for m in (ls, li, ls * li)]
 
 
 @pytest.mark.parametrize("d", FIELDS)
@@ -147,7 +140,7 @@ def test_coefficient_at_high_exponents(d):
                 assert got == _oracle_coefficient_at(series, a), (label, str(a))
                 assert type(got) is int
             if q.coprime_to(series.level):
-                want = series.psi1.value_on_ideal(q) + series.psi2.value_on_ideal(q) * q.norm
+                want = series.eps.value_on_ideal(q) + q.norm
                 assert series.t_eigenvalue(q) == want, (label, str(q))
         for a in products:
             assert series.coefficient_at(a) == _oracle_coefficient_at(series, a), (label, str(a))

@@ -262,12 +262,12 @@ class TestClosedFormsAgainstOracles:
 
     def test_reflect_keeps_bridge_precision(self):
         # a Gamma-transform with mixed precision keeps it through reflect
-        from eiscong.characters import DirichletCharacter
+        from eiscong.characters import kronecker_character
         from eiscong.measures import (
             StabilizationParams, bernoulli_family, stabilize, to_iwasawa_series)
 
         fam = stabilize(bernoulli_family(1, 5, 4), StabilizationParams(1, 1))
-        ser = to_iwasawa_series(fam, DirichletCharacter.trivial(1), 2, 6, 8, 12)
+        ser = to_iwasawa_series(fam, kronecker_character(1), 2, 6, 8, 12)
         assert ser.prec == [8, 2, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0]
         assert reflect(ser).prec == ser.prec
 

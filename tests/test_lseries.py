@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from eiscong.characters import (
-    DirichletCharacter,
     enumerate_characters,
     kronecker_character,
     induce_quadratic,
@@ -52,7 +51,7 @@ class TestBernoulli:
 
 class TestGenBernoulli:
     def test_trivial(self):
-        triv = DirichletCharacter.trivial(1)
+        triv = kronecker_character(1)
         assert gen_bernoulli(triv, 2) == Fraction(1, 6)
         assert gen_bernoulli(triv, 1) == Fraction(1, 2)  # B_1(1)
 
@@ -97,7 +96,7 @@ class TestGenBernoulli:
 
 class TestLValues:
     def test_zeta_minus_one(self):
-        triv = DirichletCharacter.trivial(1)
+        triv = kronecker_character(1)
         assert dirichlet_L_neg(triv, 2).value == Fraction(-1, 12)
 
     def test_chi5(self):
@@ -105,17 +104,17 @@ class TestLValues:
 
     def test_dedekind_zeta_q_sqrt5(self):
         # zeta_{Q(sqrt 5)}(-1) = zeta(-1) L(-1, chi_5) = 1/30 (classical table)
-        triv = DirichletCharacter.trivial(1)
+        triv = kronecker_character(1)
         z = dirichlet_L_neg(triv, 2).value * dirichlet_L_neg(kronecker_character(5), 2).value
         assert z == Fraction(1, 30)
 
     def test_odd_chi3(self):
         assert dirichlet_L_neg(kronecker_character(-3), 1).value == Fraction(1, 3)
 
-    def test_zeta_pole_flag(self):
-        rec = dirichlet_L_neg(DirichletCharacter.trivial(1), 1)
-        assert rec.value == Fraction(1, 2)
-        assert "non-primitive-at-infinity" in rec.flags
+    def test_zeta_at_zero(self):
+        # zeta(0) = -B_{1,chi_1} = -B_1(1) = -1/2; the pole of zeta is at s = 1
+        rec = dirichlet_L_neg(kronecker_character(1), 1)
+        assert (rec.s, rec.value) == (0, Fraction(-1, 2))
 
     def test_worked_example_value(self):
         f = make_field(2)

@@ -19,7 +19,6 @@ from itertools import compress, repeat
 import pytest
 
 from eiscong.characters import (
-    DirichletCharacter,
     enumerate_characters,
     induce_quadratic,
     is_fundamental_discriminant,
@@ -130,9 +129,6 @@ def _power_sums_bernoulli(chi, n):
                for k in range(n + 1))
 
 
-def _chi(D):
-    return DirichletCharacter.trivial(1) if D == 1 else kronecker_character(D)
-
 
 def _two_part(D):
     """The 2-part of a fundamental discriminant: D over its odd part p* product."""
@@ -150,7 +146,7 @@ class TestValueTable:
     def test_fundamental_discriminants_to_400(self):
         assert len(FUNDAMENTAL_400) > 240
         for D in FUNDAMENTAL_400:
-            chi = _chi(D)
+            chi = kronecker_character(D)
             assert value_table(chi) == _oracle_value_table(chi), D
 
     @pytest.mark.parametrize("m", GENERIC_MODULI)
@@ -180,16 +176,13 @@ class TestValueTable:
             with pytest.raises(ValueError, match="primitive"):
                 value_table(chi)
 
-    def test_trivial_kind_of_any_modulus(self):
-        assert list(value_table(DirichletCharacter.trivial(12))) == [1]
-
 
 class TestGenBernoulli:
     def test_fundamental_discriminants_to_400(self):
         # D = 1, both parities and the 2-parts -4, 8, -8 all occur
         assert {_two_part(D) for D in FUNDAMENTAL_400} == {1, -4, 8, -8}
         for D in FUNDAMENTAL_400:
-            chi = _chi(D)
+            chi = kronecker_character(D)
             for n in range(1, 7):
                 assert gen_bernoulli(chi, n) == _oracle_gen_bernoulli(chi, n), (D, n)
 

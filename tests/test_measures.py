@@ -192,13 +192,13 @@ class TestSeriesBridge:
         # the point mass at the tower point 1
         fam = from_fractions(3, 5, 3, [{a: int(a == 1) for a in range(3 * 5**nu)
                                         if math.gcd(a, 15) == 1} for nu in range(4)])
-        ser = to_iwasawa_series(fam, DirichletCharacter.trivial(1), 0, 6, 8, 12)
+        ser = to_iwasawa_series(fam, kronecker_character(1), 0, 6, 8, 12)
         assert ser.res[0] == 1
         assert all(c == 0 for c in ser.res[1:])
 
     def test_zero_family(self):
         fam = map_values(bernoulli_family(3, 5, 3), lambda v: Fraction(0))
-        ser = to_iwasawa_series(fam, DirichletCharacter.trivial(1), 1, 6, 8, 12)
+        ser = to_iwasawa_series(fam, kronecker_character(1), 1, 6, 8, 12)
         assert all(c == 0 for c in ser.res)
 
     def test_unbounded_family_rejected(self):
@@ -272,7 +272,7 @@ class TestKubotaLeopoldt:
         for D in (1, 8, 12, 5):
             if D == 5 and p == 5:
                 continue
-            chi = kronecker_character(D) if D > 1 else DirichletCharacter.trivial(1)
+            chi = kronecker_character(D)
             kl = kubota_leopoldt(chi, p, 10, 12)
             got = kl_value_at_zero(kl, 1 + p)
             want = -_direct_b1_omega_inv(chi, p, 12)
@@ -327,7 +327,7 @@ class TestKubotaLeopoldt:
             assert diff.is_zero_to_precision() and diff.abs_prec >= 8, n
 
     def test_omega_squared_branch_mu_zero(self):
-        kl = kubota_leopoldt(DirichletCharacter.trivial(1), 5, 8, 16, omega_power=2)
+        kl = kubota_leopoldt(kronecker_character(1), 5, 8, 16, omega_power=2)
         mu, lam, cert = lambda_mu(kl)
         assert mu == 0 and cert
 
@@ -351,7 +351,7 @@ class TestKubotaLeopoldt:
         assert lambda_mu(a * b) == (0, 1, True)
 
     def test_pole_branch_flagged(self):
-        kl = kubota_leopoldt(DirichletCharacter.trivial(1), 5, 8, 12)
+        kl = kubota_leopoldt(kronecker_character(1), 5, 8, 12)
         assert kl.pole_factor
         with pytest.raises(ValueError):
             lambda_mu(kl)
@@ -382,7 +382,7 @@ class TestKubotaLeopoldtPinned:
 
         rows = []
         for D in (1, 12, 53, 24):
-            chi = DirichletCharacter.trivial(1) if D == 1 else kronecker_character(D)
+            chi = kronecker_character(D)
             for p in (3, 5, 7, 101):
                 for N, M in ((2, 6), (8, 12)):
                     for om in (0, 2):
@@ -418,7 +418,7 @@ class TestFitPointsOracle:
         new = measures._fit_points
         cells = 0
         for D in (1, 8, 12, 13, 53, 24):
-            chi = DirichletCharacter.trivial(1) if D == 1 else kronecker_character(D)
+            chi = kronecker_character(D)
             for N, M in ((1, 1), (1, 2), (2, 6), (8, 12), (10, 16)):
                 assert new(N, M) == N + M - 1 < _old_fit_points(p, N, M)
                 for om in (0, 2):  # D = 1, om = 0 is the pole branch

@@ -19,7 +19,6 @@ import pytest
 
 from eiscong import measures
 from eiscong.characters import (
-    DirichletCharacter,
     kronecker_character,
     primitive_characters,
     value_table,
@@ -127,9 +126,6 @@ def _oracle_omega(p, w):
     return lambda e: [0] + [pow(o, e, mod) for o in lifts[1:]]
 
 
-def _chi(D):
-    return DirichletCharacter.trivial(1) if D == 1 else kronecker_character(D)
-
 
 EVEN_D = (8, 12, 24, 28, 40, 44, 56, 60, -4, -8, -20, -24, -40)
 ODD_D = (5, 13, 17, 21, 29, 33, 37, 41, -3, -7, -11, -15, -19, -23, -163)
@@ -150,7 +146,7 @@ def _seeded_grid(seed, count):
 class TestPowerTables:
     @pytest.mark.parametrize("D,p,wk,mmax", _seeded_grid(20149, 150))
     def test_seeded_grid(self, D, p, wk, mmax):
-        chi = _chi(D)
+        chi = kronecker_character(D)
         assert _power_tables(chi, p, wk, mmax) == _oracle_power_tables(chi, p, wk, mmax)
 
     @pytest.mark.parametrize("D,p,wk,mmax", [
@@ -163,7 +159,7 @@ class TestPowerTables:
         (24, 5, 1, 7),                                       # wk = 1
     ])
     def test_edge_cases(self, D, p, wk, mmax):
-        chi = _chi(D)
+        chi = kronecker_character(D)
         assert _power_tables(chi, p, wk, mmax) == _oracle_power_tables(chi, p, wk, mmax)
 
     @pytest.mark.parametrize("m,p", [(5, 7), (12, 5), (21, 11), (24, 7)])
@@ -299,7 +295,7 @@ class TestPrefixSweep:
     # the trivial character (D = 1) never reaches the sweep
     @pytest.mark.parametrize("D,p,wk,mmax", [c for c in _seeded_grid(20149, 150) if c[0] != 1])
     def test_seeded_grid(self, D, p, wk, mmax):
-        vals = value_table(_chi(D))
+        vals = value_table(kronecker_character(D))
         _assert_sweep_equals_oracle(vals, _branch_cuts(len(vals), p), mmax)
 
     @pytest.mark.parametrize("D,p,mmax", [
@@ -389,7 +385,7 @@ class TestTeichmullerTable:
     @pytest.mark.parametrize("D,p", [(1, 5), (12, 5), (13, 7), (8, 11), (24, 13), (5, 3)])
     @pytest.mark.parametrize("omega_power", (0, 2, 4))
     def test_branch_nodes_equal_the_parent_formula(self, monkeypatch, D, p, omega_power):
-        chi = _chi(D)
+        chi = kronecker_character(D)
         got = _branch_nodes(chi, p, omega_power, 9, 12)
         monkeypatch.setattr(measures, "_power_tables", _oracle_power_tables)
         monkeypatch.setattr(measures, "_teichmuller_powers", _oracle_omega)

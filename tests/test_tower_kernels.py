@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from eiscong.arith import crt
-from eiscong.characters import DirichletCharacter, enumerate_characters, kronecker_character
+from eiscong.characters import enumerate_characters, kronecker_character
 from eiscong.cli import main
 from eiscong.iwasawa import IwasawaElement
 from eiscong.measures import (
@@ -325,12 +325,12 @@ def test_random_families_and_corruptions(seed):
 
 
 def test_trivial_and_zero_weights():
-    # trivial tame character of a larger modulus on random p-integral values,
-    # and a family whose values cancel within each wild class
+    # the trivial tame character (conductor 1) under m0 = 3 on random
+    # p-integral values, and a family whose values cancel within each wild class
     rng = random.Random(7)
     fam = map_values(bernoulli_family(3, 5, 3),
                      lambda v: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7))))
-    chi = DirichletCharacter.trivial(3)
+    chi = kronecker_character(1)
     got = to_iwasawa_series(fam, chi, 1, 6, 4, 6)
     want = _oracle_to_iwasawa_series(fam, chi, 1, 6, 4, 6)
     assert any(got.res) and (got.res, got.prec) == (want.res, want.prec)
@@ -376,7 +376,7 @@ def test_bridge_rejects_a_non_generator(u):
     # checked before any weight is read, so an all-zero family raises too
     zero = map_values(bernoulli_family(1, 5, 3), lambda v: 0)
     with pytest.raises(ValueError, match="generate"):
-        to_iwasawa_series(zero, DirichletCharacter.trivial(1), 0, u, 2, 4)
+        to_iwasawa_series(zero, kronecker_character(1), 0, u, 2, 4)
 
 
 # prefix of the sha256 of these series from the log-and-binomial-row bridge
