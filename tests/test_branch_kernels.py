@@ -129,7 +129,6 @@ def _oracle_kubota_leopoldt(chi, p, N, M, omega_power=0):
     return IwasawaElement(p, N, M, res, [N] * M, pole_factor=pole)
 
 
-
 def _outcome(fn, D, p, N, M, om):
     try:
         kl = fn(kronecker_character(D), p, N, M, omega_power=om)
@@ -232,8 +231,9 @@ class TestNodePrecision:
         # after (1+t_n) - u); 30 nodes reach v_p(n) = 3 at p = 3
         w, count, u = 12, 30, 1 + p
         pole = D == 1 and om % (p - 1) == 0
-        want = _oracle_branch_nodes(kronecker_character(D), p, om, count, w + 10)
-        for n, ((y, k), (t, z)) in enumerate(zip(_branch_nodes(kronecker_character(D), p, om, count, w + 6), want), 1):
+        chi = kronecker_character(D)
+        want = _oracle_branch_nodes(chi, p, om, count, w + 10)
+        for n, ((y, k), (t, z)) in enumerate(zip(_branch_nodes(chi, p, om, count, w + 6), want), 1):
             assert k == w + 6 - 1 - val_p(n, p)
             if pole:
                 z = z * PadicScalar.from_rational(t - (u - 1), p, w + 16)

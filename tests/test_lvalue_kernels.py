@@ -129,7 +129,6 @@ def _power_sums_bernoulli(chi, n):
                for k in range(n + 1))
 
 
-
 def _two_part(D):
     """The 2-part of a fundamental discriminant: D over its odd part p* product."""
     u = D

@@ -126,7 +126,6 @@ def _oracle_omega(p, w):
     return lambda e: [0] + [pow(o, e, mod) for o in lifts[1:]]
 
 
-
 EVEN_D = (8, 12, 24, 28, 40, 44, 56, 60, -4, -8, -20, -24, -40)
 ODD_D = (5, 13, 17, 21, 29, 33, 37, 41, -3, -7, -11, -15, -19, -23, -163)
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
