@@ -394,6 +394,21 @@ def test_deep_towers_pinned():
     assert digest.startswith(DEEP_BRIDGE_SHA256), digest
 
 
+# sha256 prefixes of the bridge series at the bench's tower inputs (D, p, V), with
+# N = V - 2 and M = 8 as there
+TOWER_BRIDGE_SHA256 = {(13, 5, 5): "652ef596610cb859", (28, 5, 5): "dd630aa0457261c5",
+                       (8, 5, 6): "f5e878e39d668bf3", (12, 5, 6): "27fd37843214ca36",
+                       (5, 7, 5): "fd3affb710976efd", (12, 7, 5): "28a6bd1a04cf8c0a"}
+
+
+@pytest.mark.parametrize("D,p,V", sorted(TOWER_BRIDGE_SHA256))
+def test_bench_tower_bridges_pinned(D, p, V):
+    stab = stabilize(bernoulli_family(D, p, V), StabilizationParams(1, 1))
+    got = to_iwasawa_series(stab, kronecker_character(D), 1, 1 + p, V - 2, 8).to_json()
+    digest = hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest()
+    assert digest.startswith(TOWER_BRIDGE_SHA256[D, p, V]), digest
+
+
 def test_bridge_rejects_an_imprimitive_tame_character():
     # value_table reads chi mod its conductor, which a character of modulus
     # 15 and conductor 5 is not periodic in: chi(8) != 0 = chi(3)
