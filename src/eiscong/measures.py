@@ -16,7 +16,7 @@ LevelFamily.value is the one Fraction accessor.
 
 The series bridge is the Gamma-transform
     a_j = sum_a branch^-1(a) C(log_u<a>, j) mu(a)
-at the deepest level V, taken with no logarithm (to_iwasawa_series); it
+at level V - 1 of a depth-V tower, with no logarithm (to_iwasawa_series); it
 equals minus the Kubota-Leopoldt branch series (the classical Stickelberger
 sign).  kubota_leopoldt itself is a Newton interpolation on integers mod
 p^wk through the special values
@@ -268,9 +268,6 @@ def pair_with_character(fam: LevelFamily, eta: DirichletCharacter):
 # ---------------------------------------------------------------------------
 # the Gamma-transform bridge
 
-_BRIDGE_SLACK = 1  # certified digits kept back from the depth bound
-
-
 def _teichmuller_powers(p: int, w: int):
     """The map e -> [omega(r)^e mod p^w for r = 0..p-1] (0 at r = 0).
 
@@ -314,32 +311,31 @@ def _exponent_table(u: int, p: int, V: int) -> list[int]:
 
 def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
                       omega_power: int, u: int, N: int, M: int) -> IwasawaElement:
-    """Gamma-transform of a bounded family against the branch chi * omega^j.
+    """Gamma-transform of a p-integral distribution against the branch chi * omega^j.
 
     The branch character of the torsion part (Z/m0 p)^x is given as a
     primitive tame character of conductor dividing m0 (order <= 2, exact
     values read from its value table) times the j-th Teichmuller power at p
-    (p-adic values).  The coefficients are the Riemann sums
+    (p-adic values).  The coefficients are the Riemann sums at level L = V - 1
 
-        a_j = sum over deepest-level units of branch^-1(a) C(log_u<a>, j) mu(a)
+        a_j = sum over level-L units of branch^-1(a) C(log_u<a>, j) mu(a)
 
-    read as the image of mu in Z_p[T]/((1+T)^(p^(V-1)) - 1), the group ring
-    of Gamma/Gamma^(p^(V-1)) (Washington, Introduction to Cyclotomic Fields,
-    7.2): <a> mod p^V is u^i for one i < p^(V-1) (_exponent_table), and
-    log_u<a> = i mod p^(V-1).  With the deepest level's numerators N over
-    its denominator d, the units a = c mod p^V first sum to the exact
-    integer W(c) = sum chi(a) N(a), the blocks rotated to line up and
-    signed by chi(r) = +-1.  Class c adds W(c) omega^-j(c) to the weight of
-    its exponent i, and a_j = d^-1 sum_i weight(i) C(i, j) is the (j+1)-fold
-    suffix sum of the weights at i = j.  No logarithm is taken.  For
-    x = y mod p^e, C(x, j) - C(y, j) has valuation >= e - v_p(j!), so with
-    e = V - 1 this sum agrees with the one over C(log_u<a>, j) one digit
-    past every certified digit below.
+    read as the image of mu in Z_p[T]/((1+T)^(p^(L-1)) - 1) (Washington,
+    Introduction to Cyclotomic Fields, 7.2): <a> mod p^L is u^i for one
+    i < p^(L-1) (_exponent_table), and log_u<a> = i mod p^(L-1).  With level
+    L's numerators N over its denominator d, the units a = c mod p^L first
+    sum to the exact integer W(c) = sum chi(a) N(a), the blocks rotated to
+    line up and signed by chi(r) = +-1.  Class c adds W(c) omega^-j(c) to the
+    weight of its exponent i, and a_j = d^-1 sum_i weight(i) C(i, j) is the
+    (j+1)-fold suffix sum of the weights at i = j.  No logarithm is taken.
 
-    The family must be p-integral (stabilize the Bernoulli family first).
-    Coefficient j >= 1 is certified to min(N, depth - 1 - v_p(j!) - 1)
-    digits; a_0 is exact up to N because its integrand is locally constant,
-    so the finite depth loses nothing there.
+    a_0 is exact to N digits, a_j (j >= 1) to min(N, V - 2 - v_p(j!)).  Since
+    j! C(x, j) is an integer polynomial, x = y mod p^e gives C(x, j) - C(y, j)
+    valuation >= e - v_p(j!); log_u is constant mod p^(L-1) on a level-L cell,
+    so on a p-integral measure the level-L sum is the integral to
+    L - 1 - v_p(j!) digits.  The family must be a distribution (as
+    stabilize(bernoulli_family(...)) is; check_distribution verifies it), so
+    that level V sums onto level L; both levels must be p-integral.
     """
     p, m0, V = fam.p, fam.m0, fam.depth
     if p < 3:
@@ -352,29 +348,30 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
         raise ValueError("tame character must be primitive: it is read from its value table")
     if V < 2:
         raise ValueError("need depth >= 2 for the wild coordinate")
-    index = _exponent_table(u, p, V)
-    deepest, den = fam.num[V], fam.den[V]
-    if den % p == 0:
-        raise ValueError("family is not p-integral at the deepest level; stabilize first")
+    L = V - 1
+    index = _exponent_table(u, p, L)
+    if fam.den[V] % p == 0 or fam.den[L] % p == 0:
+        raise ValueError("family is not p-integral at level V or V - 1; stabilize first")
+    level, den = fam.num[L], fam.den[L]
 
     w = N + V + 4
-    mod, pV = p**w, p**V
+    mod, pL = p**w, p**L
     chi = value_table(chi_tame)  # f | m0, so chi(a) = chi(r) at a = r mod m0
     f = len(chi)
-    # a = r + m0 t = m0 (t + r/m0) mod p^V: rotated to start at t = 1 - r/m0, the blocks line up
-    size, minv = len(deepest) // len(fam.blocks), inv_mod(m0 % pV, pV)
+    # a = r + m0 t = m0 (t + r/m0) mod p^L: rotated to start at t = 1 - r/m0, the blocks line up
+    size, minv = len(level) // len(fam.blocks), inv_mod(m0 % pL, pL)
     classes = [0] * size
     for i, (r, s) in enumerate(fam.blocks):
-        blk, k = deepest[i * size:(i + 1) * size], _position((1 - r * minv) % pV, s, p)
+        blk, k = level[i * size:(i + 1) * size], _position((1 - r * minv) % pL, s, p)
         classes = list(map(add if chi[r % f] > 0 else sub, classes, blk[k:] + blk[:k]))
     omega = _teichmuller_powers(p, w)
     om_j = omega((-omega_power) % (p - 1))  # omega(r)^(-j) mod p^w
-    om_1 = [x % pV for x in omega(p - 2)]  # omega(r)^(-1) mod p^V
-    weight = [0] * p ** (V - 1)
-    for c, wt in zip(compress(range(0, m0 * pV, m0), _mask(p, 0, V)), classes):
+    om_1 = [x % pL for x in omega(p - 2)]  # omega(r)^(-1) mod p^L
+    weight = [0] * p ** (L - 1)
+    for c, wt in zip(compress(range(0, m0 * pL, m0), _mask(p, 0, L)), classes):
         if wt:
             r = c % p
-            weight[index[c * om_1[r] % pV]] += wt * om_j[r]
+            weight[index[c * om_1[r] % pL]] += wt * om_j[r]
     series, acc = [], weight[::-1]
     for j in range(M):
         acc = list(accumulate(acc[:len(weight) - j]))
@@ -395,7 +392,7 @@ def bridge_certified_precision(depth: int, p: int, j: int, N: int) -> int:
     """Exported so tests and the CLI can state the per-coefficient claim."""
     if j == 0:
         return N
-    return min(N, max(0, depth - 1 - _vfact(j, p) - _BRIDGE_SLACK))
+    return min(N, max(0, depth - 2 - _vfact(j, p)))
 
 
 # ---------------------------------------------------------------------------

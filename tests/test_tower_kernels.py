@@ -28,6 +28,7 @@ from eiscong.cli import main
 from eiscong.iwasawa import IwasawaElement
 from eiscong.measures import (
     DistributionReport,
+    LevelFamily,
     StabilizationParams,
     _exponent_table,
     _teichmuller_powers,
@@ -324,22 +325,84 @@ def test_random_families_and_corruptions(seed):
         assert got == _oracle_check_distribution(bad)
 
 
+def _pushforward(m0, p, V, top):
+    """The depth-V family with level V = top ({unit a: value}) and each lower
+    level the fiber sums of the one above: a distribution by construction."""
+    units = LevelFamily(m0, p, V, [], []).units
+    values = [top]
+    for nu in range(V - 1, -1, -1):
+        q = m0 * p**nu
+        lvl = dict.fromkeys(units(nu), Fraction(0))
+        for b, v in values[0].items():
+            lvl[b % q] += v
+        values.insert(0, lvl)
+    return from_fractions(m0, p, V, values)
+
+
 def test_trivial_and_zero_weights():
-    # the trivial tame character (conductor 1) under m0 = 3 on random
-    # p-integral values, and a family whose values cancel within each wild class
+    # the trivial tame character (conductor 1) under m0 = 3 on the pushforward
+    # of random p-integral values, and a pushforward whose values cancel within
+    # each wild class
     rng = random.Random(7)
-    fam = map_values(bernoulli_family(3, 5, 3),
-                     lambda v: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7))))
+    units = list(LevelFamily(3, 5, 3, [], []).units(3))
+    fam = _pushforward(3, 5, 3, {a: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7)))
+                                 for a in units})
+    assert check_distribution(fam).ok
     chi = kronecker_character(1)
     got = to_iwasawa_series(fam, chi, 1, 6, 4, 6)
     want = _oracle_to_iwasawa_series(fam, chi, 1, 6, 4, 6)
     assert any(got.res) and (got.res, got.prec) == (want.res, want.prec)
-    vals = level_values(fam)
     # the lifts c, c + 125, c + 250 of a class c mod 125 meet each residue mod 3 once
-    vals[3] = {a: Fraction(1 if a % 3 == 1 else -1) for a in vals[3]}
-    cancel = from_fractions(3, 5, 3, vals)
+    cancel = _pushforward(3, 5, 3, {a: Fraction(1 if a % 3 == 1 else -1) for a in units})
     got = to_iwasawa_series(cancel, chi, 1, 6, 4, 6)
     assert got.res == _oracle_to_iwasawa_series(cancel, chi, 1, 6, 4, 6).res == [0] * 6
+
+
+def _lift_to_the_top(fam):
+    """fam with level V replaced by level V - 1 lifted: each value on its unit b itself."""
+    V = fam.depth
+    vals = level_values(fam)
+    vals[V] = {a: vals[V - 1].get(a, Fraction(0)) for a in vals[V]}
+    return from_fractions(fam.m0, fam.p, V, vals)
+
+
+@pytest.mark.parametrize("V", (3, 4))
+@pytest.mark.parametrize("p", (5, 7))
+@pytest.mark.parametrize("m0,D", [(3, -3), (8, 8), (12, 12), (13, 13)])
+def test_bridge_reads_level_v_minus_one(m0, D, p, V):
+    # on any p-integral family, distribution or not, the bridge is the oracle
+    # of the family whose top level is level V - 1 lifted
+    rng = random.Random(m0 * 100 + p * 10 + V)
+    fam = map_values(bernoulli_family(m0, p, V),
+                     lambda v: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 11))))
+    assert not check_distribution(fam).ok
+    chi, lifted = kronecker_character(D), _lift_to_the_top(fam)
+    for omega_power in (0, 1, 2):
+        got = to_iwasawa_series(fam, chi, omega_power, 1 + p, V - 1, 6)
+        want = _oracle_to_iwasawa_series(lifted, chi, omega_power, 1 + p, V - 1, 6)
+        assert any(got.res) and got.to_json() == want.to_json(), omega_power
+
+
+@pytest.mark.parametrize("m0,D,p", [(12, 12, 5), (8, 8, 7), (13, 13, 5), (3, -3, 5)])
+def test_bridge_at_depth_two_reads_level_one(m0, D, p):
+    stab = stabilize(bernoulli_family(m0, p, 2), StabilizationParams(1, 1))
+    chi = kronecker_character(D)
+    for omega_power in (0, 1, 2):
+        got = to_iwasawa_series(stab, chi, omega_power, 1 + p, 4, 5)
+        want = _oracle_to_iwasawa_series(stab, chi, omega_power, 1 + p, 4, 5)
+        assert got.to_json() == want.to_json(), omega_power
+        assert got.prec == [4, 0, 0, 0, 0]
+
+
+def test_bridge_gates_level_v_minus_one():
+    # p-integral at level V, but not at level V - 1
+    stab = stabilize(bernoulli_family(12, 5, 3), StabilizationParams(1, 1))
+    vals = level_values(stab)
+    vals[2][1] += Fraction(1, 5)
+    bad = from_fractions(12, 5, 3, vals)
+    assert bad.den[3] % 5 and bad.den[2] % 5 == 0
+    with pytest.raises(ValueError, match="p-integral"):
+        to_iwasawa_series(bad, kronecker_character(12), 1, 6, 2, 4)
 
 
 def _generators(p):
