@@ -427,8 +427,9 @@ def induce_quadratic(field: RealQuadraticField, m: int) -> HeckeCharacterQF:
     """Quadratic character of F attached to F(sqrt(m))/F with conductor (m).
 
     chi1 and chi2 are the Kronecker characters of the fundamental
-    discriminants of m and d*m.  That the relative extension has conductor
-    exactly (m) is the caller's hypothesis, as is h_F^+ = 1.
+    discriminants of m and d*m.  The conductor is exactly (m) iff
+    chi1.conductor * chi2.conductor == disc_F * m^2, that is iff m = 1 mod 4
+    or d = 3 mod 4; that, and h_F^+ = 1, is the caller's hypothesis.
     """
     from .arith import is_squarefree
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import eiscong
-from eiscong.arith import kronecker, primes_up_to
+from eiscong.arith import is_squarefree, kronecker, primes_up_to
 from eiscong.characters import (
     EVEN,
     CycSum,
@@ -211,6 +211,18 @@ class TestInducedCharacters:
         f3 = make_field(3)
         eps7 = induce_quadratic(f3, 7)
         assert (eps7.chi1.conductor, eps7.chi2.conductor) == (28, 21)
+
+    @pytest.mark.parametrize("d", (2, 5, 13, 17, 29, 3, 7, 11))
+    def test_conductor_is_m_iff_m_1_or_d_3_mod_4(self, d):
+        # f(chi1) f(chi2) = disc_F N(cond eps), so the conductor is (m) iff the
+        # product is disc_F m^2; for d = 3 mod 4 that holds at every m
+        f = make_field(d)
+        ms = [m for m in range(3, 120, 2) if math.gcd(m, f.disc) == 1 and is_squarefree(m)]
+        assert {m % 4 for m in ms} == {1, 3}
+        for m in ms:
+            eps = induce_quadratic(f, m)
+            conductor_is_m = eps.chi1.conductor * eps.chi2.conductor == f.disc * m * m
+            assert conductor_is_m == (m % 4 == 1 or d % 4 == 3), m
 
     def test_rejects_bad_m(self):
         f = make_field(2)
