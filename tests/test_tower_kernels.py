@@ -8,7 +8,10 @@ lift and two logs) per wild class with an M-term update per unit.  They are
 kept here only as the references the tower kernels must equal exactly.  They
 read and build families by value, through the `fraction_levels` helpers.  The
 bridge oracle is also the only code left that reads log_u<a> through p-adic
-logarithms and binomial rows; the kernel reads it off the powers of u.
+logarithms and binomial rows; the kernel reads it off the powers of u.  The
+oracle reads level V and the kernel level V - 1, so they agree on
+distributions; on other families the kernel is the oracle of level V - 1
+lifted to the top (test_bridge_reads_level_v_minus_one).
 """
 
 import contextlib
@@ -385,6 +388,7 @@ def test_bridge_reads_level_v_minus_one(m0, D, p, V):
 
 @pytest.mark.parametrize("m0,D,p", [(12, 12, 5), (8, 8, 7), (13, 13, 5), (3, -3, 5)])
 def test_bridge_at_depth_two_reads_level_one(m0, D, p):
+    # level 1 has one wild class: a_0 carries N digits and every a_j, j >= 1, none
     stab = stabilize(bernoulli_family(m0, p, 2), StabilizationParams(1, 1))
     chi = kronecker_character(D)
     for omega_power in (0, 1, 2):
