@@ -90,11 +90,11 @@ def _pollard_brent(n: int, rng: random.Random, iters: int) -> int | None:
 def factorize(n: int, rho_iters: int = 200000) -> dict[int, int] | None:
     """Factor |n| into primes; None if a composite cofactor resists rho.
 
-    Trial division by 2 and by odd d < 10^5 while d^2 <= n, then Brent rho
-    on the cofactor, which is 1 or prime if trial division stopped at
-    d^2 > n.  Cofactors above 64 bits that rho cannot split within
-    `rho_iters` make the whole call return None (callers report the
-    composite).
+    Trial division by 2 and by odd d < 10^5 while d^2 <= n.  If it stopped at
+    d^2 > n, the cofactor has no prime factor below d, so it is 1 or prime
+    and is recorded with no `is_prime` call; a cofactor left at the 10^5 cap
+    goes to `is_prime` and Brent rho.  Cofactors above 64 bits that rho
+    cannot split within `rho_iters` make the call return None.
     """
     n = abs(n)
     if n in (0, 1):
@@ -106,6 +106,8 @@ def factorize(n: int, rho_iters: int = 200000) -> dict[int, int] | None:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
+    if d * d > n:
+        return out | {n: 1} if n > 1 else out
     rng = random.Random(0xE15)
     stack = [n]
     while stack:

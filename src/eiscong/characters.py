@@ -393,9 +393,9 @@ def value_table(chi: DirichletCharacter) -> array:
 class HeckeCharacterQF:
     """The character eps of F whose induction to Q splits as chi1 + chi2.
 
-    Its conductor and its modulus are both `modulus_ideal` = (m).  Values on
-    ideals coprime to (m) are chi1(N(a)); ideals sharing a prime with (m)
-    map to 0.
+    Its modulus is `modulus_ideal` = (m), also its conductor iff m = 1 mod 4
+    or d = 3 mod 4 (see `induce_quadratic`).  Values on ideals coprime to (m)
+    are chi1(N(a)); ideals sharing a prime with (m) map to 0.
     """
 
     field: RealQuadraticField

@@ -17,12 +17,12 @@ fundamental-unit order test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .characters import HeckeCharacterQF, induce_quadratic
+from .characters import HeckeCharacterQF, induce_quadratic, value_table
 from .lseries import LValueRecord, hecke_L_neg_induced
 from .quadfield import (
     IdealQF,
     RealQuadraticField,
-    enumerate_ideals,
+    _ideal_walk,
     ideal_divide,
     ideal_gcd,
     ideal_mul,
@@ -51,36 +51,27 @@ class EisensteinSeries:
         """The S-operator scalar eps * 1_(m), which equals eps on every ideal."""
         return self.eps
 
-    def local_factor(self, p: int, tag: str, e: int):
-        """The Euler factor of C at the prime power q^e, q = (p, tag).
+    def local_factors(self, p: int, ev: int, nq: int, bound: int) -> list[int]:
+        """[L_0, L_1, ...], the Euler factors of C at q^e for N(q)^e <= bound.
 
-        0 when q divides (m), else L_e = eps(q) L_(e-1) + N(q)^e, L_0 = 1.
+        q is a prime over p with eps(q) = ev and N(q) = nq.  L_0 = 1, then
+        L_e = 0 when q divides (m), else L_e = eps(q) L_(e-1) + N(q)^e.
         """
-        if self.eps.aux_m % p == 0:
-            return 0
-        q = IdealQF(self.field.d, ((p, tag, 1),))
-        a1 = self.eps.value_on_ideal(q)
-        local = 1
-        for k in range(1, e + 1):
-            local = a1 * local + q.norm**k
-        return local
+        out, qe = [1], nq
+        while qe <= bound:
+            out.append(0 if self.eps.aux_m % p == 0 else ev * out[-1] + qe)
+            qe *= nq
+        return out
 
-    def coefficient_at(self, a: IdealQF, local_factors: dict | None = None):
+    def coefficient_at(self, a: IdealQF):
         """C(a) = sum_{c | a} eps(a/c) 1_(m)(c) N(c), as an Euler product.
 
         eps and 1_(m) are completely multiplicative, so C is multiplicative and a
-        prime power q^e in a contributes `local_factor`.  `local_factors` maps
-        (p, tag, e) to its local factor; it is filled as factors are met, so
-        a caller that passes one dict for many ideals computes each once.
+        prime power q^e in a contributes L_e of `local_factors`.
         """
-        if local_factors is None:
-            local_factors = {}
         acc = 1
-        for pe in a.factors:
-            local = local_factors.get(pe)
-            if local is None:
-                local = local_factors[pe] = self.local_factor(*pe)
-            acc *= local
+        for q, (p, _, e) in zip(a.prime_factors(), a.factors):
+            acc *= self.local_factors(p, self.eps.value_on_ideal(q), q.norm, q.norm**e)[e]
         return acc
 
     def t_eigenvalue(self, q: IdealQF):
@@ -106,11 +97,22 @@ class CoefficientSystem:
 
 
 def eisenstein_coeffs(series: EisensteinSeries, bound: int) -> CoefficientSystem:
-    """Coefficients C(a) of the Eisenstein series for N(a) <= bound."""
-    local_factors: dict = {}
-    coeffs = {a: series.coefficient_at(a, local_factors)
-              for a in enumerate_ideals(series.field, bound)}
-    return CoefficientSystem(series.field, bound, coeffs, series.character(), series.level)
+    """Coefficients C(a) for N(a) <= bound, keyed in `enumerate_ideals` order.
+
+    C is multiplicative, and a row of the walk behind `enumerate_ideals` is its
+    parent times a power q^e of a prime not dividing it, so C(row) = C(parent)
+    L_e(q), with each q's `local_factors` computed once from eps(q) = chi1(N(q))
+    read off chi1's value table: no character is evaluated per ideal.
+    """
+    field, table = series.field, value_table(series.eps.chi1)
+    primes, rows = _ideal_walk(field, bound)
+    local = [series.local_factors(p, table[nq % len(table)], nq, bound) for p, _, nq, _ in primes]
+    cs: list[int] = []
+    for _, factors, start, parent in rows:
+        cs.append(1 if parent is None else cs[parent] * local[start - 1][factors[-1][2]])
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    coeffs = {IdealQF(field.d, rows[i][1]): cs[i] for i in order}
+    return CoefficientSystem(field, bound, coeffs, series.character(), series.level)
 
 
 def hecke_T(sys: CoefficientSystem, q: IdealQF) -> CoefficientSystem:

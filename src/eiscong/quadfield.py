@@ -304,39 +304,44 @@ def unit_power_check(field: RealQuadraticField, p: int, e: int) -> str:
 
 
 def enumerate_ideals(field: RealQuadraticField, bound: int) -> list[IdealQF]:
-    """All integral ideals of norm <= bound, sorted by (norm, factors).
+    """All integral ideals of norm <= bound, sorted by (norm, factors); empty
+    for bound < 1.  They are the rows of `_ideal_walk`, sorted once."""
+    return [IdealQF(field.d, row[1]) for row in sorted(_ideal_walk(field, bound)[1])]
 
-    One walk over (norm, factors, start) rows: a row is extended only by
-    powers of the prime ideals from index `start` on, in increasing (p, tag)
-    order, so appending the new factor keeps every factor tuple sorted and
-    each ideal is reached once.  N(q) >= p, so the scan of a row stops at the
-    first p with norm * p > bound.  Empty for bound < 1.
+
+def _ideal_walk(field: RealQuadraticField, bound: int) -> tuple[list, list]:
+    """The prime ideals q of norm <= bound, and one walk over their powers.
+
+    `primes` lists (p, tag, N(q), [(N(q)^e, (p, tag, e)) for N(q)^e <= bound])
+    in increasing (p, tag) order; chi_disc's value table gives the splitting
+    of p.  `rows` are (norm, factors, start, parent), parents first, row 0
+    the unit ideal with parent None.  A row is extended only by powers of
+    primes[j] for j >= start, into a child with start j + 1, so the new
+    factor keeps the tuple sorted and each ideal is reached once.  N(q) >= p,
+    so a row's scan stops at the first p with norm * p > bound.
     """
     from .arith import primes_up_to
+    from .characters import kronecker_character, value_table
 
-    if bound < 1:
-        return []
+    kron = value_table(kronecker_character(field.disc))
     primes = []
     for p in primes_up_to(bound):
-        st = splitting_type(field, p)
-        if st == "split":
-            primes.append((p, SPLIT1, p))
-            primes.append((p, SPLIT2, p))
-        elif st == RAMIFIED:
-            primes.append((p, RAMIFIED, p))
-        elif p * p <= bound:
-            primes.append((p, INERT, p * p))
-    rows: list[tuple[int, tuple, int]] = [(1, (), 0)]
-    for n, factors, start in rows:  # rows appended here are visited too
+        st = kron[p % field.disc]  # 1 split, 0 ramified, -1 inert
+        nrm = p * p if st < 0 else p
+        for tag in (SPLIT1, SPLIT2) if st > 0 else (RAMIFIED,) if st == 0 else (INERT,):
+            pw, qe = [], nrm
+            while qe <= bound:
+                pw.append((qe, (p, tag, len(pw) + 1)))
+                qe *= nrm
+            if pw:
+                primes.append((p, tag, nrm, pw))
+    rows: list[tuple[int, tuple, int, int | None]] = [(1, (), 0, None)] if bound >= 1 else []
+    for i, (n, factors, start, _) in enumerate(rows):  # rows appended here are visited too
         for j in range(start, len(primes)):
-            p, tag, nrm = primes[j]
-            if n * p > bound:
+            if n * primes[j][0] > bound:
                 break
-            m = n * nrm
-            e = 1
-            while m <= bound:
-                rows.append((m, factors + ((p, tag, e),), j + 1))
-                m *= nrm
-                e += 1
-    rows.sort()
-    return [IdealQF(field.d, factors) for _, factors, _ in rows]
+            for qe, pe in primes[j][3]:
+                if n * qe > bound:
+                    break
+                rows.append((n * qe, factors + (pe,), j + 1, i))
+    return primes, rows

@@ -3,11 +3,51 @@
 import math
 import random
 
-from eiscong.arith import factorize, is_prime, primes_up_to
+from eiscong import arith
+from eiscong.arith import _pollard_brent, factorize, is_prime, primes_up_to
 
 
 def _product(fac):
     return math.prod(p**e for p, e in fac.items())
+
+
+def _oracle_factorize(n, rho_iters=200000):
+    """The earlier `factorize`: every cofactor, even one that trial division
+    has proved to be 1 or prime, goes through `is_prime` and the rho stack."""
+    n = abs(n)
+    if n in (0, 1):
+        return {}
+    out = {}
+    d = 2
+    while d < 100000 and d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    rng = random.Random(0xE15)
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        f = None
+        for _ in range(8):
+            f = _pollard_brent(m, rng, rho_iters)
+            if f is not None:
+                break
+        if f is None:
+            return None
+        stack.append(f)
+        stack.append(m // f)
+    return out
+
+
+def _same(n):
+    got, want = factorize(n), _oracle_factorize(n)
+    return got == want and list(got.items()) == list(want.items())
 
 
 class TestFactorize:
@@ -39,6 +79,40 @@ class TestFactorize:
         n = (10**9 + 7) * (10**9 + 9)
         assert factorize(n, rho_iters=50) is None
         assert factorize(n) == {10**9 + 7: 1, 10**9 + 9: 1}
+
+
+class TestFactorizeOracle:
+    def test_range_equals_oracle(self):
+        assert [n for n in range(0, 20000) if not _same(n)] == []
+
+    def test_seeded_below_10_12_equal_oracle(self):
+        rng = random.Random(0xFAC7)
+        inputs = [rng.randrange(2, 10**12) for _ in range(150)]
+        assert [n for n in inputs if not _same(n)] == []
+
+    def test_rho_path_equals_oracle(self):
+        # cofactors above the 10^5 trial cap: products of two primes > 10^5
+        rng = random.Random(0x5EED)
+        big = [p for p in range(100001, 101000, 2) if is_prime(p)]
+        inputs = [p * q for p, q in (rng.sample(big, 2) for _ in range(8))]
+        inputs += [12 * 100003 * 100019, 100003**2, 7 * 1000003 * 999983]
+        assert [n for n in inputs if not _same(n)] == []
+
+    def test_no_primality_test_after_complete_trial_division(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(arith, "is_prime", counted)
+        # trial division reaches d^2 > n: the cofactor is 1 or prime
+        for n in (2, 97, 20149, 2 * 3 * 5 * 7 * 11 * 13, 99991**2 * 7, 10**9 + 7):
+            assert factorize(n) == _oracle_factorize(n)
+        assert calls == []
+        # a cofactor left at the 10^5 cap still goes to is_prime and rho
+        assert factorize(100003 * 100019) == {100003: 1, 100019: 1}
+        assert calls
 
 
 class TestPrimality:

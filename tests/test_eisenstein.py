@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eiscong.characters import induce_quadratic
+from eiscong.characters import HeckeCharacterQF, induce_quadratic
 from eiscong.eisenstein import (
     CoefficientSystem,
     EisensteinSeries,
@@ -113,19 +113,29 @@ class TestCoefficients:
                 for e in range(1, 4):
                     assert cs[e + 1] == cs[1] * cs[e] - ev * q.norm * cs[e - 1]
 
-    def test_one_local_factor_per_prime_power(self, f2, monkeypatch):
+    def test_no_character_call_per_ideal(self, f2, monkeypatch):
+        # the walk evaluates no character per ideal: eps(q) comes from chi1's
+        # value table, and each prime ideal's Euler factors are built once
         series = stripped_eisenstein(f2, 20149)
-        calls = []
-        real = EisensteinSeries.local_factor
+        calls = {"value_on_ideal": 0, "local_factors": 0}
 
-        def counted(self, p, tag, e):
-            calls.append((p, tag, e))
-            return real(self, p, tag, e)
+        def counted(owner, name):
+            real = getattr(owner, name)
 
-        monkeypatch.setattr(EisensteinSeries, "local_factor", counted)
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(HeckeCharacterQF, "value_on_ideal")
+        counted(EisensteinSeries, "local_factors")
         sys = eisenstein_coeffs(series, 2000)
-        assert len(calls) == len(set(calls))
-        assert set(calls) == {pe for a in sys.coeffs for pe in a.factors}
+        prime_ideals = [a for a in sys.coeffs if len(a.factors) == 1 and a.factors[0][2] == 1]
+        assert calls == {"value_on_ideal": 0, "local_factors": len(prime_ideals)}
+        assert len(prime_ideals) < len(sys.coeffs) // 4
+        monkeypatch.undo()
+        for a, c in sys.coeffs.items():
+            assert series.coefficient_at(a) == c, str(a)
 
 
 class TestHecke:

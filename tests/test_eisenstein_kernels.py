@@ -14,6 +14,7 @@ import random
 import pytest
 
 from eiscong.arith import primes_up_to
+from eiscong.characters import induce_quadratic, value_table
 from eiscong.eisenstein import eisenstein_coeffs, stripped_eisenstein
 from eiscong.quadfield import (
     INERT,
@@ -21,6 +22,7 @@ from eiscong.quadfield import (
     SPLIT1,
     SPLIT2,
     IdealQF,
+    _ideal_walk,
     enumerate_ideals,
     ideal_divide,
     ideal_mul,
@@ -144,3 +146,51 @@ def test_coefficient_at_high_exponents(d):
                 assert series.t_eigenvalue(q) == want, (label, str(q))
         for a in products:
             assert series.coefficient_at(a) == _oracle_coefficient_at(series, a), (label, str(a))
+
+
+# the census fields; level primes lie over m, which is prime to disc, so they
+# split or stay inert, while the ramified primes of F enter every walk
+WALK_FIELDS = (2, 5, 13, 17, 29)
+WALK_BOUNDS = (1, 2, 3, 50, 1500)
+
+
+def _seeded_levels(field):
+    """Seeded odd squarefree m prime to disc: split, inert, split * inert.
+
+    The primes are drawn so that the level primes have norm <= 1500 and so
+    enter the walk: a split one below 400, an inert one with p^2 <= 1500.
+    """
+    rng = random.Random(0xC0EF + field.d)
+    pool = [p for p in primes_up_to(400) if p > 2 and field.disc % p]
+    ls = rng.choice([p for p in pool if splitting_type(field, p) == "split"])
+    li = rng.choice([p for p in pool if p * p <= 1500 and splitting_type(field, p) == INERT])
+    return (ls, li, ls * li)
+
+
+@pytest.mark.parametrize("d", WALK_FIELDS)
+def test_walk_coefficients_equal_oracle_at_seeded_levels(d):
+    f = make_field(d)
+    ideals = {bound: _oracle_enumerate_ideals(f, bound) for bound in WALK_BOUNDS}
+    for m in _seeded_levels(f):
+        series = stripped_eisenstein(f, m)
+        for bound in WALK_BOUNDS:
+            got = list(eisenstein_coeffs(series, bound).coeffs.items())
+            want = [(a, _oracle_coefficient_at(series, a)) for a in ideals[bound]]
+            assert got == want, (m, bound)
+
+
+@pytest.mark.parametrize("d", WALK_FIELDS)
+def test_table_read_eps_equals_value_on_ideal(d):
+    # eisenstein_coeffs reads eps(q) as chi1's table at N(q) mod f, 0 when
+    # q lies over m; the walk's prime list is every prime ideal of norm <= 1500
+    f = make_field(d)
+    primes, _ = _ideal_walk(f, 1500)
+    want = [a.factors[0] for a in _oracle_enumerate_ideals(f, 1500)
+            if len(a.factors) == 1 and a.factors[0][2] == 1]
+    assert [(p, tag, 1) for p, tag, _, _ in primes] == sorted(want)
+    for m in _seeded_levels(f):
+        eps = induce_quadratic(f, m)
+        table = value_table(eps.chi1)
+        for p, tag, nq, _ in primes:
+            read = 0 if m % p == 0 else table[nq % len(table)]
+            assert read == eps.value_on_ideal(IdealQF(d, ((p, tag, 1),))), (m, p, tag)
