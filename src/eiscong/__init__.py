@@ -5,7 +5,6 @@ Modules:
   characters  Dirichlet characters, induced Hecke characters
   lseries     exact L-values at non-positive integers
   eisenstein  coefficient systems, Hecke action, congruence scanner
-  padic       p-adic scalars with explicit precision
   iwasawa     O[[T]] at finite precision, Weierstrass preparation
   measures    distributions on unit towers, Kubota-Leopoldt branches
   cli         batch front end with JSON reports

@@ -385,6 +385,12 @@ def value_table(chi: DirichletCharacter) -> array:
     return array("b", state.translate(_STATE_TO_VALUE))
 
 
+def sign_masks(table: bytes) -> tuple[bytes, bytes]:
+    """The masks (1 or 0 per byte) of chi = +1 and of chi = -1 over value_table bytes."""
+    return (table.translate(bytes.maketrans(b"\xff", b"\x00")),
+            table.translate(bytes.maketrans(b"\x01\xff", b"\x00\x01")))
+
+
 # ---------------------------------------------------------------------------
 # the quadratic Hecke character eps of F, presented by its induced pair
 

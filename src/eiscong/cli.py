@@ -101,8 +101,7 @@ def cmd_eis(args) -> int:
     series = stripped_eisenstein(field, args.m)
     sys_ = eisenstein_coeffs(series, args.bound)
     lines = [{"config": _config_echo(args, "eis", ["d", "m", "bound"])}]
-    for ideal in sys_.ideals():
-        c = sys_.at(ideal)
+    for ideal, c in sys_.coeffs.items():
         lines.append({"ideal": ideal.to_json(), "norm": ideal.norm, "coeff": int(c)})
     _emit(args, lines)
     return 0

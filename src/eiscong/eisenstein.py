@@ -81,7 +81,11 @@ class EisensteinSeries:
 
 @dataclass
 class CoefficientSystem:
-    """Fourier coefficients C(a) for N(a) <= bound, with the S-scalar data."""
+    """Fourier coefficients C(a) for N(a) <= bound, with the S-scalar data.
+
+    coeffs is kept in (norm, factors) order, the order `eisenstein_coeffs`
+    inserts its keys in; `hecke_T` and `hecke_U` keep it.
+    """
 
     field: RealQuadraticField
     bound: int
@@ -93,7 +97,8 @@ class CoefficientSystem:
         return self.coeffs[a]
 
     def ideals(self):
-        return sorted(self.coeffs, key=lambda i: (i.norm, i.factors))
+        """The keys of coeffs in insertion order, (norm, factors)."""
+        return list(self.coeffs)
 
 
 def eisenstein_coeffs(series: EisensteinSeries, bound: int) -> CoefficientSystem:

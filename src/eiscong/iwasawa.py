@@ -15,7 +15,6 @@ from itertools import accumulate
 from math import comb
 
 from .arith import is_prime, val_p
-from .padic import PadicScalar, binomial_row, inv_mod, unit_log_ratio
 
 
 class IndistinguishableFromZero(ValueError):
@@ -24,17 +23,15 @@ class IndistinguishableFromZero(ValueError):
 
 @dataclass
 class IwasawaElement:
-    """sum res[j] T^j + O(p^prec[j]) T^j + O(T^M), integral coefficients."""
+    """sum res[j] T^j + O(p^prec[j]) T^j + O(T^M), integral coefficients, M = len(res)."""
 
     p: int
-    p_prec: int  # declared N
-    t_prec: int  # declared M
     res: list
     prec: list
     pole_factor: bool = False  # true branch is self / ((1+T) - u); see kubota_leopoldt
 
     def __post_init__(self):
-        assert len(self.res) == self.t_prec and len(self.prec) == self.t_prec
+        assert len(self.res) == len(self.prec)
         self.res = [r % self.p**k if k > 0 else 0 for r, k in zip(self.res, self.prec)]
 
     # -- constructors ----------------------------------------------------
@@ -42,27 +39,23 @@ class IwasawaElement:
     def from_integers(p: int, N: int, M: int, coeffs, pole_factor: bool = False) -> "IwasawaElement":
         coeffs = list(coeffs)
         res = [int(c) % p**N for c in coeffs] + [0] * (M - len(coeffs))
-        return IwasawaElement(p, N, M, res[:M], [N] * M, pole_factor)
+        return IwasawaElement(p, res[:M], [N] * M, pole_factor)
 
     @staticmethod
     def zero(p: int, N: int, M: int) -> "IwasawaElement":
-        return IwasawaElement(p, N, M, [0] * M, [N] * M)
+        return IwasawaElement(p, [0] * M, [N] * M)
 
     @staticmethod
     def one(p: int, N: int, M: int) -> "IwasawaElement":
         return IwasawaElement.from_integers(p, N, M, [1])
 
     # -- views ------------------------------------------------------------
+    @property
+    def t_prec(self) -> int:
+        return len(self.res)
+
     def min_prec(self) -> int:
         return min(self.prec)
-
-    def coefficient(self, j: int) -> PadicScalar:
-        r = self.res[j]
-        if r == 0:
-            return PadicScalar.zero(self.p, self.prec[j])
-        v = val_p(r, self.p)
-        return PadicScalar(self.p, v, r // self.p**v % self.p ** (self.prec[j] - v),
-                           self.prec[j] - v)
 
     def to_json(self) -> dict:
         return {
@@ -106,25 +99,20 @@ class IwasawaElement:
             raise ValueError(f"{len(coeffs)} coefficients exceed M = {m}")
         res = [parse_digit_string(s, p) for s in coeffs] + [0] * (m - len(coeffs))
         prec = [max(n, s.count(",") + 1 if s else 0) for s in coeffs] + [n] * (m - len(coeffs))
-        return IwasawaElement(p, n, m, res, prec, pole)
+        return IwasawaElement(p, res, prec, pole)
 
     # -- ring operations ----------------------------------------------------
-    def _common(self, other: "IwasawaElement"):
-        assert self.p == other.p
-        m = min(self.t_prec, other.t_prec)
-        return m
-
     def __add__(self, other: "IwasawaElement") -> "IwasawaElement":
-        m = self._common(other)
+        assert self.p == other.p
         prec = [min(a, b) for a, b in zip(self.prec, other.prec)]
         res = [(a + b) % self.p**k for a, b, k in zip(self.res, other.res, prec)]
-        return IwasawaElement(self.p, min(prec), m, res[:m], prec[:m],
-                              self.pole_factor or other.pole_factor)
+        return IwasawaElement(self.p, res, prec, self.pole_factor or other.pole_factor)
 
     def __mul__(self, other: "IwasawaElement") -> "IwasawaElement":
-        m = self._common(other)
+        assert self.p == other.p
+        m = min(self.t_prec, other.t_prec)
         n = min(self.min_prec(), other.min_prec())
-        return IwasawaElement(self.p, n, m, _mul_trunc(self.res, other.res, m, self.p**n),
+        return IwasawaElement(self.p, _mul_trunc(self.res, other.res, m, self.p**n),
                               [n] * m, self.pole_factor or other.pole_factor)
 
     def scale(self, c) -> "IwasawaElement":
@@ -135,9 +123,8 @@ class IwasawaElement:
         out = []
         for r, k in zip(self.res, self.prec):
             mod = self.p**k
-            out.append(r * (c.numerator % mod) % mod * inv_mod(c.denominator % mod, mod) % mod)
-        return IwasawaElement(self.p, self.p_prec, self.t_prec, out, list(self.prec),
-                              self.pole_factor)
+            out.append(r * (c.numerator % mod) % mod * pow(c.denominator % mod, -1, mod) % mod)
+        return IwasawaElement(self.p, out, list(self.prec), self.pole_factor)
 
 
 def _mul_trunc(a: list, b: list, m: int, mod: int) -> list:
@@ -240,7 +227,7 @@ def weierstrass_prepare(f: IwasawaElement) -> WeierstrassData:
     assert U[0] % p != 0
 
     # each step adds a multiple of p^k, so U mod p and its inverse are fixed
-    ubar_inv = [inv_mod(U[0], p)] + [0] * (M - 1)
+    ubar_inv = [pow(U[0], -1, p)] + [0] * (M - 1)
     for k in range(1, M):
         acc = sum(U[i] * ubar_inv[k - i] for i in range(1, k + 1))
         ubar_inv[k] = -acc * ubar_inv[0] % p
@@ -265,13 +252,51 @@ def weierstrass_prepare(f: IwasawaElement) -> WeierstrassData:
     final = _mul_trunc(P, U, M, p**n_red)
     if any((g[i] - final[i]) % p**n_red for i in range(M)):
         raise ArithmeticError("reconstruction failed at the stated precision")
-    unit = IwasawaElement(p, n_red, M, [u % p**n_red for u in U], [n_red] * M)
+    unit = IwasawaElement(p, [u % p**n_red for u in U], [n_red] * M)
     dist = [c % p**n_red for c in P]
     return WeierstrassData(mu, lam, dist, unit, certified, n_red, M - lam)
 
 
 # ---------------------------------------------------------------------------
 # Euler factors
+
+
+def unit_log_ratio(x: int, u: int, p: int, w: int) -> int:
+    """c = log<x> / log(u) mod p^w, x a unit, u a generator of 1 + pZp, p odd.
+
+    An exact discrete log: <x>^(p-1) = x^(p-1) = y is u^c' mod p^(w+1) for
+    one c' = (p - 1) c mod p^w, as u generates the cyclic group
+    (1 + pZ)/(1 + p^(w+1)Z) of order p^w.  With y = 1 mod p^(i+1) and
+    h = u^(-p^i) = 1 - a p^(i+1) mod p^(i+2) (a a unit), digit i of c' is
+    d = ((y - 1)/p^(i+1)) a^-1 mod p, and y h^d = 1 mod p^(i+2).
+    """
+    if u % p != 1 or u % p**2 == 1:
+        raise ValueError("u must generate 1 + pZp (v(log u) = 1)")
+    if x % p == 0:
+        raise ValueError("x must be a p-adic unit")
+    mod = p ** (w + 1)
+    y, h, c, pi = pow(x, p - 1, mod), pow(u, -1, mod), 0, 1
+    for _ in range(w):  # h = u^-pi, pi = p^i
+        d = (1 - y) // (pi * p) * pow((h - 1) // (pi * p), -1, p) % p
+        y, c = y * pow(h, d, mod) % mod, c + d * pi
+        h, pi = pow(h, p, mod), pi * p
+    return c * pow(p - 1, -1, pi) % pi
+
+
+def binomial_row(c: int, length: int, p: int, w: int) -> list[int]:
+    """C(c, j) mod p^w for j < length, c an exact integer representative.
+
+    C(c, j) = C(c, j-1) (c-j+1) / j is an integer for every integer c, so
+    the row is exact before the reduction; a change of c by p^e moves
+    C(c, j) by a multiple of p^(e - v_p(j!)).
+    """
+    mod = p**w
+    out = [1 % mod]
+    b = 1
+    for j in range(1, length):
+        b = b * (c - j + 1) // j
+        out.append(b % mod)
+    return out
 
 
 def euler_factor(chi_q, n_q: int, u: int, p: int, N: int, M: int) -> IwasawaElement:
@@ -291,11 +316,11 @@ def euler_factor(chi_q, n_q: int, u: int, p: int, N: int, M: int) -> IwasawaElem
     c = unit_log_ratio(n_q, u, p, w_c)
     row = binomial_row(c, M, p, N)
     mod = p**N
-    a = chi_q.numerator % mod * inv_mod(chi_q.denominator % mod, mod) % mod
-    a = a * inv_mod(n_q % mod, mod) % mod
+    a = chi_q.numerator % mod * pow(chi_q.denominator % mod, -1, mod) % mod
+    a = a * pow(n_q % mod, -1, mod) % mod
     res = [(-a * row[j]) % mod for j in range(M)]
     res[0] = (1 + res[0]) % mod
-    return IwasawaElement(p, N, M, res, [N] * M)
+    return IwasawaElement(p, res, [N] * M)
 
 
 def reflect(f: IwasawaElement) -> IwasawaElement:
@@ -313,4 +338,4 @@ def reflect(f: IwasawaElement) -> IwasawaElement:
     out = f.res[:1] + [
         (-1) ** i * sum(comb(i - 1, j - 1) * f.res[j] for j in range(1, i + 1))
         for i in range(1, f.t_prec)]
-    return IwasawaElement(f.p, min(prec), f.t_prec, out, prec, f.pole_factor)
+    return IwasawaElement(f.p, out, prec, f.pole_factor)

@@ -33,12 +33,10 @@ from fractions import Fraction
 from itertools import compress, repeat
 
 from .arith import factorize, primes_up_to
-from .characters import CycSum, DirichletCharacter, HeckeCharacterQF, value_table
+from .characters import CycSum, DirichletCharacter, HeckeCharacterQF, sign_masks, value_table
 
 BERNOULLI_CAP = 10**4
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
-_PLUS_MASK = bytes.maketrans(b"\xff", b"\x00")
-_MINUS_MASK = bytes.maketrans(b"\x01\xff", b"\x00\x01")
 
 
 def _bernoulli_table(n: int) -> list[Fraction]:
@@ -100,8 +98,7 @@ def _centered_power_sums(chi: DirichletCharacter, n: int) -> dict[int, int]:
     """
     f = chi.conductor
     half = value_table(chi).tobytes()[f // 2 + 1:]
-    plus = half.translate(_PLUS_MASK)
-    minus = half.translate(_MINUS_MASK)
+    plus, minus = sign_masks(half)
     xs = range(f - 2 * len(half), f, 2)  # 2a - f
     return {m: 2 * (sum(map(pow, compress(xs, plus), repeat(m)))
                     - sum(map(pow, compress(xs, minus), repeat(m))))

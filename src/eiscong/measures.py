@@ -35,10 +35,9 @@ from operator import add, floordiv, mul, sub
 
 from .arith import crt, val_p
 from .characters import (CycSum, DirichletCharacter, HeckeCharacterQF, _primitive_root,
-                         value_table)
+                         sign_masks, value_table)
 from .iwasawa import IwasawaElement, euler_factor, lambda_mu
-from .lseries import _MINUS_MASK, _PLUS_MASK, bernoulli
-from .padic import PadicScalar, inv_mod, teichmuller
+from .lseries import bernoulli
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +46,7 @@ from .padic import PadicScalar, inv_mod, teichmuller
 
 def _blocks(m0: int, p: int) -> list[tuple[int, int]]:
     """[(r, s)]: the units r mod m0 increasing (0 when m0 = 1), p | r + m0 t at t = s mod p."""
-    minv = inv_mod(m0 % p, p)
+    minv = pow(m0 % p, -1, p)
     return [(r, -r * minv % p) for r in range(m0) if math.gcd(r, m0) == 1]
 
 
@@ -138,7 +137,7 @@ def bernoulli_family(m0: int, p: int, depth: int) -> LevelFamily:
     if depth < 1:
         raise ValueError("need depth >= 1")
     blocks = _blocks(m0, p)
-    pinv = inv_mod(p % m0, m0) if m0 > 1 else 0
+    pinv = pow(p % m0, -1, m0) if m0 > 1 else 0
     levels = [_level(m0, [r - pinv * r % m0 for r, _ in blocks])]
     for nu in range(1, depth + 1):
         q = m0 * p**nu
@@ -160,7 +159,6 @@ class StabilizationParams:
 
     alpha: Fraction
     eps_p: Fraction
-    note: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -268,6 +266,18 @@ def pair_with_character(fam: LevelFamily, eta: DirichletCharacter):
 # ---------------------------------------------------------------------------
 # the Gamma-transform bridge
 
+def teichmuller(a: int, p: int, w: int) -> int:
+    """The Teichmuller representative omega(a) mod p^w: the fixed point of x -> x^p."""
+    mod = p**w
+    x = a % mod
+    if x % p == 0:
+        raise ValueError("a must be a p-adic unit")
+    prev = None
+    while x != prev:
+        prev, x = x, pow(x, p, mod)
+    return x
+
+
 def _teichmuller_powers(p: int, w: int):
     """The map e -> [omega(r)^e mod p^w for r = 0..p-1] (0 at r = 0).
 
@@ -359,7 +369,7 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
     chi = value_table(chi_tame)  # f | m0, so chi(a) = chi(r) at a = r mod m0
     f = len(chi)
     # a = r + m0 t = m0 (t + r/m0) mod p^L: rotated to start at t = 1 - r/m0, the blocks line up
-    size, minv = len(level) // len(fam.blocks), inv_mod(m0 % pL, pL)
+    size, minv = len(level) // len(fam.blocks), pow(m0 % pL, -1, pL)
     classes = [0] * size
     for i, (r, s) in enumerate(fam.blocks):
         blk, k = level[i * size:(i + 1) * size], _position((1 - r * minv) % pL, s, p)
@@ -376,11 +386,11 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
     for j in range(M):
         acc = list(accumulate(acc[:len(weight) - j]))
         series.append(acc[-1] if acc else 0)
-    den_inv = inv_mod(den % mod, mod)
+    den_inv = pow(den % mod, -1, mod)
     res = [x * den_inv % mod for x in series]
     prec = [bridge_certified_precision(V, p, j, N) for j in range(M)]
     out = [r % p**k if k else 0 for r, k in zip(res, prec)]
-    return IwasawaElement(p, min(prec) if prec else N, M, out, prec)
+    return IwasawaElement(p, out, prec)
 
 
 def _vfact(j: int, p: int) -> int:
@@ -389,7 +399,7 @@ def _vfact(j: int, p: int) -> int:
 
 
 def bridge_certified_precision(depth: int, p: int, j: int, N: int) -> int:
-    """Exported so tests and the CLI can state the per-coefficient claim."""
+    """The digits to_iwasawa_series states for T^j on a depth-`depth` tower."""
     if j == 0:
         return N
     return min(N, max(0, depth - 2 - _vfact(j, p)))
@@ -469,11 +479,6 @@ def _wraps_by_shift(reads: dict, f: int):
         yield s, list(map(sub, m, q))
 
 
-def _signs(vals) -> tuple[bytes, bytes]:
-    """The masks of vals = +1 and of vals = -1, vals an array("b") of 0, 1 and -1."""
-    return vals.tobytes().translate(_PLUS_MASK), vals.tobytes().translate(_MINUS_MASK)
-
-
 def _prefix_power_sums(vals, cuts, mmax: int):
     """Exact window moments at every s in cuts, each in its block's frame, from one prefix sweep.
 
@@ -516,7 +521,7 @@ def _prefix_power_sums(vals, cuts, mmax: int):
     held = [(lo, list(block)) for lo, block in groupby(cuts, lambda s: s - s % n)]
     by_rows = (n * mmax + sum(block[-1] - lo for lo, block in held)
                < len(cuts) * (mmax + 1) * (mmax + 2) // 2)
-    signs = _signs(vals)
+    signs = sign_masks(vals.tobytes())
     rows, read = _packed_rows(n, mmax, (n - 1).bit_length(), pow)
     reads, ends = {}, []
     for lo in range(0, f, n):
@@ -583,7 +588,7 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
         return ([[0] + [pow(r, m, mod) for r in range(1, p)] for m in range(mmax + 1)],
                 [1] * (mmax + 1))
     vals = value_table(chi)
-    pinv = inv_mod(p % f0, f0)
+    pinv = pow(p % f0, -1, f0)
     shifts = [r * pinv % f0 for r in range(1, p)]
     windows, total = _prefix_power_sums(vals, shifts, mmax)
     scale = [vals[p % f0] * p**l for l in range(mmax + 1)]  # chi(p) p^l
@@ -625,7 +630,7 @@ def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
     omega = _teichmuller_powers(p, wk)
     pole = chi.is_trivial() and omega_power % (p - 1) == 0
     ks = [k for k in range(count + 1) if k < 2 or k % 2 == 0]  # B_k = 0 at odd k >= 3
-    gs = [[g.numerator * inv_mod(g.denominator, mod) % mod
+    gs = [[g.numerator * pow(g.denominator, -1, mod) % mod
            for g in (p * bernoulli(k) * Fraction(f) ** (k - 1) for k in ks)] for f in (f0, f0 * p)]
     nodes = []
     for n in range(1, count + 1):
@@ -635,7 +640,7 @@ def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
         s = [sum(map(mul, omp, U[n - k])) if tw else U0[n - k] for k in kn]
         pb = sum(map(mul, map(mul, map(math.comb, repeat(n), kn), gs[tw > 0]), s))
         v = val_p(n, p)
-        x = -(1 - (0 if tw else chi_p) * p ** (n - 1)) * pb * inv_mod(n // p**v, mod)
+        x = -(1 - (0 if tw else chi_p) * p ** (n - 1)) * pb * pow(n // p**v, -1, mod)
         x = x * (pow(u, 1 - n, mod) - u if pole else 1) % mod
         if x % p ** (v + 1):
             raise ArithmeticError("non-integral coefficient at T^0 (unexpected pole)")
@@ -699,7 +704,7 @@ def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,
     v = max(val_p(n, p) for n in range(1, big + 1))
     wk = max(big, N + min(M, big)) + _vfact(big - 1, p) + v
     res = _newton_fit(_branch_nodes(chi, p, omega_power, big, wk), p, N, M, fit)
-    return IwasawaElement(p, N, M, res, [N] * M, pole_factor=pole)
+    return IwasawaElement(p, res, [N] * M, pole_factor=pole)
 
 
 def _fit_points(N: int, M: int) -> int:
@@ -753,7 +758,7 @@ def _newton_fit(nodes: list[tuple[int, int]], p: int, N: int, M: int, fit: int) 
         if any(map((p ** min(e, max(low - lost, 0))).__rmod__, diffs)):  # only digits the level knows
             raise ArithmeticError(f"non-integral coefficient at T^{k} (unexpected pole)")
         lost += e
-        c = inv_mod((1 - u**k) // p**e, mod)
+        c = pow((1 - u**k) // p**e, -1, mod)
         d = list(map(mod.__rmod__, map(mul, map(floordiv, diffs, repeat(p**e)),
                                        map(c.__mul__, upow[k:]))))
         coeffs.append(d[0])
@@ -775,14 +780,6 @@ def _newton_fit(nodes: list[tuple[int, int]], p: int, N: int, M: int, fit: int) 
         if res[0][j] != res[1][j]:
             raise ArithmeticError(f"interpolation unstable at T^{j}; raise the point count")
     return res[0]
-
-
-def kl_value_at_zero(series: IwasawaElement, u: int) -> PadicScalar:
-    """The branch value at T = 0, undoing the pole factor when flagged."""
-    a0 = series.coefficient(0)
-    if series.pole_factor:
-        return a0 / PadicScalar.from_rational(1 - u, series.p, a0.abs_prec + 2)
-    return a0
 
 
 # ---------------------------------------------------------------------------

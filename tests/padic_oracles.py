@@ -1,26 +1,29 @@
-"""p-adic scalars with explicit precision, and modular p-adic primitives.
+"""Test-only p-adic oracles that no command reaches.
 
-A PadicScalar is u * p^v + O(p^(v+n)) with unit mantissa u (or the pure
-error term O(p^v) when nothing is known).  Negative valuations are allowed;
-they occur only in the pseudo-measure branch.  Heavy kernels work on plain
-integers mod p^W and wrap results at the end: the power tables, the series
-bridge and the branch tail in `measures` (node values, divided differences
-and the Newton expansion, with one proved precision per node and per level)
-build no PadicScalar.
+The library keeps one p-adic format, integers mod p^k.  Two older forms
+survive here as references:
+
+- `PadicScalar`, u * p^v + O(p^(v+n)) with its own precision, is the
+  scalar of the branch tail that test_branch_kernels' integer tail must
+  equal exactly;
+- `series_unit_log_ratio` is c(x) = log<x>/log u by the truncated log
+  series with guard digits, which `iwasawa.unit_log_ratio` (an exact
+  discrete log) must equal on every input.
+
+`p_b1_omega_inv` and `p_value_at_zero` compare a branch series at T = 0
+with the direct Teichmuller sum, in integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import val_p
+from eiscong.arith import val_p
+from eiscong.measures import teichmuller
 
 _INF = 10**9  # valuation of an exact zero
-
-
-def inv_mod(a: int, m: int) -> int:
-    return pow(a, -1, m)
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ class PadicScalar:
         if n <= 0:
             return PadicScalar(p, abs_prec, 0, 0)
         mod = p**n
-        u = (x.numerator // p**vn) % mod * inv_mod(x.denominator // p**vd, mod) % mod
+        u = (x.numerator // p**vn) % mod * pow(x.denominator // p**vd, -1, mod) % mod
         return PadicScalar(p, v, u, n)
 
     @staticmethod
@@ -139,7 +142,7 @@ class PadicScalar:
         n = min(self.n, o.n) if self.u else self.n
         if self.u == 0:
             return PadicScalar.zero(self.p, self.abs_prec - o.v)
-        inv = inv_mod(o.u % self.p**n, self.p**n)
+        inv = pow(o.u % self.p**n, -1, self.p**n)
         return PadicScalar.from_unit(self.p, self.v - o.v,
                                      self.u * inv % self.p**n, n)
 
@@ -157,23 +160,6 @@ class PadicScalar:
         return f"{self.u}*{self.p}^{self.v} + O({self.p}^{self.abs_prec})"
 
 
-# ---------------------------------------------------------------------------
-# integer-kernel primitives
-
-
-def teichmuller(a: int, p: int, w: int) -> int:
-    """The Teichmuller representative omega(a) mod p^w."""
-    mod = p**w
-    x = a % mod
-    if x % p == 0:
-        raise ValueError("a must be a p-adic unit")
-    prev = None
-    while x != prev:
-        prev = x
-        x = pow(x, p, mod)
-    return x
-
-
 def padic_log_1unit(x: int, p: int, w: int) -> int:
     """log(x) mod p^w for x = 1 mod p, p odd; input exact mod p^(w+guard)."""
     guard = 1
@@ -184,48 +170,57 @@ def padic_log_1unit(x: int, p: int, w: int) -> int:
     t = (x - 1) % mod
     if t % p != 0:
         raise ValueError("x must be = 1 mod p")
-    term = 1
     acc = 0
     i = 1
     power = t
     while power != 0 and i <= (w + guard) * 2 + 4:
         # term_i = (-1)^(i+1) t^i / i
         vi = val_p(i, p) if i % p == 0 else 0
-        piece = power // p**vi * inv_mod(i // p**vi, mod) % mod
+        piece = power // p**vi * pow(i // p**vi, -1, mod) % mod
         acc = (acc + piece) if i % 2 == 1 else (acc - piece)
         i += 1
         power = power * t % mod
     return acc % p**w
 
 
-def unit_log_ratio(x: int, u: int, p: int, w: int) -> int:
-    """c = log<x> / log(u) mod p^w, x a unit, u a generator of 1 + pZp."""
+def series_unit_log_ratio(x: int, u: int, p: int, w: int) -> int:
+    """c = log<x> / log(u) mod p^w by the log series: <x> = x omega(x)^-1."""
     mod_hi = p ** (w + 2)
     om = teichmuller(x, p, w + 2)
-    xu = x % mod_hi * inv_mod(om, mod_hi) % mod_hi  # <x> in 1 + pZp
+    xu = x % mod_hi * pow(om, -1, mod_hi) % mod_hi  # <x> in 1 + pZp
     lx = padic_log_1unit(xu, p, w + 1)
     lu = padic_log_1unit(u % mod_hi, p, w + 1)
     if lu == 0 or val_p(lu, p) != 1:
         raise ValueError("u must generate 1 + pZp (v(log u) = 1)")
     if lx == 0:
         return 0
-    if val_p(lx, p) < 1:
-        raise ValueError("log x has smaller valuation than log u")
-    return (lx // p) * inv_mod(lu // p, p**w) % p**w
+    return (lx // p) * pow(lu // p, -1, p**w) % p**w
 
 
-def binomial_row(c: int, length: int, p: int, w: int) -> list[int]:
-    """C(c, j) mod p^w for j < length, c an exact integer representative.
+def p_b1_omega_inv(chi, p: int, w: int) -> int:
+    """p B_{1, chi omega^-1} mod p^w by the direct sum over 1 <= a <= f = f0 p.
 
-    C(c, j) = C(c, j-1) (c-j+1) / j is an integer for every integer c, so
-    the row is exact before the reduction; callers supply c to enough
-    precision that the result is meaningful (error in c propagates as
-    C(c,j) differences).
+    eta = chi omega^-1 is nontrivial of conductor f, so B_{1,eta} =
+    (1/f) sum_{gcd(a, f) = 1} eta(a) a and p B_{1,eta} = f0^-1 times that sum.
     """
+    f0 = chi.conductor
     mod = p**w
-    out = [1 % mod]
-    b = 1
-    for j in range(1, length):
-        b = b * (c - j + 1) // j
-        out.append(b % mod)
-    return out
+    s = 0
+    for a in range(1, f0 * p + 1):
+        c = chi(a) if f0 > 1 else 1
+        if c and math.gcd(a, f0 * p) == 1:
+            s += c * pow(teichmuller(a, p, w), -1, mod) * a
+    return s * pow(f0, -1, mod) % mod
+
+
+def p_value_at_zero(series) -> tuple[int, int]:
+    """(x, k): p times the branch value at T = 0 is x mod p^k.
+
+    The value is a_0 = res[0], known mod p^prec[0]; on a pole-flagged
+    series a_0 is ((1+T) - u) times it at T = 0, u = 1 + p, so p times the
+    value is -a_0, known mod p^prec[0].
+    """
+    a0, k = series.res[0], series.prec[0]
+    if series.pole_factor:
+        return -a0 % series.p**k, k
+    return series.p * a0 % series.p ** (k + 1), k + 1

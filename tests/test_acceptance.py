@@ -6,7 +6,6 @@ record.  Runtime bounds are asserted with a small grace factor for slow
 machines.
 """
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -28,14 +27,14 @@ from eiscong.measures import (
     bridge_certified_precision,
     check_distribution,
     deligne_ribet_induced,
-    kl_value_at_zero,
     kubota_leopoldt,
     pair_with_character,
     stabilize,
     to_iwasawa_series,
 )
-from eiscong.padic import PadicScalar, teichmuller
 from eiscong.quadfield import ideal_pow, make_field, principal_ideal
+
+from padic_oracles import p_b1_omega_inv, p_value_at_zero
 
 GRACE = 3.0  # runtime tolerance factor
 
@@ -165,7 +164,8 @@ def test_criterion_4_distribution_and_interpolation():
 def test_criterion_5_kubota_leopoldt_consistency():
     """KL T=0 values to precision N-2 against the direct Teichmuller oracle,
     and the two construction paths agree to precision N-4 at T=0 (exact-depth
-    collapse) and at every certified coefficient digit."""
+    collapse) and at every certified coefficient digit.  All in integers: the
+    value is -B_{1,chi omega^-1}, so p times it is -p B_1 mod p^(N-1)."""
     t0 = time.time()
     N, M = 12, 40
     value_ok = True
@@ -174,11 +174,8 @@ def test_criterion_5_kubota_leopoldt_consistency():
             if D % p == 0:
                 continue
             chi = kronecker_character(D)
-            kl = kubota_leopoldt(chi, p, N, M)
-            got = kl_value_at_zero(kl, 1 + p)
-            want = -_direct_b1(chi, p, N)
-            diff = got - want
-            if not (diff.is_zero_to_precision() and diff.abs_prec >= N - 2):
+            x, k = p_value_at_zero(kubota_leopoldt(chi, p, N, M))
+            if not (k >= N - 1 and (x + p_b1_omega_inv(chi, p, N + 4)) % p ** (N - 1) == 0):
                 value_ok = False
     bridge_ok = True
     V = 4
@@ -187,8 +184,8 @@ def test_criterion_5_kubota_leopoldt_consistency():
         stab = stabilize(bernoulli_family(abs(D), p, V), StabilizationParams(1, 1))
         tr = to_iwasawa_series(stab, chi, 1, 1 + p, N, M)
         want = reflect(kubota_leopoldt(chi, p, N, M)).scale(-(1 - chi(p)))
-        d0 = tr.coefficient(0) - want.coefficient(0)
-        if not (d0.is_zero_to_precision() and d0.abs_prec >= N - 4):
+        k0 = min(tr.prec[0], want.prec[0])
+        if not (k0 >= N - 4 and (tr.res[0] - want.res[0]) % p**k0 == 0):
             bridge_ok = False
         for j in range(1, M):
             cert = bridge_certified_precision(V, p, j, N)
@@ -318,21 +315,6 @@ def _cyc_equal(got, want):
         can = want.canonical()
         return all(c == 0 for c in can[1:]) and can[0] == got
     return got == want
-
-
-def _direct_b1(chi, p, w):
-    f0 = chi.conductor
-    f = f0 * p
-    mod = p ** (w + 4)
-    s = 0
-    for a in range(1, f + 1):
-        if math.gcd(a, f) != 1:
-            continue
-        c = chi(a) if f0 > 1 else 1
-        if not c:
-            continue
-        s = (s + c * pow(teichmuller(a, p, w + 4), -1, mod) * a) % mod
-    return PadicScalar.from_unit(p, 0, s, w + 4) / PadicScalar.from_rational(f, p, w + 4)
 
 
 def _random_certified(rng, p, N, M):

@@ -29,7 +29,8 @@ from eiscong.measures import (
     _newton_fit,
     kubota_leopoldt,
 )
-from eiscong.padic import PadicScalar
+
+from padic_oracles import PadicScalar
 
 
 def _oracle_branch_nodes(chi, p, omega_power, count, w):
@@ -126,7 +127,7 @@ def _oracle_kubota_leopoldt(chi, p, N, M, omega_power=0):
         if res[j] != check[j]:
             raise ArithmeticError(
                 f"interpolation unstable at T^{j}; raise the point count")
-    return IwasawaElement(p, N, M, res, [N] * M, pole_factor=pole)
+    return IwasawaElement(p, res, [N] * M, pole_factor=pole)
 
 
 def _outcome(fn, D, p, N, M, om):

@@ -166,6 +166,14 @@ class TestHecke:
         with pytest.raises(ValueError):
             hecke_U(sys, prime_ideal(f2, 3))
 
+    def test_images_keep_the_norm_order(self, f2):
+        # ideals() is insertion order: (norm, factors) from eisenstein_coeffs,
+        # kept by T(q) and U(q)
+        sys = eisenstein_coeffs(stripped_eisenstein(f2, 5), 700)
+        q5 = principal_ideal(f2, 5).prime_factors()[0]
+        for img in (sys, hecke_T(sys, prime_ideal(f2, 3)), hecke_U(sys, q5)):
+            assert img.ideals() == sorted(img.coeffs, key=lambda i: (i.norm, i.factors))
+
     def test_U_square_is_U_of_square(self, f2):
         # U(q)^2 = U(q^2) as operators, on a random system
         rng = random.Random(11)

@@ -14,7 +14,7 @@ from eiscong.iwasawa import (
     reflect,
     weierstrass_prepare,
 )
-from eiscong.padic import teichmuller
+from eiscong.measures import teichmuller
 
 
 def random_certified(rng, p, N, M, max_mu=2, max_lam=5):
@@ -45,12 +45,12 @@ class TestLambdaMu:
     def test_uncertified_when_precision_hides(self):
         # coefficient 0 is O(p) while the best exact valuation is 2: a smaller
         # valuation could hide below the stated precision
-        f = IwasawaElement(5, 1, 4, [0, 0, 25, 0], [1, 8, 8, 8])
+        f = IwasawaElement(5, [0, 0, 25, 0], [1, 8, 8, 8])
         mu, lam, cert = lambda_mu(f)
         assert (mu, lam) == (2, 2)
         assert not cert
         # with enough precision on that coefficient the same data certifies
-        g = IwasawaElement(5, 3, 4, [0, 0, 25, 0], [3, 8, 8, 8])
+        g = IwasawaElement(5, [0, 0, 25, 0], [3, 8, 8, 8])
         assert lambda_mu(g) == (2, 2, True)
 
     def test_additivity_and_unit_invariance(self):
@@ -118,10 +118,10 @@ class TestWeierstrass:
 
     def test_precision_exhaustion(self):
         f = IwasawaElement.from_integers(5, 1, 6, [5 % 5, 0, 1])  # fine at N=1
-        g = IwasawaElement(5, 1, 6, [0, 0, 1, 0, 0, 0], [1] * 6)
+        g = IwasawaElement(5, [0, 0, 1, 0, 0, 0], [1] * 6)
         wd = weierstrass_prepare(g)  # N-mu = 1 still works
         assert wd.lam == 2
-        h = IwasawaElement(5, 2, 6, [5, 0, 5, 0, 0, 0], [2] * 6)
+        h = IwasawaElement(5, [5, 0, 5, 0, 0, 0], [2] * 6)
         # mu = 1 at N = 2 leaves one digit; lambda_mu certified, prepare works
         assert lambda_mu(h) == (1, 0, True)
 
@@ -174,8 +174,9 @@ class TestEulerFactor:
 
 class TestEvaluate:
     def test_at_zero(self):
-        f = IwasawaElement.from_integers(5, 8, 6, [1, 1])
-        assert f.coefficient(0).residue_mod(8) == 1
+        # the value at T = 0 is res[0], known mod p^prec[0]
+        f = IwasawaElement.from_integers(5, 8, 6, [1 + 5**8, 1])
+        assert (f.res[0], f.prec[0]) == (1, 8)
 
     def test_euler_at_zero(self):
         e = euler_factor(1, 36, 6, 5, 8, 10)
@@ -205,7 +206,7 @@ def random_element(rng, p, N, M):
     """Random residues; uniform precision N or per-coefficient precisions."""
     prec = [N] * M if rng.random() < 0.5 else [rng.randrange(N + 1) for _ in range(M)]
     res = [rng.randrange(p**N) for _ in range(M)]
-    return IwasawaElement(p, min(prec), M, res, prec)
+    return IwasawaElement(p, res, prec)
 
 
 class TestClosedFormsAgainstOracles:
@@ -252,9 +253,8 @@ class TestClosedFormsAgainstOracles:
             p = rng.choice((3, 5, 7))
             f = random_element(rng, p, rng.randint(1, 6), rng.randint(1, 14))
             got = reflect(f)
-            noisy = IwasawaElement(p, f.p_prec, f.t_prec,
-                                   [r + rng.randrange(1, p**3) * p**k
-                                    for r, k in zip(f.res, f.prec)],
+            noisy = IwasawaElement(p, [r + rng.randrange(1, p**3) * p**k
+                                       for r, k in zip(f.res, f.prec)],
                                    [k + 3 for k in f.prec])
             again = reflect(noisy)
             assert all((a - b) % p**k == 0
@@ -296,7 +296,7 @@ class TestSerialization:
         p = rng.choice((3, 5, 7, 11))
         f = random_element(rng, p, rng.randint(0, 6), rng.randint(1, 12))
         g = IwasawaElement.from_json(f.to_json())
-        assert (g.res, g.prec, g.p_prec, g.t_prec) == (f.res, f.prec, f.min_prec(), f.t_prec)
+        assert (g.res, g.prec, g.t_prec) == (f.res, f.prec, f.t_prec)
 
     @pytest.mark.parametrize("m0,D,p,V,N,M,omega_power", [
         (12, 12, 5, 5, 6, 12, 1), (8, 8, 5, 4, 3, 10, 3), (13, 13, 7, 4, 5, 9, 1),

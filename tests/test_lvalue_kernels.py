@@ -24,6 +24,7 @@ from eiscong.characters import (
     is_fundamental_discriminant,
     kronecker_character,
     primitive_characters,
+    sign_masks,
     value_table,
 )
 from eiscong import lseries
@@ -107,8 +108,7 @@ def _oracle_power_sums(chi, n):
     """
     f = chi.conductor
     table = value_table(chi).tobytes()
-    plus = table.translate(lseries._PLUS_MASK)
-    minus = table.translate(lseries._MINUS_MASK)
+    plus, minus = bytes(x == 1 for x in table), bytes(x == 0xFF for x in table)
     sign = -1 if table[-1] == 0xFF else 1  # chi(-1)
     sums = [table.count(1) - table.count(0xFF)]
     for j in range(1, n + 1):
@@ -159,6 +159,13 @@ class TestValueTable:
     def test_large_conductors(self, D):
         chi = kronecker_character(D)
         assert value_table(chi) == _oracle_value_table(chi)
+
+    @pytest.mark.parametrize("D", (1, -4, 8, 13, -163, 20149))
+    def test_sign_masks(self, D):
+        table = value_table(kronecker_character(D))
+        plus, minus = sign_masks(table.tobytes())
+        assert list(plus) == [int(c == 1) for c in table]
+        assert list(minus) == [int(c == -1) for c in table]
 
     def test_rejects_order_above_two(self):
         chi = next(c for c in enumerate_characters(7) if c.order == 3)

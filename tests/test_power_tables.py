@@ -21,6 +21,7 @@ from eiscong import measures
 from eiscong.characters import (
     kronecker_character,
     primitive_characters,
+    sign_masks,
     value_table,
 )
 from eiscong.measures import (
@@ -30,16 +31,15 @@ from eiscong.measures import (
     _branch_nodes,
     _power_tables,
     _prefix_power_sums,
-    _signs,
     _teichmuller_powers,
     _wraps_by_rows,
     _wraps_by_shift,
     bernoulli_family,
     stabilize,
     StabilizationParams,
+    teichmuller,
     to_iwasawa_series,
 )
-from eiscong.padic import teichmuller
 
 
 def _oracle_power_tables(chi, p, wk, mmax):
@@ -368,7 +368,7 @@ class TestWrapTerm:
         cuts = sorted(set(_branch_cuts(f, p)))
         want = _oracle_in_block(vals, cuts, n, mmax)
         held = [(lo, list(g)) for lo, g in groupby(cuts, lambda s: s - s % n)]
-        by_rows = dict(_wraps_by_rows(_signs(vals), held, n, mmax, f))
+        by_rows = dict(_wraps_by_rows(sign_masks(vals.tobytes()), held, n, mmax, f))
         by_shift = dict(_wraps_by_shift({s: q for s, (q, _) in want.items()}, f))
         assert by_rows == by_shift == {s: w for s, (_, w) in want.items()}
 

@@ -3,15 +3,16 @@
 The `_oracle_*` functions are the earlier per-unit forms of
 `bernoulli_family`, `stabilize`, `check_distribution` and
 `to_iwasawa_series`: two Fractions and a subtraction per B1 value, a CRT per
-twisted unit, Fraction fiber sums, and one `unit_log_ratio` (a Teichmuller
-lift and two logs) per wild class with an M-term update per unit.  They are
-kept here only as the references the tower kernels must equal exactly.  They
-read and build families by value, through the `fraction_levels` helpers.  The
-bridge oracle is also the only code left that reads log_u<a> through p-adic
-logarithms and binomial rows; the kernel reads it off the powers of u.  The
-oracle reads level V and the kernel level V - 1, so they agree on
-distributions; on other families the kernel is the oracle of level V - 1
-lifted to the top (test_bridge_reads_level_v_minus_one).
+twisted unit, Fraction fiber sums, and one `series_unit_log_ratio` (a
+Teichmuller lift and two logs, from padic_oracles) per wild class with an
+M-term update per unit.  They are kept here only as the references the
+tower kernels must equal exactly.  They read and build families by value,
+through the `fraction_levels` helpers.  The bridge oracle is also the only
+code left that reads log_u<a> through p-adic logarithms and binomial rows;
+the kernel reads it off the powers of u.  The oracle reads level V and the
+kernel level V - 1, so they agree on distributions; on other families the
+kernel is the oracle of level V - 1 lifted to the top
+(test_bridge_reads_level_v_minus_one).
 """
 
 import contextlib
@@ -28,7 +29,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from eiscong.arith import crt
 from eiscong.characters import enumerate_characters, kronecker_character
 from eiscong.cli import main
-from eiscong.iwasawa import IwasawaElement
+from eiscong.iwasawa import IwasawaElement, binomial_row, unit_log_ratio
 from eiscong.measures import (
     DistributionReport,
     LevelFamily,
@@ -39,11 +40,12 @@ from eiscong.measures import (
     bridge_certified_precision,
     check_distribution,
     stabilize,
+    teichmuller,
     to_iwasawa_series,
 )
-from eiscong.padic import binomial_row, inv_mod, teichmuller, unit_log_ratio
 
 from fraction_levels import from_fractions, level_values, map_values
+from padic_oracles import series_unit_log_ratio
 
 
 def _oracle_b1(a, q):
@@ -60,7 +62,7 @@ def _oracle_bernoulli_family(m0, p, depth):
         elif m0 == 1:
             lvl = {0: Fraction(0)}
         else:
-            pinv = inv_mod(p % m0, m0)
+            pinv = pow(p % m0, -1, m0)
             lvl = {a: _oracle_b1(a, m0) - _oracle_b1(pinv * a % m0, m0)
                    for a in range(m0) if math.gcd(a, m0) == 1}
         values.append(lvl)
@@ -116,7 +118,7 @@ def _oracle_to_iwasawa_series(fam, chi_tame, omega_power, u, N, M):
         raise ValueError("family is not p-integral at the deepest level; stabilize first")
     w = N + V + 4
     mod = p**w
-    den_inv = inv_mod(den % mod, mod)
+    den_inv = pow(den % mod, -1, mod)
     om_inv = _teichmuller_powers(p, w)((-omega_power) % (p - 1))
     rows = {}
     acc = [0] * M
@@ -126,7 +128,7 @@ def _oracle_to_iwasawa_series(fam, chi_tame, omega_power, u, N, M):
             continue
         ap = a % p**V
         if ap not in rows:
-            rows[ap] = binomial_row(unit_log_ratio(ap, u, p, w), M, p, w)
+            rows[ap] = binomial_row(series_unit_log_ratio(ap, u, p, w), M, p, w)
         row = rows[ap]
         scal = sign * om_inv[a % p] % mod * \
             ((v.numerator % mod) * ((den // v.denominator) % mod) % mod) % mod
@@ -135,7 +137,7 @@ def _oracle_to_iwasawa_series(fam, chi_tame, omega_power, u, N, M):
     res = [a_ * den_inv % mod for a_ in acc]
     prec = [bridge_certified_precision(V, p, j, N) for j in range(M)]
     out = [r % p**k if k else 0 for r, k in zip(res, prec)]
-    return IwasawaElement(p, min(prec) if prec else N, M, out, prec)
+    return IwasawaElement(p, out, prec)
 
 
 def _same_family(got, want):
@@ -191,7 +193,7 @@ class TestTowerKernels:
                     to_iwasawa_series(stab, chi, omega_power, 1 + p, V - 1, 6)
                 continue
             got = to_iwasawa_series(stab, chi, omega_power, 1 + p, V - 1, 6)
-            assert (got.res, got.prec, got.p_prec) == (want.res, want.prec, want.p_prec)
+            assert (got.res, got.prec) == (want.res, want.prec)
             assert got.to_json() == want.to_json()
 
 
@@ -422,7 +424,7 @@ def test_exponent_table_is_the_log_to_base_u(p, V):
         assert sorted(index[x] for x in range(1, pV, p)) == list(range(p ** (V - 1)))
         for c in range(pV):
             if c % p:
-                one_unit = c * inv_mod(teichmuller(c, p, V), pV) % pV
+                one_unit = c * pow(teichmuller(c, p, V), -1, pV) % pV
                 assert (unit_log_ratio(c, u, p, V + 2) - index[one_unit]) % p ** (V - 1) == 0, \
                     (u, c)
 
