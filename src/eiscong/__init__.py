@@ -2,9 +2,9 @@
 
 Modules:
   quadfield   real quadratic fields, units, factored ideals
-  characters  Dirichlet characters, induced Hecke characters
+  characters  Kronecker characters, induced Hecke characters
   lseries     exact L-values at non-positive integers
-  eisenstein  coefficient systems, Hecke action, congruence scanner
+  eisenstein  Eisenstein coefficient systems, congruence scanner
   iwasawa     O[[T]] at finite precision, Weierstrass preparation
   measures    distributions on unit towers, Kubota-Leopoldt branches
   cli         batch front end with JSON reports

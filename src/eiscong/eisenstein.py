@@ -1,12 +1,9 @@
-"""The Eisenstein series E_2(eps, 1 mod (m)), its Hecke action, the scanner.
+"""The Eisenstein series E_2(eps, 1 mod (m)), its coefficients, the scanner.
 
 The series has coefficients C(a) = sum_{c | a} eps(a/c) 1_(m)(c) N(c), with
 1_(m) the trivial character modulo (m): every Euler factor at a prime over
-m is removed.  Coefficient systems map integral ideals of norm <= bound to
-exact ring elements.  The Hecke action follows the classical double-coset
-relation C(m, f|V(q)) = sum over ideals c containing m + q of
-N(c) eps(c) C(c^-2 m q); for prime q the sum has at most the two terms
-c = (1) and c = q.
+m is removed.  A coefficient system maps the integral ideals of norm <= bound
+to their exact coefficients.
 
 The scanner reproduces the worked congruence-prime search: candidate primes
 divide the exact value L_F(-1, eps), then must pass the level-coefficient
@@ -23,8 +20,6 @@ from .quadfield import (
     IdealQF,
     RealQuadraticField,
     _ideal_walk,
-    ideal_divide,
-    ideal_gcd,
     ideal_mul,
     ideal_pow,
     index_iota1,
@@ -46,10 +41,6 @@ class EisensteinSeries:
     @property
     def level(self) -> IdealQF:
         return ideal_mul(self.eps.modulus_ideal, self.eps.modulus_ideal)
-
-    def character(self) -> HeckeCharacterQF:
-        """The S-operator scalar eps * 1_(m), which equals eps on every ideal."""
-        return self.eps
 
     def local_factors(self, p: int, ev: int, nq: int, bound: int) -> list[int]:
         """[L_0, L_1, ...], the Euler factors of C at q^e for N(q)^e <= bound.
@@ -74,24 +65,18 @@ class EisensteinSeries:
             acc *= self.local_factors(p, self.eps.value_on_ideal(q), q.norm, q.norm**e)[e]
         return acc
 
-    def t_eigenvalue(self, q: IdealQF):
-        """eps(q) + N(q) = C(q) for prime q not dividing the level."""
-        return self.coefficient_at(q)
-
 
 @dataclass
 class CoefficientSystem:
-    """Fourier coefficients C(a) for N(a) <= bound, with the S-scalar data.
+    """Fourier coefficients C(a) for N(a) <= bound.
 
     coeffs is kept in (norm, factors) order, the order `eisenstein_coeffs`
-    inserts its keys in; `hecke_T` and `hecke_U` keep it.
+    inserts its keys in.
     """
 
     field: RealQuadraticField
     bound: int
     coeffs: dict
-    s_char: object  # value_on_ideal-capable; the S(c)-eigenvalue scalar
-    level: IdealQF
 
     def at(self, a: IdealQF):
         return self.coeffs[a]
@@ -102,10 +87,10 @@ class CoefficientSystem:
 
 
 def eisenstein_coeffs(series: EisensteinSeries, bound: int) -> CoefficientSystem:
-    """Coefficients C(a) for N(a) <= bound, keyed in `enumerate_ideals` order.
+    """Coefficients C(a) for N(a) <= bound, keyed in (norm, factors) order.
 
-    C is multiplicative, and a row of the walk behind `enumerate_ideals` is its
-    parent times a power q^e of a prime not dividing it, so C(row) = C(parent)
+    C is multiplicative, and a row of `quadfield._ideal_walk` is its parent
+    times a power q^e of a prime not dividing it, so C(row) = C(parent)
     L_e(q), with each q's `local_factors` computed once from eps(q) = chi1(N(q))
     read off chi1's value table: no character is evaluated per ideal.
     """
@@ -117,37 +102,7 @@ def eisenstein_coeffs(series: EisensteinSeries, bound: int) -> CoefficientSystem
         cs.append(1 if parent is None else cs[parent] * local[start - 1][factors[-1][2]])
     order = sorted(range(len(rows)), key=rows.__getitem__)
     coeffs = {IdealQF(field.d, rows[i][1]): cs[i] for i in order}
-    return CoefficientSystem(field, bound, coeffs, series.character(), series.level)
-
-
-def hecke_T(sys: CoefficientSystem, q: IdealQF) -> CoefficientSystem:
-    """T(q) for prime q not dividing the level; bound shrinks to bound//N(q)."""
-    if not q.coprime_to(sys.level):
-        raise ValueError("q divides the level; use hecke_U")
-    nq = q.norm
-    new_bound = sys.bound // nq
-    out = {}
-    for m in sys.coeffs:
-        if m.norm > new_bound:
-            continue
-        acc = sys.coeffs[ideal_mul(m, q)]
-        g = ideal_gcd(m, q)
-        if not g.is_one():
-            # c = q term: N(q) eps(q) C(m q / q^2)
-            ev = sys.s_char.value_on_ideal(q)
-            if ev:
-                acc = acc + nq * ev * sys.coeffs[ideal_divide(m, q)]
-        out[m] = acc
-    return CoefficientSystem(sys.field, new_bound, out, sys.s_char, sys.level)
-
-
-def hecke_U(sys: CoefficientSystem, q: IdealQF) -> CoefficientSystem:
-    """U(q) for prime q dividing the level: C(m) -> C(mq)."""
-    if q.coprime_to(sys.level):
-        raise ValueError("q does not divide the level; use hecke_T")
-    new_bound = sys.bound // q.norm
-    out = {m: sys.coeffs[ideal_mul(m, q)] for m in sys.coeffs if m.norm <= new_bound}
-    return CoefficientSystem(sys.field, new_bound, out, sys.s_char, sys.level)
+    return CoefficientSystem(field, bound, coeffs)
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Special values of Dirichlet and induced Hecke L-functions at s <= 0.
 
-All values are exact: rationals for quadratic characters, cyclotomic
-rationals otherwise, via generalized Bernoulli numbers
-B_{n,chi} = f^(n-1) sum_{a=1..f} chi(a) B_n(a/f).  No floating point.
+All values are exact rationals, via generalized Bernoulli numbers
+B_{n,chi} = f^(n-1) sum_{a=1..f} chi(a) B_n(a/f) of characters of order
+<= 2.  No floating point.
 
 The trivial character is the Kronecker symbol of D = 1, and
 L(1-n, chi_1) = -B_{n,chi_1}/n is zeta(1-n): B_{n,chi_1} = B_n(1), which is
@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import compress, repeat
 
 from .arith import factorize, primes_up_to
-from .characters import CycSum, DirichletCharacter, HeckeCharacterQF, sign_masks, value_table
+from .characters import DirichletCharacter, HeckeCharacterQF, sign_masks, value_table
 
 BERNOULLI_CAP = 10**4
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
@@ -75,16 +75,6 @@ def bernoulli(n: int) -> Fraction:
         size = min(max(n, 2 * len(_BERNOULLI_CACHE)), BERNOULLI_CAP)
         _BERNOULLI_CACHE[:] = _bernoulli_table(size)
     return _BERNOULLI_CACHE[n]
-
-
-def bernoulli_poly(n: int, x: Fraction) -> Fraction:
-    """B_n(x) = sum_k C(n,k) B_k x^(n-k), exact."""
-    acc = Fraction(0)
-    xp = Fraction(1)
-    for k in range(n, -1, -1):
-        acc += math.comb(n, k) * bernoulli(k) * xp
-        xp *= x
-    return acc
 
 
 def _centered_power_sums(chi: DirichletCharacter, n: int) -> dict[int, int]:
@@ -135,10 +125,10 @@ def _siegel_b2(f: int) -> Fraction:
     return Fraction(2 * total, 5)
 
 
-def gen_bernoulli(chi: DirichletCharacter, n: int):
-    """B_{n,chi} for chi of modulus equal to its conductor.
+def gen_bernoulli(chi: DirichletCharacter, n: int) -> Fraction:
+    """B_{n,chi} for chi of order <= 2 and modulus equal to its conductor.
 
-    Rational for order <= 2, a CycSum otherwise.  For order <= 2:
+    The value is rational:
       - conductor 1 (the trivial character) gives B_n(1): B_n for n != 1,
         +1/2 at n = 1;
       - a nontrivial chi with chi(-1) != (-1)^n gives 0, before any work;
@@ -150,7 +140,7 @@ def gen_bernoulli(chi: DirichletCharacter, n: int):
         (x - 1/2)^(n-k), B_{n,chi} = f^(n-1) sum_a chi(a) B_n(a/f) is
         2^-n sum_{k even} C(n,k) (2 - 2^k) B_k f^(k-1) T_{n-k}
         (the k = 1 term vanishes and so do the odd B_k, k >= 3).
-    n above the Bernoulli cap is rejected before any work.
+    n above the Bernoulli cap and order above 2 are rejected before any work.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -158,24 +148,18 @@ def gen_bernoulli(chi: DirichletCharacter, n: int):
         raise ValueError(f"weight {n} is above the Bernoulli cap {BERNOULLI_CAP}")
     if not chi.is_primitive():
         raise ValueError("gen_bernoulli needs modulus = conductor")
+    if chi.order > 2:
+        raise NotImplementedError("exact L-values only for order <= 2 here")
     f = chi.conductor
-    if chi.order <= 2:
-        if f == 1:
-            return Fraction(1, 2) if n == 1 else bernoulli(n)
-        if chi.is_even() != (n % 2 == 0):
-            return Fraction(0)
-        if n == 2:
-            return _siegel_b2(f)
-        sums = _centered_power_sums(chi, n)
-        return sum(math.comb(n, k) * (2 - 2**k) * bernoulli(k) * Fraction(f) ** (k - 1)
-                   * sums[n - k] for k in range(0, n + 1, 2)) / 2**n
-    e = chi.zeta_order_eff()
-    acc = CycSum(e)
-    for a in range(1, f):
-        k = chi.value_exp(a)
-        if k is not None:
-            acc.add_term(k, f ** (n - 1) * bernoulli_poly(n, Fraction(a, f)))
-    return acc
+    if f == 1:
+        return Fraction(1, 2) if n == 1 else bernoulli(n)
+    if chi.is_even() != (n % 2 == 0):
+        return Fraction(0)
+    if n == 2:
+        return _siegel_b2(f)
+    sums = _centered_power_sums(chi, n)
+    return sum(math.comb(n, k) * (2 - 2**k) * bernoulli(k) * Fraction(f) ** (k - 1)
+               * sums[n - k] for k in range(0, n + 1, 2)) / 2**n
 
 
 @dataclass
@@ -196,10 +180,7 @@ def dirichlet_L_neg(chi: DirichletCharacter, n: int) -> LValueRecord:
     """L(1-n, chi) = -B_{n,chi}/n, exact; zeta(0) = -1/2 at the trivial chi."""
     if n < 1:
         raise ValueError("need n >= 1")
-    b = gen_bernoulli(chi, n)
-    if isinstance(b, CycSum):
-        raise NotImplementedError("exact L-values only for order <= 2 here")
-    return LValueRecord(chi, 1 - n, -b / n)
+    return LValueRecord(chi, 1 - n, -gen_bernoulli(chi, n) / n)
 
 
 def hecke_L_neg_induced(eps: HeckeCharacterQF, n: int) -> LValueRecord:

@@ -34,8 +34,8 @@ from itertools import accumulate, chain, compress, groupby, repeat
 from operator import add, floordiv, mul, sub
 
 from .arith import crt, val_p
-from .characters import (CycSum, DirichletCharacter, HeckeCharacterQF, _primitive_root,
-                         sign_masks, value_table)
+from .characters import (DirichletCharacter, HeckeCharacterQF, _primitive_root, sign_masks,
+                         value_table)
 from .iwasawa import IwasawaElement, euler_factor, lambda_mu
 from .lseries import bernoulli
 
@@ -238,29 +238,6 @@ def check_distribution(fam: LevelFamily) -> DistributionReport:
                                       (nu, a, fam.value(a, nu), Fraction(x, d_up)))
         checked += len(lower)
     return DistributionReport(True, checked)
-
-
-def pair_with_character(fam: LevelFamily, eta: DirichletCharacter):
-    """sum_a eta(a)^-1 mu(a, modulus(eta)) at the level matching the modulus.
-
-    Imprimitive eta returns the degenerate value 0 by contract.  Exact: the
-    result is a Fraction for order <= 2 and a CycSum otherwise.
-    """
-    nu = next((k for k in range(fam.depth + 1) if fam.level_modulus(k) == eta.modulus), None)
-    if nu is None:
-        raise ValueError("character modulus is not a level of the family")
-    if not eta.is_primitive():
-        return Fraction(0)
-    lvl, den = fam.num[nu], fam.den[nu]
-    if eta.zeta_order_eff() <= 2:
-        return Fraction(sum(eta(a) * x for a, x in zip(fam.units(nu), lvl)), den)
-    e = eta.zeta_order_eff()
-    coeffs = [0] * e
-    for a, x in zip(fam.units(nu), lvl):
-        k = eta.value_exp(a)
-        if k is not None:
-            coeffs[-k % e] += x
-    return CycSum(e, [Fraction(c, den) for c in coeffs])
 
 
 # ---------------------------------------------------------------------------

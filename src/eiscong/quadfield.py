@@ -191,22 +191,6 @@ class IdealQF:
         )
 
 
-def unit_ideal(field: RealQuadraticField) -> IdealQF:
-    return IdealQF(field.d, ())
-
-
-def prime_ideal(field: RealQuadraticField, p: int, tag: str | None = None) -> IdealQF:
-    """A prime ideal above p; tag picks a split factor (default split1)."""
-    st = splitting_type(field, p)
-    if st == "split":
-        tag = tag or SPLIT1
-        if tag not in (SPLIT1, SPLIT2):
-            raise ValueError("split prime needs a split tag")
-    else:
-        tag = st
-    return IdealQF(field.d, ((p, tag, 1),))
-
-
 def principal_ideal(field: RealQuadraticField, n: int) -> IdealQF:
     """The ideal (n) of o_F for a positive rational integer n."""
     if n <= 0:
@@ -240,30 +224,6 @@ def ideal_pow(a: IdealQF, n: int) -> IdealQF:
     if n < 0:
         raise ValueError("integral ideals only")
     return IdealQF(a.d, tuple((p, tag, e * n) for p, tag, e in a.factors)) if n else IdealQF(a.d, ())
-
-
-def ideal_divide(a: IdealQF, b: IdealQF) -> IdealQF:
-    """a / b, requiring b | a."""
-    acc = {(p, tag): e for p, tag, e in a.factors}
-    for p, tag, e in b.factors:
-        got = acc.get((p, tag), 0) - e
-        if got < 0:
-            raise ValueError("not a divisor")
-        if got == 0:
-            acc.pop((p, tag))
-        else:
-            acc[(p, tag)] = got
-    return IdealQF(a.d, tuple(sorted((p, tag, e) for (p, tag), e in acc.items())))
-
-
-def ideal_gcd(a: IdealQF, b: IdealQF) -> IdealQF:
-    eb = {(p, tag): e for p, tag, e in b.factors}
-    out = []
-    for p, tag, e in a.factors:
-        m = min(e, eb.get((p, tag), 0))
-        if m:
-            out.append((p, tag, m))
-    return IdealQF(a.d, tuple(sorted(out)))
 
 
 def index_iota1(field: RealQuadraticField, a: IdealQF) -> int:
@@ -301,12 +261,6 @@ def unit_power_check(field: RealQuadraticField, p: int, e: int) -> str:
         else:
             v, w = (v * v - 2) % p, (v * w - t) % p
     return "divides" if (v - 2) % p == 0 else "coprime"
-
-
-def enumerate_ideals(field: RealQuadraticField, bound: int) -> list[IdealQF]:
-    """All integral ideals of norm <= bound, sorted by (norm, factors); empty
-    for bound < 1.  They are the rows of `_ideal_walk`, sorted once."""
-    return [IdealQF(field.d, row[1]) for row in sorted(_ideal_walk(field, bound)[1])]
 
 
 def _ideal_walk(field: RealQuadraticField, bound: int) -> tuple[list, list]:

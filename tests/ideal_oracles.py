@@ -1,10 +1,38 @@
 """Test-only ideal helpers that no command reaches.
 
-`ideal_divisors` lists every integral divisor of an ideal.  The divisor-sum
-oracle in test_eisenstein_kernels sums over it, and test_quadfield checks it.
+`prime_ideal` and `ideal_divide` build the ideals the tests name.
+`enumerate_ideals` lists the ideals of bounded norm in the order the
+coefficient walk keys them.  `ideal_divisors` lists every integral divisor
+of an ideal; the divisor-sum oracle in test_eisenstein_kernels sums over it,
+and test_quadfield checks it.
 """
 
-from eiscong.quadfield import IdealQF, ideal_mul
+from eiscong.quadfield import IdealQF, RealQuadraticField, _ideal_walk, ideal_mul, principal_ideal
+
+
+def prime_ideal(field: RealQuadraticField, p: int) -> IdealQF:
+    """The first prime ideal above p: the split1 factor when p splits."""
+    return principal_ideal(field, p).prime_factors()[0]
+
+
+def ideal_divide(a: IdealQF, b: IdealQF) -> IdealQF:
+    """a / b, requiring b | a."""
+    acc = {(p, tag): e for p, tag, e in a.factors}
+    for p, tag, e in b.factors:
+        got = acc.get((p, tag), 0) - e
+        if got < 0:
+            raise ValueError("not a divisor")
+        if got == 0:
+            acc.pop((p, tag))
+        else:
+            acc[(p, tag)] = got
+    return IdealQF(a.d, tuple(sorted((p, tag, e) for (p, tag), e in acc.items())))
+
+
+def enumerate_ideals(field: RealQuadraticField, bound: int) -> list[IdealQF]:
+    """All integral ideals of norm <= bound, sorted by (norm, factors); empty
+    for bound < 1.  They are the rows of `_ideal_walk`, sorted once."""
+    return [IdealQF(field.d, row[1]) for row in sorted(_ideal_walk(field, bound)[1])]
 
 
 def ideal_divisors(a: IdealQF) -> list[IdealQF]:

@@ -1,4 +1,4 @@
-"""Dirichlet characters, cyclotomic sums, and the induced Hecke characters."""
+"""Kronecker characters, the induced Hecke characters, and the character oracles."""
 
 import math
 import os
@@ -12,30 +12,22 @@ import eiscong
 from eiscong.arith import is_squarefree, kronecker, primes_up_to
 from eiscong.characters import (
     EVEN,
-    CycSum,
-    DirichletCharacter,
-    enumerate_characters,
     induce_quadratic,
     is_fundamental_discriminant,
     kronecker_character,
+)
+from eiscong.quadfield import ideal_mul, make_field, principal_ideal, splitting_type
+
+from character_oracles import (
+    CycSum,
+    GenericCharacter,
+    cyc_equal,
+    enumerate_characters,
+    inverse,
     primitive_characters,
     unit_group,
 )
-from eiscong.quadfield import (
-    enumerate_ideals,
-    ideal_mul,
-    make_field,
-    prime_ideal,
-    principal_ideal,
-    splitting_type,
-    unit_ideal,
-)
-
-
-def is_rational(v: CycSum, c) -> bool:
-    """v reduces mod the cyclotomic polynomial to the rational c."""
-    can = v.canonical()
-    return can[0] == c and not any(can[1:])
+from ideal_oracles import enumerate_ideals, prime_ideal
 
 
 class TestKroneckerCharacter:
@@ -97,12 +89,12 @@ class TestGenericCharacters:
     def test_orthogonality(self):
         m = 15
         for chi in enumerate_characters(m):
-            total = CycSum(chi.zeta_order_eff())
+            total = CycSum(chi.zeta_order)
             for a in unit_group(m).units():
                 k = chi.value_exp(a)
                 total.add_term(k, Fraction(1))
             want = Fraction(len(unit_group(m).units())) if chi.order == 1 else Fraction(0)
-            assert is_rational(total, want)
+            assert cyc_equal(total, want)
 
 
 class TestCycSum:
@@ -137,13 +129,13 @@ class TestCycSum:
         assert v.canonical() == (-1, 0, 0, 0)
 
 
-def gauss_sum(chi: DirichletCharacter) -> CycSum:
+def gauss_sum(chi: GenericCharacter) -> CycSum:
     """tau(chi) = sum_a chi(a) e(a/f) for a primitive chi of order above 2.
 
     chi(a) = zeta_e^k and e(a/f) = zeta_f^a, so the sum lies in Q(zeta_L),
     L = lcm(e, f): one term at exponent k L/e + a L/f for each unit a.
     """
-    f, e = chi.conductor, chi.zeta_order_eff()
+    f, e = chi.conductor, chi.zeta_order
     big = math.lcm(e, f)
     total = CycSum(big)
     for a in range(1, f):
@@ -159,32 +151,32 @@ class TestGaussSums:
         # tau(chi) tau(chi^-1) = chi(-1) f also pins the phase of tau.
         seen = 0
         for f in (5, 7, 9, 13, 16):
-            chars = {c.log_values: c for c in primitive_characters(f)}
-            for chi in chars.values():
+            for chi in primitive_characters(f):
                 if chi.order <= 2:
                     continue
                 tau = gauss_sum(chi)
                 conj = CycSum(tau.e, [tau.coeffs[-i % tau.e] for i in range(tau.e)])
-                assert is_rational(tau * conj, f)
-                inverse = chars[tuple(-k % chi.zeta_order for k in chi.log_values)]
+                assert cyc_equal(tau * conj, f)
                 sign = 1 if chi.is_even() else -1
-                assert is_rational(tau * gauss_sum(inverse), sign * f)
+                assert cyc_equal(tau * gauss_sum(inverse(chi)), sign * f)
                 seen += 1
         assert seen == 24
 
     def test_exact_core_imports_only_the_standard_library(self):
         # a fresh interpreter, so no other test's imports leak in; every module
-        # loaded by eiscong and an order-4 Bernoulli number must be stdlib or eiscong
+        # loaded by eiscong, a Bernoulli number and a Kubota-Leopoldt branch
+        # must be stdlib or eiscong
         script = (
             "import importlib, pkgutil, sys\n"
             "before = set(sys.modules)\n"
             "import eiscong\n"
             "for mod in pkgutil.iter_modules(eiscong.__path__):\n"
             "    importlib.import_module('eiscong.' + mod.name)\n"
-            "from eiscong.characters import primitive_characters\n"
+            "from eiscong.characters import kronecker_character\n"
             "from eiscong.lseries import gen_bernoulli\n"
-            "quartic = [c for c in primitive_characters(5) if c.order == 4]\n"
-            "gen_bernoulli(quartic[0], 1)\n"
+            "from eiscong.measures import kubota_leopoldt\n"
+            "assert str(gen_bernoulli(kronecker_character(-4), 3)) == '3/2'\n"
+            "kubota_leopoldt(kronecker_character(5), 7, 2, 3)\n"
             "tops = {m.split('.')[0] for m in set(sys.modules) - before}\n"
             "print(sorted(tops - set(sys.stdlib_module_names) - {'eiscong'}))\n"
         )
@@ -237,7 +229,7 @@ class TestInducedCharacters:
     def test_values_on_ideals(self):
         f = make_field(2)
         eps = induce_quadratic(f, 20149)
-        assert eps.value_on_ideal(unit_ideal(f)) == 1
+        assert eps.value_on_ideal(principal_ideal(f, 1)) == 1
         assert eps.value_on_ideal(principal_ideal(f, 3)) == 1  # inert: chi1(9) = +1
         p7 = prime_ideal(f, 7)
         assert eps.value_on_ideal(p7) == kronecker(20149, 7)

@@ -10,20 +10,13 @@ from eiscong.eisenstein import (
     CoefficientSystem,
     EisensteinSeries,
     eisenstein_coeffs,
-    hecke_T,
-    hecke_U,
     scan_congruence,
     stripped_eisenstein,
 )
-from eiscong.quadfield import (
-    enumerate_ideals,
-    ideal_mul,
-    ideal_pow,
-    make_field,
-    prime_ideal,
-    principal_ideal,
-    unit_ideal,
-)
+from eiscong.quadfield import ideal_mul, ideal_pow, make_field, principal_ideal
+
+from hecke_oracles import hecke_T, hecke_U
+from ideal_oracles import enumerate_ideals, prime_ideal
 
 
 class _One:
@@ -45,7 +38,7 @@ def e20149(f2):
 
 class TestCoefficients:
     def test_normalized(self, f2, e20149):
-        assert e20149.coefficient_at(unit_ideal(f2)) == 1
+        assert e20149.coefficient_at(principal_ideal(f2, 1)) == 1
 
     def test_inert_three(self, f2, e20149):
         i3 = principal_ideal(f2, 3)
@@ -105,7 +98,7 @@ class TestCoefficients:
     def test_prime_power_recursion(self, f2):
         # C(q^(e+1)) = C(q) C(q^e) - eps(q) N(q) C(q^(e-1)) away from the level
         series = stripped_eisenstein(f2, 5)
-        eps = series.character()
+        eps = series.eps
         for p in (3, 7, 11):
             for q in principal_ideal(f2, p).prime_factors():
                 cs = [series.coefficient_at(ideal_pow(q, e)) for e in range(5)]
@@ -143,35 +136,37 @@ class TestHecke:
         series = stripped_eisenstein(f2, 5)
         sys = eisenstein_coeffs(series, 400)
         q = prime_ideal(f2, 3)
-        img = hecke_T(sys, q)
-        assert img.at(unit_ideal(f2)) == sys.at(q)
+        img = hecke_T(sys, q, series.eps, series.level)
+        assert img.at(principal_ideal(f2, 1)) == sys.at(q)
         # C(q, sys|T(q)) = C(q^2) + N(q) eps(q) C((1))
-        ev = sys.s_char.value_on_ideal(q)
-        assert img.at(q) == sys.at(ideal_pow(q, 2)) + q.norm * ev * sys.at(unit_ideal(f2))
+        ev = series.eps.value_on_ideal(q)
+        assert img.at(q) == sys.at(ideal_pow(q, 2)) + q.norm * ev * sys.at(principal_ideal(f2, 1))
 
     def test_T_rejects_level_prime(self, f2):
         series = stripped_eisenstein(f2, 5)
         sys = eisenstein_coeffs(series, 700)
         q5 = principal_ideal(f2, 5).prime_factors()[0]
         with pytest.raises(ValueError):
-            hecke_T(sys, q5)
+            hecke_T(sys, q5, series.eps, series.level)
 
     def test_U_shift(self, f2):
         series = stripped_eisenstein(f2, 5)
         sys = eisenstein_coeffs(series, 700)
         q5 = principal_ideal(f2, 5).prime_factors()[0]
-        img = hecke_U(sys, q5)
+        img = hecke_U(sys, q5, series.level)
         for m in img.ideals():
             assert img.at(m) == sys.at(ideal_mul(m, q5))
         with pytest.raises(ValueError):
-            hecke_U(sys, prime_ideal(f2, 3))
+            hecke_U(sys, prime_ideal(f2, 3), series.level)
 
     def test_images_keep_the_norm_order(self, f2):
         # ideals() is insertion order: (norm, factors) from eisenstein_coeffs,
         # kept by T(q) and U(q)
-        sys = eisenstein_coeffs(stripped_eisenstein(f2, 5), 700)
+        series = stripped_eisenstein(f2, 5)
+        sys = eisenstein_coeffs(series, 700)
         q5 = principal_ideal(f2, 5).prime_factors()[0]
-        for img in (sys, hecke_T(sys, prime_ideal(f2, 3)), hecke_U(sys, q5)):
+        for img in (sys, hecke_T(sys, prime_ideal(f2, 3), series.eps, series.level),
+                    hecke_U(sys, q5, series.level)):
             assert img.ideals() == sorted(img.coeffs, key=lambda i: (i.norm, i.factors))
 
     def test_U_square_is_U_of_square(self, f2):
@@ -180,26 +175,27 @@ class TestHecke:
         ideals = enumerate_ideals(f2, 625)
         q5 = principal_ideal(f2, 5).prime_factors()[0]
         coeffs = {a: Fraction(rng.randrange(-50, 50)) for a in ideals}
-        sys = CoefficientSystem(f2, 625, coeffs, _One(), ideal_pow(q5, 2))
-        once = hecke_U(hecke_U(sys, q5), q5)
+        level = ideal_pow(q5, 2)
+        once = hecke_U(hecke_U(CoefficientSystem(f2, 625, coeffs), q5, level), q5, level)
         # U(q^2) directly: C(m) -> C(m q^2)
         for m in once.ideals():
-            assert once.at(m) == sys.at(ideal_mul(m, ideal_pow(q5, 2)))
+            assert once.at(m) == coeffs[ideal_mul(m, level)]
 
     def test_commutativity_on_random_systems(self, f2):
         rng = random.Random(5)
         ideals = enumerate_ideals(f2, 441)
         coeffs = {a: Fraction(rng.randrange(-9, 9)) for a in ideals}
-        sys = CoefficientSystem(f2, 441, coeffs, _One(), unit_ideal(f2))
+        sys, one, level = CoefficientSystem(f2, 441, coeffs), _One(), principal_ideal(f2, 1)
         q3, q7 = prime_ideal(f2, 3), prime_ideal(f2, 7)
-        ab = hecke_T(hecke_T(sys, q3), q7)
-        ba = hecke_T(hecke_T(sys, q7), q3)
+        ab = hecke_T(hecke_T(sys, q3, one, level), q7, one, level)
+        ba = hecke_T(hecke_T(sys, q7, one, level), q3, one, level)
         assert ab.coeffs == ba.coeffs
 
 
-def t_eigen_failures(sys, q, lam):
-    """Ideals m with (T(q) sys)(m) != lam * sys(m) on the shrunken bound."""
-    image = hecke_T(sys, q)
+def t_eigen_failures(series, sys, q):
+    """Ideals m with (T(q) sys)(m) != C(q) sys(m) on the shrunken bound."""
+    lam = series.coefficient_at(q)
+    image = hecke_T(sys, q, series.eps, series.level)
     return [m for m in image.ideals() if image.at(m) != lam * sys.at(m)]
 
 
@@ -208,8 +204,8 @@ class TestEigenform:
         series = stripped_eisenstein(f2, 5)
         sys = eisenstein_coeffs(series, 600)
         q = prime_ideal(f2, 3)
-        assert hecke_T(sys, q).ideals()
-        assert t_eigen_failures(sys, q, series.t_eigenvalue(q)) == []
+        assert hecke_T(sys, q, series.eps, series.level).ideals()
+        assert t_eigen_failures(series, sys, q) == []
 
     def test_corrupted_coefficient_reported(self, f2):
         series = stripped_eisenstein(f2, 5)
@@ -218,8 +214,7 @@ class TestEigenform:
         bad = dict(sys.coeffs)
         victim = principal_ideal(f2, 7)
         bad[victim] = bad[victim] + 1
-        broken = CoefficientSystem(f2, 600, bad, sys.s_char, sys.level)
-        assert victim in t_eigen_failures(broken, q, series.t_eigenvalue(q))
+        assert victim in t_eigen_failures(series, CoefficientSystem(f2, 600, bad), q)
 
 
 class TestScan:

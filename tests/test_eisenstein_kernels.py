@@ -4,8 +4,8 @@
 ideal and an `IdealQF.norm` per (prime ideal, ideal so far) pair.
 `_oracle_coefficient_at` is the earlier divisor sum
 C(a) = sum_{c | a} eps(a/c) 1_(m)(c) N(c) over `ideal_divisors(a)`.  They are
-kept here only as the references `enumerate_ideals`, `coefficient_at` and
-`eisenstein_coeffs` must equal exactly: same ideals in the same order, same
+kept here only as the references that `_ideal_walk` (read through
+`enumerate_ideals`), `coefficient_at` and `eisenstein_coeffs` must equal exactly: same ideals in the same order, same
 `int` values.
 """
 
@@ -23,17 +23,14 @@ from eiscong.quadfield import (
     SPLIT2,
     IdealQF,
     _ideal_walk,
-    enumerate_ideals,
-    ideal_divide,
     ideal_mul,
     ideal_pow,
     make_field,
     principal_ideal,
     splitting_type,
-    unit_ideal,
 )
 
-from ideal_oracles import ideal_divisors
+from ideal_oracles import enumerate_ideals, ideal_divide, ideal_divisors
 
 
 def _oracle_enumerate_ideals(field, bound):
@@ -48,7 +45,7 @@ def _oracle_enumerate_ideals(field, bound):
         else:
             if p * p <= bound:
                 primes.append((p, INERT, p * p))
-    ideals = [unit_ideal(field)]
+    ideals = [principal_ideal(field, 1)]
     for p, tag, nrm in primes:
         new = []
         for ideal in ideals:
@@ -130,7 +127,7 @@ def test_coefficient_at_high_exponents(d):
     rng = random.Random(d)
     products = []
     for _ in range(12):
-        a = unit_ideal(f)
+        a = principal_ideal(f, 1)
         for q in rng.sample(primes, 3):
             a = ideal_mul(a, ideal_pow(q, rng.randrange(1, 6)))
         products.append(a)
@@ -143,7 +140,7 @@ def test_coefficient_at_high_exponents(d):
                 assert type(got) is int
             if q.coprime_to(series.level):
                 want = series.eps.value_on_ideal(q) + q.norm
-                assert series.t_eigenvalue(q) == want, (label, str(q))
+                assert series.coefficient_at(q) == want, (label, str(q))
         for a in products:
             assert series.coefficient_at(a) == _oracle_coefficient_at(series, a), (label, str(a))
 

@@ -4,19 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from eiscong.characters import (
-    enumerate_characters,
-    kronecker_character,
-    induce_quadratic,
-)
-from eiscong.lseries import (
-    bernoulli,
-    bernoulli_poly,
-    dirichlet_L_neg,
-    gen_bernoulli,
-    hecke_L_neg_induced,
-)
-from eiscong.quadfield import enumerate_ideals, make_field
+from eiscong.characters import kronecker_character, induce_quadratic
+from eiscong.lseries import bernoulli, dirichlet_L_neg, gen_bernoulli, hecke_L_neg_induced
+from eiscong.quadfield import make_field
+
+from character_oracles import bernoulli_poly, bernoulli_sum, enumerate_characters
+from ideal_oracles import enumerate_ideals
 
 
 class TestBernoulli:
@@ -73,13 +66,18 @@ class TestGenBernoulli:
                 if (chi.is_even() and n % 2 == 1) or \
                    (not chi.is_even() and n % 2 == 0):
                     assert gen_bernoulli(chi, n) == 0, (D, n)
-        # spot-check higher-order primitive characters the same way
+        # spot-check the defining sum at higher-order primitive characters,
+        # which gen_bernoulli refuses
         for m in (5, 7, 13):
             for chi in enumerate_characters(m):
                 if chi.order <= 2 or not chi.is_primitive():
                     continue
+                with pytest.raises(NotImplementedError):
+                    gen_bernoulli(chi, 1)
+                with pytest.raises(NotImplementedError):
+                    dirichlet_L_neg(chi, 1)
                 for n in (1, 2):
-                    b = gen_bernoulli(chi, n)
+                    b = bernoulli_sum(chi, n)
                     if (chi.is_even() and n % 2) or (not chi.is_even() and n % 2 == 0):
                         assert all(c == 0 for c in b.canonical()), (m, n)
 

@@ -19,17 +19,17 @@ from itertools import compress, repeat
 import pytest
 
 from eiscong.characters import (
-    enumerate_characters,
     induce_quadratic,
     is_fundamental_discriminant,
     kronecker_character,
-    primitive_characters,
     sign_masks,
     value_table,
 )
 from eiscong import lseries
 from eiscong.lseries import bernoulli, gen_bernoulli, hecke_L_neg_induced
 from eiscong.quadfield import make_field
+
+from character_oracles import enumerate_characters, primitive_characters
 
 # sieve states: 0 is +1, 1 is -1, 2 is 0
 _FLIP_SIGN = bytes.maketrans(b"\x00\x01", b"\x01\x00")

@@ -18,12 +18,7 @@ from itertools import compress, groupby
 import pytest
 
 from eiscong import measures
-from eiscong.characters import (
-    kronecker_character,
-    primitive_characters,
-    sign_masks,
-    value_table,
-)
+from eiscong.characters import kronecker_character, sign_masks, value_table
 from eiscong.measures import (
     _RESIDUE_BLOCK,
     _SWEEP_BLOCK,
@@ -40,6 +35,8 @@ from eiscong.measures import (
     teichmuller,
     to_iwasawa_series,
 )
+
+from character_oracles import primitive_characters
 
 
 def _oracle_power_tables(chi, p, wk, mmax):

@@ -10,19 +10,16 @@ from eiscong.quadfield import (
     INERT,
     QuadElement,
     RAMIFIED,
-    enumerate_ideals,
-    ideal_divide,
     ideal_mul,
     ideal_pow,
     index_iota1,
     make_field,
     principal_ideal,
     splitting_type,
-    unit_ideal,
     unit_power_check,
 )
 
-from ideal_oracles import ideal_divisors
+from ideal_oracles import enumerate_ideals, ideal_divide, ideal_divisors
 
 
 def brute_fundamental_unit(d):
@@ -136,7 +133,7 @@ class TestSplitting:
 class TestIdeals:
     def test_divisors_counts(self):
         f = make_field(2)
-        assert ideal_divisors(unit_ideal(f)) == [unit_ideal(f)]
+        assert ideal_divisors(principal_ideal(f, 1)) == [principal_ideal(f, 1)]
         i9 = ideal_pow(principal_ideal(f, 3), 2)  # inert (3)^2
         assert len(ideal_divisors(i9)) == 3
         i7 = principal_ideal(f, 7)  # split
@@ -159,7 +156,7 @@ class TestIdeals:
     def test_enumerate(self):
         f = make_field(2)
         ideals = enumerate_ideals(f, 50)
-        assert ideals[0] == unit_ideal(f)
+        assert ideals[0] == principal_ideal(f, 1)
         norms = [i.norm for i in ideals]
         assert norms == sorted(norms)
         assert all(n <= 50 for n in norms)
@@ -173,7 +170,7 @@ class TestIdeals:
 class TestIota1:
     def test_unit_ideal(self):
         f = make_field(2)
-        assert index_iota1(f, unit_ideal(f)) == 1
+        assert index_iota1(f, principal_ideal(f, 1)) == 1
 
     def test_inert_three(self):
         f = make_field(2)

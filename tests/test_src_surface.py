@@ -1,0 +1,57 @@
+"""`src` holds what a command or a bench workload runs, and nothing else.
+
+Every top-level function and class of a `src/eiscong` module must be used
+by `src` or `bench/` outside its own definition, as a name or an attribute.
+Importing a name is not a use, so the re-exports in `eiscong/__init__.py`
+do not count.  A definition only tests reach belongs in a test oracle module
+under `tests/` (for example `character_oracles`, `hecke_oracles`,
+`ideal_oracles`, `padic_oracles`).
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "eiscong").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+
+
+def _uses(node, skip=None):
+    """The names and attribute names used under node, outside the subtree skip."""
+    stack = [node]
+    while stack:
+        sub = stack.pop()
+        if sub is skip:
+            continue
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        stack.extend(ast.iter_child_nodes(sub))
+
+
+def _unreferenced(src, bench):
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in src + bench}
+    out = []
+    for path in src:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not any(node.name in _uses(tree, skip=node) for tree in trees.values()):
+                out.append(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_every_src_definition_is_used_by_src_or_bench():
+    assert SRC and BENCH
+    assert _unreferenced(SRC, BENCH) == []
+
+
+def test_the_guard_sees_a_test_only_definition(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def used():\n    return used()\n\n\ndef caller():\n    return used()\n")
+    bench = tmp_path / "bench.py"
+    bench.write_text("from mod import caller\n\ncaller()\n")
+    assert _unreferenced([mod], [bench]) == []
+    bench.write_text("from mod import caller\n")
+    assert _unreferenced([mod], [bench]) == ["mod.caller"]

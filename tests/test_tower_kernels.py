@@ -27,7 +27,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from eiscong.arith import crt
-from eiscong.characters import enumerate_characters, kronecker_character
+from eiscong.characters import kronecker_character
 from eiscong.cli import main
 from eiscong.iwasawa import IwasawaElement, binomial_row, unit_log_ratio
 from eiscong.measures import (
@@ -44,6 +44,7 @@ from eiscong.measures import (
     to_iwasawa_series,
 )
 
+from character_oracles import enumerate_characters
 from fraction_levels import from_fractions, level_values, map_values
 from padic_oracles import series_unit_log_ratio
 
