@@ -192,20 +192,9 @@ def fundamental_discriminant(m: int) -> int:
 
 def crt(r1: int, m1: int, r2: int, m2: int) -> int:
     """x mod m1*m2 with x = r1 (m1), x = r2 (m2); moduli coprime."""
-    g, u, _ = ext_gcd(m1, m2)
-    if g != 1:
+    if math.gcd(m1, m2) != 1:
         raise ValueError("moduli not coprime")
-    return (r1 + (r2 - r1) * u % m2 * m1) % (m1 * m2)
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
+    return (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % (m1 * m2)
 
 
 def val_p(n: int, p: int) -> int:

@@ -24,18 +24,6 @@ ODD = "odd"
 # Dirichlet characters
 
 
-def _primitive_root(q: int, p: int) -> int:
-    """Primitive root mod q = p^e, p odd prime."""
-    phi = q - q // p
-    fac = factorize(phi)
-    for g in range(2, q):
-        if math.gcd(g, q) != 1:
-            continue
-        if all(pow(g, phi // r, q) != 1 for r in fac):
-            return g
-    raise ArithmeticError("no primitive root found")
-
-
 def is_fundamental_discriminant(D: int) -> bool:
     if D == 1:
         return True

@@ -276,7 +276,7 @@ def cmd_verify_example(args) -> int:
         return 3
 
     # stage 2: congruence scan on the stage-1 value and factorization
-    reports = scan_factored(field, args.m, rec, fac)
+    reports = scan_factored(rec, fac)
     bundle["scan"] = [r.to_json() for r in reports]
     candidates = [r.p for r in reports if r.verdict == "candidate"]
     bundle["candidates"] = candidates

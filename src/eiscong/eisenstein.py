@@ -14,16 +14,20 @@ fundamental-unit order test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .characters import HeckeCharacterQF, induce_quadratic, value_table
+from typing import ClassVar
+
+from .arith import primes_up_to
+from .characters import HeckeCharacterQF, induce_quadratic, kronecker_character, value_table
 from .lseries import LValueRecord, hecke_L_neg_induced
 from .quadfield import (
+    INERT,
+    RAMIFIED,
+    SPLIT1,
+    SPLIT2,
     IdealQF,
     RealQuadraticField,
-    _ideal_walk,
-    ideal_mul,
     ideal_pow,
     index_iota1,
-    principal_ideal,
     unit_power_check,
 )
 
@@ -33,14 +37,6 @@ class EisensteinSeries:
     """Weight-2 Eisenstein series E_2(eps, 1 mod (m)) of level (m)^2, (m) eps's modulus."""
 
     eps: HeckeCharacterQF
-
-    @property
-    def field(self) -> RealQuadraticField:
-        return self.eps.field
-
-    @property
-    def level(self) -> IdealQF:
-        return ideal_mul(self.eps.modulus_ideal, self.eps.modulus_ideal)
 
     def local_factors(self, p: int, ev: int, nq: int, bound: int) -> list[int]:
         """[L_0, L_1, ...], the Euler factors of C at q^e for N(q)^e <= bound.
@@ -86,15 +82,50 @@ class CoefficientSystem:
         return list(self.coeffs)
 
 
+def _ideal_walk(field: RealQuadraticField, bound: int) -> tuple[list, list]:
+    """The prime ideals q of norm <= bound, and one walk over their powers.
+
+    `primes` lists (p, tag, N(q), [(N(q)^e, (p, tag, e)) for N(q)^e <= bound])
+    in increasing (p, tag) order; chi_disc's value table gives the splitting
+    of p.  `rows` are (norm, factors, start, parent), parents first, row 0
+    the unit ideal with parent None.  A row is extended only by powers of
+    primes[j] for j >= start, into a child with start j + 1, so the new
+    factor keeps the tuple sorted and each ideal is reached once.  N(q) >= p,
+    so a row's scan stops at the first p with norm * p > bound.
+    """
+    kron = value_table(kronecker_character(field.disc))
+    primes = []
+    for p in primes_up_to(bound):
+        st = kron[p % field.disc]  # 1 split, 0 ramified, -1 inert
+        nrm = p * p if st < 0 else p
+        for tag in (SPLIT1, SPLIT2) if st > 0 else (RAMIFIED,) if st == 0 else (INERT,):
+            pw, qe = [], nrm
+            while qe <= bound:
+                pw.append((qe, (p, tag, len(pw) + 1)))
+                qe *= nrm
+            if pw:
+                primes.append((p, tag, nrm, pw))
+    rows: list[tuple[int, tuple, int, int | None]] = [(1, (), 0, None)] if bound >= 1 else []
+    for i, (n, factors, start, _) in enumerate(rows):  # rows appended here are visited too
+        for j in range(start, len(primes)):
+            if n * primes[j][0] > bound:
+                break
+            for qe, pe in primes[j][3]:
+                if n * qe > bound:
+                    break
+                rows.append((n * qe, factors + (pe,), j + 1, i))
+    return primes, rows
+
+
 def eisenstein_coeffs(series: EisensteinSeries, bound: int) -> CoefficientSystem:
     """Coefficients C(a) for N(a) <= bound, keyed in (norm, factors) order.
 
-    C is multiplicative, and a row of `quadfield._ideal_walk` is its parent
+    C is multiplicative, and a row of `_ideal_walk` is its parent
     times a power q^e of a prime not dividing it, so C(row) = C(parent)
     L_e(q), with each q's `local_factors` computed once from eps(q) = chi1(N(q))
     read off chi1's value table: no character is evaluated per ideal.
     """
-    field, table = series.field, value_table(series.eps.chi1)
+    field, table = series.eps.field, value_table(series.eps.chi1)
     primes, rows = _ideal_walk(field, bound)
     local = [series.local_factors(p, table[nq % len(table)], nq, bound) for p, _, nq, _ in primes]
     cs: list[int] = []
@@ -120,8 +151,8 @@ class CongruenceReport:
     iota1_check: bool
     unit_order_check: bool
     verdict: str
-    label: str = "surrogate-candidate"
-    unchecked: tuple = (
+    label: ClassVar[str] = "surrogate-candidate"
+    unchecked: ClassVar[tuple] = (
         "cohomology torsion-freeness (hypothesis (a)) is assumed, not computed",
         "the residue-unit condition stands in for the undefined o_{F,n}^{x2} index",
     )
@@ -169,24 +200,24 @@ def scan_congruence(field: RealQuadraticField, m: int, *,
         return [CongruenceReport(field.d, m, 0, str(lrec.value), None,
                                  False, False, False, False, False,
                                  verdict="unfactored")]
-    return scan_factored(field, m, lrec, fac)
+    return scan_factored(lrec, fac)
 
 
-def scan_factored(field: RealQuadraticField, m: int, lrec: LValueRecord,
-                  fac: dict[int, int]) -> list[CongruenceReport]:
+def scan_factored(lrec: LValueRecord, fac: dict[int, int]) -> list[CongruenceReport]:
     """The per-prime checks of scan_congruence, given L_F(-1, eps) factored.
 
-    lrec is hecke_L_neg_induced(induce_quadratic(field, m), 2) and fac the
-    factorization of its numerator; one report per prime that passes the
-    filters, in increasing order.  Since C(q) = 0 at every level prime q,
-    hyp_b is p not dividing N(q), implied by the p | m filter (see
-    scan_congruence).
+    lrec is hecke_L_neg_induced(eps, 2) for eps = induce_quadratic(field, m),
+    and fac the factorization of its numerator; one report per prime that
+    passes the filters, in increasing order.  The level is (m)^2.  Since
+    C(q) = 0 at every level prime q, hyp_b is p not dividing N(q), implied
+    by the p | m filter (see scan_congruence).
     """
+    eps = lrec.character
+    field, m = eps.field, eps.aux_m
     lstr = str(lrec.value)
-    series = stripped_eisenstein(field, m)
-    level = series.level
-    level_primes = level.prime_factors()
-    m_sq = ideal_pow(principal_ideal(field, m), 2)
+    series = EisensteinSeries(eps)
+    m_sq = ideal_pow(eps.modulus_ideal, 2)
+    level_primes = m_sq.prime_factors()
     iota1 = index_iota1(field, m_sq)
     unit_count = m_sq.residue_unit_count()
 

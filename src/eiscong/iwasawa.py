@@ -3,14 +3,13 @@
 Elements live in O[[T]] mod (p^N, T^M) as integer residue vectors with a
 per-coefficient absolute precision.  Multiplication propagates the
 pessimistic minimum precision.  lambda/mu certification is conservative:
-an invariant is certified only when no coefficient could hide a smaller
-valuation below its stated precision.
+the invariants are certified only when mu = 0 and no coefficient could
+hide a unit below its stated precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
@@ -36,18 +35,10 @@ class IwasawaElement:
 
     # -- constructors ----------------------------------------------------
     @staticmethod
-    def from_integers(p: int, N: int, M: int, coeffs, pole_factor: bool = False) -> "IwasawaElement":
+    def from_integers(p: int, N: int, M: int, coeffs) -> "IwasawaElement":
         coeffs = list(coeffs)
         res = [int(c) % p**N for c in coeffs] + [0] * (M - len(coeffs))
-        return IwasawaElement(p, res[:M], [N] * M, pole_factor)
-
-    @staticmethod
-    def zero(p: int, N: int, M: int) -> "IwasawaElement":
-        return IwasawaElement(p, [0] * M, [N] * M)
-
-    @staticmethod
-    def one(p: int, N: int, M: int) -> "IwasawaElement":
-        return IwasawaElement.from_integers(p, N, M, [1])
+        return IwasawaElement(p, res[:M], [N] * M)
 
     # -- views ------------------------------------------------------------
     @property
@@ -102,12 +93,6 @@ class IwasawaElement:
         return IwasawaElement(p, res, prec, pole)
 
     # -- ring operations ----------------------------------------------------
-    def __add__(self, other: "IwasawaElement") -> "IwasawaElement":
-        assert self.p == other.p
-        prec = [min(a, b) for a, b in zip(self.prec, other.prec)]
-        res = [(a + b) % self.p**k for a, b, k in zip(self.res, other.res, prec)]
-        return IwasawaElement(self.p, res, prec, self.pole_factor or other.pole_factor)
-
     def __mul__(self, other: "IwasawaElement") -> "IwasawaElement":
         assert self.p == other.p
         m = min(self.t_prec, other.t_prec)
@@ -115,15 +100,9 @@ class IwasawaElement:
         return IwasawaElement(self.p, _mul_trunc(self.res, other.res, m, self.p**n),
                               [n] * m, self.pole_factor or other.pole_factor)
 
-    def scale(self, c) -> "IwasawaElement":
-        """Multiply by an exact p-integral rational."""
-        c = Fraction(c)
-        if c.denominator % self.p == 0:
-            raise ValueError("scalar not p-integral")
-        out = []
-        for r, k in zip(self.res, self.prec):
-            mod = self.p**k
-            out.append(r * (c.numerator % mod) % mod * pow(c.denominator % mod, -1, mod) % mod)
+    def scale(self, c: int) -> "IwasawaElement":
+        """Multiply by the integer c."""
+        out = [r * c % self.p**k for r, k in zip(self.res, self.prec)]
         return IwasawaElement(self.p, out, list(self.prec), self.pole_factor)
 
 
@@ -166,8 +145,9 @@ def lambda_mu(f: IwasawaElement) -> tuple[int, int, bool]:
     """(mu, lambda, certified) read off the coefficient valuations.
 
     mu is the minimum exact coefficient valuation, lambda the first index
-    attaining it; certified means no coefficient could hide a smaller
-    valuation below its stated precision.
+    attaining it.  Past T^M the coefficients are unknown, and a unit there
+    would make mu = 0, so mu > 0 is never certified: certified means mu = 0
+    and no coefficient could hide a unit below its stated precision.
     """
     if f.pole_factor:
         raise ValueError("pole-carrying branch has no Weierstrass invariants")
@@ -184,19 +164,18 @@ def lambda_mu(f: IwasawaElement) -> tuple[int, int, bool]:
             f"element is O(p^{f.min_prec()}) + O(T^{f.t_prec}) throughout")
     mu = min(v for v, _ in exact)
     lam = min(j for v, j in exact if v == mu)
-    certified = all(b > mu for b in bounds)
+    certified = mu == 0 and all(b > 0 for b in bounds)
     return mu, lam, certified
 
 
 @dataclass
 class WeierstrassData:
-    """f = p^mu * distinguished * unit at the stated reduced precision."""
+    """f = distinguished * unit at the stated precision; mu is always 0."""
 
     mu: int
     lam: int
     distinguished: list  # monic integer coefficients, length lam + 1, mod p^stated_N
     unit: IwasawaElement
-    certified: bool
     stated_N: int
     stated_M: int
 
@@ -204,22 +183,18 @@ class WeierstrassData:
 def weierstrass_prepare(f: IwasawaElement) -> WeierstrassData:
     """Weierstrass factorization by p-digit Hensel lifting.
 
-    Requires a certified (mu, lambda) with lambda < M.  The reconstruction
-    identity f = p^mu P U holds mod (p^(N - mu), T^M) as computed; the unit
-    is tail-sensitive above T^(M - lambda), so the stated precision is
-    (N - mu, M - lambda).
+    Requires a certified (mu, lambda), so mu = 0 and lambda < M.  The
+    reconstruction identity f = P U holds mod (p^N, T^M) as computed; the
+    unit is tail-sensitive above T^(M - lambda), so the stated precision is
+    (N, M - lambda), N = min(prec).
     """
     p, M = f.p, f.t_prec
     mu, lam, certified = lambda_mu(f)
     if not certified:
         raise ValueError("lambda/mu not certified at this precision")
-    if lam >= M:
-        raise ValueError("lambda exceeds the T-precision")
-    n_red = min(f.prec) - mu
-    if n_red <= 0:
-        raise ValueError(f"precision exhausted: need p-precision > {mu}")
+    n_red = min(f.prec)
     mod = p**n_red
-    g = [r // p**mu % mod for r in f.res]  # exact: v(coeff) >= mu throughout
+    g = [r % mod for r in f.res]
 
     # initial factorization mod p: P = T^lam, U = top part of g
     P = [0] * lam + [1]  # monic, degree lam
@@ -254,7 +229,7 @@ def weierstrass_prepare(f: IwasawaElement) -> WeierstrassData:
         raise ArithmeticError("reconstruction failed at the stated precision")
     unit = IwasawaElement(p, [u % p**n_red for u in U], [n_red] * M)
     dist = [c % p**n_red for c in P]
-    return WeierstrassData(mu, lam, dist, unit, certified, n_red, M - lam)
+    return WeierstrassData(mu, lam, dist, unit, n_red, M - lam)
 
 
 # ---------------------------------------------------------------------------
@@ -299,25 +274,22 @@ def binomial_row(c: int, length: int, p: int, w: int) -> list[int]:
     return out
 
 
-def euler_factor(chi_q, n_q: int, u: int, p: int, N: int, M: int) -> IwasawaElement:
+def euler_factor(chi_q: int, n_q: int, u: int, p: int, N: int, M: int) -> IwasawaElement:
     """1 - chi_q * Nq^-1 * (1+T)^c with c = log<Nq> / log(u).
 
-    chi_q is an exact scalar (0, +-1, or any p-integral rational); Nq must
-    be coprime to p.  (1+T)^c is the p-adic binomial series truncated at
-    T^M, with c computed to enough digits that every coefficient is good
-    mod p^N.
+    chi_q is an integer (a character value, 0 or +-1); Nq must be coprime
+    to p.  (1+T)^c is the p-adic binomial series truncated at T^M, with c
+    computed to enough digits that every coefficient is good mod p^N.
     """
     if n_q % p == 0:
         raise ValueError("Nq must be coprime to p")
-    chi_q = Fraction(chi_q)
     if chi_q == 0:
-        return IwasawaElement.one(p, N, M)
+        return IwasawaElement.from_integers(p, N, M, [1])
     w_c = N + M // (p - 1) + 3
     c = unit_log_ratio(n_q, u, p, w_c)
     row = binomial_row(c, M, p, N)
     mod = p**N
-    a = chi_q.numerator % mod * pow(chi_q.denominator % mod, -1, mod) % mod
-    a = a * pow(n_q % mod, -1, mod) % mod
+    a = chi_q * pow(n_q, -1, mod) % mod
     res = [(-a * row[j]) % mod for j in range(M)]
     res[0] = (1 + res[0]) % mod
     return IwasawaElement(p, res, [N] * M)

@@ -36,17 +36,20 @@ from .arith import factorize, primes_up_to
 from .characters import DirichletCharacter, HeckeCharacterQF, sign_masks, value_table
 
 BERNOULLI_CAP = 10**4
-_BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
 
 
-def _bernoulli_table(n: int) -> list[Fraction]:
-    """[B_0, ..., B_n] from the integer tangent numbers T_1, ..., T_(n//2).
+def bernoulli_numbers(n: int) -> list[Fraction]:
+    """[B_0, ..., B_n] (B_1 = -1/2) from the integer tangent numbers T_1, ..., T_(n//2).
 
     The T_k come from the O(k^2) integer recurrence of Brent and Harvey
     ("Fast computation of Bernoulli, tangent and secant numbers", 2011), and
     B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)); B_1 = -1/2 and the other odd
-    B_k are 0.
+    B_k are 0.  n above the Bernoulli cap is rejected before any work.
     """
+    if n < 0:
+        raise ValueError("need n >= 0")
+    if n > BERNOULLI_CAP:
+        raise ValueError(f"Bernoulli cap is {BERNOULLI_CAP}")
     half = n // 2
     t = [0, 1] + [0] * (half - 1)
     for k in range(2, half + 1):
@@ -58,23 +61,6 @@ def _bernoulli_table(n: int) -> list[Fraction]:
     for k in range(1, half + 1):
         table[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1))
     return table[:n + 1]
-
-
-def bernoulli(n: int) -> Fraction:
-    """Classical Bernoulli number B_n (B_1 = -1/2).
-
-    A request beyond the cached table rebuilds it to max(n, twice its old
-    length), capped at the Bernoulli cap: a small n builds a small table, and
-    calls in increasing n cost O(n^2) in all, not O(n^3).
-    """
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if n > BERNOULLI_CAP:
-        raise ValueError(f"Bernoulli cap is {BERNOULLI_CAP}")
-    if n >= len(_BERNOULLI_CACHE):
-        size = min(max(n, 2 * len(_BERNOULLI_CACHE)), BERNOULLI_CAP)
-        _BERNOULLI_CACHE[:] = _bernoulli_table(size)
-    return _BERNOULLI_CACHE[n]
 
 
 def _centered_power_sums(chi: DirichletCharacter, n: int) -> dict[int, int]:
@@ -152,13 +138,14 @@ def gen_bernoulli(chi: DirichletCharacter, n: int) -> Fraction:
         raise NotImplementedError("exact L-values only for order <= 2 here")
     f = chi.conductor
     if f == 1:
-        return Fraction(1, 2) if n == 1 else bernoulli(n)
+        return Fraction(1, 2) if n == 1 else bernoulli_numbers(n)[n]
     if chi.is_even() != (n % 2 == 0):
         return Fraction(0)
     if n == 2:
         return _siegel_b2(f)
     sums = _centered_power_sums(chi, n)
-    return sum(math.comb(n, k) * (2 - 2**k) * bernoulli(k) * Fraction(f) ** (k - 1)
+    bern = bernoulli_numbers(n)
+    return sum(math.comb(n, k) * (2 - 2**k) * bern[k] * Fraction(f) ** (k - 1)
                * sums[n - k] for k in range(0, n + 1, 2)) / 2**n
 
 

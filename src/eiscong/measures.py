@@ -33,11 +33,10 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress, groupby, repeat
 from operator import add, floordiv, mul, sub
 
-from .arith import crt, val_p
-from .characters import (DirichletCharacter, HeckeCharacterQF, _primitive_root, sign_masks,
-                         value_table)
+from .arith import crt, factorize, val_p
+from .characters import DirichletCharacter, HeckeCharacterQF, sign_masks, value_table
 from .iwasawa import IwasawaElement, euler_factor, lambda_mu
-from .lseries import bernoulli
+from .lseries import bernoulli_numbers
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +241,18 @@ def check_distribution(fam: LevelFamily) -> DistributionReport:
 
 # ---------------------------------------------------------------------------
 # the Gamma-transform bridge
+
+def _primitive_root(q: int, p: int) -> int:
+    """Primitive root mod q = p^e, p odd prime."""
+    phi = q - q // p
+    fac = factorize(phi)
+    for g in range(2, q):
+        if math.gcd(g, q) != 1:
+            continue
+        if all(pow(g, phi // r, q) != 1 for r in fac):
+            return g
+    raise ArithmeticError("no primitive root found")
+
 
 def teichmuller(a: int, p: int, w: int) -> int:
     """The Teichmuller representative omega(a) mod p^w: the fixed point of x -> x^p."""
@@ -607,8 +618,9 @@ def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
     omega = _teichmuller_powers(p, wk)
     pole = chi.is_trivial() and omega_power % (p - 1) == 0
     ks = [k for k in range(count + 1) if k < 2 or k % 2 == 0]  # B_k = 0 at odd k >= 3
+    bern = bernoulli_numbers(count)
     gs = [[g.numerator * pow(g.denominator, -1, mod) % mod
-           for g in (p * bernoulli(k) * Fraction(f) ** (k - 1) for k in ks)] for f in (f0, f0 * p)]
+           for g in (p * bern[k] * Fraction(f) ** (k - 1) for k in ks)] for f in (f0, f0 * p)]
     nodes = []
     for n in range(1, count + 1):
         tw = (omega_power - n) % (p - 1)

@@ -39,21 +39,8 @@ class QuadElement:
             self.x * other.y + self.y * other.x,
         )
 
-    def conjugate(self) -> "QuadElement":
-        return QuadElement(self.d, self.x, -self.y)
-
     def norm(self) -> Fraction:
         return self.x * self.x - self.d * self.y * self.y
-
-    def embeds_above(self, bound: Fraction) -> bool:
-        """True iff x + y*sqrt(d) > bound in the embedding with sqrt(d) > 0."""
-        # x - bound > -y sqrt(d), squared by sign cases
-        lhs = self.x - bound
-        if self.y > 0:
-            return lhs >= 0 or lhs * lhs < self.d * self.y * self.y
-        if self.y == 0:
-            return lhs > 0
-        return lhs > 0 and lhs * lhs > self.d * self.y * self.y
 
     def __str__(self) -> str:
         return f"{self.x} + {self.y}*sqrt({self.d})"
@@ -171,11 +158,6 @@ class IdealQF:
     def prime_factors(self) -> list["IdealQF"]:
         return [IdealQF(self.d, ((p, tag, 1),)) for p, tag, _ in self.factors]
 
-    def coprime_to(self, other: "IdealQF") -> bool:
-        mine = {(p, tag) for p, tag, _ in self.factors}
-        # ramified primes meet both split tags of nothing; compare by (p, tag)
-        return not any((p, tag) in mine for p, tag, _ in other.factors)
-
     def shares_rational_prime(self, other: "IdealQF") -> bool:
         mine = {p for p, _, _ in self.factors}
         return any(p in mine for p, _, _ in other.factors)
@@ -210,14 +192,6 @@ def principal_ideal(field: RealQuadraticField, n: int) -> IdealQF:
         else:
             factors.append((p, INERT, e))
     return IdealQF(field.d, tuple(sorted(factors)))
-
-
-def ideal_mul(a: IdealQF, b: IdealQF) -> IdealQF:
-    assert a.d == b.d
-    acc: dict[tuple[int, str], int] = {}
-    for p, tag, e in a.factors + b.factors:
-        acc[(p, tag)] = acc.get((p, tag), 0) + e
-    return IdealQF(a.d, tuple(sorted((p, tag, e) for (p, tag), e in acc.items())))
 
 
 def ideal_pow(a: IdealQF, n: int) -> IdealQF:
@@ -261,41 +235,3 @@ def unit_power_check(field: RealQuadraticField, p: int, e: int) -> str:
         else:
             v, w = (v * v - 2) % p, (v * w - t) % p
     return "divides" if (v - 2) % p == 0 else "coprime"
-
-
-def _ideal_walk(field: RealQuadraticField, bound: int) -> tuple[list, list]:
-    """The prime ideals q of norm <= bound, and one walk over their powers.
-
-    `primes` lists (p, tag, N(q), [(N(q)^e, (p, tag, e)) for N(q)^e <= bound])
-    in increasing (p, tag) order; chi_disc's value table gives the splitting
-    of p.  `rows` are (norm, factors, start, parent), parents first, row 0
-    the unit ideal with parent None.  A row is extended only by powers of
-    primes[j] for j >= start, into a child with start j + 1, so the new
-    factor keeps the tuple sorted and each ideal is reached once.  N(q) >= p,
-    so a row's scan stops at the first p with norm * p > bound.
-    """
-    from .arith import primes_up_to
-    from .characters import kronecker_character, value_table
-
-    kron = value_table(kronecker_character(field.disc))
-    primes = []
-    for p in primes_up_to(bound):
-        st = kron[p % field.disc]  # 1 split, 0 ramified, -1 inert
-        nrm = p * p if st < 0 else p
-        for tag in (SPLIT1, SPLIT2) if st > 0 else (RAMIFIED,) if st == 0 else (INERT,):
-            pw, qe = [], nrm
-            while qe <= bound:
-                pw.append((qe, (p, tag, len(pw) + 1)))
-                qe *= nrm
-            if pw:
-                primes.append((p, tag, nrm, pw))
-    rows: list[tuple[int, tuple, int, int | None]] = [(1, (), 0, None)] if bound >= 1 else []
-    for i, (n, factors, start, _) in enumerate(rows):  # rows appended here are visited too
-        for j in range(start, len(primes)):
-            if n * primes[j][0] > bound:
-                break
-            for qe, pe in primes[j][3]:
-                if n * qe > bound:
-                    break
-                rows.append((n * qe, factors + (pe,), j + 1, i))
-    return primes, rows

@@ -25,8 +25,9 @@ from functools import lru_cache
 from itertools import product
 
 from eiscong.arith import crt, factorize
-from eiscong.characters import EVEN, ODD, _primitive_root
-from eiscong.lseries import bernoulli
+from eiscong.characters import EVEN, ODD
+from eiscong.lseries import bernoulli_numbers
+from eiscong.measures import _primitive_root
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +239,9 @@ def bernoulli_poly(n: int, x: Fraction) -> Fraction:
     """B_n(x) = sum_k C(n,k) B_k x^(n-k), exact."""
     acc = Fraction(0)
     xp = Fraction(1)
+    bern = bernoulli_numbers(n)
     for k in range(n, -1, -1):
-        acc += math.comb(n, k) * bernoulli(k) * xp
+        acc += math.comb(n, k) * bern[k] * xp
         xp *= x
     return acc
 

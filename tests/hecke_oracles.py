@@ -8,18 +8,23 @@ most the two terms c = (1) and c = q.  For E_2(eps, 1 mod (m)) the scalar
 is eps * 1_(m), which equals eps on every ideal, so the tests pass
 `series.eps`; synthetic systems pass any object with `value_on_ideal`.  At a
 prime q not dividing the level the T(q)-eigenvalue is eps(q) + N(q) = C(q),
-read as `series.coefficient_at(q)`.
+read as `series.coefficient_at(q)`.  The level is (m)^2 (`series_level`).
 """
 
-from eiscong.eisenstein import CoefficientSystem
-from eiscong.quadfield import IdealQF, ideal_mul
+from eiscong.eisenstein import CoefficientSystem, EisensteinSeries
+from eiscong.quadfield import IdealQF, ideal_pow
 
-from ideal_oracles import ideal_divide
+from ideal_oracles import coprime_to, ideal_divide, ideal_mul
+
+
+def series_level(series: EisensteinSeries) -> IdealQF:
+    """The level (m)^2 of E_2(eps, 1 mod (m)), (m) the modulus of eps."""
+    return ideal_pow(series.eps.modulus_ideal, 2)
 
 
 def hecke_T(sys: CoefficientSystem, q: IdealQF, s_char, level: IdealQF) -> CoefficientSystem:
     """T(q) for prime q not dividing the level; bound shrinks to bound//N(q)."""
-    if not q.coprime_to(level):
+    if not coprime_to(q, level):
         raise ValueError("q divides the level; use hecke_U")
     nq = q.norm
     new_bound = sys.bound // nq
@@ -28,7 +33,7 @@ def hecke_T(sys: CoefficientSystem, q: IdealQF, s_char, level: IdealQF) -> Coeff
         if m.norm > new_bound:
             continue
         acc = sys.coeffs[ideal_mul(m, q)]
-        if not m.coprime_to(q):
+        if not coprime_to(m, q):
             # c = q term: N(q) s(q) C(m q / q^2)
             ev = s_char.value_on_ideal(q)
             if ev:
@@ -39,7 +44,7 @@ def hecke_T(sys: CoefficientSystem, q: IdealQF, s_char, level: IdealQF) -> Coeff
 
 def hecke_U(sys: CoefficientSystem, q: IdealQF, level: IdealQF) -> CoefficientSystem:
     """U(q) for prime q dividing the level: C(m) -> C(mq)."""
-    if q.coprime_to(level):
+    if coprime_to(q, level):
         raise ValueError("q does not divide the level; use hecke_T")
     new_bound = sys.bound // q.norm
     out = {m: sys.coeffs[ideal_mul(m, q)] for m in sys.coeffs if m.norm <= new_bound}

@@ -1,18 +1,32 @@
 """Test-only ideal helpers that no command reaches.
 
-`prime_ideal` and `ideal_divide` build the ideals the tests name.
+`prime_ideal`, `ideal_mul` and `ideal_divide` build the ideals the tests name.
 `enumerate_ideals` lists the ideals of bounded norm in the order the
 coefficient walk keys them.  `ideal_divisors` lists every integral divisor
 of an ideal; the divisor-sum oracle in test_eisenstein_kernels sums over it,
 and test_quadfield checks it.
 """
 
-from eiscong.quadfield import IdealQF, RealQuadraticField, _ideal_walk, ideal_mul, principal_ideal
+from eiscong.eisenstein import _ideal_walk
+from eiscong.quadfield import IdealQF, RealQuadraticField, principal_ideal
 
 
 def prime_ideal(field: RealQuadraticField, p: int) -> IdealQF:
     """The first prime ideal above p: the split1 factor when p splits."""
     return principal_ideal(field, p).prime_factors()[0]
+
+
+def ideal_mul(a: IdealQF, b: IdealQF) -> IdealQF:
+    assert a.d == b.d
+    acc: dict[tuple[int, str], int] = {}
+    for p, tag, e in a.factors + b.factors:
+        acc[(p, tag)] = acc.get((p, tag), 0) + e
+    return IdealQF(a.d, tuple(sorted((p, tag, e) for (p, tag), e in acc.items())))
+
+
+def coprime_to(a: IdealQF, b: IdealQF) -> bool:
+    """True iff a and b share no prime ideal, compared by (p, tag)."""
+    return not {f[:2] for f in a.factors} & {f[:2] for f in b.factors}
 
 
 def ideal_divide(a: IdealQF, b: IdealQF) -> IdealQF:

@@ -11,7 +11,8 @@ survive here as references:
   discrete log) must equal on every input.
 
 `p_b1_omega_inv` and `p_value_at_zero` compare a branch series at T = 0
-with the direct Teichmuller sum, in integers.
+with the direct Teichmuller sum, in integers.  `random_series` draws a
+series with known lambda and mu.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from eiscong.arith import val_p
+from eiscong.iwasawa import IwasawaElement
 from eiscong.measures import teichmuller
 
 _INF = 10**9  # valuation of an exact zero
@@ -224,3 +226,12 @@ def p_value_at_zero(series) -> tuple[int, int]:
     if series.pole_factor:
         return -a0 % series.p**k, k
     return series.p * a0 % series.p ** (k + 1), k + 1
+
+
+def random_series(rng, p: int, N: int, M: int, mu: int = 0, max_lam: int = 5):
+    """(p^mu * distinguished * unit, lambda); lambda/mu certify exactly when mu = 0."""
+    lam = rng.randrange(0, max_lam + 1)
+    dist = [rng.randrange(0, p ** (N - 2)) * p % p**N for _ in range(lam)] + [1]
+    unit = [rng.randrange(1, p)] + [rng.randrange(0, p**N) for _ in range(M - 1)]
+    e = IwasawaElement.from_integers(p, N, M, dist) * IwasawaElement.from_integers(p, N, M, unit)
+    return IwasawaElement.from_integers(p, N, M, [c * p**mu for c in e.res]), lam

@@ -21,7 +21,7 @@ from eiscong import measures
 from eiscong.arith import val_p
 from eiscong.characters import kronecker_character
 from eiscong.iwasawa import IwasawaElement
-from eiscong.lseries import bernoulli
+from eiscong.lseries import bernoulli_numbers
 from eiscong.measures import (
     _CHECK_POINTS,
     _branch_nodes,
@@ -55,11 +55,12 @@ def _oracle_branch_nodes(chi, p, omega_power, count, w):
             f = f0
             s = U0
         b = PadicScalar.zero(p, w + n + 2)
+        bern = bernoulli_numbers(n)
         for k in ks:
             if not s[n - k]:
                 continue
             coef = PadicScalar.from_rational(
-                Fraction(math.comb(n, k)) * bernoulli(k) * Fraction(f) ** (k - 1),
+                Fraction(math.comb(n, k)) * bern[k] * Fraction(f) ** (k - 1),
                 p, w + n + 2)
             b = b + coef * PadicScalar.from_unit(p, 0, s[n - k], wk)
         eta_p = 0 if tw else chi_p

@@ -16,7 +16,7 @@ from eiscong.characters import (
     is_fundamental_discriminant,
     kronecker_character,
 )
-from eiscong.quadfield import ideal_mul, make_field, principal_ideal, splitting_type
+from eiscong.quadfield import make_field, principal_ideal, splitting_type
 
 from character_oracles import (
     CycSum,
@@ -27,7 +27,7 @@ from character_oracles import (
     primitive_characters,
     unit_group,
 )
-from ideal_oracles import enumerate_ideals, prime_ideal
+from ideal_oracles import enumerate_ideals, ideal_mul, prime_ideal
 
 
 class TestKroneckerCharacter:

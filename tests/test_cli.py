@@ -88,7 +88,7 @@ class TestLValue:
             raise AssertionError("work done for a rejected weight")
 
         monkeypatch.setattr(lseries, "_centered_power_sums", no_work)
-        monkeypatch.setattr(lseries, "bernoulli", no_work)
+        monkeypatch.setattr(lseries, "bernoulli_numbers", no_work)
         code, out = run_cli(["lvalue", "--m", "7", "--s", s])
         assert code == 2 and out == ""
         assert "Bernoulli cap" in capsys.readouterr().err
@@ -147,6 +147,14 @@ class TestPadicLambda:
         assert code == 0
         obj = json.loads(out)
         assert (obj["mu"], obj["lambda"], obj["certified"]) == (0, 2, True)
+
+    def test_mu_above_zero_is_not_certified(self, tmp_path):
+        # 5 + 5T + O(5^10) + O(T^8): a unit at T^8 or later would make mu = 0
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"p": 5, "N": 10, "M": 8, "coeffs": ["0,1", "0,1"]}))
+        code, out = run_cli(["padic-lambda", "--in", str(path)])
+        obj = json.loads(out)
+        assert (code, obj["mu"], obj["lambda"], obj["certified"]) == (1, 1, 0, False)
 
     def test_missing_file_exit_code(self, tmp_path):
         code, _ = run_cli(["padic-lambda", "--in", str(tmp_path / "absent.json")])

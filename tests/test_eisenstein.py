@@ -13,10 +13,10 @@ from eiscong.eisenstein import (
     scan_congruence,
     stripped_eisenstein,
 )
-from eiscong.quadfield import ideal_mul, ideal_pow, make_field, principal_ideal
+from eiscong.quadfield import ideal_pow, make_field, principal_ideal
 
-from hecke_oracles import hecke_T, hecke_U
-from ideal_oracles import enumerate_ideals, prime_ideal
+from hecke_oracles import hecke_T, hecke_U, series_level
+from ideal_oracles import coprime_to, enumerate_ideals, ideal_mul, prime_ideal
 
 
 class _One:
@@ -54,7 +54,7 @@ class TestCoefficients:
         # C(q) = eps(q) + N(q) at primes coprime to (m)
         for p in (3, 5, 7, 11, 13):
             for q in principal_ideal(f2, p).prime_factors():
-                assert q.coprime_to(e20149.eps.modulus_ideal)
+                assert coprime_to(q, e20149.eps.modulus_ideal)
                 want = e20149.eps.value_on_ideal(q) + q.norm
                 assert e20149.coefficient_at(q) == want
 
@@ -64,7 +64,7 @@ class TestCoefficients:
         ideals = sys.ideals()
         for a in ideals:
             for b in ideals:
-                if a.norm * b.norm > 1000 or not a.coprime_to(b):
+                if a.norm * b.norm > 1000 or not coprime_to(a, b):
                     continue
                 assert sys.at(ideal_mul(a, b)) == sys.at(a) * sys.at(b)
 
@@ -85,7 +85,7 @@ class TestCoefficients:
             v1 = series.eps.value_on_ideal(a)
             if v1:
                 c1[a.norm] += v1
-            if a.coprime_to(series.eps.modulus_ideal):
+            if coprime_to(a, series.eps.modulus_ideal):
                 c2[a.norm] += a.norm
         conv = Counter()
         for n1, x in c1.items():
@@ -136,7 +136,7 @@ class TestHecke:
         series = stripped_eisenstein(f2, 5)
         sys = eisenstein_coeffs(series, 400)
         q = prime_ideal(f2, 3)
-        img = hecke_T(sys, q, series.eps, series.level)
+        img = hecke_T(sys, q, series.eps, series_level(series))
         assert img.at(principal_ideal(f2, 1)) == sys.at(q)
         # C(q, sys|T(q)) = C(q^2) + N(q) eps(q) C((1))
         ev = series.eps.value_on_ideal(q)
@@ -147,17 +147,17 @@ class TestHecke:
         sys = eisenstein_coeffs(series, 700)
         q5 = principal_ideal(f2, 5).prime_factors()[0]
         with pytest.raises(ValueError):
-            hecke_T(sys, q5, series.eps, series.level)
+            hecke_T(sys, q5, series.eps, series_level(series))
 
     def test_U_shift(self, f2):
         series = stripped_eisenstein(f2, 5)
         sys = eisenstein_coeffs(series, 700)
         q5 = principal_ideal(f2, 5).prime_factors()[0]
-        img = hecke_U(sys, q5, series.level)
+        img = hecke_U(sys, q5, series_level(series))
         for m in img.ideals():
             assert img.at(m) == sys.at(ideal_mul(m, q5))
         with pytest.raises(ValueError):
-            hecke_U(sys, prime_ideal(f2, 3), series.level)
+            hecke_U(sys, prime_ideal(f2, 3), series_level(series))
 
     def test_images_keep_the_norm_order(self, f2):
         # ideals() is insertion order: (norm, factors) from eisenstein_coeffs,
@@ -165,8 +165,8 @@ class TestHecke:
         series = stripped_eisenstein(f2, 5)
         sys = eisenstein_coeffs(series, 700)
         q5 = principal_ideal(f2, 5).prime_factors()[0]
-        for img in (sys, hecke_T(sys, prime_ideal(f2, 3), series.eps, series.level),
-                    hecke_U(sys, q5, series.level)):
+        for img in (sys, hecke_T(sys, prime_ideal(f2, 3), series.eps, series_level(series)),
+                    hecke_U(sys, q5, series_level(series))):
             assert img.ideals() == sorted(img.coeffs, key=lambda i: (i.norm, i.factors))
 
     def test_U_square_is_U_of_square(self, f2):
@@ -195,7 +195,7 @@ class TestHecke:
 def t_eigen_failures(series, sys, q):
     """Ideals m with (T(q) sys)(m) != C(q) sys(m) on the shrunken bound."""
     lam = series.coefficient_at(q)
-    image = hecke_T(sys, q, series.eps, series.level)
+    image = hecke_T(sys, q, series.eps, series_level(series))
     return [m for m in image.ideals() if image.at(m) != lam * sys.at(m)]
 
 
@@ -204,7 +204,7 @@ class TestEigenform:
         series = stripped_eisenstein(f2, 5)
         sys = eisenstein_coeffs(series, 600)
         q = prime_ideal(f2, 3)
-        assert hecke_T(sys, q, series.eps, series.level).ideals()
+        assert hecke_T(sys, q, series.eps, series_level(series)).ideals()
         assert t_eigen_failures(series, sys, q) == []
 
     def test_corrupted_coefficient_reported(self, f2):
@@ -237,7 +237,7 @@ class TestScan:
         # p | m filter already guarantees
         field = make_field(d)
         series = stripped_eisenstein(field, m)
-        level_primes = series.level.prime_factors()
+        level_primes = series_level(series).prime_factors()
         assert level_primes
         for q in level_primes:
             assert m % q.factors[0][0] == 0

@@ -1,9 +1,13 @@
 """Lambda/mu invariants, Weierstrass preparation, Euler factors, serialization."""
 
 import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eiscong.arith import val_p
+from eiscong.characters import kronecker_character
 from eiscong.iwasawa import (
     IndistinguishableFromZero,
     IwasawaElement,
@@ -14,65 +18,86 @@ from eiscong.iwasawa import (
     reflect,
     weierstrass_prepare,
 )
-from eiscong.measures import teichmuller
+from eiscong.measures import kubota_leopoldt, teichmuller
 
-
-def random_certified(rng, p, N, M, max_mu=2, max_lam=5):
-    """p^mu * distinguished * unit with unit leading digits, certified."""
-    mu = rng.randrange(0, max_mu + 1)
-    lam = rng.randrange(0, max_lam + 1)
-    dist = [rng.randrange(0, p ** (N - max_mu)) * p % p**N for _ in range(lam)] + [1]
-    d = IwasawaElement.from_integers(p, N, M, dist)
-    unit = [rng.randrange(1, p)] + [rng.randrange(0, p**N) for _ in range(M - 1)]
-    e = d * IwasawaElement.from_integers(p, N, M, unit)
-    return IwasawaElement.from_integers(p, N, M, [c * p**mu for c in e.res]), mu, lam
+from padic_oracles import random_series
 
 
 class TestLambdaMu:
     def test_examples(self):
         f = IwasawaElement.from_integers(5, 10, 8, [5, 0, 1])
         assert lambda_mu(f) == (0, 2, True)
+        # 5 + 5T reads mu = 1, but a unit at T^8 or later would make mu = 0
         g = IwasawaElement.from_integers(5, 10, 8, [5, 5])
-        assert lambda_mu(g) == (1, 0, True)
+        assert lambda_mu(g) == (1, 0, False)
         h = IwasawaElement.from_integers(5, 10, 8, [125, -30, 1])
         u = IwasawaElement.from_integers(5, 10, 8, [1, 3, 2, 1])
         assert lambda_mu(h * u) == (0, 2, True)
 
     def test_zero_raises(self):
         with pytest.raises(IndistinguishableFromZero):
-            lambda_mu(IwasawaElement.zero(5, 8, 6))
+            lambda_mu(IwasawaElement.from_integers(5, 8, 6, []))
 
     def test_uncertified_when_precision_hides(self):
-        # coefficient 0 is O(p) while the best exact valuation is 2: a smaller
-        # valuation could hide below the stated precision
-        f = IwasawaElement(5, [0, 0, 25, 0], [1, 8, 8, 8])
-        mu, lam, cert = lambda_mu(f)
-        assert (mu, lam) == (2, 2)
-        assert not cert
-        # with enough precision on that coefficient the same data certifies
-        g = IwasawaElement(5, [0, 0, 25, 0], [3, 8, 8, 8])
-        assert lambda_mu(g) == (2, 2, True)
+        # coefficient 0 is O(1) while T^2 has a unit: a unit could hide at T^0
+        f = IwasawaElement(5, [0, 0, 1, 0], [0, 8, 8, 8])
+        assert lambda_mu(f) == (0, 2, False)
+        # with one digit on that coefficient the same data certifies
+        g = IwasawaElement(5, [0, 0, 1, 0], [1, 8, 8, 8])
+        assert lambda_mu(g) == (0, 2, True)
 
     def test_additivity_and_unit_invariance(self):
         # acceptance-grade bulk check lives in test_acceptance; spot here
         rng = random.Random(2024)
         for _ in range(200):
             p = rng.choice((5, 7))
-            a, mua, lama = random_certified(rng, p, 12, 20)
-            b, mub, lamb = random_certified(rng, p, 12, 20)
-            assert lambda_mu(a) == (mua, lama, True)
-            mu, lam, cert = lambda_mu(a * b)
-            assert cert and (mu, lam) == (mua + mub, lama + lamb)
+            mua, mub = rng.randrange(3), rng.randrange(3)
+            a, lama = random_series(rng, p, 12, 20, mua)
+            b, lamb = random_series(rng, p, 12, 20, mub)
+            assert lambda_mu(a) == (mua, lama, mua == 0)
+            assert lambda_mu(a * b) == (mua + mub, lama + lamb, mua + mub == 0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_additivity_property(self, data):
         p = data.draw(st.sampled_from([5, 7]))
+        mua, mub = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
         rng = random.Random(data.draw(st.integers(0, 10**6)))
-        a, mua, lama = random_certified(rng, p, 10, 32)
-        b, mub, lamb = random_certified(rng, p, 10, 32)
-        mu, lam, cert = lambda_mu(a * b)
-        assert cert and mu == mua + mub and lam == lama + lamb
+        a, lama = random_series(rng, p, 10, 32, mua)
+        b, lamb = random_series(rng, p, 10, 32, mub)
+        assert lambda_mu(a * b) == (mua + mub, lama + lamb, mua + mub == 0)
+
+    @pytest.mark.parametrize("p,N,M", [(2, 2, 3), (2, 3, 2), (3, 2, 2), (5, 2, 1)])
+    def test_certificate_holds_for_every_completion(self, p, N, M):
+        # every truncation with coefficients r + O(p^k), k <= N; a coefficient
+        # completes to r + p^k t (t < p^2) and the unknown T^M to 0, p or the
+        # unit 1.  A certified (mu, lambda) must be that of every completion.
+        stated = [(r, k) for k in range(N + 1) for r in range(p**k)]
+        wrong_before = 0  # certified by the rule that ignored T^M, yet wrong
+        for coeffs in product(stated, repeat=M):
+            res, prec = [r for r, _ in coeffs], [k for _, k in coeffs]
+            try:
+                mu, lam, cert = lambda_mu(IwasawaElement(p, res, prec))
+            except IndistinguishableFromZero:
+                continue
+            if not (cert or all(k > mu for r, k in coeffs if not r)):
+                continue
+            rows = [[r + p**k * t for t in range(p**2)] for r, k in coeffs] + [[0, p, 1]]
+            # N + 2 stands for v(0): a nonzero completion coefficient has v <= N + 1
+            vals = [[val_p(c, p) if c else N + 2 for c in comp] for comp in product(*rows)]
+            found = {(min(v), v.index(min(v))) for v in vals if min(v) <= N + 1}
+            if cert:
+                assert found == {(mu, lam)}, (res, prec)
+            else:
+                wrong_before += found != {(mu, lam)}
+        assert wrong_before > 0
+
+    def test_truncated_branch_is_not_certified(self):
+        # below T^3 every coefficient of the chi_7144 omega^2 branch at p = 13 is
+        # divisible by 13, and T^3 is a unit: M = 3 must not certify mu = 1
+        chi = kronecker_character(7144)
+        assert lambda_mu(kubota_leopoldt(chi, 13, 2, 3, omega_power=2)) == (1, 0, False)
+        assert lambda_mu(kubota_leopoldt(chi, 13, 2, 4, omega_power=2)) == (0, 3, True)
 
 
 class TestWeierstrass:
@@ -98,32 +123,39 @@ class TestWeierstrass:
         assert wd.distinguished == [(-5) % 5**12, 1]
 
     def test_reconstruction_identity(self):
+        # mu > 0 is never certified, so preparation refuses it
         rng = random.Random(31)
-        for _ in range(25):
-            p = rng.choice((5, 7))
-            f, mu, lam = random_certified(rng, p, 10, 16)
+        for _ in range(40):
+            p, mu = rng.choice((5, 7)), rng.randrange(3)
+            f, lam = random_series(rng, p, 10, 16, mu)
+            if mu:
+                with pytest.raises(ValueError):
+                    weierstrass_prepare(f)
+                continue
             wd = weierstrass_prepare(f)
-            assert (wd.mu, wd.lam) == (mu, lam)
+            assert (wd.mu, wd.lam) == (0, lam)
             prod = IwasawaElement.from_integers(p, wd.stated_N, 16, wd.distinguished) * wd.unit
             mod = p**wd.stated_N
             for j in range(16):
-                assert (f.res[j] // p**mu - prod.res[j]) % mod == 0
+                assert (f.res[j] - prod.res[j]) % mod == 0
 
     def test_unit_multiplication_invariance(self):
         rng = random.Random(99)
-        f, mu, lam = random_certified(rng, 5, 12, 16)
         u = IwasawaElement.from_integers(5, 12, 16,
                                          [2] + [rng.randrange(0, 5**12) for _ in range(15)])
-        assert lambda_mu(f * u)[:2] == (mu, lam)
+        for mu in (0, 2):
+            f, lam = random_series(rng, 5, 12, 16, mu)
+            assert lambda_mu(f * u) == (mu, lam, mu == 0)
 
     def test_precision_exhaustion(self):
-        f = IwasawaElement.from_integers(5, 1, 6, [5 % 5, 0, 1])  # fine at N=1
         g = IwasawaElement(5, [0, 0, 1, 0, 0, 0], [1] * 6)
-        wd = weierstrass_prepare(g)  # N-mu = 1 still works
-        assert wd.lam == 2
+        wd = weierstrass_prepare(g)  # one digit still works
+        assert (wd.lam, wd.stated_N) == (2, 1)
         h = IwasawaElement(5, [5, 0, 5, 0, 0, 0], [2] * 6)
-        # mu = 1 at N = 2 leaves one digit; lambda_mu certified, prepare works
-        assert lambda_mu(h) == (1, 0, True)
+        # mu = 1 is read off, but a truncation never certifies it, so prepare refuses
+        assert lambda_mu(h) == (1, 0, False)
+        with pytest.raises(ValueError):
+            weierstrass_prepare(h)
 
 
 class TestEulerFactor:
@@ -186,20 +218,21 @@ class TestEvaluate:
 class TestReflection:
     def test_fixes_constant_term(self):
         rng = random.Random(17)
-        f, _, _ = random_certified(rng, 5, 10, 14)
+        f, _ = random_series(rng, 5, 10, 14)
         assert reflect(f).res[0] == f.res[0]
 
     def test_involution(self):
         rng = random.Random(18)
-        f, _, _ = random_certified(rng, 7, 8, 12)
+        f, _ = random_series(rng, 7, 8, 12)
         twice = reflect(reflect(f))
         assert all((twice.res[j] - f.res[j]) % 7**8 == 0 for j in range(12))
 
     def test_preserves_invariants(self):
         rng = random.Random(19)
         for _ in range(20):
-            f, mu, lam = random_certified(rng, 5, 10, 16)
-            assert lambda_mu(reflect(f))[:2] == (mu, lam)
+            mu = rng.randrange(3)
+            f, lam = random_series(rng, 5, 10, 16, mu)
+            assert lambda_mu(reflect(f)) == (mu, lam, mu == 0)
 
 
 def random_element(rng, p, N, M):
@@ -207,6 +240,11 @@ def random_element(rng, p, N, M):
     prec = [N] * M if rng.random() < 0.5 else [rng.randrange(N + 1) for _ in range(M)]
     res = [rng.randrange(p**N) for _ in range(M)]
     return IwasawaElement(p, res, prec)
+
+
+def plus(f, c):
+    """f + c for an integer c, at the precision of f."""
+    return IwasawaElement(f.p, [f.res[0] + c] + f.res[1:], f.prec)
 
 
 class TestClosedFormsAgainstOracles:
@@ -224,10 +262,10 @@ class TestClosedFormsAgainstOracles:
 
             s = IwasawaElement.from_integers(p, n, M, [0] + [(-1) ** k for k in range(1, M)])
             one_plus_t = IwasawaElement.from_integers(p, n, M, [1, 1])
-            assert ((s + const(1)) * one_plus_t).res == const(1).res
+            assert (plus(s, 1) * one_plus_t).res == const(1).res
             acc = const(f.res[M - 1])
             for j in range(M - 2, -1, -1):
-                acc = acc * s + const(f.res[j])
+                acc = plus(acc * s, f.res[j])
             got = reflect(f)
             # coefficient i >= 1 depends on f_1..f_i only: prefix minimum
             assert got.prec == [f.prec[0]] + [min(f.prec[1:i + 1]) for i in range(1, M)]
@@ -242,7 +280,7 @@ class TestClosedFormsAgainstOracles:
                     p, k, i + 1, [0] + [(-1) ** j for j in range(1, i + 1)])
                 acc_k = const_k(f.res[i])
                 for j in range(i - 1, -1, -1):
-                    acc_k = acc_k * s_k + const_k(f.res[j])
+                    acc_k = plus(acc_k * s_k, f.res[j])
                 assert got.res[i] == acc_k.res[i], (i, k)
 
     def test_reflect_ignores_digits_below_stated_precision(self):
@@ -262,7 +300,6 @@ class TestClosedFormsAgainstOracles:
 
     def test_reflect_keeps_bridge_precision(self):
         # a Gamma-transform with mixed precision keeps it through reflect
-        from eiscong.characters import kronecker_character
         from eiscong.measures import (
             StabilizationParams, bernoulli_family, stabilize, to_iwasawa_series)
 
@@ -305,7 +342,6 @@ class TestSerialization:
     def test_bridge_series_roundtrip(self, m0, D, p, V, N, M, omega_power):
         # the bridge states fewer digits at higher T-degree; to_json writes
         # them all and N = their minimum, and from_json reads them all back
-        from eiscong.characters import kronecker_character
         from eiscong.measures import StabilizationParams, bernoulli_family, stabilize, \
             to_iwasawa_series
 

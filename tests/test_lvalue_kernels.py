@@ -26,7 +26,7 @@ from eiscong.characters import (
     value_table,
 )
 from eiscong import lseries
-from eiscong.lseries import bernoulli, gen_bernoulli, hecke_L_neg_induced
+from eiscong.lseries import bernoulli_numbers, gen_bernoulli, hecke_L_neg_induced
 from eiscong.quadfield import make_field
 
 from character_oracles import enumerate_characters, primitive_characters
@@ -71,7 +71,8 @@ def _oracle_gen_bernoulli(chi, n):
             for j in range(n + 1):
                 sums[j] += x
                 x *= a
-    return sum(math.comb(n, k) * bernoulli(k) * Fraction(f) ** (k - 1) * sums[n - k]
+    bern = bernoulli_numbers(n)
+    return sum(math.comb(n, k) * bern[k] * Fraction(f) ** (k - 1) * sums[n - k]
                for k in range(n + 1))
 
 
@@ -125,7 +126,8 @@ def _power_sums_bernoulli(chi, n):
     """B_{n,chi} = sum_k C(n,k) B_k f^(k-1) S_{n-k} from `_oracle_power_sums`."""
     f = chi.conductor
     sums = _oracle_power_sums(chi, n)
-    return sum(math.comb(n, k) * bernoulli(k) * Fraction(f) ** (k - 1) * sums[n - k]
+    bern = bernoulli_numbers(n)
+    return sum(math.comb(n, k) * bern[k] * Fraction(f) ** (k - 1) * sums[n - k]
                for k in range(n + 1))
 
 
@@ -237,7 +239,7 @@ class TestGenBernoulli:
             raise AssertionError("work done for a rejected weight")
 
         monkeypatch.setattr(lseries, "_centered_power_sums", no_work)
-        monkeypatch.setattr(lseries, "bernoulli", no_work)
+        monkeypatch.setattr(lseries, "bernoulli_numbers", no_work)
         with pytest.raises(ValueError, match="cap"):
             gen_bernoulli(kronecker_character(5), 10**4 + 1)
 
@@ -282,21 +284,13 @@ class TestSiegelWeightTwo:
 
 
 class TestBernoulliNumbers:
-    def test_tangent_numbers_match_recurrence(self, monkeypatch):
-        monkeypatch.setattr(lseries, "_BERNOULLI_CACHE", [Fraction(1)])
+    def test_tangent_numbers_match_recurrence(self):
         want = _oracle_bernoulli(600)
-        assert [bernoulli(n) for n in range(601)] == want
-        assert lseries._bernoulli_table(600) == want
-        assert lseries._bernoulli_table(0) == [1]
-        assert lseries._bernoulli_table(1) == want[:2]
+        assert bernoulli_numbers(600) == want
+        assert bernoulli_numbers(0) == [1]
+        assert bernoulli_numbers(1) == want[:2]
 
-    def test_small_n_builds_a_small_table(self, monkeypatch):
-        monkeypatch.setattr(lseries, "_BERNOULLI_CACHE", [Fraction(1)])
-        assert bernoulli(12) == Fraction(-691, 2730)
-        assert len(lseries._BERNOULLI_CACHE) <= 2 * 12 + 1
-        # increasing requests grow the table by doubling, up to the cap
-        bernoulli(13)
-        assert len(lseries._BERNOULLI_CACHE) == 2 * 13 + 1
-        monkeypatch.setattr(lseries, "BERNOULLI_CAP", 30)
-        bernoulli(27)
-        assert len(lseries._BERNOULLI_CACHE) == 31
+    def test_rejects_negative_and_above_the_cap(self):
+        for n in (-1, lseries.BERNOULLI_CAP + 1):
+            with pytest.raises(ValueError):
+                bernoulli_numbers(n)

@@ -10,7 +10,6 @@ from eiscong.quadfield import (
     INERT,
     QuadElement,
     RAMIFIED,
-    ideal_mul,
     ideal_pow,
     index_iota1,
     make_field,
@@ -19,7 +18,7 @@ from eiscong.quadfield import (
     unit_power_check,
 )
 
-from ideal_oracles import enumerate_ideals, ideal_divide, ideal_divisors
+from ideal_oracles import enumerate_ideals, ideal_divide, ideal_divisors, ideal_mul
 
 
 def brute_fundamental_unit(d):
@@ -59,7 +58,8 @@ class TestMakeField:
         f = make_field(d)
         assert f.fund_unit == brute_fundamental_unit(d)
         assert f.fund_unit.norm() in (1, -1)
-        assert f.fund_unit.embeds_above(Fraction(1))
+        # a unit u = x + y sqrt(d) exceeds 1 iff x, y > 0 (then |x - y sqrt(d)| = 1/u < u)
+        assert f.fund_unit.x > 0 and f.fund_unit.y > 0
 
     def test_long_period_field(self):
         # d = 94 has a long continued-fraction period; classical Pell value
@@ -92,14 +92,14 @@ class TestMakeField:
     def test_unit_norm_identities(self):
         for d in (2, 3, 5, 13, 21):
             f = make_field(d)
-            assert f.fund_unit * f.fund_unit.conjugate() == QuadElement(
+            u, v = f.fund_unit, f.u_plus
+            assert u * QuadElement(d, u.x, -u.y) == QuadElement(
                 d, Fraction(f.fund_unit_norm), Fraction(0))
-            assert f.u_plus * f.u_plus.conjugate() == QuadElement(
-                d, Fraction(1), Fraction(0))
-            # totally positive: both embeddings of u_plus or its inverse exceed 1
-            assert f.u_plus.norm() == 1
-            assert f.u_plus.embeds_above(Fraction(0))
-            assert f.u_plus.conjugate().x > 0  # conjugate embedding positive too
+            assert v * QuadElement(d, v.x, -v.y) == QuadElement(d, Fraction(1), Fraction(0))
+            # totally positive: the embeddings of u_plus have product N(u_plus) = 1,
+            # so both share the sign of their sum 2x
+            assert v.norm() == 1
+            assert v.x > 0
 
     def test_rejects_bad_d(self):
         with pytest.raises(ValueError):

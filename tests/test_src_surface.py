@@ -1,11 +1,13 @@
 """`src` holds what a command or a bench workload runs, and nothing else.
 
-Every top-level function and class of a `src/eiscong` module must be used
+Every top-level function and class of a `src/eiscong` module, and every
+method or property of such a class whose name is not a dunder, must be used
 by `src` or `bench/` outside its own definition, as a name or an attribute.
 Importing a name is not a use, so the re-exports in `eiscong/__init__.py`
 do not count.  A definition only tests reach belongs in a test oracle module
 under `tests/` (for example `character_oracles`, `hecke_oracles`,
-`ideal_oracles`, `padic_oracles`).
+`ideal_oracles`, `padic_oracles`).  No `src` function body imports, so an
+import cycle cannot hide in a function.
 """
 
 import ast
@@ -32,14 +34,27 @@ def _uses(node, skip=None):
 
 def _unreferenced(src, bench):
     trees = {path: ast.parse(path.read_text(), str(path)) for path in src + bench}
+
+    def unused(node):
+        return not any(node.name in _uses(tree, skip=node) for tree in trees.values())
+
     out = []
     for path in src:
         for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if not any(node.name in _uses(tree, skip=node) for tree in trees.values()):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and unused(node):
                 out.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                out += [f"{path.stem}.{node.name}.{m.name}" for m in node.body
+                        if isinstance(m, ast.FunctionDef) and unused(m)
+                        and not (m.name.startswith("__") and m.name.endswith("__"))]
     return out
+
+
+def _function_local_imports(src):
+    return [f"{path.stem}:{sub.lineno}" for path in src
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.FunctionDef)
+            for sub in ast.walk(node) if isinstance(sub, (ast.Import, ast.ImportFrom))]
 
 
 def test_every_src_definition_is_used_by_src_or_bench():
@@ -47,11 +62,18 @@ def test_every_src_definition_is_used_by_src_or_bench():
     assert _unreferenced(SRC, BENCH) == []
 
 
+def test_no_src_function_imports_in_its_body():
+    assert _function_local_imports(SRC) == []
+
+
 def test_the_guard_sees_a_test_only_definition(tmp_path):
     mod = tmp_path / "mod.py"
-    mod.write_text("def used():\n    return used()\n\n\ndef caller():\n    return used()\n")
+    mod.write_text("def used():\n    return used()\n\n\ndef caller():\n    return used()\n\n\n"
+                   "class Box:\n    def __init__(self):\n        pass\n\n"
+                   "    def get(self):\n        from os import sep\n        return self.get() + sep\n")
     bench = tmp_path / "bench.py"
-    bench.write_text("from mod import caller\n\ncaller()\n")
+    bench.write_text("from mod import Box, caller\n\ncaller()\nBox().get()\n")
     assert _unreferenced([mod], [bench]) == []
-    bench.write_text("from mod import caller\n")
-    assert _unreferenced([mod], [bench]) == ["mod.caller"]
+    bench.write_text("from mod import Box\n\nBox()\n")
+    assert _unreferenced([mod], [bench]) == ["mod.caller", "mod.Box.get"]
+    assert _function_local_imports([mod]) == ["mod:14"]
