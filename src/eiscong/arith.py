@@ -54,9 +54,7 @@ def primes_up_to(bound: int) -> list[int]:
 
 
 def _pollard_brent(n: int, rng: random.Random, iters: int) -> int | None:
-    """One Brent-rho attempt; returns a nontrivial factor or None."""
-    if n % 2 == 0:
-        return 2
+    """One Brent-rho attempt at an odd composite n; a factor 1 < f < n, or None."""
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
@@ -112,8 +110,6 @@ def factorize(n: int, rho_iters: int = 200000) -> dict[int, int] | None:
     stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

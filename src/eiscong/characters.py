@@ -148,8 +148,9 @@ class HeckeCharacterQF:
     """The character eps of F whose induction to Q splits as chi1 + chi2.
 
     Its modulus is `modulus_ideal` = (m), also its conductor iff m = 1 mod 4
-    or d = 3 mod 4 (see `induce_quadratic`).  Values on ideals coprime to (m)
-    are chi1(N(a)); ideals sharing a prime with (m) map to 0.
+    or d = 3 mod 4 (see `induce_quadratic`).  eps(a) = chi1(N(a)): every
+    prime of the odd squarefree m divides chi1's conductor (m or 4m), so
+    ideals sharing a prime with (m) map to 0.
     """
 
     field: RealQuadraticField
@@ -159,9 +160,7 @@ class HeckeCharacterQF:
     aux_m: int  # the rational generator m of the modulus
 
     def value_on_ideal(self, a: IdealQF) -> int:
-        """eps(a): 0 on ideals meeting the modulus, else chi1(N(a)), multiplicative."""
-        if a.shares_rational_prime(self.modulus_ideal):
-            return 0
+        """eps(a) = chi1(N(a)), multiplicative; 0 on ideals meeting the modulus."""
         return self.chi1(a.norm)
 
     def to_json(self) -> dict:

@@ -60,7 +60,7 @@ def _emit(args, payload) -> None:
 def _config_echo(args, command: str, keys: list[str]) -> dict:
     cfg = {"command": command, "version": __version__}
     for k in keys:
-        cfg[k] = getattr(args, k.replace("-", "_"), None)
+        cfg[k] = getattr(args, k, None)
     return cfg
 
 
@@ -405,7 +405,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, NotImplementedError) as e:
+    except (ValueError, NotImplementedError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -13,7 +13,7 @@ fundamental-unit order test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 from .arith import primes_up_to
@@ -70,8 +70,6 @@ class CoefficientSystem:
     inserts its keys in.
     """
 
-    field: RealQuadraticField
-    bound: int
     coeffs: dict
 
     def at(self, a: IdealQF):
@@ -133,7 +131,7 @@ def eisenstein_coeffs(series: EisensteinSeries, bound: int) -> CoefficientSystem
         cs.append(1 if parent is None else cs[parent] * local[start - 1][factors[-1][2]])
     order = sorted(range(len(rows)), key=rows.__getitem__)
     coeffs = {IdealQF(field.d, rows[i][1]): cs[i] for i in order}
-    return CoefficientSystem(field, bound, coeffs)
+    return CoefficientSystem(coeffs)
 
 
 @dataclass
@@ -158,19 +156,8 @@ class CongruenceReport:
     )
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d, "m": self.m, "p": self.p,
-            "lvalue": self.lvalue,
-            "lvalue_factorization": self.lvalue_factorization,
-            "hypothesis_b": self.hypothesis_b,
-            "hypothesis_c": self.hypothesis_c,
-            "residue_unit_check": self.residue_unit_check,
-            "iota1_check": self.iota1_check,
-            "unit_order_check": self.unit_order_check,
-            "verdict": self.verdict,
-            "label": self.label,
-            "unchecked_assumptions": list(self.unchecked),
-        }
+        return {**asdict(self), "label": self.label,
+                "unchecked_assumptions": list(self.unchecked)}
 
 
 def stripped_eisenstein(field: RealQuadraticField, m: int) -> EisensteinSeries:

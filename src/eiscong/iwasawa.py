@@ -36,9 +36,7 @@ class IwasawaElement:
     # -- constructors ----------------------------------------------------
     @staticmethod
     def from_integers(p: int, N: int, M: int, coeffs) -> "IwasawaElement":
-        coeffs = list(coeffs)
-        res = [int(c) % p**N for c in coeffs] + [0] * (M - len(coeffs))
-        return IwasawaElement(p, res[:M], [N] * M)
+        return IwasawaElement(p, (list(coeffs) + [0] * M)[:M], [N] * M)
 
     # -- views ------------------------------------------------------------
     @property
@@ -102,8 +100,7 @@ class IwasawaElement:
 
     def scale(self, c: int) -> "IwasawaElement":
         """Multiply by the integer c."""
-        out = [r * c % self.p**k for r, k in zip(self.res, self.prec)]
-        return IwasawaElement(self.p, out, list(self.prec), self.pole_factor)
+        return IwasawaElement(self.p, [r * c for r in self.res], list(self.prec), self.pole_factor)
 
 
 def _mul_trunc(a: list, b: list, m: int, mod: int) -> list:
@@ -170,23 +167,25 @@ def lambda_mu(f: IwasawaElement) -> tuple[int, int, bool]:
 
 @dataclass
 class WeierstrassData:
-    """f = distinguished * unit at the stated precision; mu is always 0."""
+    """f = distinguished * unit mod (p^N, T^M), N = min(f.prec); mu is always 0."""
 
     mu: int
     lam: int
-    distinguished: list  # monic integer coefficients, length lam + 1, mod p^stated_N
+    distinguished: list  # monic integer coefficients, length lam + 1, reduced mod p^N
     unit: IwasawaElement
-    stated_N: int
-    stated_M: int
 
 
 def weierstrass_prepare(f: IwasawaElement) -> WeierstrassData:
     """Weierstrass factorization by p-digit Hensel lifting.
 
-    Requires a certified (mu, lambda), so mu = 0 and lambda < M.  The
-    reconstruction identity f = P U holds mod (p^N, T^M) as computed; the
-    unit is tail-sensitive above T^(M - lambda), so the stated precision is
-    (N, M - lambda), N = min(prec).
+    Requires a certified (mu, lambda), so mu = 0 and lambda < M.  Only the
+    reconstruction identity f = P U mod (p^N, T^M), N = min(prec), is
+    guaranteed; P and U are reduced mod p^N but can be right to fewer
+    digits.  The unknown coefficients from T^M on enter P through
+    T^lambda = (a multiple of p) mod P, about one digit per lambda degrees
+    of T: (T^2 - 5) times a unit, truncated at p = 5, N = 6, gives
+    P = T^2 - 5 mod 5^6 at M = 12, but only mod 5^4 at M = 8 and mod 5^3
+    at M = 6.
     """
     p, M = f.p, f.t_prec
     mu, lam, certified = lambda_mu(f)
@@ -227,9 +226,7 @@ def weierstrass_prepare(f: IwasawaElement) -> WeierstrassData:
     final = _mul_trunc(P, U, M, p**n_red)
     if any((g[i] - final[i]) % p**n_red for i in range(M)):
         raise ArithmeticError("reconstruction failed at the stated precision")
-    unit = IwasawaElement(p, [u % p**n_red for u in U], [n_red] * M)
-    dist = [c % p**n_red for c in P]
-    return WeierstrassData(mu, lam, dist, unit, n_red, M - lam)
+    return WeierstrassData(mu, lam, P, IwasawaElement(p, U, [n_red] * M))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +271,8 @@ def binomial_row(c: int, length: int, p: int, w: int) -> list[int]:
     return out
 
 
-def euler_factor(chi_q: int, n_q: int, u: int, p: int, N: int, M: int) -> IwasawaElement:
-    """1 - chi_q * Nq^-1 * (1+T)^c with c = log<Nq> / log(u).
+def euler_factor(chi_q: int, n_q: int, p: int, N: int, M: int) -> IwasawaElement:
+    """1 - chi_q * Nq^-1 * (1+T)^c with c = log<Nq> / log(u), u = 1 + p.
 
     chi_q is an integer (a character value, 0 or +-1); Nq must be coprime
     to p.  (1+T)^c is the p-adic binomial series truncated at T^M, with c
@@ -286,12 +283,10 @@ def euler_factor(chi_q: int, n_q: int, u: int, p: int, N: int, M: int) -> Iwasaw
     if chi_q == 0:
         return IwasawaElement.from_integers(p, N, M, [1])
     w_c = N + M // (p - 1) + 3
-    c = unit_log_ratio(n_q, u, p, w_c)
-    row = binomial_row(c, M, p, N)
-    mod = p**N
-    a = chi_q * pow(n_q, -1, mod) % mod
-    res = [(-a * row[j]) % mod for j in range(M)]
-    res[0] = (1 + res[0]) % mod
+    c = unit_log_ratio(n_q, 1 + p, p, w_c)
+    a = chi_q * pow(n_q, -1, p**N)
+    res = [-a * b for b in binomial_row(c, M, p, N)]
+    res[0] += 1
     return IwasawaElement(p, res, [N] * M)
 
 

@@ -375,10 +375,8 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
         acc = list(accumulate(acc[:len(weight) - j]))
         series.append(acc[-1] if acc else 0)
     den_inv = pow(den % mod, -1, mod)
-    res = [x * den_inv % mod for x in series]
     prec = [bridge_certified_precision(V, p, j, N) for j in range(M)]
-    out = [r % p**k if k else 0 for r, k in zip(res, prec)]
-    return IwasawaElement(p, out, prec)
+    return IwasawaElement(p, [x * den_inv for x in series], prec)
 
 
 def _vfact(j: int, p: int) -> int:
@@ -722,7 +720,7 @@ def _fit_points(N: int, M: int) -> int:
     +-c_k e_(k-j)(t_0..t_(k-1)), is known mod p^(pi_k + k - j).  Every divided
     difference of f is in Z_p, so one known to be off Z_p is a pole.
     """
-    return max(N + M - 1, 1)
+    return N + M - 1
 
 
 def _newton_fit(nodes: list[tuple[int, int]], p: int, N: int, M: int, fit: int) -> list[int]:
@@ -801,14 +799,13 @@ def branch_product(chi1: DirichletCharacter, chi2: DirichletCharacter,
     if chi1.is_trivial() or chi2.is_trivial():
         raise ValueError("a trivial branch character gives the pole branch (omega^0), "
                          "which has no lambda/mu invariants")
-    u = 1 + p
     f1 = kubota_leopoldt(chi1, p, N, M)
     f2 = kubota_leopoldt(chi2, p, N, M)
     eulers = []
     prod = f1 * f2
     for nq in strip_norms:
         for chi_b in (chi1, chi2):
-            e = euler_factor(chi_b(nq), nq, u, p, N, M)
+            e = euler_factor(chi_b(nq), nq, p, N, M)
             eulers.append(e)
             prod = prod * e
     parts = {}

@@ -158,10 +158,6 @@ class IdealQF:
     def prime_factors(self) -> list["IdealQF"]:
         return [IdealQF(self.d, ((p, tag, 1),)) for p, tag, _ in self.factors]
 
-    def shares_rational_prime(self, other: "IdealQF") -> bool:
-        mine = {p for p, _, _ in self.factors}
-        return any(p in mine for p, _, _ in other.factors)
-
     def to_json(self) -> list:
         return [["p", p, tag, e] for p, tag, e in self.factors]
 

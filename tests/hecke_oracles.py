@@ -9,6 +9,8 @@ is eps * 1_(m), which equals eps on every ideal, so the tests pass
 `series.eps`; synthetic systems pass any object with `value_on_ideal`.  At a
 prime q not dividing the level the T(q)-eigenvalue is eps(q) + N(q) = C(q),
 read as `series.coefficient_at(q)`.  The level is (m)^2 (`series_level`).
+Both operators take the bound of the system they act on, as they take the
+level, and return the system on the ideals of norm <= bound // N(q).
 """
 
 from eiscong.eisenstein import CoefficientSystem, EisensteinSeries
@@ -22,12 +24,13 @@ def series_level(series: EisensteinSeries) -> IdealQF:
     return ideal_pow(series.eps.modulus_ideal, 2)
 
 
-def hecke_T(sys: CoefficientSystem, q: IdealQF, s_char, level: IdealQF) -> CoefficientSystem:
+def hecke_T(sys: CoefficientSystem, q: IdealQF, s_char, level: IdealQF,
+            bound: int) -> CoefficientSystem:
     """T(q) for prime q not dividing the level; bound shrinks to bound//N(q)."""
     if not coprime_to(q, level):
         raise ValueError("q divides the level; use hecke_U")
     nq = q.norm
-    new_bound = sys.bound // nq
+    new_bound = bound // nq
     out = {}
     for m in sys.coeffs:
         if m.norm > new_bound:
@@ -39,14 +42,14 @@ def hecke_T(sys: CoefficientSystem, q: IdealQF, s_char, level: IdealQF) -> Coeff
             if ev:
                 acc = acc + nq * ev * sys.coeffs[ideal_divide(m, q)]
         out[m] = acc
-    return CoefficientSystem(sys.field, new_bound, out)
+    return CoefficientSystem(out)
 
 
-def hecke_U(sys: CoefficientSystem, q: IdealQF, level: IdealQF) -> CoefficientSystem:
-    """U(q) for prime q dividing the level: C(m) -> C(mq)."""
+def hecke_U(sys: CoefficientSystem, q: IdealQF, level: IdealQF, bound: int) -> CoefficientSystem:
+    """U(q) for prime q dividing the level: C(m) -> C(mq); bound shrinks to bound//N(q)."""
     if coprime_to(q, level):
         raise ValueError("q does not divide the level; use hecke_T")
-    new_bound = sys.bound // q.norm
-    out = {m: sys.coeffs[ideal_mul(m, q)] for m in sys.coeffs if m.norm <= new_bound}
-    return CoefficientSystem(sys.field, new_bound, out)
+    new_bound = bound // q.norm
+    return CoefficientSystem({m: sys.coeffs[ideal_mul(m, q)]
+                              for m in sys.coeffs if m.norm <= new_bound})
 

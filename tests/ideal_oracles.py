@@ -4,7 +4,8 @@
 `enumerate_ideals` lists the ideals of bounded norm in the order the
 coefficient walk keys them.  `ideal_divisors` lists every integral divisor
 of an ideal; the divisor-sum oracle in test_eisenstein_kernels sums over it,
-and test_quadfield checks it.
+and test_quadfield checks it.  `eps_by_definition` is eps on an ideal with
+the modulus tested apart, as `value_on_ideal` once computed it.
 """
 
 from eiscong.eisenstein import _ideal_walk
@@ -27,6 +28,13 @@ def ideal_mul(a: IdealQF, b: IdealQF) -> IdealQF:
 def coprime_to(a: IdealQF, b: IdealQF) -> bool:
     """True iff a and b share no prime ideal, compared by (p, tag)."""
     return not {f[:2] for f in a.factors} & {f[:2] for f in b.factors}
+
+
+def eps_by_definition(eps, a: IdealQF) -> int:
+    """eps(a): 0 when a shares a rational prime with the modulus (m), else chi1(N(a))."""
+    if {p for p, _, _ in a.factors} & {p for p, _, _ in eps.modulus_ideal.factors}:
+        return 0
+    return eps.chi1(a.norm)
 
 
 def ideal_divide(a: IdealQF, b: IdealQF) -> IdealQF:

@@ -96,12 +96,12 @@ def test_criterion_3_eisenstein_eigenforms():
         for q in test_primes:
             if coprime_to(q, level):
                 lam = series.coefficient_at(q)
-                img = hecke_T(sys, q, eps, level)
+                img = hecke_T(sys, q, eps, level, bound)
             else:
                 lam = sys.at(q)
-                img = hecke_U(sys, q, level)
+                img = hecke_U(sys, q, level, bound)
             for a in base:
-                if a.norm <= img.bound and img.at(a) != lam * sys.at(a):
+                if a.norm <= bound // q.norm and img.at(a) != lam * sys.at(a):
                     failures.append((m, str(q), str(a)))
         # prime-power recursion at primes away from the level
         for q in test_primes:

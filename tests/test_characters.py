@@ -27,7 +27,7 @@ from character_oracles import (
     primitive_characters,
     unit_group,
 )
-from ideal_oracles import enumerate_ideals, ideal_mul, prime_ideal
+from ideal_oracles import eps_by_definition, enumerate_ideals, ideal_mul, prime_ideal
 
 
 class TestKroneckerCharacter:
@@ -234,6 +234,19 @@ class TestInducedCharacters:
         p7 = prime_ideal(f, 7)
         assert eps.value_on_ideal(p7) == kronecker(20149, 7)
         assert eps.value_on_ideal(principal_ideal(f, 20149)) == 0
+
+    @pytest.mark.parametrize("d, m", [(2, 3), (2, 105), (5, 21), (5, 231), (13, 15),
+                                      (13, 33), (17, 105), (17, 1991), (29, 7), (29, 65)])
+    def test_value_is_chi1_of_the_norm(self, d, m):
+        # every prime of the odd squarefree m divides chi1's conductor (m or
+        # 4m), so chi1(N(a)) already vanishes on ideals meeting (m)
+        f = make_field(d)
+        eps = induce_quadratic(f, m)
+        ideals = enumerate_ideals(f, 2000)
+        want = [eps_by_definition(eps, a) for a in ideals]
+        assert [eps.value_on_ideal(a) for a in ideals] == want
+        assert {-1, 0, 1} <= set(want)
+        assert any(math.gcd(a.norm, m) > 1 for a in ideals)
 
     def test_multiplicativity(self):
         f = make_field(2)

@@ -136,7 +136,7 @@ class TestHecke:
         series = stripped_eisenstein(f2, 5)
         sys = eisenstein_coeffs(series, 400)
         q = prime_ideal(f2, 3)
-        img = hecke_T(sys, q, series.eps, series_level(series))
+        img = hecke_T(sys, q, series.eps, series_level(series), 400)
         assert img.at(principal_ideal(f2, 1)) == sys.at(q)
         # C(q, sys|T(q)) = C(q^2) + N(q) eps(q) C((1))
         ev = series.eps.value_on_ideal(q)
@@ -147,17 +147,17 @@ class TestHecke:
         sys = eisenstein_coeffs(series, 700)
         q5 = principal_ideal(f2, 5).prime_factors()[0]
         with pytest.raises(ValueError):
-            hecke_T(sys, q5, series.eps, series_level(series))
+            hecke_T(sys, q5, series.eps, series_level(series), 700)
 
     def test_U_shift(self, f2):
         series = stripped_eisenstein(f2, 5)
         sys = eisenstein_coeffs(series, 700)
         q5 = principal_ideal(f2, 5).prime_factors()[0]
-        img = hecke_U(sys, q5, series_level(series))
+        img = hecke_U(sys, q5, series_level(series), 700)
         for m in img.ideals():
             assert img.at(m) == sys.at(ideal_mul(m, q5))
         with pytest.raises(ValueError):
-            hecke_U(sys, prime_ideal(f2, 3), series_level(series))
+            hecke_U(sys, prime_ideal(f2, 3), series_level(series), 700)
 
     def test_images_keep_the_norm_order(self, f2):
         # ideals() is insertion order: (norm, factors) from eisenstein_coeffs,
@@ -165,8 +165,8 @@ class TestHecke:
         series = stripped_eisenstein(f2, 5)
         sys = eisenstein_coeffs(series, 700)
         q5 = principal_ideal(f2, 5).prime_factors()[0]
-        for img in (sys, hecke_T(sys, prime_ideal(f2, 3), series.eps, series_level(series)),
-                    hecke_U(sys, q5, series_level(series))):
+        for img in (sys, hecke_T(sys, prime_ideal(f2, 3), series.eps, series_level(series), 700),
+                    hecke_U(sys, q5, series_level(series), 700)):
             assert img.ideals() == sorted(img.coeffs, key=lambda i: (i.norm, i.factors))
 
     def test_U_square_is_U_of_square(self, f2):
@@ -176,7 +176,7 @@ class TestHecke:
         q5 = principal_ideal(f2, 5).prime_factors()[0]
         coeffs = {a: Fraction(rng.randrange(-50, 50)) for a in ideals}
         level = ideal_pow(q5, 2)
-        once = hecke_U(hecke_U(CoefficientSystem(f2, 625, coeffs), q5, level), q5, level)
+        once = hecke_U(hecke_U(CoefficientSystem(coeffs), q5, level, 625), q5, level, 25)
         # U(q^2) directly: C(m) -> C(m q^2)
         for m in once.ideals():
             assert once.at(m) == coeffs[ideal_mul(m, level)]
@@ -185,17 +185,17 @@ class TestHecke:
         rng = random.Random(5)
         ideals = enumerate_ideals(f2, 441)
         coeffs = {a: Fraction(rng.randrange(-9, 9)) for a in ideals}
-        sys, one, level = CoefficientSystem(f2, 441, coeffs), _One(), principal_ideal(f2, 1)
+        sys, one, level = CoefficientSystem(coeffs), _One(), principal_ideal(f2, 1)
         q3, q7 = prime_ideal(f2, 3), prime_ideal(f2, 7)
-        ab = hecke_T(hecke_T(sys, q3, one, level), q7, one, level)
-        ba = hecke_T(hecke_T(sys, q7, one, level), q3, one, level)
+        ab = hecke_T(hecke_T(sys, q3, one, level, 441), q7, one, level, 441 // q3.norm)
+        ba = hecke_T(hecke_T(sys, q7, one, level, 441), q3, one, level, 441 // q7.norm)
         assert ab.coeffs == ba.coeffs
 
 
-def t_eigen_failures(series, sys, q):
+def t_eigen_failures(series, sys, q, bound):
     """Ideals m with (T(q) sys)(m) != C(q) sys(m) on the shrunken bound."""
     lam = series.coefficient_at(q)
-    image = hecke_T(sys, q, series.eps, series_level(series))
+    image = hecke_T(sys, q, series.eps, series_level(series), bound)
     return [m for m in image.ideals() if image.at(m) != lam * sys.at(m)]
 
 
@@ -204,8 +204,8 @@ class TestEigenform:
         series = stripped_eisenstein(f2, 5)
         sys = eisenstein_coeffs(series, 600)
         q = prime_ideal(f2, 3)
-        assert hecke_T(sys, q, series.eps, series_level(series)).ideals()
-        assert t_eigen_failures(series, sys, q) == []
+        assert hecke_T(sys, q, series.eps, series_level(series), 600).ideals()
+        assert t_eigen_failures(series, sys, q, 600) == []
 
     def test_corrupted_coefficient_reported(self, f2):
         series = stripped_eisenstein(f2, 5)
@@ -214,7 +214,7 @@ class TestEigenform:
         bad = dict(sys.coeffs)
         victim = principal_ideal(f2, 7)
         bad[victim] = bad[victim] + 1
-        assert victim in t_eigen_failures(series, CoefficientSystem(f2, 600, bad), q)
+        assert victim in t_eigen_failures(series, CoefficientSystem(bad), q, 600)
 
 
 class TestScan:

@@ -134,10 +134,31 @@ class TestWeierstrass:
                 continue
             wd = weierstrass_prepare(f)
             assert (wd.mu, wd.lam) == (0, lam)
-            prod = IwasawaElement.from_integers(p, wd.stated_N, 16, wd.distinguished) * wd.unit
-            mod = p**wd.stated_N
+            n = min(wd.unit.prec)
+            prod = IwasawaElement.from_integers(p, n, 16, wd.distinguished) * wd.unit
+            mod = p**n
             for j in range(16):
                 assert (f.res[j] - prod.res[j]) % mod == 0
+
+    def test_only_the_product_is_stated_to_N_digits(self):
+        # f = (T^2 - 5) V with V a unit: the identity f = P U holds mod
+        # (5^6, T^M) at every M, but P = T^2 - 5 is right mod 5^6 only from
+        # M = 12 on; the unknown tail past T^M costs P digits below that
+        dist = [-5, 0, 1]
+        unit = [2, 1, 3, 0, 1, 4, 0, 2, 1, 3]
+        coeffs = [sum(dist[i] * unit[k - i] for i in range(3) if 0 <= k - i < 10)
+                  for k in range(12)]
+        mod = 5**6
+        digits = {}
+        for M in (6, 8, 12, 16):
+            f = IwasawaElement.from_integers(5, 6, M, coeffs)
+            wd = weierstrass_prepare(f)
+            prod = IwasawaElement.from_integers(5, 6, M, wd.distinguished) * wd.unit
+            assert (wd.lam, min(wd.unit.prec)) == (2, 6)
+            assert all((f.res[j] - prod.res[j]) % mod == 0 for j in range(M))
+            digits[M] = min(val_p((c - d) % mod or mod, 5)
+                            for c, d in zip(wd.distinguished, dist))
+        assert digits == {6: 3, 8: 4, 12: 6, 16: 6}
 
     def test_unit_multiplication_invariance(self):
         rng = random.Random(99)
@@ -150,7 +171,7 @@ class TestWeierstrass:
     def test_precision_exhaustion(self):
         g = IwasawaElement(5, [0, 0, 1, 0, 0, 0], [1] * 6)
         wd = weierstrass_prepare(g)  # one digit still works
-        assert (wd.lam, wd.stated_N) == (2, 1)
+        assert (wd.lam, min(wd.unit.prec)) == (2, 1)
         h = IwasawaElement(5, [5, 0, 5, 0, 0, 0], [2] * 6)
         # mu = 1 is read off, but a truncation never certifies it, so prepare refuses
         assert lambda_mu(h) == (1, 0, False)
@@ -160,19 +181,19 @@ class TestWeierstrass:
 
 class TestEulerFactor:
     def test_chi_zero_is_one(self):
-        e = euler_factor(0, 9, 6, 5, 8, 6)
+        e = euler_factor(0, 9, 5, 8, 6)
         assert e.res == [1, 0, 0, 0, 0, 0]
 
     def test_teichmuller_norm_constant(self):
         # <Nq> = 1 when Nq is a Teichmuller representative: c = 0 to working
         # precision and the factor is the constant 1 - chi/Nq
         nq = teichmuller(2, 5, 14)  # integer Teichmuller lift of 2
-        e = euler_factor(1, nq, 6, 5, 8, 6)
+        e = euler_factor(1, nq, 5, 8, 6)
         assert e.res[0] == (1 - pow(nq, -1, 5**8)) % 5**8
         assert all(c == 0 for c in e.res[1:])
 
     def test_square_of_generator(self):
-        e = euler_factor(1, 36, 6, 5, 10, 8)
+        e = euler_factor(1, 36, 5, 10, 8)
         inv36 = pow(36, -1, 5**10)
         assert e.res[0] == (1 - inv36) % 5**10
         assert e.res[1] == (-2 * inv36) % 5**10
@@ -181,23 +202,23 @@ class TestEulerFactor:
 
     def test_rejects_p_divisible(self):
         with pytest.raises(ValueError):
-            euler_factor(1, 10, 6, 5, 8, 6)
+            euler_factor(1, 10, 5, 8, 6)
 
     def test_lambda_of_factor(self):
         # 1 - a(1+T)^c is a unit iff 1 - a is; else lambda from T-coefficients
-        e = euler_factor(1, 7, 6, 5, 10, 8)
+        e = euler_factor(1, 7, 5, 10, 8)
         assert lambda_mu(e) == (0, 0, True)  # 1 - 1/7 = 6/7, a 5-adic unit
-        e2 = euler_factor(1, 36, 6, 5, 10, 8)  # 36 = 1 mod 5: constant in 5Z
+        e2 = euler_factor(1, 36, 5, 10, 8)  # 36 = 1 mod 5: constant in 5Z
         assert lambda_mu(e2) == (0, 1, True)
-        e3 = euler_factor(1, 841, 8, 7, 10, 8)  # 841 = 1 mod 7
+        e3 = euler_factor(1, 841, 7, 10, 8)  # 841 = 1 mod 7
         assert lambda_mu(e3) == (0, 1, True)
         # brute-force cross-check of the coefficient valuations
         inv36 = pow(36, -1, 5**10)
         assert (1 - inv36) % 5 == 0 and (2 * inv36) % 5 != 0
 
     def test_product_commutes_and_adds(self):
-        e1 = euler_factor(1, 36, 6, 5, 10, 12)
-        e2 = euler_factor(-1, 11, 6, 5, 10, 12)
+        e1 = euler_factor(1, 36, 5, 10, 12)
+        e2 = euler_factor(-1, 11, 5, 10, 12)
         assert (e1 * e2).res == (e2 * e1).res
         l1 = lambda_mu(e1)[1]
         l2 = lambda_mu(e2)[1]
@@ -211,7 +232,7 @@ class TestEvaluate:
         assert (f.res[0], f.prec[0]) == (1, 8)
 
     def test_euler_at_zero(self):
-        e = euler_factor(1, 36, 6, 5, 8, 10)
+        e = euler_factor(1, 36, 5, 8, 10)
         assert e.res[0] == (1 - pow(36, -1, 5**8)) % 5**8
 
 
