@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from .arith import crt, factorize, fundamental_discriminant, is_squarefree, kronecker
 from .quadfield import IdealQF, RealQuadraticField, principal_ideal
 
-EVEN = "even"
-ODD = "odd"
-
 
 # ---------------------------------------------------------------------------
 # Dirichlet characters
@@ -38,26 +35,22 @@ def is_fundamental_discriminant(D: int) -> bool:
 class DirichletCharacter:
     """The Kronecker character a -> (D|a) of a fundamental discriminant D.
 
-    Its modulus and conductor are |D|; D = 1 is the trivial character.
+    It is primitive of conductor |D|, even iff D > 0, and trivial iff D = 1;
+    every other character is quadratic.
     """
 
     def __init__(self, D: int):
         self.D = D
-        self.modulus = self.conductor = abs(D)
-        self.order = 1 if D == 1 else 2
-        self.parity = EVEN if D > 0 else ODD
+        self.conductor = abs(D)
 
     def __call__(self, a: int) -> int:
         return kronecker(self.D, a)
 
-    def is_primitive(self) -> bool:
-        return self.conductor == self.modulus
-
     def is_even(self) -> bool:
-        return self.parity == EVEN
+        return self.D > 0
 
     def is_trivial(self) -> bool:
-        return self.order == 1
+        return self.D == 1
 
     def mul_quadratic(self, other: "DirichletCharacter") -> "DirichletCharacter":
         """Product of Kronecker characters with coprime discriminants."""
@@ -70,7 +63,7 @@ class DirichletCharacter:
 
 
 def kronecker_character(D: int) -> DirichletCharacter:
-    """The character a -> (D|a) of modulus and conductor |D|; trivial at D = 1."""
+    """The character a -> (D|a) of conductor |D|; trivial at D = 1."""
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
     return DirichletCharacter(D)
@@ -105,7 +98,7 @@ def _local_component(chi: DirichletCharacter, l: int, q: int) -> bytearray:
 
 
 def value_table(chi: DirichletCharacter) -> array:
-    """chi(0), ..., chi(f - 1) for f = chi.conductor, chi primitive of order <= 2.
+    """chi(0), ..., chi(f - 1) for f = chi.conductor.
 
     A primitive quadratic character is the product of its components at
     the prime powers q || f (see `_local_component`).  By CRT the states
@@ -118,10 +111,6 @@ def value_table(chi: DirichletCharacter) -> array:
     character (f = 1, no components) gives [1].  The result is a signed-byte
     array.
     """
-    if chi.order > 2:
-        raise ValueError("value_table needs a character of order <= 2")
-    if not chi.is_primitive():
-        raise ValueError("value_table needs a primitive character")
     fac = factorize(chi.conductor)
     if len(fac) >= 16:
         raise ValueError("a state byte holds fewer than 16 prime components")

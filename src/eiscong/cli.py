@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .arith import is_prime
+from .arith import factorize, is_prime
 from .characters import induce_quadratic, kronecker_character
 from .eisenstein import (
     eisenstein_coeffs,
@@ -35,10 +35,6 @@ from .measures import (
 from .quadfield import make_field
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -52,7 +48,7 @@ def _emit(args, payload) -> None:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
         except OSError as e:
-            raise ConfigError(f"cannot write --out: {e}") from None
+            raise ValueError(f"cannot write --out: {e}") from None
     else:
         print(text, flush=True)  # a closed pipe raises here, inside main
 
@@ -81,7 +77,7 @@ def cmd_lvalue(args) -> int:
     field = make_field(args.d)
     eps = induce_quadratic(field, args.m)
     rec = hecke_L_neg_induced(eps, 1 - args.s)
-    fac = rec.factorization(rho_iters=args.rho_iters)
+    fac = factorize(rec.value.numerator, rho_iters=args.rho_iters)
     result = {
         "config": _config_echo(args, "lvalue", ["d", "m", "s"]),
         "field": field.to_json(),
@@ -96,7 +92,7 @@ def cmd_lvalue(args) -> int:
 
 def cmd_eis(args) -> int:
     if args.bound < 1:
-        raise ConfigError("--bound must be positive")
+        raise ValueError("--bound must be positive")
     field = make_field(args.d)
     series = stripped_eisenstein(field, args.m)
     sys_ = eisenstein_coeffs(series, args.bound)
@@ -122,11 +118,11 @@ def cmd_padic_lambda(args) -> int:
         with open(args.infile) as fh:
             obj = json.load(fh)
     except OSError as e:
-        raise ConfigError(f"cannot read --in: {e}") from None
+        raise ValueError(f"cannot read --in: {e}") from None
     try:
         series = IwasawaElement.from_json(obj)
     except KeyError as e:
-        raise ConfigError(f"series JSON lacks the key {e}") from None
+        raise ValueError(f"series JSON lacks the key {e}") from None
     try:
         mu, lam, certified = lambda_mu(series)
     except IndistinguishableFromZero as e:
@@ -142,12 +138,12 @@ def _rational(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ConfigError(f"{flag} has a zero denominator") from None
+        raise ValueError(f"{flag} has a zero denominator") from None
 
 
 def cmd_check_distribution(args) -> int:
     if not is_prime(args.p):
-        raise ConfigError("--p must be prime")
+        raise ValueError("--p must be prime")
     params = None
     if args.alpha is not None or args.eps_p is not None:
         params = StabilizationParams(_rational(args.alpha or "1", "--alpha"),
@@ -174,12 +170,12 @@ def cmd_check_distribution(args) -> int:
 def _parse_branch(text: str):
     obj = json.loads(text)
     if not isinstance(obj, dict):
-        raise ConfigError("--branch must be a JSON object")
+        raise ValueError("--branch must be a JSON object")
     for key in ("d", "m", "chi1_disc", "chi2_disc", "twist"):
         if key not in obj or (key == "twist" and obj[key] is None):
             continue  # a null twist is no twist, as the config echo writes it
         if type(obj[key]) is not int:  # bool is a subclass of int
-            raise ConfigError(f"--branch {key} must be an integer")
+            raise ValueError(f"--branch {key} must be an integer")
     try:
         if "d" in obj and "m" in obj:
             field = make_field(obj["d"])
@@ -188,7 +184,7 @@ def _parse_branch(text: str):
         else:
             d1, d2 = obj["chi1_disc"], obj["chi2_disc"]
     except KeyError as e:
-        raise ConfigError(
+        raise ValueError(
             f"--branch needs d and m, or chi1_disc and chi2_disc; missing {e}") from None
     twist = obj.get("twist")
     return d1, d2, twist
@@ -201,18 +197,18 @@ def _parts_json(parts: dict) -> dict:
 
 def _require_positive(args) -> None:
     if args.N < 1 or args.M < 1:
-        raise ConfigError("--N and --M must be positive")
+        raise ValueError("--N and --M must be positive")
 
 
 def cmd_padic_l(args) -> int:
     d1, d2, twist_disc = _parse_branch(args.branch)
     if not is_prime(args.p) or args.p == 2:
-        raise ConfigError("--p must be an odd prime")
+        raise ValueError("--p must be an odd prime")
     _require_positive(args)
     strip_primes = json.loads(args.strip) if args.strip else []
     if not (isinstance(strip_primes, list)
             and all(type(q) is int and is_prime(q) for q in strip_primes)):
-        raise ConfigError("--strip must be a JSON list of rational primes")
+        raise ValueError("--strip must be a JSON list of rational primes")
     config = _config_echo(args, "padic-l", ["p", "N", "M", "strip"])
     config["branch"] = {"chi1_disc": d1, "chi2_disc": d2, "twist": twist_disc}
     chi1, chi2 = kronecker_character(d1), kronecker_character(d2)
@@ -249,7 +245,7 @@ SUBSTITUTION_NOTE = (
 
 def cmd_verify_example(args) -> int:
     if args.p is not None and (args.p <= 4 or not is_prime(args.p)):
-        raise ConfigError("p must be a prime exceeding n+2 = 4 for a real quadratic field")
+        raise ValueError("p must be a prime exceeding n+2 = 4 for a real quadratic field")
     _require_positive(args)
     field = make_field(args.d)
     eps = induce_quadratic(field, args.m)
@@ -265,7 +261,7 @@ def cmd_verify_example(args) -> int:
 
     # stage 1: exact L-value
     rec = hecke_L_neg_induced(eps, 2)
-    fac = rec.factorization(rho_iters=args.rho_iters)
+    fac = factorize(rec.value.numerator, rho_iters=args.rho_iters)
     bundle["lvalue"] = {
         "value": str(rec.value),
         "factorization": None if fac is None else sorted([p, e] for p, e in fac.items()),

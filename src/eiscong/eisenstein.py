@@ -16,18 +16,15 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import ClassVar
 
-from .arith import primes_up_to
+from .arith import factorize, primes_up_to
 from .characters import HeckeCharacterQF, induce_quadratic, kronecker_character, value_table
 from .lseries import LValueRecord, hecke_L_neg_induced
 from .quadfield import (
-    INERT,
-    RAMIFIED,
-    SPLIT1,
-    SPLIT2,
     IdealQF,
     RealQuadraticField,
     ideal_pow,
     index_iota1,
+    primes_over,
     unit_power_check,
 )
 
@@ -84,19 +81,18 @@ def _ideal_walk(field: RealQuadraticField, bound: int) -> tuple[list, list]:
     """The prime ideals q of norm <= bound, and one walk over their powers.
 
     `primes` lists (p, tag, N(q), [(N(q)^e, (p, tag, e)) for N(q)^e <= bound])
-    in increasing (p, tag) order; chi_disc's value table gives the splitting
-    of p.  `rows` are (norm, factors, start, parent), parents first, row 0
-    the unit ideal with parent None.  A row is extended only by powers of
-    primes[j] for j >= start, into a child with start j + 1, so the new
-    factor keeps the tuple sorted and each ideal is reached once.  N(q) >= p,
-    so a row's scan stops at the first p with norm * p > bound.
+    in increasing (p, tag) order, named by `primes_over` from (disc_F | p)
+    read off chi_disc's value table.  `rows` are (norm, factors, start,
+    parent), parents first, row 0 the unit ideal with parent None.  A row is
+    extended only by powers of primes[j] for j >= start, into a child with
+    start j + 1, so the new factor keeps the tuple sorted and each ideal is
+    reached once.  N(q) >= p, so a row's scan stops at the first p with
+    norm * p > bound.
     """
     kron = value_table(kronecker_character(field.disc))
     primes = []
     for p in primes_up_to(bound):
-        st = kron[p % field.disc]  # 1 split, 0 ramified, -1 inert
-        nrm = p * p if st < 0 else p
-        for tag in (SPLIT1, SPLIT2) if st > 0 else (RAMIFIED,) if st == 0 else (INERT,):
+        for tag, nrm in primes_over(p, kron[p % field.disc]):
             pw, qe = [], nrm
             while qe <= bound:
                 pw.append((qe, (p, tag, len(pw) + 1)))
@@ -182,7 +178,7 @@ def scan_congruence(field: RealQuadraticField, m: int, *,
     implies it, and `hypothesis_b` is true on every report.
     """
     lrec = hecke_L_neg_induced(induce_quadratic(field, m), 2)
-    fac = lrec.factorization(rho_iters=rho_iters)
+    fac = factorize(lrec.value.numerator, rho_iters=rho_iters)
     if fac is None:
         return [CongruenceReport(field.d, m, 0, str(lrec.value), None,
                                  False, False, False, False, False,

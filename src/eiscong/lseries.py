@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 
-from .arith import factorize, primes_up_to
+from .arith import primes_up_to
 from .characters import DirichletCharacter, HeckeCharacterQF, sign_masks, value_table
 
 BERNOULLI_CAP = 10**4
@@ -112,7 +112,7 @@ def _siegel_b2(f: int) -> Fraction:
 
 
 def gen_bernoulli(chi: DirichletCharacter, n: int) -> Fraction:
-    """B_{n,chi} for chi of order <= 2 and modulus equal to its conductor.
+    """B_{n,chi} for the Kronecker character chi, of conductor f.
 
     The value is rational:
       - conductor 1 (the trivial character) gives B_n(1): B_n for n != 1,
@@ -126,16 +126,12 @@ def gen_bernoulli(chi: DirichletCharacter, n: int) -> Fraction:
         (x - 1/2)^(n-k), B_{n,chi} = f^(n-1) sum_a chi(a) B_n(a/f) is
         2^-n sum_{k even} C(n,k) (2 - 2^k) B_k f^(k-1) T_{n-k}
         (the k = 1 term vanishes and so do the odd B_k, k >= 3).
-    n above the Bernoulli cap and order above 2 are rejected before any work.
+    n above the Bernoulli cap is rejected before any work.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > BERNOULLI_CAP:
         raise ValueError(f"weight {n} is above the Bernoulli cap {BERNOULLI_CAP}")
-    if not chi.is_primitive():
-        raise ValueError("gen_bernoulli needs modulus = conductor")
-    if chi.order > 2:
-        raise NotImplementedError("exact L-values only for order <= 2 here")
     f = chi.conductor
     if f == 1:
         return Fraction(1, 2) if n == 1 else bernoulli_numbers(n)[n]
@@ -156,11 +152,6 @@ class LValueRecord:
     character: object
     s: int
     value: Fraction
-
-    def factorization(self, rho_iters: int = 200000):
-        """Prime factorization of the numerator; None on rho failure."""
-        num = self.value.numerator
-        return factorize(num, rho_iters=rho_iters)
 
 
 def dirichlet_L_neg(chi: DirichletCharacter, n: int) -> LValueRecord:

@@ -312,8 +312,8 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
     """Gamma-transform of a p-integral distribution against the branch chi * omega^j.
 
     The branch character of the torsion part (Z/m0 p)^x is given as a
-    primitive tame character of conductor dividing m0 (order <= 2, exact
-    values read from its value table) times the j-th Teichmuller power at p
+    Kronecker tame character of conductor dividing m0 (exact values read
+    from its value table) times the j-th Teichmuller power at p
     (p-adic values).  The coefficients are the Riemann sums at level L = V - 1
 
         a_j = sum over level-L units of branch^-1(a) C(log_u<a>, j) mu(a)
@@ -340,10 +340,6 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
         raise ValueError("p must be an odd prime")
     if m0 % chi_tame.conductor:
         raise ValueError("tame character must have conductor dividing m0")
-    if chi_tame.order > 2:
-        raise NotImplementedError("tame branch characters of order > 2")
-    if not chi_tame.is_primitive():
-        raise ValueError("tame character must be primitive: it is read from its value table")
     if V < 2:
         raise ValueError("need depth >= 2 for the wild coordinate")
     L = V - 1
@@ -676,8 +672,6 @@ def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,
         raise ValueError("p must be an odd prime")
     if N < 1 or M < 1:
         raise ValueError("need N >= 1 and M >= 1")
-    if chi.order > 2:
-        raise NotImplementedError("branch characters of order > 2")
     if chi.conductor % p == 0:
         raise ValueError("chi conductor must be coprime to p")
     if not chi.is_even():

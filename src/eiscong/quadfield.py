@@ -122,11 +122,15 @@ def make_field(d: int) -> RealQuadraticField:
     return RealQuadraticField(d, disc, basis, u, nu, u_plus)
 
 
-def splitting_type(field: RealQuadraticField, p: int) -> str:
-    """"split", "inert", or "ramified" for the rational prime p."""
-    if field.disc % p == 0:
-        return RAMIFIED
-    return "split" if kronecker(field.disc, p) == 1 else INERT
+def primes_over(p: int, st: int) -> list[tuple[str, int]]:
+    """[(tag, N(q))] for the primes q over the rational prime p, st = (disc_F | p).
+
+    p splits into two primes of norm p at st = 1, ramifies into one of norm
+    p at st = 0 and stays inert, of norm p^2, at st = -1.
+    """
+    if st > 0:
+        return [(SPLIT1, p), (SPLIT2, p)]
+    return [(RAMIFIED, p)] if st == 0 else [(INERT, p * p)]
 
 
 @dataclass(frozen=True)
@@ -178,16 +182,9 @@ def principal_ideal(field: RealQuadraticField, n: int) -> IdealQF:
         raise ValueError("could not factor %d" % n)
     factors = []
     for p in sorted(fac):
-        e = fac[p]
-        st = splitting_type(field, p)
-        if st == "split":
-            factors.append((p, SPLIT1, e))
-            factors.append((p, SPLIT2, e))
-        elif st == RAMIFIED:
-            factors.append((p, RAMIFIED, 2 * e))
-        else:
-            factors.append((p, INERT, e))
-    return IdealQF(field.d, tuple(sorted(factors)))
+        st = kronecker(field.disc, p)
+        factors += [(p, tag, fac[p] if st else 2 * fac[p]) for tag, _ in primes_over(p, st)]
+    return IdealQF(field.d, tuple(factors))
 
 
 def ideal_pow(a: IdealQF, n: int) -> IdealQF:

@@ -8,9 +8,10 @@ discriminant.  The oracles here cover the rest:
 - `GenericCharacter` is a character mod m given by its logarithms against
   the generators of (Z/m)^x (`UnitGroup`): chi(g_i) = zeta^k_i, zeta of
   order e, the exponent of the group.  It has what the kernels read of a
-  character (modulus, conductor, order, is_even, is_primitive and the
-  integer value chi(a) at order <= 2), so its quadratic members run
-  through value_table, gen_bernoulli and the power tables.
+  character (conductor, is_even and the integer value chi(a) at order
+  <= 2), so its primitive quadratic members run through value_table,
+  gen_bernoulli and the power tables; modulus, order and is_primitive
+  serve the oracles.
 - `bernoulli_sum` is the defining sum B_{n,chi} = f^(n-1) sum_a chi(a)
   B_n(a/f) in CycSum.  `pair_with_character` pairs a level family with a
   character, and acceptance criterion 4 compares the two through
@@ -25,9 +26,12 @@ from functools import lru_cache
 from itertools import product
 
 from eiscong.arith import crt, factorize
-from eiscong.characters import EVEN, ODD
+from eiscong.characters import DirichletCharacter
 from eiscong.lseries import bernoulli_numbers
 from eiscong.measures import _primitive_root
+
+EVEN = "even"
+ODD = "odd"
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +276,19 @@ def times_euler_factor(value, chi, p: int):
 def pair_with_character(fam, eta):
     """sum_a eta(a)^-1 mu(a, modulus(eta)) at the level of fam matching the modulus.
 
-    Imprimitive eta returns the degenerate value 0 by contract.  Exact: the
-    result is a Fraction for order <= 2 and a CycSum otherwise.
+    eta is a GenericCharacter or a Kronecker character, whose modulus is its
+    conductor.  Imprimitive eta returns the degenerate value 0 by contract.
+    Exact: the result is a Fraction for order <= 2 and a CycSum otherwise.
     """
-    nu = next((k for k in range(fam.depth + 1) if fam.level_modulus(k) == eta.modulus), None)
+    kronecker = isinstance(eta, DirichletCharacter)
+    modulus = eta.conductor if kronecker else eta.modulus
+    nu = next((k for k in range(fam.depth + 1) if fam.level_modulus(k) == modulus), None)
     if nu is None:
         raise ValueError("character modulus is not a level of the family")
-    if not eta.is_primitive():
+    if modulus != eta.conductor:
         return Fraction(0)
     lvl, den = fam.num[nu], fam.den[nu]
-    if eta.order <= 2:
+    if kronecker or eta.order <= 2:
         return Fraction(sum(eta(a) * x for a, x in zip(fam.units(nu), lvl)), den)
     e = eta.zeta_order
     coeffs = [0] * e

@@ -6,10 +6,34 @@ coefficient walk keys them.  `ideal_divisors` lists every integral divisor
 of an ideal; the divisor-sum oracle in test_eisenstein_kernels sums over it,
 and test_quadfield checks it.  `eps_by_definition` is eps on an ideal with
 the modulus tested apart, as `value_on_ideal` once computed it.
+`splitting_by_roots` decides how p splits without the Kronecker symbol.
 """
+
+from functools import lru_cache
 
 from eiscong.eisenstein import _ideal_walk
 from eiscong.quadfield import IdealQF, RealQuadraticField, principal_ideal
+
+
+@lru_cache(maxsize=None)
+def _value_counts(p: int, b: int) -> tuple[int, ...]:
+    """counts[r] = #{x mod p : x^2 + b x = r mod p}."""
+    counts = [0] * p
+    for x in range(p):
+        counts[(x * x + b * x) % p] += 1
+    return tuple(counts)
+
+
+def splitting_by_roots(field: RealQuadraticField, p: int) -> str:
+    """"split", "ramified" or "inert" for the rational prime p, by Dedekind-Kummer.
+
+    The ring generator's minimal polynomial is x^2 - d, or x^2 - x - (d - 1)/4
+    when d = 1 mod 4; two roots mod p mean p splits, one that it ramifies,
+    none that it is inert.
+    """
+    d = field.d
+    b, c = (-1, (d - 1) // 4) if d % 4 == 1 else (0, d)
+    return ("inert", "ramified", "split")[_value_counts(p, b)[c % p]]
 
 
 def prime_ideal(field: RealQuadraticField, p: int) -> IdealQF:

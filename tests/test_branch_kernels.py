@@ -98,8 +98,6 @@ def _oracle_kubota_leopoldt(chi, p, N, M, omega_power=0):
         raise ValueError("p must be an odd prime")
     if N < 1 or M < 1:
         raise ValueError("need N >= 1 and M >= 1")
-    if chi.order > 2:
-        raise NotImplementedError("branch characters of order > 2")
     if chi.conductor % p == 0:
         raise ValueError("chi conductor must be coprime to p")
     if not chi.is_even():

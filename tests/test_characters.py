@@ -11,12 +11,11 @@ import pytest
 import eiscong
 from eiscong.arith import is_squarefree, kronecker, primes_up_to
 from eiscong.characters import (
-    EVEN,
     induce_quadratic,
     is_fundamental_discriminant,
     kronecker_character,
 )
-from eiscong.quadfield import make_field, principal_ideal, splitting_type
+from eiscong.quadfield import make_field, principal_ideal
 
 from character_oracles import (
     CycSum,
@@ -27,15 +26,21 @@ from character_oracles import (
     primitive_characters,
     unit_group,
 )
-from ideal_oracles import eps_by_definition, enumerate_ideals, ideal_mul, prime_ideal
+from ideal_oracles import (
+    eps_by_definition,
+    enumerate_ideals,
+    ideal_mul,
+    prime_ideal,
+    splitting_by_roots,
+)
 
 
 class TestKroneckerCharacter:
     def test_examples(self):
         assert kronecker_character(5)(2) == -1
-        assert kronecker_character(5).parity == "even"
+        assert kronecker_character(5).is_even()
         assert kronecker_character(-4)(3) == -1
-        assert kronecker_character(-4).parity == "odd"
+        assert not kronecker_character(-4).is_even()
         assert kronecker_character(8)(7) == 1
 
     def test_rejects_non_fundamental(self):
@@ -265,7 +270,7 @@ class TestInducedCharacters:
             if 10 % p == 0 or f.disc % p == 0:
                 continue
             c1, c2 = eps.chi1(p), eps.chi2(p)
-            st = splitting_type(f, p)
+            st = splitting_by_roots(f, p)
             if st == "split":
                 v = eps.value_on_ideal(prime_ideal(f, p))
                 # (1 - vX)^2 = (1 - c1 X)(1 - c2 X)
@@ -288,4 +293,4 @@ class TestInducedCharacters:
         f = make_field(2)
         for m in (5, 20149):
             eps = induce_quadratic(f, m)
-            assert (eps.chi1.parity, eps.chi2.parity) == (EVEN, EVEN)
+            assert eps.chi1.is_even() and eps.chi2.is_even()

@@ -392,7 +392,6 @@ class TestVerifyExample:
         import eiscong.cli as cli
         import eiscong.eisenstein as eisenstein
         from eiscong.eisenstein import scan_congruence
-        from eiscong.lseries import LValueRecord
         from eiscong.quadfield import make_field
 
         want = [r.to_json() for r in scan_congruence(make_field(2), 17)]
@@ -408,8 +407,8 @@ class TestVerifyExample:
                             counted("lvalue", cli.hecke_L_neg_induced))
         monkeypatch.setattr(eisenstein, "hecke_L_neg_induced",
                             counted("lvalue", eisenstein.hecke_L_neg_induced))
-        monkeypatch.setattr(LValueRecord, "factorization",
-                            counted("factor", LValueRecord.factorization))
+        monkeypatch.setattr(cli, "factorize", counted("factor", cli.factorize))
+        monkeypatch.setattr(eisenstein, "factorize", counted("factor", eisenstein.factorize))
         code, out = run_cli(["verify-example", "--d", "2", "--m", "17"])
         assert code == 0
         assert sorted(calls) == ["factor", "lvalue"]

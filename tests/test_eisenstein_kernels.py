@@ -25,17 +25,23 @@ from eiscong.quadfield import (
     ideal_pow,
     make_field,
     principal_ideal,
-    splitting_type,
 )
 
 from hecke_oracles import series_level
-from ideal_oracles import coprime_to, enumerate_ideals, ideal_divide, ideal_divisors, ideal_mul
+from ideal_oracles import (
+    coprime_to,
+    enumerate_ideals,
+    ideal_divide,
+    ideal_divisors,
+    ideal_mul,
+    splitting_by_roots,
+)
 
 
 def _oracle_enumerate_ideals(field, bound):
     primes = []
     for p in primes_up_to(bound):
-        st = splitting_type(field, p)
+        st = splitting_by_roots(field, p)
         if st == "split":
             primes.append((p, SPLIT1, p))
             primes.append((p, SPLIT2, p))
@@ -74,7 +80,7 @@ BOUNDS = (1, 2, 3, 4, 97, 1500)
 
 def _smallest(field, kind, lo):
     return next(p for p in primes_up_to(100)
-                if p >= lo and field.disc % p and splitting_type(field, p) == kind)
+                if p >= lo and field.disc % p and splitting_by_roots(field, p) == kind)
 
 
 def _inert_square(field):
@@ -158,8 +164,8 @@ def _seeded_levels(field):
     """
     rng = random.Random(0xC0EF + field.d)
     pool = [p for p in primes_up_to(400) if p > 2 and field.disc % p]
-    ls = rng.choice([p for p in pool if splitting_type(field, p) == "split"])
-    li = rng.choice([p for p in pool if p * p <= 1500 and splitting_type(field, p) == INERT])
+    ls = rng.choice([p for p in pool if splitting_by_roots(field, p) == "split"])
+    li = rng.choice([p for p in pool if p * p <= 1500 and splitting_by_roots(field, p) == INERT])
     return (ls, li, ls * li)
 
 

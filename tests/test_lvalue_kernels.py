@@ -29,7 +29,7 @@ from eiscong import lseries
 from eiscong.lseries import bernoulli_numbers, gen_bernoulli, hecke_L_neg_induced
 from eiscong.quadfield import make_field
 
-from character_oracles import enumerate_characters, primitive_characters
+from character_oracles import primitive_characters
 
 # sieve states: 0 is +1, 1 is -1, 2 is 0
 _FLIP_SIGN = bytes.maketrans(b"\x00\x01", b"\x01\x00")
@@ -168,21 +168,6 @@ class TestValueTable:
         plus, minus = sign_masks(table.tobytes())
         assert list(plus) == [int(c == 1) for c in table]
         assert list(minus) == [int(c == -1) for c in table]
-
-    def test_rejects_order_above_two(self):
-        chi = next(c for c in enumerate_characters(7) if c.order == 3)
-        with pytest.raises(ValueError, match="order"):
-            value_table(chi)
-
-    def test_rejects_imprimitive(self):
-        # the quadratic character mod 15 induced from conductor 5, and the
-        # trivial character mod 5 in its generic form
-        induced = next(c for c in enumerate_characters(15)
-                       if c.order == 2 and c.conductor == 5)
-        principal = next(c for c in enumerate_characters(5) if c.order == 1)
-        for chi in (induced, principal):
-            with pytest.raises(ValueError, match="primitive"):
-                value_table(chi)
 
 
 class TestGenBernoulli:

@@ -6,19 +6,28 @@ from fractions import Fraction
 import pytest
 
 from eiscong.arith import is_squarefree, kronecker, primes_up_to
+from eiscong.eisenstein import _ideal_walk
 from eiscong.quadfield import (
     INERT,
     QuadElement,
     RAMIFIED,
+    SPLIT1,
+    SPLIT2,
     ideal_pow,
     index_iota1,
     make_field,
+    primes_over,
     principal_ideal,
-    splitting_type,
     unit_power_check,
 )
 
-from ideal_oracles import enumerate_ideals, ideal_divide, ideal_divisors, ideal_mul
+from ideal_oracles import (
+    enumerate_ideals,
+    ideal_divide,
+    ideal_divisors,
+    ideal_mul,
+    splitting_by_roots,
+)
 
 
 def brute_fundamental_unit(d):
@@ -113,15 +122,40 @@ class TestMakeField:
 class TestSplitting:
     def test_examples(self):
         f = make_field(2)
-        assert splitting_type(f, 2) == RAMIFIED
-        assert splitting_type(f, 7) == "split"
-        assert splitting_type(f, 20149) == INERT
+        assert splitting_by_roots(f, 2) == RAMIFIED
+        assert splitting_by_roots(f, 7) == "split"
+        assert splitting_by_roots(f, 20149) == INERT
+        assert principal_ideal(f, 2).factors == ((2, RAMIFIED, 2),)
+        assert principal_ideal(f, 7).factors == ((7, SPLIT1, 1), (7, SPLIT2, 1))
+        assert principal_ideal(f, 20149).factors == ((20149, INERT, 1),)
+        assert primes_over(7, 1) == [(SPLIT1, 7), (SPLIT2, 7)]
+        assert primes_over(2, 0) == [(RAMIFIED, 2)]
+        assert primes_over(5, -1) == [(INERT, 25)]
+
+    def test_primes_over_matches_root_count(self):
+        # for every squarefree d < 200 and prime p < 2000, the factors of (p)
+        # and the walk's prime ideals of norm < 2000 are the Dedekind-Kummer ones
+        bound = 1999
+        primes = primes_up_to(bound)
+        for d in range(2, 200):
+            if not is_squarefree(d):
+                continue
+            f = make_field(d)
+            walk = []
+            for p in primes:
+                st = splitting_by_roots(f, p)
+                want = {"split": ((p, SPLIT1, 1), (p, SPLIT2, 1)),
+                        "ramified": ((p, RAMIFIED, 2),), "inert": ((p, INERT, 1),)}[st]
+                assert principal_ideal(f, p).factors == want, (d, p)
+                nrm = p * p if st == "inert" else p
+                walk += [(p, tag, nrm) for _, tag, _ in want if nrm <= bound]
+            assert [row[:3] for row in _ideal_walk(f, bound)[0]] == walk, d
 
     def test_norm_product_reconstructs_p_squared(self):
         f = make_field(2)
         primes = [p for p in primes_up_to(8000) if p > 2][:1000]
         for p in primes:
-            st = splitting_type(f, p)
+            st = splitting_by_roots(f, p)
             ideal = principal_ideal(f, p)
             assert ideal.norm == p * p
             if st == "split":
@@ -233,7 +267,7 @@ class TestUnitPower:
         # splitting is governed by the Kronecker symbol of the discriminant
         f = make_field(13)
         for p in (3, 5, 7, 11, 17, 23):
-            st = splitting_type(f, p)
+            st = splitting_by_roots(f, p)
             k = kronecker(13, p)
             assert (st == "split") == (k == 1)
             assert (st == INERT) == (k == -1)

@@ -44,7 +44,6 @@ from eiscong.measures import (
     to_iwasawa_series,
 )
 
-from character_oracles import enumerate_characters
 from fraction_levels import from_fractions, level_values, map_values
 from padic_oracles import series_unit_log_ratio
 
@@ -477,15 +476,6 @@ def test_bench_tower_bridges_pinned(D, p, V):
     got = to_iwasawa_series(stab, kronecker_character(D), 1, 1 + p, V - 2, 8).to_json()
     digest = hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest()
     assert digest.startswith(TOWER_BRIDGE_SHA256[D, p, V]), digest
-
-
-def test_bridge_rejects_an_imprimitive_tame_character():
-    # value_table reads chi mod its conductor, which a character of modulus
-    # 15 and conductor 5 is not periodic in: chi(8) != 0 = chi(3)
-    fam = stabilize(bernoulli_family(15, 7, 2), StabilizationParams(1, 1))
-    chi = next(c for c in enumerate_characters(15) if c.order == 2 and c.conductor == 5)
-    with pytest.raises(ValueError, match="primitive"):
-        to_iwasawa_series(fam, chi, 1, 8, 2, 4)
 
 
 # stdout sha256 of the parent's per-unit tower code on this input
