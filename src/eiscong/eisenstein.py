@@ -14,6 +14,7 @@ fundamental-unit order test.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import ClassVar
 
 from .arith import factorize, primes_up_to
@@ -77,17 +78,12 @@ class CoefficientSystem:
         return list(self.coeffs)
 
 
-def _ideal_walk(field: RealQuadraticField, bound: int) -> tuple[list, list]:
-    """The prime ideals q of norm <= bound, and one walk over their powers.
+def _ideal_walk(field: RealQuadraticField, bound: int) -> list:
+    """The prime ideals q of norm <= bound, each with its powers.
 
-    `primes` lists (p, tag, N(q), [(N(q)^e, (p, tag, e)) for N(q)^e <= bound])
+    Entries are (p, tag, N(q), [(N(q)^e, (p, tag, e)) for N(q)^e <= bound])
     in increasing (p, tag) order, named by `primes_over` from (disc_F | p)
-    read off chi_disc's value table.  `rows` are (norm, factors, start,
-    parent), parents first, row 0 the unit ideal with parent None.  A row is
-    extended only by powers of primes[j] for j >= start, into a child with
-    start j + 1, so the new factor keeps the tuple sorted and each ideal is
-    reached once.  N(q) >= p, so a row's scan stops at the first p with
-    norm * p > bound.
+    read off chi_disc's value table.
     """
     kron = value_table(kronecker_character(field.disc))
     primes = []
@@ -99,35 +95,54 @@ def _ideal_walk(field: RealQuadraticField, bound: int) -> tuple[list, list]:
                 qe *= nrm
             if pw:
                 primes.append((p, tag, nrm, pw))
-    rows: list[tuple[int, tuple, int, int | None]] = [(1, (), 0, None)] if bound >= 1 else []
-    for i, (n, factors, start, _) in enumerate(rows):  # rows appended here are visited too
-        for j in range(start, len(primes)):
-            if n * primes[j][0] > bound:
-                break
-            for qe, pe in primes[j][3]:
-                if n * qe > bound:
-                    break
-                rows.append((n * qe, factors + (pe,), j + 1, i))
-    return primes, rows
+    return primes
 
 
 def eisenstein_coeffs(series: EisensteinSeries, bound: int) -> CoefficientSystem:
     """Coefficients C(a) for N(a) <= bound, keyed in (norm, factors) order.
 
-    C is multiplicative, and a row of `_ideal_walk` is its parent
-    times a power q^e of a prime not dividing it, so C(row) = C(parent)
-    L_e(q), with each q's `local_factors` computed once from eps(q) = chi1(N(q))
-    read off chi1's value table: no character is evaluated per ideal.
+    One depth-first walk over the prime list of `_ideal_walk` reaches every
+    ideal once: an ideal is extended only by powers q^e of later primes, so
+    its factor tuple stays sorted.  C is multiplicative, so the child gets
+    C(parent) L_e(q) as it is made, with each q's `local_factors` computed
+    once from eps(q) = chi1(N(q)) read off chi1's value table: no character
+    is evaluated per ideal.  N(q) >= p, so the scan of a node stops at the
+    first p with norm * p > bound, and the walk descends into a child only
+    when the next prime still fits.
     """
     field, table = series.eps.field, value_table(series.eps.chi1)
-    primes, rows = _ideal_walk(field, bound)
-    local = [series.local_factors(p, table[nq % len(table)], nq, bound) for p, _, nq, _ in primes]
-    cs: list[int] = []
-    for _, factors, start, parent in rows:
-        cs.append(1 if parent is None else cs[parent] * local[start - 1][factors[-1][2]])
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    coeffs = {IdealQF(field.d, rows[i][1]): cs[i] for i in order}
-    return CoefficientSystem(coeffs)
+    primes = _ideal_walk(field, bound)
+    steps = []
+    for k, (p, _, nq, pw) in enumerate(primes):
+        local = series.local_factors(p, table[nq % len(table)], nq, bound)
+        nxt = primes[k + 1][0] if k + 1 < len(primes) else bound + 1
+        steps.append((p, nxt, [(qe, pe, le) for (qe, pe), le in zip(pw, local[1:])]))
+    norms, facs, cs = ([1], [()], [1]) if bound >= 1 else ([], [], [])
+
+    def descend(start: int, n: int, factors: tuple, c: int) -> None:
+        for j in range(start, len(steps)):
+            p, nxt, powers = steps[j]
+            if n * p > bound:
+                break
+            for qe, pe, le in powers:
+                nc = n * qe
+                if nc > bound:
+                    break
+                child, cc = factors + (pe,), c * le
+                norms.append(nc)
+                facs.append(child)
+                cs.append(cc)
+                if nc * nxt <= bound:
+                    descend(j + 1, nc, child, cc)
+
+    descend(0, 1, (), 1)
+    # preorder emits the factor tuples in increasing order (a prefix before
+    # its extensions, siblings in (p, tag, e) order), so a stable sort on the
+    # norm alone gives the (norm, factors) order; tuple.__new__ builds the
+    # keys without IdealQF's Python-level constructor
+    order = sorted(range(len(norms)), key=norms.__getitem__)
+    keys = map(tuple.__new__, repeat(IdealQF), zip(repeat(field.d), map(facs.__getitem__, order)))
+    return CoefficientSystem(dict(zip(keys, map(cs.__getitem__, order))))
 
 
 @dataclass

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import factorize, is_squarefree, kronecker
 
@@ -133,9 +134,12 @@ def primes_over(p: int, st: int) -> list[tuple[str, int]]:
     return [(RAMIFIED, p)] if st == 0 else [(INERT, p * p)]
 
 
-@dataclass(frozen=True)
-class IdealQF:
-    """Integral ideal in factored form: ((p, tag, e), ...), sorted."""
+class IdealQF(NamedTuple):
+    """Integral ideal in factored form: ((p, tag, e), ...), sorted.
+
+    A tuple (d, factors): hash and equality are the tuple ones, so an ideal
+    equals the plain tuple (d, factors) and unpacks as one.
+    """
 
     d: int
     factors: tuple[tuple[int, str, int], ...]

@@ -1,18 +1,26 @@
 """Test-only ideal helpers that no command reaches.
 
 `prime_ideal`, `ideal_mul` and `ideal_divide` build the ideals the tests name.
-`enumerate_ideals` lists the ideals of bounded norm in the order the
-coefficient walk keys them.  `ideal_divisors` lists every integral divisor
-of an ideal; the divisor-sum oracle in test_eisenstein_kernels sums over it,
-and test_quadfield checks it.  `eps_by_definition` is eps on an ideal with
-the modulus tested apart, as `value_on_ideal` once computed it.
+`enumerate_ideals` lists the ideals of bounded norm, norm by norm, in the
+order the coefficient walk keys them, without the walk.  `ideal_divisors`
+lists every integral divisor of an ideal; the divisor-sum oracle in
+test_eisenstein_kernels sums over it, and test_quadfield checks it.
+`eps_by_definition` is eps on an ideal with the modulus tested apart, as
+`value_on_ideal` once computed it.
 `splitting_by_roots` decides how p splits without the Kronecker symbol.
 """
 
 from functools import lru_cache
 
-from eiscong.eisenstein import _ideal_walk
-from eiscong.quadfield import IdealQF, RealQuadraticField, principal_ideal
+from eiscong.quadfield import (
+    INERT,
+    RAMIFIED,
+    SPLIT1,
+    SPLIT2,
+    IdealQF,
+    RealQuadraticField,
+    principal_ideal,
+)
 
 
 @lru_cache(maxsize=None)
@@ -75,10 +83,45 @@ def ideal_divide(a: IdealQF, b: IdealQF) -> IdealQF:
     return IdealQF(a.d, tuple(sorted((p, tag, e) for (p, tag), e in acc.items())))
 
 
+def _prime_power_block(field: RealQuadraticField, p: int, k: int) -> list[tuple]:
+    """The factor tuples of the ideals of norm p^k, k >= 1, in increasing order.
+
+    With q, q' over a split p they are q^i q'^(k-i) for 0 <= i <= k; a
+    ramified p gives q^k alone, and an inert p gives q^(k/2) for even k and
+    nothing for odd k.
+    """
+    st = splitting_by_roots(field, p)
+    if st == "split":
+        block = [tuple(f for f in ((p, SPLIT1, i), (p, SPLIT2, k - i)) if f[2])
+                 for i in range(k + 1)]
+    elif st == "ramified":
+        block = [((p, RAMIFIED, k),)]
+    else:
+        block = [((p, INERT, k // 2),)] if k % 2 == 0 else []
+    return sorted(block)
+
+
 def enumerate_ideals(field: RealQuadraticField, bound: int) -> list[IdealQF]:
     """All integral ideals of norm <= bound, sorted by (norm, factors); empty
-    for bound < 1.  They are the rows of `_ideal_walk`, sorted once."""
-    return [IdealQF(field.d, row[1]) for row in sorted(_ideal_walk(field, bound)[1])]
+    for bound < 1.
+
+    Built norm by norm: with p the largest prime dividing n and p^k || n,
+    the ideals of norm n are those of norm n / p^k times those of norm p^k.
+    Every prime of the first factor is below p, so taking both lists in
+    order gives the ideals of norm n in factors order.
+    """
+    largest = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if largest[p] == p:
+            for n in range(2 * p, bound + 1, p):
+                largest[n] = p
+    by_norm: list[list[tuple]] = [[], [()]] if bound >= 1 else []
+    for n in range(2, bound + 1):
+        p, k, rest = largest[n], 0, n
+        while rest % p == 0:
+            rest, k = rest // p, k + 1
+        by_norm.append([a + b for a in by_norm[rest] for b in _prime_power_block(field, p, k)])
+    return [IdealQF(field.d, f) for ideals in by_norm for f in ideals]
 
 
 def ideal_divisors(a: IdealQF) -> list[IdealQF]:

@@ -4,16 +4,18 @@
 ideal and an `IdealQF.norm` per (prime ideal, ideal so far) pair.
 `_oracle_coefficient_at` is the earlier divisor sum
 C(a) = sum_{c | a} eps(a/c) 1_(m)(c) N(c) over `ideal_divisors(a)`.  They are
-kept here only as the references that `_ideal_walk` (read through
-`enumerate_ideals`), `coefficient_at` and `eisenstein_coeffs` must equal exactly: same ideals in the same order, same
-`int` values.
+kept here only as the references that `eisenstein_coeffs` (its walk and its
+values) and `coefficient_at` must equal exactly: same ideals in the same
+order, same `int` values.  `ideal_oracles.enumerate_ideals` builds the same
+ideals a third way, norm by norm.
 """
 
+import math
 import random
 
 import pytest
 
-from eiscong.arith import primes_up_to
+from eiscong.arith import is_squarefree, primes_up_to
 from eiscong.characters import induce_quadratic, value_table
 from eiscong.eisenstein import _ideal_walk, eisenstein_coeffs, stripped_eisenstein
 from eiscong.quadfield import (
@@ -93,18 +95,29 @@ def _series_cases(field):
     return [(f"m={m}", stripped_eisenstein(field, m)) for m in (ls, li, ls * li)]
 
 
+def _walk_keys(field, bound):
+    """The ideals eisenstein_coeffs keys, in its order; they do not depend on m."""
+    series = stripped_eisenstein(field, _smallest(field, "split", 3))
+    return list(eisenstein_coeffs(series, bound).coeffs)
+
+
 @pytest.mark.parametrize("d", FIELDS)
 def test_enumerate_ideals_matches_oracle(d):
     f = make_field(d)
     q2 = _inert_square(f)
     for bound in BOUNDS + (q2 - 1, q2):
-        assert enumerate_ideals(f, bound) == _oracle_enumerate_ideals(f, bound), bound
+        want = _oracle_enumerate_ideals(f, bound)
+        assert enumerate_ideals(f, bound) == want, bound
+        assert _walk_keys(f, bound) == want, bound
 
 
 @pytest.mark.parametrize("bound", [0, -5])
 def test_enumerate_ideals_empty_below_one(bound):
     # the unit ideal has norm 1, which exceeds any bound < 1
-    assert enumerate_ideals(make_field(2), bound) == []
+    f = make_field(2)
+    assert enumerate_ideals(f, bound) == []
+    assert _walk_keys(f, bound) == []
+    assert _ideal_walk(f, bound) == []
 
 
 @pytest.mark.parametrize("d", FIELDS)
@@ -186,7 +199,7 @@ def test_table_read_eps_equals_value_on_ideal(d):
     # eisenstein_coeffs reads eps(q) as chi1's table at N(q) mod f, 0 when
     # q lies over m; the walk's prime list is every prime ideal of norm <= 1500
     f = make_field(d)
-    primes, _ = _ideal_walk(f, 1500)
+    primes = _ideal_walk(f, 1500)
     want = [a.factors[0] for a in _oracle_enumerate_ideals(f, 1500)
             if len(a.factors) == 1 and a.factors[0][2] == 1]
     assert [(p, tag, 1) for p, tag, _, _ in primes] == sorted(want)
@@ -196,3 +209,35 @@ def test_table_read_eps_equals_value_on_ideal(d):
         for p, tag, nq, _ in primes:
             read = 0 if m % p == 0 else table[nq % len(table)]
             assert read == eps.value_on_ideal(IdealQF(d, ((p, tag, 1),))), (m, p, tag)
+
+
+# 2 ramifies in d = 2, 3, 6, 7, 94, is inert in d = 5, 13, 29 and splits in
+# d = 17; d = 6 and 94 are 2 mod 4, d = 3 and 7 are 3 mod 4
+GRID_FIELDS = (2, 3, 5, 6, 7, 13, 17, 29, 94)
+GRID_BOUNDS = (1, 2, 3, 4, 9, 50, 600, 1500)
+
+
+def _grid_levels(field, count=8):
+    """Seeded odd squarefree m in [3, 3000) prime to disc, the inputs induce_quadratic takes."""
+    rng = random.Random(0x1DEA1 + field.d)
+    out = []
+    while len(out) < count:
+        m = rng.randrange(3, 3000, 2)
+        if m not in out and math.gcd(m, field.disc) == 1 and is_squarefree(m):
+            out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("d", GRID_FIELDS)
+def test_walk_order_on_seeded_grid(d):
+    # the preorder walk sorted on the norm alone is the (norm, factors) order,
+    # and its keys are the ideals the norm-by-norm oracle builds
+    f = make_field(d)
+    want = {bound: enumerate_ideals(f, bound) for bound in GRID_BOUNDS}
+    for m in _grid_levels(f):
+        series = stripped_eisenstein(f, m)
+        for bound in GRID_BOUNDS:
+            ideals = eisenstein_coeffs(series, bound).ideals()
+            assert ideals == sorted(ideals, key=lambda a: (a.norm, a.factors)), (m, bound)
+            assert ideals == want[bound], (m, bound)
+            assert all(type(a) is IdealQF for a in ideals), (m, bound)

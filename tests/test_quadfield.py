@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from eiscong.arith import is_squarefree, kronecker, primes_up_to
-from eiscong.eisenstein import _ideal_walk
+from eiscong.characters import induce_quadratic
+from eiscong.eisenstein import _ideal_walk, eisenstein_coeffs, stripped_eisenstein
 from eiscong.quadfield import (
     INERT,
+    IdealQF,
     QuadElement,
     RAMIFIED,
     SPLIT1,
@@ -149,7 +151,7 @@ class TestSplitting:
                 assert principal_ideal(f, p).factors == want, (d, p)
                 nrm = p * p if st == "inert" else p
                 walk += [(p, tag, nrm) for _, tag, _ in want if nrm <= bound]
-            assert [row[:3] for row in _ideal_walk(f, bound)[0]] == walk, d
+            assert [row[:3] for row in _ideal_walk(f, bound)] == walk, d
 
     def test_norm_product_reconstructs_p_squared(self):
         f = make_field(2)
@@ -199,6 +201,42 @@ class TestIdeals:
         assert norms.count(2) == 1  # ramified prime above 2
         assert norms.count(7) == 2  # two split primes
         assert norms.count(9) == 1  # inert (3)
+
+
+class TestIdealType:
+    def test_equal_ideals_hash_equal(self):
+        f = make_field(2)
+        a = ideal_mul(principal_ideal(f, 3), principal_ideal(f, 7))
+        b = IdealQF(2, ((3, INERT, 1), (7, SPLIT1, 1), (7, SPLIT2, 1)))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, ideal_divide(ideal_mul(a, a), a)}) == 1
+
+    def test_different_d_or_factors_compare_unequal(self):
+        a = IdealQF(2, ((7, SPLIT1, 1),))
+        assert a != IdealQF(3, ((7, SPLIT1, 1),))
+        assert a != IdealQF(2, ((7, SPLIT2, 1),))
+        assert a != IdealQF(2, ((7, SPLIT1, 2),))
+        assert IdealQF(2, ()) != IdealQF(3, ())
+
+    def test_repr(self):
+        assert repr(IdealQF(2, ())) == "IdealQF(d=2, factors=())"
+        assert repr(IdealQF(5, ((3, INERT, 2),))) == "IdealQF(d=5, factors=((3, 'inert', 2),))"
+
+    def test_is_the_tuple_d_factors(self):
+        # the one way a tuple-backed ideal differs from a record: it equals
+        # and unpacks as the plain tuple (d, factors)
+        a = IdealQF(2, ((2, RAMIFIED, 1),))
+        assert a == (2, ((2, RAMIFIED, 1),)) and hash(a) == hash((2, ((2, RAMIFIED, 1),)))
+        d, factors = a
+        assert (d, factors) == (a.d, a.factors)
+
+    def test_every_constructor_returns_an_ideal(self):
+        f = make_field(2)
+        a = principal_ideal(f, 7 * 9)
+        made = [a, principal_ideal(f, 1), ideal_pow(a, 3), ideal_pow(a, 0),
+                *a.prime_factors(), induce_quadratic(f, 20149).modulus_ideal,
+                *eisenstein_coeffs(stripped_eisenstein(f, 20149), 200).coeffs]
+        assert all(type(x) is IdealQF for x in made)
 
 
 class TestIota1:
