@@ -73,7 +73,13 @@ def cmd_field(args) -> int:
     return 0
 
 
+def _require_rho_iters(args) -> None:
+    if args.rho_iters < 0:
+        raise ValueError("--rho-iters must be non-negative")
+
+
 def cmd_lvalue(args) -> int:
+    _require_rho_iters(args)
     field = make_field(args.d)
     eps = induce_quadratic(field, args.m)
     rec = hecke_L_neg_induced(eps, 1 - args.s)
@@ -104,6 +110,7 @@ def cmd_eis(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    _require_rho_iters(args)
     field = make_field(args.d)
     config = _config_echo(args, "scan-congruence", ["d", "m", "rho_iters"])
     reports = scan_congruence(field, args.m, rho_iters=args.rho_iters)
@@ -247,6 +254,7 @@ def cmd_verify_example(args) -> int:
     if args.p is not None and (args.p <= 4 or not is_prime(args.p)):
         raise ValueError("p must be a prime exceeding n+2 = 4 for a real quadratic field")
     _require_positive(args)
+    _require_rho_iters(args)
     field = make_field(args.d)
     eps = induce_quadratic(field, args.m)
     bundle = {"config": _config_echo(args, "verify-example",

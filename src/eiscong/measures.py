@@ -461,14 +461,22 @@ def _wraps_by_shift(reads: dict, f: int):
         yield s, list(map(sub, m, q))
 
 
-def _prefix_power_sums(vals, cuts, mmax: int):
-    """Exact window moments at every s in cuts, each in its block's frame, from one prefix sweep.
+def _sweep_rows(conductors, mmax: int):
+    """Packed rows of i^l (`_packed_rows`) for half sweeps: those of the largest f serve all."""
+    n = min(_SWEEP_BLOCK, max(f // 2 + 1 for f in conductors))
+    return _packed_rows(n, mmax, (n - 1).bit_length(), pow)
 
-    Cut s lies in the block [lo, lo + n), n = min(_SWEEP_BLOCK, len(vals)) = f
-    at most.  Returns (at, total): at[s] = (lo, [D_0(s), ..., D_mmax(s)]),
+
+def _prefix_power_sums(vals, cuts, mmax: int, sweep):
+    """Exact window moments at every s in cuts, each in its block's frame, from a sweep of half the period.
+
+    vals is a character's table (array("b") of 0, 1, -1), f = len(vals) > 1,
+    and every cut lies in [0, h], h = f // 2 + 1.  Cut s lies in the block
+    [lo, lo + n), n = len(rows) for the `_sweep_rows` sweep = (rows, read).
+    Returns (at, total): at[s] = (lo, [D_0(s), ..., D_mmax(s)]),
     with D_l(s) = sum_{s <= j < s + f} vals[j mod f] (j - lo)^l the moments of
     one period from s, and total[l] = T_l = sum_{j < f} vals[j] j^l, which is
-    D(0).  vals is an array("b") of 0, 1 and -1.
+    D(0).
 
     In the frame of lo, with Q_l(s) = sum_{j < s} vals[j] (j - lo)^l and T_lo
     the sums over every j, the window is D(s) = T_lo - Q(s) + Q'(s): Q' puts
@@ -476,15 +484,18 @@ def _prefix_power_sums(vals, cuts, mmax: int):
     wrap term Q' - Q splits at lo.  Below lo it is shift_f(P) - P, P = Q(lo)
     the block prefix; from lo to s it is the in-block wrap w(s), so
         D(s) = T_lo + shift_f(P) - P + w(s).
-    One sweep of packed rows of i^l (`_packed_rows`, one big-int addition
-    per residue) reads each block's end; one `_binomial_shift` moves those
-    reads to the frame of 0, where their running sums are P at each lo and
-    the total, and one more moves T - P by -lo and P by f - lo to each lo
-    that holds a cut.
+    The sweep adds packed rows (one big-int addition per residue) over j < h
+    and reads each block's end; one `_binomial_shift` moves those reads to
+    the frame of 0, where their running sums are P at each lo and the half
+    H = Q(h).  As vals[f - j] = chi(-1) vals[j] (and vals[f/2] = 0), the rest
+    of the period is H reflected: T_l = H_l + chi(-1) sum_k C(l,k) f^(l-k)
+    (-1)^k H_k, one shift by f.  One more moves T - P by -lo and P by f - lo
+    to each lo that holds a cut.  The blocks cover [0, h], the last one empty
+    when n divides h, so that a cut at h has a block.
 
     w(s) comes one of two ways, whichever takes fewer element operations by
     the sizes alone (the cut count, n, mmax and each block's last cut):
-    - rows (`_wraps_by_rows`): n mmax additions build packed rows of
+    - rows (`_wraps_by_rows`): min(n, h) mmax additions build packed rows of
       (i + f)^l - i^l, then one addition per residue from each block's
       start to its last cut;
     - shift (`_wraps_by_shift`): the sweep also reads each cut's in-block
@@ -498,35 +509,38 @@ def _prefix_power_sums(vals, cuts, mmax: int):
     (f0 = 20149, 161192 at mmax = 7, 15, 29).
     """
     f = len(vals)
-    n = min(_SWEEP_BLOCK, f)
+    h = f // 2 + 1
+    rows, read = sweep
+    n, span = len(rows), min(len(rows), h)
     cuts = sorted(set(cuts))
     held = [(lo, list(block)) for lo, block in groupby(cuts, lambda s: s - s % n)]
-    by_rows = (n * mmax + sum(block[-1] - lo for lo, block in held)
+    by_rows = (span * mmax + sum(block[-1] - lo for lo, block in held)
                < len(cuts) * (mmax + 1) * (mmax + 2) // 2)
-    signs = sign_masks(vals.tobytes())
-    rows, read = _packed_rows(n, mmax, (n - 1).bit_length(), pow)
+    signs = sign_masks(vals[:h].tobytes())
+    starts = range(0, h + 1, n)
     reads, ends = {}, []
-    for lo in range(0, f, n):
-        hi = min(lo + n, f)
-        stops = [] if by_rows else cuts[bisect_left(cuts, lo):bisect_left(cuts, hi)]
-        for s, x in _walk(rows, signs, lo, stops + [hi]):
-            reads[s] = read(x)
-        ends.append(reads.pop(hi))
-    del rows  # the frame work below needs no rows
-    pre = []  # per moment: P at each held lo, then the total, in 0's frame
-    for c in _binomial_shift(list(chain.from_iterable(zip(*ends))), list(range(0, f, n))):
+    for lo in starts:
+        stops = [] if by_rows else cuts[bisect_left(cuts, lo):bisect_left(cuts, lo + n)]
+        *got, (_, end) = _walk(rows, signs, lo, stops + [min(lo + n, h)])
+        reads.update((s, read(x)) for s, x in got)
+        ends.append(read(end))
+    pre = []  # per moment: P at each held lo, then H, in 0's frame
+    for c in _binomial_shift(list(chain.from_iterable(zip(*ends))), list(starts)):
         acc = list(accumulate(c, initial=0))
         pre.append([acc[lo // n] for lo, _ in held] + [acc[-1]])
-    total = [c[-1] for c in pre]
+    half = [c.pop() for c in pre]
+    flip = _binomial_shift([-x if l % 2 else x for l, x in enumerate(half)], [f])
+    total = [x + vals[-1] * y for x, (y,) in zip(half, flip)]
     if not held:
         return {}, total
     k = len(held)
-    cols = list(chain.from_iterable([c[-1] - x for x in c[:-1]] + c[:-1] for c in pre))
+    cols = list(chain.from_iterable([t - x for x in c] + c for t, c in zip(total, pre)))
     out = list(_binomial_shift(cols, [-lo for lo, _ in held] + [f - lo for lo, _ in held]))
     # D(lo), the window from each held block start: there w(lo) = 0
     base = {lo: [c[i] + c[k + i] for c in out] for i, (lo, _) in enumerate(held)}
     at = {}
-    for s, w in (_wraps_by_rows(signs, held, n, mmax, f) if by_rows else _wraps_by_shift(reads, f)):
+    for s, w in (_wraps_by_rows(signs, held, span, mmax, f) if by_rows
+                 else _wraps_by_shift(reads, f)):
         lo = s - s % n
         at[s] = (lo, list(map(add, base[lo], w)))
     return at, total
@@ -546,7 +560,7 @@ def _binomial_shift(c: list[int], ts: list[int]):
         c = list(map(add, c[k:], map(mul, ts, c)))
 
 
-def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
+def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int, sweep=None):
     """Character power sums for the branch Bernoulli numbers.
 
     Returns (U, U0) mod p^wk, U[m][r] = sum of chi(a) a^m over 1 <= a <= f0*p
@@ -559,10 +573,20 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
     runs over the window [s, s + f0).  So with the window moments D_l(s) =
     sum_{s <= j < s + f0} chi(j) (j - lo)^l (`_prefix_power_sums`)
         U[m][r] = chi(p) sum_l C(m,l) t^(m-l) p^l D_l(s),
-    and U0 = D(0) (chi(0) = chi(f0) = 0).  A block of _RESIDUE_BLOCK residues
-    shifts its columns chi(p) p^l D_l(s) by t at once, so the p mmax (mmax+1)/2
-    multiply-adds run as C-level passes; a cut is freed after its last
-    block.  f0 = 1: U[m][r] = r^m, U0[m] = 1.
+    and U0 = D(0) (chi(0) = chi(f0) = 0).
+
+    The classes pair up: a -> f0 p - a maps class r onto p - r, so
+        U[m][p-r] = chi(-1) sum_l C(m,l) (f0 p)^(m-l) (-1)^l U[l][r],
+    and the cut of p - r is 1 - s mod f0.  One of s, 1 - s is at most
+    f0 // 2 + 1, so the sweep reads half the period and each pair forms the
+    window of that cut only (both members do when the cuts are equal).  The
+    mirror is a shift by f0 p of the columns signed (-1)^l, and shifts
+    compose, so class r reading the window of p - r shifts chi(-1) (-1)^l
+    chi(p) p^l D_l(s) by f0 p - t_(p-r) = r + p (s - lo + f0 - 1).  A block
+    of _RESIDUE_BLOCK classes shifts its columns at once, both kinds alike,
+    so the p mmax (mmax+1)/2 multiply-adds run as C-level passes; a cut is
+    freed after its last reader.  sweep is the `_sweep_rows` of the call
+    (built here when not given).  f0 = 1: U[m][r] = r^m, U0[m] = 1.
     """
     f0 = chi.conductor
     mod = p**wk
@@ -571,25 +595,32 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int):
                 [1] * (mmax + 1))
     vals = value_table(chi)
     pinv = pow(p % f0, -1, f0)
-    shifts = [r * pinv % f0 for r in range(1, p)]
-    windows, total = _prefix_power_sums(vals, shifts, mmax)
+    cuts = [r * pinv % f0 for r in range(1, p)]
+    reads = [min(s, (1 - s) % f0) for s in cuts]  # the cut whose window class r reads
+    mirrored = list(map(int.__ne__, reads, cuts))
+    windows, total = _prefix_power_sums(vals, reads, mmax, sweep or _sweep_rows([f0], mmax))
+    last = dict(zip(reads, range(1, p)))  # the last class reading each cut
     scale = [vals[p % f0] * p**l for l in range(mmax + 1)]  # chi(p) p^l
+    # per moment, the factor on a class's own window and on its partner's
+    signed = [(q, -q * vals[-1] if l % 2 else q * vals[-1]) for l, q in enumerate(scale)]
     U = [[0] for _ in range(mmax + 1)]
     for i in range(0, p - 1, _RESIDUE_BLOCK):
-        block = shifts[i:i + _RESIDUE_BLOCK]
-        ts = [r - p * (s - windows[s][0]) for r, s in zip(range(i + 1, p), block)]
+        block, flips = reads[i:i + _RESIDUE_BLOCK], mirrored[i:i + _RESIDUE_BLOCK]
+        rs = range(i + 1, p)
+        ts = [r + p * (s - windows[s][0] + f0 - 1) if m else r - p * (s - windows[s][0])
+              for r, s, m in zip(rs, block, flips)]
         cols = []
-        for q, col in zip(scale, zip(*[windows[s][1] for s in block])):
-            cols += [d * q % mod for d in col]
-        for s in compress(block, map((p - f0).__le__, range(i + 1, p))):
-            del windows[s]  # r + f0 >= p: no later residue r + f0 reads s
+        for qs, col in zip(signed, zip(*[windows[s][1] for s in block])):
+            cols += [d * qs[m] % mod for d, m in zip(col, flips)]
+        for s in compress(block, map(int.__eq__, map(last.__getitem__, block), rs)):
+            del windows[s]
         for Um, c in zip(U, _binomial_shift(cols, ts)):
             Um.extend([x % mod for x in c])
     return U, [x % mod for x in total]
 
 
 def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
-                  wk: int) -> list[tuple[int, int]]:
+                  wk: int, sweep=None) -> list[tuple[int, int]]:
     """[(y_n, k_n)] for n = 1..count: the branch at t_n = u^(1-n) - 1 is y_n mod p^k_n.
 
     The value is -(1 - eta(p) p^(n-1)) B_{n,eta}/n, eta the primitive part of
@@ -608,7 +639,7 @@ def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
     """
     u, f0, chi_p = 1 + p, chi.conductor, chi(p)
     mod = p**wk
-    U, U0 = _power_tables(chi, p, wk, count)
+    U, U0 = _power_tables(chi, p, wk, count, sweep)
     omega = _teichmuller_powers(p, wk)
     pole = chi.is_trivial() and omega_power % (p - 1) == 0
     ks = [k for k in range(count + 1) if k < 2 or k % 2 == 0]  # B_k = 0 at odd k >= 3
@@ -668,24 +699,34 @@ def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,
     (_fit_points), and T^j = 0 at j >= big: N digits at every j < M iff wk
     reaches the N + min(M, big) term.  At the proved K, big > N + M.
     """
+    return _branch_series([chi], p, N, M, omega_power)[0]
+
+
+def _branch_series(chis, p: int, N: int, M: int, omega_power: int) -> list[IwasawaElement]:
+    """[kubota_leopoldt(chi, p, N, M, omega_power) for chi in chis], every input
+    checked first; wk and the node count depend on p, N, M alone, so the
+    branches share one `_sweep_rows`."""
     if p < 3:
         raise ValueError("p must be an odd prime")
     if N < 1 or M < 1:
         raise ValueError("need N >= 1 and M >= 1")
-    if chi.conductor % p == 0:
-        raise ValueError("chi conductor must be coprime to p")
-    if not chi.is_even():
-        raise ValueError("odd chi makes the branch identically zero; not returned")
+    for chi in chis:
+        if chi.conductor % p == 0:
+            raise ValueError("chi conductor must be coprime to p")
+        if not chi.is_even():
+            raise ValueError("odd chi makes the branch identically zero; not returned")
     if omega_power % 2:
         raise ValueError("omega_power must be even to keep the branch even")
-    pole = chi.is_trivial() and omega_power % (p - 1) == 0
 
     fit = _fit_points(N, M)
     big = fit + _CHECK_POINTS
     v = max(val_p(n, p) for n in range(1, big + 1))
     wk = max(big, N + min(M, big)) + _vfact(big - 1, p) + v
-    res = _newton_fit(_branch_nodes(chi, p, omega_power, big, wk), p, N, M, fit)
-    return IwasawaElement(p, res, [N] * M, pole_factor=pole)
+    sweep = _sweep_rows([chi.conductor for chi in chis], big)
+    return [IwasawaElement(p, _newton_fit(_branch_nodes(chi, p, omega_power, big, wk, sweep),
+                                          p, N, M, fit),
+                           [N] * M, pole_factor=chi.is_trivial() and omega_power % (p - 1) == 0)
+            for chi in chis]
 
 
 def _fit_points(N: int, M: int) -> int:
@@ -789,12 +830,12 @@ def branch_product(chi1: DirichletCharacter, chi2: DirichletCharacter,
 
     A trivial chi1 or chi2 is refused before either branch is computed: its
     omega^0 branch is the pole branch, which has no lambda/mu invariants.
+    Both branches come from one `_branch_series` call.
     """
     if chi1.is_trivial() or chi2.is_trivial():
         raise ValueError("a trivial branch character gives the pole branch (omega^0), "
                          "which has no lambda/mu invariants")
-    f1 = kubota_leopoldt(chi1, p, N, M)
-    f2 = kubota_leopoldt(chi2, p, N, M)
+    f1, f2 = _branch_series([chi1, chi2], p, N, M, 0)
     eulers = []
     prod = f1 * f2
     for nq in strip_norms:

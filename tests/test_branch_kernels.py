@@ -267,7 +267,7 @@ class TestWorkingPrecision:
         monkeypatch.setattr(measures, "_fit_points", count)
         seen = []
 
-        def spy(chi, p, omega_power, big, wk):
+        def spy(chi, p, omega_power, big, wk, sweep):
             seen.append((big, wk))
             raise _Stop
 

@@ -290,13 +290,14 @@ class TestPadicL:
 
     def test_trivial_branch_character_is_refused_first(self, capsys, monkeypatch):
         # chi1_disc 1 is the trivial character, whose omega^0 branch is the
-        # pole branch; neither branch may be computed before the refusal
+        # pole branch; neither branch may be computed before the refusal, and
+        # branch_product computes both through _branch_series
         from eiscong import measures
 
         def no_branch(*args, **kwargs):
             raise AssertionError("a branch was computed")
 
-        monkeypatch.setattr(measures, "kubota_leopoldt", no_branch)
+        monkeypatch.setattr(measures, "_branch_series", no_branch)
         code, out = run_cli(["padic-l", "--branch", '{"chi1_disc":1,"chi2_disc":5}',
                              "--p", "13417"])
         assert code == 2 and out == ""
@@ -446,6 +447,21 @@ class TestVerifyExample:
         code, out = run_cli(["--out", str(dest), "lvalue", "--d", "2", "--m", "5"])
         assert code == 0 and out == ""
         assert json.loads(dest.read_text())["config"]["m"] == 5
+
+
+class TestRhoIters:
+    @pytest.mark.parametrize("command", ["lvalue", "scan-congruence", "verify-example"])
+    def test_negative_rho_iters_is_refused_first(self, monkeypatch, capsys, command):
+        # refused before the field is built, so before any L-value or factorization
+        from eiscong import cli
+
+        def no_work(*args):
+            raise AssertionError("work done for a refused --rho-iters")
+
+        monkeypatch.setattr(cli, "make_field", no_work)
+        code, out = run_cli([command, "--d", "2", "--m", "5", "--rho-iters", "-1"])
+        assert code == 2 and out == ""
+        assert "--rho-iters" in json.loads(capsys.readouterr().err)["error"]
 
 
 class TestOutputErrors:

@@ -422,6 +422,30 @@ class TestKubotaLeopoldtSelfCheck:
         kubota_leopoldt(kronecker_character(13), 101, 2, 6)
         assert calls == {"teichmuller": 1, "_power_tables": 1}
 
+    def test_one_sweep_row_build_per_pair(self, monkeypatch):
+        # branch_product builds the packed i^l sweep rows once, for the larger
+        # conductor (104 // 2 + 1 = 53 rows of the 15 powers at N = 2, M = 6),
+        # and both power tables read them; the wrap rows are per character
+        from eiscong import measures
+        from eiscong.measures import branch_product
+
+        calls = {"sweep rows": [], "_power_tables": 0}
+        rows, tables = measures._packed_rows, measures._power_tables
+
+        def counted_rows(n, mmax, wide, term):
+            if term is pow:
+                calls["sweep rows"].append((n, mmax))
+            return rows(n, mmax, wide, term)
+
+        def counted_tables(*args):
+            calls["_power_tables"] += 1
+            return tables(*args)
+
+        monkeypatch.setattr(measures, "_packed_rows", counted_rows)
+        monkeypatch.setattr(measures, "_power_tables", counted_tables)
+        branch_product(kronecker_character(13), kronecker_character(104), [], 101, 2, 6)
+        assert calls == {"sweep rows": [(53, 15)], "_power_tables": 2}
+
     def test_p_two_rejected(self):
         with pytest.raises(ValueError):
             kubota_leopoldt(kronecker_character(5), 2, 2, 6)

@@ -11,6 +11,7 @@ builds chi(j) j^l with one multiply per residue and power.
 raises it with `pow`.
 """
 
+import math
 import random
 from array import array
 from itertools import compress, groupby
@@ -26,6 +27,7 @@ from eiscong.measures import (
     _branch_nodes,
     _power_tables,
     _prefix_power_sums,
+    _sweep_rows,
     _teichmuller_powers,
     _wraps_by_rows,
     _wraps_by_shift,
@@ -267,12 +269,16 @@ class TestResidueBlocks:
 
 
 def _assert_sweep_equals_oracle(vals, cuts, mmax):
-    # each window, moved from the frame of its block start lo to that of 0,
-    # must equal T - P(s) + shift_f(P(s)) from the oracle's prefix sums P
-    at, total = _prefix_power_sums(vals, cuts, mmax)
-    prefix, T = _oracle_prefix_power_sums(vals, cuts, mmax)
+    # every cut lies in the swept half; each window, moved from the frame of
+    # its block start lo to that of 0, must equal T - P(s) + shift_f(P(s))
+    # from the oracle's prefix sums P over the whole period
     f = len(vals)
-    n = min(measures._SWEEP_BLOCK, f)
+    assert all(0 <= s <= f // 2 + 1 for s in cuts)
+    sweep = _sweep_rows([f], mmax)
+    at, total = _prefix_power_sums(vals, cuts, mmax, sweep)
+    prefix, T = _oracle_prefix_power_sums(vals, cuts, mmax)
+    n = len(sweep[0])
+    assert n == min(measures._SWEEP_BLOCK, f // 2 + 1)
     assert all(lo == s - s % n for s, (lo, _) in at.items())
     assert {s: _oracle_shift(m, lo) for s, (lo, m) in at.items()} == {
         s: [t - a + b for t, a, b in zip(T, P, _oracle_shift(P, f))] for s, P in prefix.items()}
@@ -280,14 +286,34 @@ def _assert_sweep_equals_oracle(vals, cuts, mmax):
 
 
 def _branch_cuts(f0, p):
+    # the cut of each class r or of its partner p - r, whichever is the
+    # smaller: the cuts _power_tables reads
     pinv = pow(p, -1, f0)
-    return [r * pinv % f0 for r in range(1, p)]
+    return [min(s, (1 - s) % f0) for s in (r * pinv % f0 for r in range(1, p))]
+
+
+def _table(f, sign, lower):
+    """A table with the symmetry of a real character's: vals[0] = 0, vals[1] = 1,
+    vals[j] = lower(j) for 1 < j < f / 2, vals[f - j] = sign vals[j], and
+    vals[f / 2] = 0 when f is even."""
+    vals = array("b", [0]) * f
+    for j in range(1, (f + 1) // 2):
+        vals[j] = 1 if j == 1 else lower(j)
+        vals[f - j] = sign * vals[j]
+    return vals
 
 
 B = _SWEEP_BLOCK
 
 
 class TestPrefixSweep:
+    """The half sweep against the oracle's prefix sums over the whole period.
+
+    Every input is a table with a real character's symmetry and every cut lies
+    in [0, f // 2 + 1], the sweep's contract; the cuts of a branch are those
+    `_power_tables` reads, one of each residue pair.
+    """
+
     # the trivial character (D = 1) never reaches the sweep
     @pytest.mark.parametrize("D,p,wk,mmax", [c for c in _seeded_grid(20149, 150) if c[0] != 1])
     def test_seeded_grid(self, D, p, wk, mmax):
@@ -306,22 +332,27 @@ class TestPrefixSweep:
     @pytest.mark.parametrize("fill", (1, -1))
     @pytest.mark.parametrize("mmax", (0, 1, 15, 29))
     def test_constant_tables_do_not_carry(self, fill, mmax):
-        # every residue in one mask fills each slot as far as it goes
-        f = 2 * B + 3
-        vals = array("b", [fill]) * f
-        cuts = [0, 1, B - 1, B, B + 1, 2 * B, 2 * B + 1, f - 1]
-        _assert_sweep_equals_oracle(vals, cuts, mmax)
+        # every residue of the second block in one mask fills each slot as far
+        # as it goes; the half ends at h = 2B + 2, on a block of two residues;
+        # even and odd tables
+        f = 4 * B + 3
+        cuts = [0, 1, B - 1, B, B + 1, 2 * B, 2 * B + 1, 2 * B + 2]
+        for sign in (1, -1):
+            _assert_sweep_equals_oracle(_table(f, sign, lambda j: fill), cuts, mmax)
 
-    @pytest.mark.parametrize("f", (B - 1, B, B + 1, 3 * B + 7))
+    # 4B - 1 ends the half at h = 2B, a block start: a cut there has a block
+    # of its own, empty
+    @pytest.mark.parametrize("f", (B - 1, B, B + 1, 3 * B + 7, 4 * B - 1))
     @pytest.mark.parametrize("mmax", (0, 1, 15, 29))
     def test_random_tables_around_the_block_size(self, f, mmax):
         rng = random.Random(f * 31 + mmax)
-        vals = array("b", (rng.choice((-1, 0, 1)) for _ in range(f)))
-        cuts = {0, f - 1} | set(range(0, f, B)) | {rng.randrange(f) for _ in range(20)}
+        h = f // 2 + 1
+        vals = _table(f, rng.choice((1, -1)), lambda j: rng.choice((-1, 0, 1)))
+        cuts = {0, h - 1, h} | set(range(0, h + 1, B)) | {rng.randrange(h + 1) for _ in range(20)}
         _assert_sweep_equals_oracle(vals, sorted(cuts), mmax)
 
-    # the test_any_block_size shapes above, and conductor 1009: more than 100
-    # blocks at every size here, most of them holding a cut
+    # the test_any_block_size shapes above, and conductor 1009: more than 50
+    # blocks in the half at every size here, most of them holding a cut
     @pytest.mark.parametrize("block", (1, 2, 3, 7))
     @pytest.mark.parametrize("D,p", [(13, 31), (-163, 11), (5, 13), (328, 3), (1009, 101)])
     def test_any_block_size(self, monkeypatch, block, D, p):
@@ -332,8 +363,37 @@ class TestPrefixSweep:
         assert _power_tables(chi, p, 12, 15) == _oracle_power_tables(chi, p, 12, 15)
 
     def test_no_cuts(self):
-        vals = array("b", [1, -1, 0, 1]) * (B // 2 + 1)
+        vals = _table(2 * B + 4, -1, lambda j: (1, -1, 0, 1)[j % 4])
         _assert_sweep_equals_oracle(vals, [], 7)
+
+
+class TestResiduePairs:
+    """The two identities the half sweep rests on, on the oracle's tables.
+
+    Class p - r has cut s_(p-r) = 1 - s_r mod f0, so one cut of each pair is
+    at most f0 // 2 + 1, and a -> f0 p - a gives
+    U[m][p-r] = chi(-1) sum_l C(m,l) (f0 p)^(m-l) (-1)^l U[l][r].
+    """
+
+    # even (104, 3433) and odd (-163, -4) characters; f0 > p, f0 < p, and p = 3
+    # with its single pair {1, 2}
+    @pytest.mark.parametrize("D,p", [
+        (104, 3), (104, 7), (104, 131), (-163, 3), (-163, 11), (-163, 197),
+        (3433, 3), (3433, 5), (3433, 7), (-4, 3), (-4, 13), (5, 3), (5, 11),
+    ])
+    def test_cuts_and_rows_mirror(self, D, p):
+        chi = kronecker_character(D)
+        f0, wk, mmax = chi.conductor, 9, 7
+        mod, pinv, sign = p**wk, pow(p, -1, f0), chi(f0 - 1)
+        U, _ = _oracle_power_tables(chi, p, wk, mmax)
+        for r in range(1, p):
+            s = r * pinv % f0
+            assert (p - r) * pinv % f0 == (1 - s) % f0
+            assert min(s, (1 - s) % f0) <= f0 // 2 + 1
+            for m in range(mmax + 1):
+                mirror = sum(math.comb(m, l) * (f0 * p)**(m - l) * (-1)**l * U[l][r]
+                             for l in range(m + 1))
+                assert U[m][p - r] == sign * mirror % mod
 
 
 def _oracle_in_block(vals, cuts, n, mmax):
@@ -383,7 +443,8 @@ class TestTeichmullerTable:
     def test_branch_nodes_equal_the_parent_formula(self, monkeypatch, D, p, omega_power):
         chi = kronecker_character(D)
         got = _branch_nodes(chi, p, omega_power, 9, 12)
-        monkeypatch.setattr(measures, "_power_tables", _oracle_power_tables)
+        monkeypatch.setattr(measures, "_power_tables",
+                            lambda chi, p, wk, mmax, sweep: _oracle_power_tables(chi, p, wk, mmax))
         monkeypatch.setattr(measures, "_teichmuller_powers", _oracle_omega)
         assert got == _branch_nodes(chi, p, omega_power, 9, 12)
 
