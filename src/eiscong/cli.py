@@ -214,8 +214,9 @@ def cmd_padic_l(args) -> int:
     _require_positive(args)
     strip_primes = json.loads(args.strip) if args.strip else []
     if not (isinstance(strip_primes, list)
-            and all(type(q) is int and is_prime(q) for q in strip_primes)):
-        raise ValueError("--strip must be a JSON list of rational primes")
+            and all(type(q) is int and is_prime(q) for q in strip_primes)
+            and len(set(strip_primes)) == len(strip_primes)):
+        raise ValueError("--strip must be a JSON list of distinct rational primes")
     config = _config_echo(args, "padic-l", ["p", "N", "M", "strip"])
     config["branch"] = {"chi1_disc": d1, "chi2_disc": d2, "twist": twist_disc}
     chi1, chi2 = kronecker_character(d1), kronecker_character(d2)
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--N", type=int, default=6)
     p.add_argument("--M", type=int, default=16)
-    p.add_argument("--strip", help="JSON list of rational primes to strip")
+    p.add_argument("--strip", help="JSON list of distinct rational primes to strip")
     p.set_defaults(func=cmd_padic_l)
 
     p = add_parser("verify-example", help="end-to-end verification bundle")

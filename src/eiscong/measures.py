@@ -267,7 +267,7 @@ def teichmuller(a: int, p: int, w: int) -> int:
 
 
 def _teichmuller_powers(p: int, w: int):
-    """The map e -> [omega(r)^e mod p^w for r = 0..p-1] (0 at r = 0).
+    """The map (e, rs) -> [omega(r)^e mod p^w for r in rs], each r in 1..p-1.
 
     One Teichmuller lift zeta = omega(g) of a primitive root g mod p gives
     omega(r) = zeta^ind(r), ind the index of r to the base g, so every power
@@ -284,8 +284,8 @@ def _teichmuller_powers(p: int, w: int):
         x = x * g % p
         ind[x] = e
 
-    def powers(e: int) -> list[int]:
-        return [0] + [zeta_pow[e * ind[r] % (p - 1)] for r in range(1, p)]
+    def powers(e: int, rs) -> list[int]:
+        return [zeta_pow[e * ind[r] % (p - 1)] for r in rs]
     return powers
 
 
@@ -359,8 +359,8 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
         blk, k = level[i * size:(i + 1) * size], _position((1 - r * minv) % pL, s, p)
         classes = list(map(add if chi[r % f] > 0 else sub, classes, blk[k:] + blk[:k]))
     omega = _teichmuller_powers(p, w)
-    om_j = omega((-omega_power) % (p - 1))  # omega(r)^(-j) mod p^w
-    om_1 = [x % pL for x in omega(p - 2)]  # omega(r)^(-1) mod p^L
+    om_j = [0] + omega((-omega_power) % (p - 1), range(1, p))  # omega(r)^(-j) mod p^w
+    om_1 = [0] + [x % pL for x in omega(p - 2, range(1, p))]  # omega(r)^(-1) mod p^L
     weight = [0] * p ** (L - 1)
     for c, wt in zip(compress(range(0, m0 * pL, m0), _mask(p, 0, L)), classes):
         if wt:
@@ -561,11 +561,11 @@ def _binomial_shift(c: list[int], ts: list[int]):
 
 
 def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int, sweep=None):
-    """Character power sums for the branch Bernoulli numbers.
+    """Character power sums for the branch Bernoulli numbers, one class of each pair {r, p - r}.
 
-    Returns (U, U0) mod p^wk, U[m][r] = sum of chi(a) a^m over 1 <= a <= f0*p
-    with a = r mod p and gcd(a, f0 p) = 1 (U[m][0] = 0), and U0[m] the same
-    sum over 1 <= a <= f0.
+    Returns (H, U, U0) mod p^wk: H the (p - 1) / 2 classes below, U[m][i] =
+    sum of chi(a) a^m over 1 <= a <= f0*p with a = H[i] mod p, and U0[m]
+    the same sum over 1 <= a <= f0 with no condition mod p.
 
     Write a = r + p k (1 <= r < p, 0 <= k < f0), j = k + s with s = r p^-1
     mod f0, and lo for the start of the sweep block of s.  Then chi(a) =
@@ -575,48 +575,40 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int, sweep=Non
         U[m][r] = chi(p) sum_l C(m,l) t^(m-l) p^l D_l(s),
     and U0 = D(0) (chi(0) = chi(f0) = 0).
 
-    The classes pair up: a -> f0 p - a maps class r onto p - r, so
-        U[m][p-r] = chi(-1) sum_l C(m,l) (f0 p)^(m-l) (-1)^l U[l][r],
-    and the cut of p - r is 1 - s mod f0.  One of s, 1 - s is at most
-    f0 // 2 + 1, so the sweep reads half the period and each pair forms the
-    window of that cut only (both members do when the cuts are equal).  The
-    mirror is a shift by f0 p of the columns signed (-1)^l, and shifts
-    compose, so class r reading the window of p - r shifts chi(-1) (-1)^l
-    chi(p) p^l D_l(s) by f0 p - t_(p-r) = r + p (s - lo + f0 - 1).  A block
-    of _RESIDUE_BLOCK classes shifts its columns at once, both kinds alike,
-    so the p mmax (mmax+1)/2 multiply-adds run as C-level passes; a cut is
-    freed after its last reader.  sweep is the `_sweep_rows` of the call
-    (built here when not given).  f0 = 1: U[m][r] = r^m, U0[m] = 1.
+    The node sums need one class of each pair {r, p - r} (`_branch_nodes`).
+    The cut of p - r is 1 - s mod f0, and one of s, 1 - s is at most
+    f0 // 2 + 1, so H holds the member whose cut lies in that swept half,
+    in the order of r = 1..(p - 1) / 2.  A block of _RESIDUE_BLOCK classes
+    shifts its columns at once, so the (p - 1) mmax (mmax + 1) / 4
+    multiply-adds run as C-level passes; a cut is freed after its last
+    reader.  sweep is the `_sweep_rows` of the call (built here when not
+    given).  f0 = 1: H = 1..(p - 1) / 2, U[m][i] = H[i]^m, U0[m] = 1.
     """
     f0 = chi.conductor
     mod = p**wk
+    half = range(1, (p + 1) // 2)
     if f0 == 1:
-        return ([[0] + [pow(r, m, mod) for r in range(1, p)] for m in range(mmax + 1)],
+        return (list(half), [[pow(r, m, mod) for r in half] for m in range(mmax + 1)],
                 [1] * (mmax + 1))
     vals = value_table(chi)
     pinv = pow(p % f0, -1, f0)
-    cuts = [r * pinv % f0 for r in range(1, p)]
-    reads = [min(s, (1 - s) % f0) for s in cuts]  # the cut whose window class r reads
-    mirrored = list(map(int.__ne__, reads, cuts))
-    windows, total = _prefix_power_sums(vals, reads, mmax, sweep or _sweep_rows([f0], mmax))
-    last = dict(zip(reads, range(1, p)))  # the last class reading each cut
+    H, cuts = zip(*[(r, s) if s <= (1 - s) % f0 else (p - r, (1 - s) % f0)
+                    for r, s in zip(half, (r * pinv % f0 for r in half))])
+    windows, total = _prefix_power_sums(vals, cuts, mmax, sweep or _sweep_rows([f0], mmax))
+    last = dict(zip(cuts, range(len(cuts))))  # the last class reading each cut
     scale = [vals[p % f0] * p**l for l in range(mmax + 1)]  # chi(p) p^l
-    # per moment, the factor on a class's own window and on its partner's
-    signed = [(q, -q * vals[-1] if l % 2 else q * vals[-1]) for l, q in enumerate(scale)]
-    U = [[0] for _ in range(mmax + 1)]
-    for i in range(0, p - 1, _RESIDUE_BLOCK):
-        block, flips = reads[i:i + _RESIDUE_BLOCK], mirrored[i:i + _RESIDUE_BLOCK]
-        rs = range(i + 1, p)
-        ts = [r + p * (s - windows[s][0] + f0 - 1) if m else r - p * (s - windows[s][0])
-              for r, s, m in zip(rs, block, flips)]
+    U = [[] for _ in range(mmax + 1)]
+    for i in range(0, len(H), _RESIDUE_BLOCK):
+        rs, block = H[i:i + _RESIDUE_BLOCK], cuts[i:i + _RESIDUE_BLOCK]
+        ts = [r - p * (s - windows[s][0]) for r, s in zip(rs, block)]
         cols = []
-        for qs, col in zip(signed, zip(*[windows[s][1] for s in block])):
-            cols += [d * qs[m] % mod for d, m in zip(col, flips)]
-        for s in compress(block, map(int.__eq__, map(last.__getitem__, block), rs)):
+        for q, col in zip(scale, zip(*[windows[s][1] for s in block])):
+            cols += [d * q % mod for d in col]
+        for s in compress(block, map(int.__eq__, map(last.__getitem__, block), range(i, len(H)))):
             del windows[s]
         for Um, c in zip(U, _binomial_shift(cols, ts)):
             Um.extend([x % mod for x in c])
-    return U, [x % mod for x in total]
+    return list(H), U, [x % mod for x in total]
 
 
 def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
@@ -628,29 +620,36 @@ def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
     tw = 0 and 0 otherwise, times u^(1-n) - u = (1 + t_n) - u on the pole
     branch (chi trivial, omega_power = 0 mod p - 1).  With f = f0 p, or f0
     when tw = 0, B_{n,eta} = sum_k C(n,k) B_k f^(k-1) S_{n-k} over k <= 1 and
-    even k, S_m = U0[m] when tw = 0 and sum_r omega(r)^tw U[m][r] otherwise,
-    from one power-sum and one Teichmuller table exact mod p^wk.  By von
-    Staudt-Clausen g_k = p B_k f^(k-1) and g_0 = p/f = p^(1-v_p(f))/f0
-    are p-integral, so p B_{n,eta} = sum_k C(n,k) g_k S_{n-k} is one integer
-    sum known mod p^wk, and so is x = -(1 - eta(p) p^(n-1)) p B_{n,eta} n0^-1
-    z, n = p^v n0, z = 1 or u^(1-n) - u.  The value x / p^(v+1) lies in Z_p
+    even k, S_m = U0[m] when tw = 0 and otherwise (1 + theta(-1)) times
+    sum_(r in H) omega(r)^tw U[m][r], H the classes of `_power_tables`, one
+    of each pair {r, p - r}, theta = chi omega^omega_power: the sum over any
+    set A of units a <= f is f^(n-1) sum_(a in A) eta(a) B_n(a/f), and
+    a -> f - a maps class r onto p - r with eta(-1) (-1)^n = theta(-1)
+    (p - 1 is even) and B_n(1 - x) = (-1)^n B_n(x); the factor is 2 on
+    every branch kubota_leopoldt accepts.  By von Staudt-Clausen g_k =
+    p B_k f^(k-1) and g_0 = p/f = p^(1-v_p(f))/f0 are p-integral, so
+    p B_{n,eta} = sum_k C(n,k) g_k S_{n-k} is one integer sum known mod
+    p^wk, and so is x = -(1 - eta(p) p^(n-1)) p B_{n,eta} n0^-1 z,
+    n = p^v n0, z = 1 or u^(1-n) - u.  The value x / p^(v+1) lies in Z_p
     (kubota_leopoldt), so p^(v+1) | x (checked) and x // p^(v+1) is the value
     mod p^(wk - 1 - v): k_n = wk - 1 - v_p(n), not uniform in n.
     """
     u, f0, chi_p = 1 + p, chi.conductor, chi(p)
     mod = p**wk
-    U, U0 = _power_tables(chi, p, wk, count, sweep)
+    H, U, U0 = _power_tables(chi, p, wk, count, sweep)
     omega = _teichmuller_powers(p, wk)
     pole = chi.is_trivial() and omega_power % (p - 1) == 0
+    pair = 2 if chi.is_even() == (omega_power % 2 == 0) else 0  # 1 + theta(-1)
     ks = [k for k in range(count + 1) if k < 2 or k % 2 == 0]  # B_k = 0 at odd k >= 3
     bern = bernoulli_numbers(count)
-    gs = [[g.numerator * pow(g.denominator, -1, mod) % mod
-           for g in (p * bern[k] * Fraction(f) ** (k - 1) for k in ks)] for f in (f0, f0 * p)]
+    gs = [[c * g.numerator * pow(g.denominator, -1, mod) % mod  # times 1 + theta(-1) at tw > 0
+           for g in (p * bern[k] * Fraction(f) ** (k - 1) for k in ks)]
+          for f, c in ((f0, 1), (f0 * p, pair))]
     nodes = []
     for n in range(1, count + 1):
         tw = (omega_power - n) % (p - 1)
         kn = ks[:bisect_right(ks, n)]
-        omp = omega(tw) if tw else None
+        omp = omega(tw, H) if tw else None
         s = [sum(map(mul, omp, U[n - k])) if tw else U0[n - k] for k in kn]
         pb = sum(map(mul, map(mul, map(math.comb, repeat(n), kn), gs[tw > 0]), s))
         v = val_p(n, p)

@@ -13,6 +13,10 @@ survive here as references:
 `p_b1_omega_inv` and `p_value_at_zero` compare a branch series at T = 0
 with the direct Teichmuller sum, in integers.  `random_series` draws a
 series with known lambda and mu.
+
+`power_tables_by_visit` is the per-residue pass the branch power-sum kernel
+replaced, and `full_power_tables` the parent's table over all p - 1 classes
+mod p, which the kernel now forms for one class of each pair {r, p - r}.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from fractions import Fraction
 
 from eiscong.arith import val_p
 from eiscong.iwasawa import IwasawaElement
-from eiscong.measures import teichmuller
+from eiscong.measures import _power_tables, teichmuller
 
 _INF = 10**9  # valuation of an exact zero
 
@@ -199,10 +203,12 @@ def series_unit_log_ratio(x: int, u: int, p: int, w: int) -> int:
     return (lx // p) * pow(lu // p, -1, p**w) % p**w
 
 
-def p_b1_omega_inv(chi, p: int, w: int) -> int:
-    """p B_{1, chi omega^-1} mod p^w by the direct sum over 1 <= a <= f = f0 p.
+def p_b1_omega_inv(chi, p: int, w: int, e: int = -1) -> int:
+    """p B_{1, chi omega^e} mod p^w by the direct sum over 1 <= a <= f = f0 p.
 
-    eta = chi omega^-1 is nontrivial of conductor f, so B_{1,eta} =
+    e must not be 0 mod p - 1; the default e = -1 gives the omega_power = 0
+    branch's value at T = 0, and e = j - 1 that of omega_power = j.  Then
+    eta = chi omega^e is nontrivial of conductor f, so B_{1,eta} =
     (1/f) sum_{gcd(a, f) = 1} eta(a) a and p B_{1,eta} = f0^-1 times that sum.
     """
     f0 = chi.conductor
@@ -211,7 +217,7 @@ def p_b1_omega_inv(chi, p: int, w: int) -> int:
     for a in range(1, f0 * p + 1):
         c = chi(a) if f0 > 1 else 1
         if c and math.gcd(a, f0 * p) == 1:
-            s += c * pow(teichmuller(a, p, w), -1, mod) * a
+            s += c * pow(teichmuller(a, p, w), e % (p - 1), mod) * a
     return s * pow(f0, -1, mod) % mod
 
 
@@ -235,3 +241,69 @@ def random_series(rng, p: int, N: int, M: int, mu: int = 0, max_lam: int = 5):
     unit = [rng.randrange(1, p)] + [rng.randrange(0, p**N) for _ in range(M - 1)]
     e = IwasawaElement.from_integers(p, N, M, dist) * IwasawaElement.from_integers(p, N, M, unit)
     return IwasawaElement.from_integers(p, N, M, [c * p**mu for c in e.res]), lam
+
+
+def power_tables_by_visit(chi, p: int, wk: int, mmax: int):
+    """U[m][r], U0[m] mod p^wk by one visit to every a <= f0 p (U[m][0] = 0)."""
+    f0 = chi.conductor
+    mod = p**wk
+    U = [[0] * p for _ in range(mmax + 1)]
+    U0 = [0] * (mmax + 1)
+    vals = [chi(r) for r in range(f0)] if f0 > 1 else [1]
+    for a in range(1, f0 * p + 1):
+        c = vals[a % f0] if f0 > 1 else 1
+        if not c or a % p == 0:
+            if a <= f0 and c:
+                apow = 1  # a divisible by p still counts in the tame-only sum
+                for m in range(mmax + 1):
+                    U0[m] = (U0[m] + c * apow) % mod
+                    apow = apow * a % mod
+            continue
+        r = a % p
+        apow = 1
+        if a <= f0:
+            for m in range(mmax + 1):
+                t = c * apow
+                U[m][r] = (U[m][r] + t) % mod
+                U0[m] = (U0[m] + t) % mod
+                apow = apow * a % mod
+        else:
+            for m in range(mmax + 1):
+                U[m][r] = (U[m][r] + c * apow) % mod
+                apow = apow * a % mod
+    return U, U0
+
+
+def mirror_classes(chi, p: int, wk: int, H, U) -> list[list[int]]:
+    """The rows over every class r = 0..p-1 (0 at r = 0) from rows U over H, one class of each pair.
+
+    a -> f0 p - a maps class r onto p - r and chi(-a) = chi(-1) chi(a), so
+    U[m][p-r] = chi(-1) sum_l C(m,l) (f0 p)^(m-l) (-1)^l U[l][r].
+    """
+    f, mod = chi.conductor * p, p**wk
+    sign = 1 if chi.is_even() else -1
+    full = [[0] * p for _ in U]
+    for i, r in enumerate(H):
+        col = [row[i] for row in U]
+        for m, row in enumerate(full):
+            row[r] = col[m]
+            row[p - r] = sign * sum(math.comb(m, l) * f**(m - l) * (-1)**l * col[l]
+                                    for l in range(m + 1)) % mod
+    return full
+
+
+# f0 p up to which full_power_tables visits every a; the visit costs f0 p (mmax + 1) products
+_VISIT_LIMIT = 20000
+
+
+def full_power_tables(chi, p: int, wk: int, mmax: int):
+    """(U, U0) over every class mod p, as the tables were before they kept one class of each pair.
+
+    By `power_tables_by_visit` when f0 p <= _VISIT_LIMIT; above it the
+    kernel's rows over one class of each pair, which the power-table tests
+    check against the visit, and `mirror_classes` for the partners.
+    """
+    if chi.conductor * p <= _VISIT_LIMIT:
+        return power_tables_by_visit(chi, p, wk, mmax)
+    H, U, U0 = _power_tables(chi, p, wk, mmax)
+    return mirror_classes(chi, p, wk, H, U), U0

@@ -169,7 +169,9 @@ def test_criterion_5_kubota_leopoldt_consistency():
     """KL T=0 values to precision N-2 against the direct Teichmuller oracle,
     and the two construction paths agree to precision N-4 at T=0 (exact-depth
     collapse) and at every certified coefficient digit.  All in integers: the
-    value is -B_{1,chi omega^-1}, so p times it is -p B_1 mod p^(N-1)."""
+    value of the omega^j branch is -B_{1,chi omega^(j-1)}, so p times it is
+    -p B_1 mod p^(N-1); j = 2, 4 reach the node sums at a nonzero
+    Teichmuller power of the branch (j = 4 at p = 5 is the pole branch)."""
     t0 = time.time()
     N, M = 12, 40
     value_ok = True
@@ -178,9 +180,11 @@ def test_criterion_5_kubota_leopoldt_consistency():
             if D % p == 0:
                 continue
             chi = kronecker_character(D)
-            x, k = p_value_at_zero(kubota_leopoldt(chi, p, N, M))
-            if not (k >= N - 1 and (x + p_b1_omega_inv(chi, p, N + 4)) % p ** (N - 1) == 0):
-                value_ok = False
+            for j in (0, 2, 4):
+                x, k = p_value_at_zero(kubota_leopoldt(chi, p, N, M, omega_power=j))
+                if not (k >= N - 1
+                        and (x + p_b1_omega_inv(chi, p, N + 4, j - 1)) % p ** (N - 1) == 0):
+                    value_ok = False
     bridge_ok = True
     V = 4
     for p, D in ((5, 12), (7, 12)):

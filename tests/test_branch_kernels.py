@@ -4,10 +4,13 @@
 on plain integers: every node value, Newton divided difference and Horner
 step is a `PadicScalar` that tracks its own precision, the nodes are built
 from `Fraction` Bernoulli terms, and the pole branch multiplies each node by
-((1+t_n) - u) afterwards.  It shares the power tables and the Teichmuller
-table with the kernel (those have their own oracles in test_power_tables).
-It is kept here only as the reference the integer tail must equal exactly:
-the same series, precision and pole flag, or the same ArithmeticError.
+((1+t_n) - u) afterwards.  Its node sums contract over all p - 1 classes
+mod p of the full power tables (padic_oracles.full_power_tables), where the
+kernel folds each pair {r, p - r} into one factor.  It shares the
+Teichmuller table with the kernel (that has its own oracle in
+test_power_tables).  It is kept here only as the reference the integer
+tail must equal exactly: the same series, precision and pole flag, or the
+same ArithmeticError.
 """
 
 import math
@@ -30,7 +33,7 @@ from eiscong.measures import (
     kubota_leopoldt,
 )
 
-from padic_oracles import PadicScalar
+from padic_oracles import PadicScalar, full_power_tables
 
 
 def _oracle_branch_nodes(chi, p, omega_power, count, w):
@@ -39,7 +42,7 @@ def _oracle_branch_nodes(chi, p, omega_power, count, w):
     f0 = chi.conductor
     wk = w + 6
     mod = p**wk
-    U, U0 = measures._power_tables(chi, p, wk, count)
+    U, U0 = full_power_tables(chi, p, wk, count)
     omega = measures._teichmuller_powers(p, wk)
     chi_p = chi(p)
     nodes = []
@@ -49,8 +52,8 @@ def _oracle_branch_nodes(chi, p, omega_power, count, w):
         ks = [k for k in range(n + 1) if k < 2 or k % 2 == 0]
         if tw:
             f = f0 * p
-            omp = omega(tw)
-            s = {n - k: sum(map(mul, omp, U[n - k])) % mod for k in ks}
+            omp = omega(tw, range(1, p))
+            s = {n - k: sum(map(mul, omp, U[n - k][1:])) % mod for k in ks}
         else:
             f = f0
             s = U0

@@ -332,13 +332,13 @@ class TestPadicL:
             ["padic-l", "--branch", '{"chi1_disc":5,"chi2_disc":40,"twist":null}'] + args)
         assert code == code_null == 0 and out == out_null
 
-    @pytest.mark.parametrize("strip", ["[1]", "[4]", "[true]", "[-29]", "[29.0]"])
+    @pytest.mark.parametrize("strip", ["[1]", "[4]", "[true]", "[-29]", "[29.0]", "[29,29]"])
     def test_strip_must_list_primes(self, capsys, strip):
         code, out = run_cli(["padic-l", "--branch", '{"d":2,"m":5}', "--p", "7",
                              "--N", "2", "--M", "4", "--strip", strip])
         assert code == 2 and out == ""
         assert json.loads(capsys.readouterr().err) == {
-            "error": "--strip must be a JSON list of rational primes"}
+            "error": "--strip must be a JSON list of distinct rational primes"}
 
     def test_branch_series_with_strip(self):
         code, out = run_cli(["padic-l", "--branch", '{"d":2,"m":5}',

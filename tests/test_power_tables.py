@@ -1,25 +1,31 @@
 """The branch power-sum kernel and Teichmuller table against direct oracles.
 
-`_oracle_power_tables` is the per-residue pass the prefix-sum sweep
-replaced: it visits every a <= f0 p and is kept here only as the reference
-the sweep must equal exactly.  `_oracle_residue_tables` is the power tables
-before the residue-major shift and the window sums: two scalar binomial
-shifts per residue r mod p, of the sums above and below its cut.
+`power_tables_by_visit` (padic_oracles) is the per-residue pass the
+prefix-sum sweep replaced: it visits every a <= f0 p and is kept only as
+the reference the sweep must equal exactly, on the classes the kernel
+keeps, one of each pair {r, p - r}.  `_oracle_residue_tables` is the power
+tables before the residue-major shift and the window sums: two scalar
+binomial shifts per residue r mod p, of the sums above and below its cut.
 `_oracle_prefix_power_sums` is the sweep before packed block moments: it
 builds chi(j) j^l with one multiply per residue and power.
 `_oracle_omega` lifts every residue with its own `teichmuller` call and
-raises it with `pow`.
+raises it with `pow`.  `_parent_branch_nodes` is `_branch_nodes` before the
+pair factor: it contracts every node sum over all p - 1 classes.
 """
 
 import math
 import random
+import re
 from array import array
+from fractions import Fraction
 from itertools import compress, groupby
 
 import pytest
 
 from eiscong import measures
+from eiscong.arith import val_p
 from eiscong.characters import kronecker_character, sign_masks, value_table
+from eiscong.lseries import bernoulli_numbers
 from eiscong.measures import (
     _RESIDUE_BLOCK,
     _SWEEP_BLOCK,
@@ -39,37 +45,7 @@ from eiscong.measures import (
 )
 
 from character_oracles import primitive_characters
-
-
-def _oracle_power_tables(chi, p, wk, mmax):
-    """U[m][r], U0[m] mod p^wk by one visit to every a <= f0 p."""
-    f0 = chi.conductor
-    mod = p**wk
-    U = [[0] * p for _ in range(mmax + 1)]
-    U0 = [0] * (mmax + 1)
-    vals = [chi(r) for r in range(f0)] if f0 > 1 else [1]
-    for a in range(1, f0 * p + 1):
-        c = vals[a % f0] if f0 > 1 else 1
-        if not c or a % p == 0:
-            if a <= f0 and c:
-                apow = 1  # a divisible by p still counts in the tame-only sum
-                for m in range(mmax + 1):
-                    U0[m] = (U0[m] + c * apow) % mod
-                    apow = apow * a % mod
-            continue
-        r = a % p
-        apow = 1
-        if a <= f0:
-            for m in range(mmax + 1):
-                t = c * apow
-                U[m][r] = (U[m][r] + t) % mod
-                U0[m] = (U0[m] + t) % mod
-                apow = apow * a % mod
-        else:
-            for m in range(mmax + 1):
-                U[m][r] = (U[m][r] + c * apow) % mod
-                apow = apow * a % mod
-    return U, U0
+from padic_oracles import full_power_tables, mirror_classes, power_tables_by_visit
 
 
 def _oracle_shift(c, t):
@@ -122,13 +98,88 @@ def _oracle_prefix_power_sums(vals, cuts, mmax):
 def _oracle_omega(p, w):
     mod = p**w
     lifts = [0] + [teichmuller(r, p, w) for r in range(1, p)]
-    return lambda e: [0] + [pow(o, e, mod) for o in lifts[1:]]
+    return lambda e, rs: [pow(lifts[r], e, mod) for r in rs]
+
+
+def _assert_tables_equal(chi, p, wk, mmax, *oracles):
+    """The kernel's (H, U, U0) against each oracle's (U, U0) on the classes of H.
+
+    H holds exactly one class of each pair {r, p - r}, in the order of
+    r = 1..(p - 1) / 2, and the cut r / p mod f0 of each lies in the half
+    [0, f0 // 2 + 1] the sweep reads."""
+    H, U, U0 = _power_tables(chi, p, wk, mmax)
+    f0 = chi.conductor
+    assert [min(r, p - r) for r in H] == list(range(1, (p + 1) // 2))
+    if f0 > 1:
+        assert all(r * pow(p, -1, f0) % f0 <= f0 // 2 + 1 for r in H)
+    for oracle in oracles or (power_tables_by_visit,):
+        want, want0 = oracle(chi, p, wk, mmax)
+        assert (U, U0) == ([[row[r] for r in H] for row in want], want0)
+
+
+def _node_sum(chi, p, n, tw, wk, U, classes, omega):
+    """p B_{n,eta} mod p^wk over the given classes, eta = chi omega^tw of conductor f = f0 p:
+    sum_k C(n,k) g_k sum_(r in classes) omega(r)^tw U[n-k][r], g_k = p B_k f^(k-1)."""
+    mod, f = p**wk, chi.conductor * p
+    bern = bernoulli_numbers(n)
+    omp = omega(tw, classes)
+    total = 0
+    for k in range(n + 1):
+        g = p * bern[k] * Fraction(f) ** (k - 1)
+        total += math.comb(n, k) * g.numerator * pow(g.denominator, -1, mod) * sum(
+            x * U[n - k][r] for x, r in zip(omp, classes))
+    return total % mod
+
+
+def _parent_branch_nodes(chi, p, omega_power, count, wk, tables):
+    """`_branch_nodes` on full tables (U, U0): each node sum contracts over all p - 1 classes."""
+    U, U0 = tables
+    u, f0, mod = 1 + p, chi.conductor, p**wk
+    omega = _oracle_omega(p, wk)
+    pole = chi.is_trivial() and omega_power % (p - 1) == 0
+    bern = bernoulli_numbers(count)
+    nodes = []
+    for n in range(1, count + 1):
+        tw = (omega_power - n) % (p - 1)
+        if tw:
+            pb = _node_sum(chi, p, n, tw, wk, U, range(1, p), omega)
+        else:
+            pb = 0
+            for k in range(n + 1):
+                g = p * bern[k] * Fraction(f0) ** (k - 1)
+                pb += math.comb(n, k) * g.numerator * pow(g.denominator, -1, mod) * U0[n - k]
+        v = val_p(n, p)
+        x = -(1 - (0 if tw else chi(p)) * p ** (n - 1)) * pb * pow(n // p**v, -1, mod)
+        x = x * (pow(u, 1 - n, mod) - u if pole else 1) % mod
+        if x % p ** (v + 1):
+            raise ArithmeticError("non-integral coefficient at T^0 (unexpected pole)")
+        nodes.append((x // p ** (v + 1), wk - 1 - v))
+    return nodes
 
 
 EVEN_D = (8, 12, 24, 28, 40, 44, 56, 60, -4, -8, -20, -24, -40)
 ODD_D = (5, 13, 17, 21, 29, 33, 37, 41, -3, -7, -11, -15, -19, -23, -163)
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
           71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137)
+
+
+NODE_D = (1, 5, 8, 12, 13, 104, 328, 1009, 20149,        # even characters
+          -3, -4, -7, -8, -20, -163, -4003)               # odd ones
+NODE_PRIMES = (3, 5, 7, 11, 13, 31, 101, 107, 131, 281)
+
+
+def _node_grid(seed, per_cell):
+    """(D, p, omega_power, count, wk): per_cell draws for each sign of D and each
+    omega_power < 6, the first of each at p = 3."""
+    rng = random.Random(seed)
+    out = []
+    for sign in (1, -1):
+        for j in range(6):
+            for i in range(per_cell):
+                p = 3 if i == 0 else rng.choice(NODE_PRIMES)
+                D = rng.choice([D for D in NODE_D if D * sign > 0 and D % p])
+                out.append((D, p, j, rng.randint(1, 15), rng.randint(3, 15)))
+    return out
 
 
 def _seeded_grid(seed, count):
@@ -145,7 +196,7 @@ class TestPowerTables:
     @pytest.mark.parametrize("D,p,wk,mmax", _seeded_grid(20149, 150))
     def test_seeded_grid(self, D, p, wk, mmax):
         chi = kronecker_character(D)
-        assert _power_tables(chi, p, wk, mmax) == _oracle_power_tables(chi, p, wk, mmax)
+        _assert_tables_equal(chi, p, wk, mmax)
 
     @pytest.mark.parametrize("D,p,wk,mmax", [
         (1, 3, 5, 6), (1, 5, 9, 0), (1, 101, 4, 5),          # f0 = 1
@@ -158,13 +209,13 @@ class TestPowerTables:
     ])
     def test_edge_cases(self, D, p, wk, mmax):
         chi = kronecker_character(D)
-        assert _power_tables(chi, p, wk, mmax) == _oracle_power_tables(chi, p, wk, mmax)
+        _assert_tables_equal(chi, p, wk, mmax)
 
     @pytest.mark.parametrize("m,p", [(5, 7), (12, 5), (21, 11), (24, 7)])
     def test_generic_quadratic_characters(self, m, p):
         for chi in primitive_characters(m):
             if chi.order == 2:
-                assert _power_tables(chi, p, 6, 4) == _oracle_power_tables(chi, p, 6, 4)
+                _assert_tables_equal(chi, p, 6, 4)
 
 
 class TestResidueBlocks:
@@ -177,10 +228,8 @@ class TestResidueBlocks:
 
     @staticmethod
     def _assert_both_oracles(D, p, wk, mmax):
-        chi = kronecker_character(D)
-        got = _power_tables(chi, p, wk, mmax)
-        assert got == _oracle_residue_tables(chi, p, wk, mmax)
-        assert got == _oracle_power_tables(chi, p, wk, mmax)
+        _assert_tables_equal(kronecker_character(D), p, wk, mmax,
+                             _oracle_residue_tables, power_tables_by_visit)
 
     # branch-prime shapes: chi_m and chi_8m (the pair over Q(sqrt 2)) for m = 13, 41
     @pytest.mark.parametrize("D", (13, 104, 41, 328))
@@ -286,10 +335,10 @@ def _assert_sweep_equals_oracle(vals, cuts, mmax):
 
 
 def _branch_cuts(f0, p):
-    # the cut of each class r or of its partner p - r, whichever is the
+    # of each pair {r, p - r}, the cut of r or of p - r, whichever is the
     # smaller: the cuts _power_tables reads
     pinv = pow(p, -1, f0)
-    return [min(s, (1 - s) % f0) for s in (r * pinv % f0 for r in range(1, p))]
+    return [min(s, (1 - s) % f0) for s in (r * pinv % f0 for r in range(1, (p + 1) // 2))]
 
 
 def _table(f, sign, lower):
@@ -360,7 +409,7 @@ class TestPrefixSweep:
         chi = kronecker_character(D)
         vals = value_table(chi)
         _assert_sweep_equals_oracle(vals, _branch_cuts(len(vals), p), 15)
-        assert _power_tables(chi, p, 12, 15) == _oracle_power_tables(chi, p, 12, 15)
+        _assert_tables_equal(chi, p, 12, 15)
 
     def test_no_cuts(self):
         vals = _table(2 * B + 4, -1, lambda j: (1, -1, 0, 1)[j % 4])
@@ -368,11 +417,14 @@ class TestPrefixSweep:
 
 
 class TestResiduePairs:
-    """The two identities the half sweep rests on, on the oracle's tables.
+    """The identities of the residue pairs {r, p - r}, on the oracle's tables.
 
     Class p - r has cut s_(p-r) = 1 - s_r mod f0, so one cut of each pair is
     at most f0 // 2 + 1, and a -> f0 p - a gives
-    U[m][p-r] = chi(-1) sum_l C(m,l) (f0 p)^(m-l) (-1)^l U[l][r].
+    U[m][p-r] = chi(-1) sum_l C(m,l) (f0 p)^(m-l) (-1)^l U[l][r]
+    (`mirror_classes`, the full tables of the larger shapes below).  On the
+    node sums the pairs fold into one factor: contracted with omega^tw,
+    class p - r adds theta(-1) times what r adds, theta = chi omega^j.
     """
 
     # even (104, 3433) and odd (-163, -4) characters; f0 > p, f0 < p, and p = 3
@@ -385,7 +437,7 @@ class TestResiduePairs:
         chi = kronecker_character(D)
         f0, wk, mmax = chi.conductor, 9, 7
         mod, pinv, sign = p**wk, pow(p, -1, f0), chi(f0 - 1)
-        U, _ = _oracle_power_tables(chi, p, wk, mmax)
+        U, _ = power_tables_by_visit(chi, p, wk, mmax)
         for r in range(1, p):
             s = r * pinv % f0
             assert (p - r) * pinv % f0 == (1 - s) % f0
@@ -394,6 +446,36 @@ class TestResiduePairs:
                 mirror = sum(math.comb(m, l) * (f0 * p)**(m - l) * (-1)**l * U[l][r]
                              for l in range(m + 1))
                 assert U[m][p - r] == sign * mirror % mod
+
+    @pytest.mark.parametrize("D,p", [(104, 3), (104, 131), (-163, 11), (3433, 5), (-4, 3), (1, 7)])
+    def test_mirror_classes_equal_the_visit(self, D, p):
+        chi = kronecker_character(D)
+        U, _ = power_tables_by_visit(chi, p, 9, 7)
+        H = list(range(1, (p + 1) // 2))
+        assert mirror_classes(chi, p, 9, H, [[row[r] for r in H] for row in U]) == U
+
+    # theta = chi omega^j even and odd through either factor; f0 < p (5, -3 at
+    # 101, -4 at 13) and f0 > p (1009, -163, 104); p = 3 with its single pair
+    @pytest.mark.parametrize("D,p", [(13, 7), (-4, 7), (5, 101), (-3, 101), (-4, 13),
+                                     (1009, 7), (-163, 5), (104, 3), (5, 3), (-4, 3), (1, 5)])
+    @pytest.mark.parametrize("j", (0, 1, 2, 3))
+    def test_full_contraction_is_the_pair_factor_times_the_half(self, D, p, j):
+        # any one class of each pair will do, not only the kernel's
+        chi = kronecker_character(D)
+        wk, mmax = 10, 9
+        U, _ = power_tables_by_visit(chi, p, wk, mmax)
+        omega = _oracle_omega(p, wk)
+        rng = random.Random(D * p + j)
+        half = [rng.choice((r, p - r)) for r in range(1, (p + 1) // 2)]
+        pair = 1 + chi(-1) * (-1)**j
+        tws = 0
+        for n in range(1, mmax + 1):
+            tw = (j - n) % (p - 1)
+            if tw:
+                tws += 1
+                full = _node_sum(chi, p, n, tw, wk, U, range(1, p), omega)
+                assert full == pair * _node_sum(chi, p, n, tw, wk, U, half, omega) % p**wk
+        assert tws
 
 
 def _oracle_in_block(vals, cuts, n, mmax):
@@ -436,17 +518,30 @@ class TestTeichmullerTable:
         w = 9
         ours, want = _teichmuller_powers(p, w), _oracle_omega(p, w)
         for e in (0, 1, 2, p - 2, 3 * p + 1):
-            assert ours(e) == want(e)
+            for rs in (range(1, p), range(p - 1, 0, -2)):
+                assert ours(e, rs) == want(e, rs)
 
     @pytest.mark.parametrize("D,p", [(1, 5), (12, 5), (13, 7), (8, 11), (24, 13), (5, 3)])
     @pytest.mark.parametrize("omega_power", (0, 2, 4))
-    def test_branch_nodes_equal_the_parent_formula(self, monkeypatch, D, p, omega_power):
+    def test_branch_nodes_equal_the_parent_formula(self, D, p, omega_power):
         chi = kronecker_character(D)
-        got = _branch_nodes(chi, p, omega_power, 9, 12)
-        monkeypatch.setattr(measures, "_power_tables",
-                            lambda chi, p, wk, mmax, sweep: _oracle_power_tables(chi, p, wk, mmax))
-        monkeypatch.setattr(measures, "_teichmuller_powers", _oracle_omega)
-        assert got == _branch_nodes(chi, p, omega_power, 9, 12)
+        tables = power_tables_by_visit(chi, p, 12, 9)
+        assert _branch_nodes(chi, p, omega_power, 9, 12) == _parent_branch_nodes(
+            chi, p, omega_power, 9, 12, tables)
+
+    # odd chi, odd omega_power (theta odd or even) and p = 3, on conductors
+    # below and above p, up to p = 281
+    @pytest.mark.parametrize("D,p,omega_power,count,wk", _node_grid(32, 8))
+    def test_seeded_grid_equals_the_parent_formula(self, D, p, omega_power, count, wk):
+        chi = kronecker_character(D)
+        try:
+            want = _parent_branch_nodes(chi, p, omega_power, count, wk,
+                                        full_power_tables(chi, p, wk, count))
+        except ArithmeticError as e:
+            with pytest.raises(ArithmeticError, match=re.escape(str(e))):
+                _branch_nodes(chi, p, omega_power, count, wk)
+        else:
+            assert _branch_nodes(chi, p, omega_power, count, wk) == want
 
     @pytest.mark.parametrize("D,p,omega_power", [(13, 5, 1), (8, 5, 3), (13, 7, 1), (12, 7, 5)])
     def test_bridge_equals_the_parent_formula(self, monkeypatch, D, p, omega_power):

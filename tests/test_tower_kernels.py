@@ -119,7 +119,7 @@ def _oracle_to_iwasawa_series(fam, chi_tame, omega_power, u, N, M):
     w = N + V + 4
     mod = p**w
     den_inv = pow(den % mod, -1, mod)
-    om_inv = _teichmuller_powers(p, w)((-omega_power) % (p - 1))
+    om_inv = [0] + _teichmuller_powers(p, w)((-omega_power) % (p - 1), range(1, p))
     rows = {}
     acc = [0] * M
     for a, v in deepest.items():
