@@ -148,6 +148,26 @@ def _rational(text: str, flag: str) -> Fraction:
         raise ValueError(f"{flag} has a zero denominator") from None
 
 
+# check-distribution refuses a tower whose top level has more than this many
+# residues m0 p^depth, before any level is built.  Peak RSS runs to about 82
+# bytes per residue when m0 = 1 and one block is a whole level (--p 3 --m0 1
+# --depth 14 --alpha 1 --eps-p 1: 411 MB for 4.78M residues; --p 5 --m0 12
+# --depth 8 needs about 21 bytes per residue, 115 MB; CPython 3.11, Linux),
+# so a run at the cap stays under about 0.85 GB
+_TOWER_RESIDUE_CAP = 10**7
+
+
+def _require_tower_cap(m0: int, p: int, depth: int) -> None:
+    """Raise ValueError if m0 p^depth > _TOWER_RESIDUE_CAP; p >= 2."""
+    size = m0
+    for _ in range(depth):  # stops within log2(cap) steps, whatever depth is
+        if size > _TOWER_RESIDUE_CAP:
+            break
+        size *= p
+    if size > _TOWER_RESIDUE_CAP:
+        raise ValueError(f"m0 p^depth exceeds the tower cap of {_TOWER_RESIDUE_CAP} residues")
+
+
 def cmd_check_distribution(args) -> int:
     if not is_prime(args.p):
         raise ValueError("--p must be prime")
@@ -155,7 +175,10 @@ def cmd_check_distribution(args) -> int:
     if args.alpha is not None or args.eps_p is not None:
         params = StabilizationParams(_rational(args.alpha or "1", "--alpha"),
                                      _rational(args.eps_p or "0", "--eps-p"))
+        if params.eps_p not in (-1, 0, 1):
+            raise ValueError("--eps-p must be -1, 0 or 1")
         params.check_unit(args.p)
+    _require_tower_cap(args.m0, args.p, args.depth)
     fam = bernoulli_family(args.m0, args.p, args.depth)
     if params is not None:
         fam = stabilize(fam, params)
@@ -372,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m0", type=int, required=True)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--alpha", help="stabilization unit root (exact rational)")
-    p.add_argument("--eps-p", help="stabilization character value at p")
+    p.add_argument("--eps-p", help="stabilization character value at p: -1, 0 or 1")
     p.set_defaults(func=cmd_check_distribution)
 
     p = add_parser("padic-l", help="branch p-adic L series with lambda/mu")

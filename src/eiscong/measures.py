@@ -11,7 +11,7 @@ unit per level (p mod m0, 1 mod p^nu).
 
 A level is one flat list of integer numerators over its least positive
 common denominator, in residue-block order (LevelFamily), so each stage is
-a few C-level passes over whole blocks and one gcd per level.
+a few C-level passes over one block at a time and one gcd per block.
 LevelFamily.value is the one Fraction accessor.
 
 The series bridge is the Gamma-transform
@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, groupby, repeat
-from operator import add, floordiv, mul, sub
+from operator import add, floordiv, mul, ne, sub
 
 from .arith import crt, factorize, val_p
 from .characters import DirichletCharacter, HeckeCharacterQF, sign_masks, value_table
@@ -107,12 +107,34 @@ class LevelFamily:
         return Fraction(self.num[nu][i], self.den[nu])
 
 
-def _level(den: int, nums: list[int]) -> tuple[int, list[int]]:
-    """(den, nums) over the least common denominator; den must be positive."""
-    g = math.gcd(den, *nums)
-    if g != 1:
-        return den // g, list(map(floordiv, nums, repeat(g)))
-    return den, nums
+def _level(den: int, blocks) -> tuple[int, list[int]]:
+    """(den, nums) over the least common denominator from a level's blocks.
+
+    blocks yields lists of ints of one length, in block order; den must be
+    positive.  Each block is reduced by its own g_b = gcd(den, *block) and
+    appended, so the level is built once with one block of working memory.
+    The level's gcd is g = gcd(g_b ...), and the blocks with g_b != g are
+    multiplied back by g_b / g in place.
+    """
+    nums, gbs = [], []
+    for blk in blocks:
+        gb = math.gcd(den, *blk)
+        gbs.append(gb)
+        nums += blk if gb == 1 else map(floordiv, blk, repeat(gb))
+        del blk  # not held while the next block is built
+    g, size = math.gcd(*gbs), len(nums) // len(gbs)
+    for i, gb in enumerate(gbs):
+        if gb != g:
+            lo = i * size
+            nums[lo:lo + size] = map(mul, repeat(gb // g), nums[lo:lo + size])
+    return den // g, nums
+
+
+def _skip(xs, s: int, p: int) -> list:
+    """list(xs) less its entries at t = s mod p: one block of a level nu >= 1."""
+    blk = list(xs)
+    del blk[s::p]
+    return blk
 
 
 def _scaled(k: int, xs):
@@ -127,7 +149,8 @@ def bernoulli_family(m0: int, p: int, depth: int) -> LevelFamily:
     exactly.  At nu = 0 the unit-group fiber over a loses the lift divisible
     by p, so the coherent value is B1(a/m0) - B1(p^-1 a / m0) =
     (a - (p^-1 a mod m0)) / m0; with the plain value there the distribution
-    identity would fail at the bottom step (level m0 conventions).
+    identity would fail at the bottom step (level m0 conventions).  Each
+    block is one range less its entries with p | a, with one gcd per block.
     """
     if m0 < 1:
         raise ValueError("m0 must be a positive integer")
@@ -137,13 +160,13 @@ def bernoulli_family(m0: int, p: int, depth: int) -> LevelFamily:
         raise ValueError("need depth >= 1")
     blocks = _blocks(m0, p)
     pinv = pow(p % m0, -1, m0) if m0 > 1 else 0
-    levels = [_level(m0, [r - pinv * r % m0 for r, _ in blocks])]
+    levels = [_level(m0, [[r - pinv * r % m0 for r, _ in blocks]])]
     for nu in range(1, depth + 1):
         q = m0 * p**nu
         k = 2 - q % 2  # (2a - q) / k over 2q / k, a = r + m0 t over block r
-        levels.append(_level(2 * q // k, list(chain.from_iterable(
-            compress(range((2 * r - q) // k, (2 * r + q) // k, 2 * m0 // k), _mask(p, s, nu))
-            for r, s in blocks))))
+        levels.append(_level(2 * q // k, (
+            _skip(range((2 * r - q) // k, (2 * r + q) // k, 2 * m0 // k), s, p)
+            for r, s in blocks)))
     return LevelFamily(m0, p, depth, *map(list, zip(*levels)))
 
 
@@ -181,29 +204,42 @@ def stabilize(fam: LevelFamily, params: StabilizationParams) -> LevelFamily:
     the twisted block r is block r' rotated by c.  With alpha^-nu = s_n / s_d
     and eps_p / alpha = t_n / t_d, level nu of numerators N over den becomes
         s_n (t_d N(a) - t_n N(a e)) / (s_d t_d den),
-    passes of integer products and one gcd per level.  The p-adic valuation
-    of alpha must be 0.
+    formed one output block at a time from its own slice and the two
+    rotated slices of its partner block r', with one gcd per block
+    (_level), so no second copy of the level is held.  The p-adic
+    valuation of alpha must be 0.
     """
     params.check_unit(fam.p)
     alpha, eps = params.alpha, params.eps_p
     twist = eps / alpha
     tn, td = twist.numerator, twist.denominator
-    m0, p, blocks = fam.m0, fam.p, fam.blocks
     levels = []
     for nu, (den, nums) in enumerate(zip(fam.den, fam.num)):
         scale = 1 / alpha**nu
-        sn, sd = scale.numerator, scale.denominator
-        if tn:
-            q, e, size = fam.level_modulus(nu), fam.tame_unit(nu), len(nums) // len(blocks)
-            twisted = []
-            for r, _ in blocks:
-                c, r2 = divmod(r * e % q, m0)
-                i = fam._rank[r2]
-                blk, k = nums[i * size:(i + 1) * size], _position(c, blocks[i][1], p)
-                twisted += blk[k:] + blk[:k]
-            nums = map(sub, _scaled(td, nums), _scaled(tn, twisted))
-        levels.append(_level(sd * td * den, list(_scaled(sn, nums))))
-    return LevelFamily(m0, p, fam.depth, *map(list, zip(*levels)))
+        levels.append(_level(scale.denominator * td * den,
+                             _stabilized_blocks(fam, nu, nums, scale.numerator, tn, td)))
+    return LevelFamily(fam.m0, fam.p, fam.depth, *map(list, zip(*levels)))
+
+
+def _stabilized_blocks(fam: LevelFamily, nu: int, nums: list[int], sn: int, tn: int, td: int):
+    """The blocks of s_n (t_d N(a) - t_n N(a e)) at level nu, one list each.
+
+    Block r chains its partner r' from the rotation point c to the end and
+    then the start, so the twisted block is never stored.
+    """
+    m0, p, blocks = fam.m0, fam.p, fam.blocks
+    q, e, size = fam.level_modulus(nu), fam.tame_unit(nu), len(nums) // len(blocks)
+    for j, (r, _) in enumerate(blocks):
+        own = nums[j * size:(j + 1) * size]
+        if not tn:
+            yield list(_scaled(sn, own))
+            continue
+        c, r2 = divmod(r * e % q, m0)
+        i = fam._rank[r2]
+        lo, hi = i * size, (i + 1) * size
+        k = lo + _position(c, blocks[i][1], p)
+        twisted = chain(nums[k:hi], nums[lo:k])
+        yield list(_scaled(sn, map(sub, _scaled(td, own), _scaled(tn, twisted))))
 
 
 @dataclass
@@ -217,10 +253,12 @@ def check_distribution(fam: LevelFamily) -> DistributionReport:
     """Fiber sums between consecutive levels, exactly, lexicographic-first failure.
 
     The fibers are summed as numerators over the upper level's denominator,
-    so a fiber over a holds when sum * den_lower == N_lower(a) * den_upper;
-    a failing fiber reports its sum as a Fraction.  Block r of level nu + 1
-    is p chunks aligned with block r of level nu >= 1 (t + k p^nu), and all
-    of it lies over the one unit r at nu = 0: its chunks sum to the fibers.
+    so with g = gcd(den_lower, den_upper) a fiber over a holds when
+    sum * (den_lower / g) == N_lower(a) * (den_upper / g), compared lazily
+    and with no product at all when the denominators agree; a failing fiber
+    reports its sum as a Fraction.  Block r of level nu + 1 is p chunks
+    aligned with block r of level nu >= 1 (t + k p^nu), and all of it lies
+    over the one unit r at nu = 0: its chunks sum to the fibers.
     """
     checked, nb = 0, len(fam.blocks)
     for nu in range(fam.depth):
@@ -230,9 +268,11 @@ def check_distribution(fam: LevelFamily) -> DistributionReport:
         sums = []
         for i in range(0, len(upper), size):
             sums += map(sum, zip(*[upper[j:j + n] for j in range(i, i + size, n)]))
-        if list(_scaled(d_lo, sums)) != list(_scaled(d_up, lower)):
+        g = math.gcd(d_lo, d_up)
+        k_lo, k_up = d_lo // g, d_up // g
+        if any(map(ne, _scaled(k_lo, sums), _scaled(k_up, lower))):
             units = list(fam.units(nu))
-            a, x = min((a, x) for a, x, y in zip(units, sums, lower) if x * d_lo != y * d_up)
+            a, x = min((a, x) for a, x, y in zip(units, sums, lower) if x * k_lo != y * k_up)
             return DistributionReport(False, checked + sum(map(a.__ge__, units)),
                                       (nu, a, fam.value(a, nu), Fraction(x, d_up)))
         checked += len(lower)

@@ -226,6 +226,55 @@ class TestCheckDistribution:
         assert code == 2 and out == ""
         assert json.loads(capsys.readouterr().err) == {"error": "alpha must be a unit at p"}
 
+    @pytest.mark.parametrize("eps", ["-1", "0", "1"])
+    def test_character_values_of_eps_p_pass(self, eps):
+        code, out = run_cli(["check-distribution", "--p", "5", "--m0", "3", "--depth", "3",
+                             "--alpha", "1", "--eps-p", eps])
+        assert code == 0 and json.loads(out)["ok"]
+
+    @pytest.mark.parametrize("eps", ["2", "-2", "1/2", "3/2"])
+    def test_eps_p_outside_the_character_values_exit_code(self, eps, capsys):
+        # eps_p is a character value at p; --eps-p 2 used to run and exit 0
+        code, out = run_cli(["check-distribution", "--p", "5", "--m0", "3", "--depth", "3",
+                             "--eps-p", eps])
+        assert code == 2 and out == ""
+        assert json.loads(capsys.readouterr().err) == {"error": "--eps-p must be -1, 0 or 1"}
+
+    @pytest.mark.parametrize("m0,p,depth", [
+        ("129", "5", "7"),            # 129 * 5^7 = cap + 78125
+        ("12", "5", "9"),             # depth 9 of the CI tower, 23.4M residues
+        ("1", "3", "1000000000"),     # p^depth is never formed
+        ("10000001", "2", "0"),       # m0 alone over the cap
+        ("1", "170141183460469231731687303715884105727", "1"),  # the prime 2^127 - 1
+    ])
+    def test_tower_over_the_cap_refused_before_any_level(self, monkeypatch, capsys,
+                                                         m0, p, depth):
+        # a large tower used to end in a MemoryError traceback (exit 1) or an
+        # out-of-memory kill; nothing is built, so this costs nothing
+        import eiscong.cli as cli
+
+        def unreachable(*args):
+            raise AssertionError("bernoulli_family called")
+
+        monkeypatch.setattr(cli, "bernoulli_family", unreachable)
+        code, out = run_cli(["check-distribution", "--p", p, "--m0", m0, "--depth", depth,
+                             "--alpha", "1", "--eps-p", "1"])
+        assert code == 2 and out == ""
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"m0 p^depth exceeds the tower cap of {cli._TOWER_RESIDUE_CAP} residues"}
+
+    def test_tower_at_the_cap_is_built(self, monkeypatch, capsys):
+        import eiscong.cli as cli
+
+        def reached(*args):
+            raise ValueError(f"bernoulli_family{args}")
+
+        monkeypatch.setattr(cli, "bernoulli_family", reached)
+        assert 128 * 5**7 == cli._TOWER_RESIDUE_CAP
+        code, _ = run_cli(["check-distribution", "--p", "5", "--m0", "128", "--depth", "7"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "bernoulli_family(128, 5, 7)"}
+
 
 # the full stdout of two padic-l runs, pinned byte for byte
 PADIC_L_D2_M5 = (

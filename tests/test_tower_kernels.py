@@ -21,6 +21,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -304,6 +305,44 @@ def test_all_zero_levels_have_denominator_one():
         assert not any(x for lvl in stab.num for x in lvl)
     zero = map_values(bernoulli_family(3, 5, 3), lambda v: 0)
     assert stabilize(zero, StabilizationParams(Fraction(2, 3), 1)).den == [1] * 4
+
+
+def test_blocks_with_different_gcds_are_scaled_back():
+    # block 7 of m0 = 12 holds half-integers and the other blocks integers,
+    # so the blocks of a stabilized level reduce by different gcds g_b and
+    # those with g_b != g are multiplied back by g_b / g; in the output such a
+    # block still shares the factor g_b / g with its level's denominator
+    rng = random.Random(12)
+    vals = [{a: Fraction(2 * rng.randint(-20, 20) + 1, 2) if a % 12 == 7
+             else Fraction(rng.randint(-40, 40)) for a in lvl}
+            for lvl in level_values(bernoulli_family(12, 5, 3))]
+    fam = from_fractions(12, 5, 3, vals)
+    for params in (StabilizationParams(1, 0), StabilizationParams(1, 1),
+                   StabilizationParams(Fraction(2, 11), 0), StabilizationParams(-4, -1)):
+        got = stabilize(fam, params)
+        _same_family(got, _oracle_stabilize(fam, params))
+        scaled_back = [(nu, i) for nu, (den, lvl) in enumerate(zip(got.den, got.num))
+                       for i in range(0, len(lvl), len(lvl) // 4)
+                       if math.gcd(den, *lvl[i:i + len(lvl) // 4]) != 1]
+        assert scaled_back, params
+
+
+def test_stabilize_holds_the_input_and_one_block():
+    # the traced peak of stabilize, input family included, at the bench's
+    # largest tower: about 1.5 times the input with one residue block of
+    # working memory, against about 2.4 times when the twisted level, a
+    # level of differences and a level-wide gcd argument tuple were held
+    tracemalloc.start()
+    try:
+        fam = bernoulli_family(12, 5, 6)
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        stab = stabilize(fam, StabilizationParams(1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check_distribution(stab).ok
+    assert peak < 1.8 * size, (peak, size)
 
 
 @pytest.mark.parametrize("seed", range(6))
