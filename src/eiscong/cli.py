@@ -149,22 +149,23 @@ def _rational(text: str, flag: str) -> Fraction:
 
 
 # check-distribution refuses a tower whose top level has more than this many
-# residues m0 p^depth, before any level is built.  Peak RSS runs to about 82
+# residues m0 p^depth, before any level is built.  Peak RSS runs to about 80
 # bytes per residue when m0 = 1 and one block is a whole level (--p 3 --m0 1
-# --depth 14 --alpha 1 --eps-p 1: 411 MB for 4.78M residues; --p 5 --m0 12
-# --depth 8 needs about 21 bytes per residue, 115 MB; CPython 3.11, Linux),
-# so a run at the cap stays under about 0.85 GB
+# --depth 14 --alpha 1 --eps-p 1: 363 MiB for 4.78M residues; --p 5 --m0 12
+# --depth 8 needs about 26 bytes per residue, 114 MiB; CPython 3.11, Linux),
+# so a run at the cap stays under about 0.8 GB
 _TOWER_RESIDUE_CAP = 10**7
 
 
 def _require_tower_cap(m0: int, p: int, depth: int) -> None:
-    """Raise ValueError if m0 p^depth > _TOWER_RESIDUE_CAP; p >= 2."""
-    size = m0
-    for _ in range(depth):  # stops within log2(cap) steps, whatever depth is
-        if size > _TOWER_RESIDUE_CAP:
-            break
-        size *= p
-    if size > _TOWER_RESIDUE_CAP:
+    """Raise ValueError if m0 p^depth > _TOWER_RESIDUE_CAP; p >= 2.
+
+    The exponent is clipped to the cap's bit length b: for m0 >= 1 and
+    p >= 2, m0 p^b >= 2^b exceeds the cap already, so a huge depth forms no
+    huge power.  An m0 <= 0 passes here and is refused by bernoulli_family.
+    """
+    e = max(0, min(depth, _TOWER_RESIDUE_CAP.bit_length()))
+    if m0 * p**e > _TOWER_RESIDUE_CAP:
         raise ValueError(f"m0 p^depth exceeds the tower cap of {_TOWER_RESIDUE_CAP} residues")
 
 

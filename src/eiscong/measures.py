@@ -130,13 +130,6 @@ def _level(den: int, blocks) -> tuple[int, list[int]]:
     return den // g, nums
 
 
-def _skip(xs, s: int, p: int) -> list:
-    """list(xs) less its entries at t = s mod p: one block of a level nu >= 1."""
-    blk = list(xs)
-    del blk[s::p]
-    return blk
-
-
 def _scaled(k: int, xs):
     """k times each of xs, lazily; xs itself when k = 1."""
     return xs if k == 1 else map(mul, repeat(k), xs)
@@ -150,7 +143,8 @@ def bernoulli_family(m0: int, p: int, depth: int) -> LevelFamily:
     by p, so the coherent value is B1(a/m0) - B1(p^-1 a / m0) =
     (a - (p^-1 a mod m0)) / m0; with the plain value there the distribution
     identity would fail at the bottom step (level m0 conventions).  Each
-    block is one range less its entries with p | a, with one gcd per block.
+    block is built alone, a range compressed by the block's skip mask, with
+    one gcd per block.
     """
     if m0 < 1:
         raise ValueError("m0 must be a positive integer")
@@ -165,7 +159,8 @@ def bernoulli_family(m0: int, p: int, depth: int) -> LevelFamily:
         q = m0 * p**nu
         k = 2 - q % 2  # (2a - q) / k over 2q / k, a = r + m0 t over block r
         levels.append(_level(2 * q // k, (
-            _skip(range((2 * r - q) // k, (2 * r + q) // k, 2 * m0 // k), s, p)
+            list(compress(range((2 * r - q) // k, (2 * r + q) // k, 2 * m0 // k),
+                          _mask(p, s, nu)))
             for r, s in blocks)))
     return LevelFamily(m0, p, depth, *map(list, zip(*levels)))
 

@@ -196,10 +196,14 @@ class TestCheckDistribution:
         assert code == 2
 
     @pytest.mark.parametrize("m0", ["-3", "0"])
-    def test_non_positive_m0_exit_code(self, m0):
-        # a negative m0 used to build an empty tower and report ok with 0 cells
-        code, out = run_cli(["check-distribution", "--p", "5", "--m0", m0, "--depth", "3"])
+    def test_non_positive_m0_exit_code(self, m0, capsys):
+        # a negative m0 used to build an empty tower and report ok with 0 cells;
+        # the huge depth checks that the tower cap forms no m0 p^depth first,
+        # since an m0 <= 0 never passes the cap
+        code, out = run_cli(["check-distribution", "--p", "5", "--m0", m0,
+                             "--depth", "1000000000"])
         assert code == 2 and out == ""
+        assert json.loads(capsys.readouterr().err) == {"error": "m0 must be a positive integer"}
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--alpha", "1/0", "--alpha has a zero denominator"),
