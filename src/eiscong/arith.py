@@ -2,13 +2,14 @@
 
 Everything here is exact integer arithmetic.  Primality is deterministic
 Miller-Rabin for 64-bit inputs and strong-probable-prime beyond that;
-factoring is trial division plus Brent's variant of Pollard rho.
+factoring is trial division (a wheel mod 30) plus Brent's Pollard rho.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from itertools import accumulate, chain, compress, cycle
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -50,7 +51,7 @@ def primes_up_to(bound: int) -> list[int]:
     for i in range(2, math.isqrt(bound) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, v in enumerate(sieve) if v]
+    return list(compress(range(bound + 1), sieve))
 
 
 def _pollard_brent(n: int, rng: random.Random, iters: int) -> int | None:
@@ -85,25 +86,30 @@ def _pollard_brent(n: int, rng: random.Random, iters: int) -> int | None:
     return g if g != n else None
 
 
+def _trial_divisors():
+    """2, 3, 5, then every d >= 7 prime to 30 in increasing order (a wheel mod 30)."""
+    return chain((2, 3, 5), accumulate(cycle((4, 2, 4, 2, 4, 6, 2, 6)), initial=7))
+
+
 def factorize(n: int, rho_iters: int = 200000) -> dict[int, int] | None:
     """Factor |n| into primes; None if a composite cofactor resists rho.
 
-    Trial division by 2 and by odd d < 10^5 while d^2 <= n.  If it stopped at
-    d^2 > n, the cofactor has no prime factor below d, so it is 1 or prime
-    and is recorded with no `is_prime` call; a cofactor left at the 10^5 cap
-    goes to `is_prime` and Brent rho.  Cofactors above 64 bits that rho
-    cannot split within `rho_iters` make the call return None.
+    Trial division by the `_trial_divisors` d < 10^5 while d^2 <= n.  If it
+    stopped at d^2 > n, the cofactor has no prime factor below d, so it is 1
+    or prime and is recorded with no `is_prime` call; a cofactor left at the
+    10^5 cap goes to `is_prime` and Brent rho.  Cofactors above 64 bits that
+    rho cannot split within `rho_iters` make the call return None.
     """
     n = abs(n)
     if n in (0, 1):
         return {}
     out: dict[int, int] = {}
-    d = 2
-    while d < 100000 and d * d <= n:
+    for d in _trial_divisors():
+        if d >= 100000 or d * d > n:
+            break
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1 if d == 2 else 2
     if d * d > n:
         return out | {n: 1} if n > 1 else out
     rng = random.Random(0xE15)

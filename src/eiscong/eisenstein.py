@@ -13,8 +13,11 @@ fundamental-unit order test.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import repeat
+from math import isqrt
+from operator import add, mul
 from typing import ClassVar
 
 from .arith import factorize, primes_up_to
@@ -79,22 +82,18 @@ class CoefficientSystem:
 
 
 def _ideal_walk(field: RealQuadraticField, bound: int) -> list:
-    """The prime ideals q of norm <= bound, each with its powers.
+    """The prime ideals q of norm <= bound as (p, tag, N(q)), in increasing (p, tag) order.
 
-    Entries are (p, tag, N(q), [(N(q)^e, (p, tag, e)) for N(q)^e <= bound])
-    in increasing (p, tag) order, named by `primes_over` from (disc_F | p)
-    read off chi_disc's value table.
+    They are named by `primes_over` from (disc_F | p) read off chi_disc's
+    value table; an inert p with p^2 > bound is skipped before that call.
     """
     kron = value_table(kronecker_character(field.disc))
     primes = []
     for p in primes_up_to(bound):
-        for tag, nrm in primes_over(p, kron[p % field.disc]):
-            pw, qe = [], nrm
-            while qe <= bound:
-                pw.append((qe, (p, tag, len(pw) + 1)))
-                qe *= nrm
-            if pw:
-                primes.append((p, tag, nrm, pw))
+        st = kron[p % field.disc]
+        if st >= 0 or p * p <= bound:
+            for tag, nrm in primes_over(p, st):
+                primes.append((p, tag, nrm))
     return primes
 
 
@@ -106,36 +105,51 @@ def eisenstein_coeffs(series: EisensteinSeries, bound: int) -> CoefficientSystem
     its factor tuple stays sorted.  C is multiplicative, so the child gets
     C(parent) L_e(q) as it is made, with each q's `local_factors` computed
     once from eps(q) = chi1(N(q)) read off chi1's value table: no character
-    is evaluated per ideal.  N(q) >= p, so the scan of a node stops at the
-    first p with norm * p > bound, and the walk descends into a child only
-    when the next prime still fits.
+    is evaluated per ideal.  A node of norm n visits the primes with
+    p^2 <= bound/n one by one, descending only when the next prime fits; a
+    later q adds at most the leaf of norm n p (N(q) = p <= bound/n), and
+    those leaves are appended by C-level passes over a slice.
     """
     field, table = series.eps.field, value_table(series.eps.chi1)
-    primes = _ideal_walk(field, bound)
-    steps = []
-    for k, (p, _, nq, pw) in enumerate(primes):
+    # ps[j]: p of the j-th prime ideal q, then bound + 1; steps[j]: its
+    # (N(q)^e, ((p, tag, e),), L_e) while p^2 <= bound; leaf_*: N(q),
+    # ((p, tag, 1),) and L_1 of each q of norm p, first[j] of them before the j-th
+    ps, steps, first, leaf_n, leaf_f, leaf_c = [], [], [], [], [], []
+    for p, tag, nq in _ideal_walk(field, bound):
         local = series.local_factors(p, table[nq % len(table)], nq, bound)
-        nxt = primes[k + 1][0] if k + 1 < len(primes) else bound + 1
-        steps.append((p, nxt, [(qe, pe, le) for (qe, pe), le in zip(pw, local[1:])]))
+        ps.append(p)
+        first.append(len(leaf_n))
+        if p * p <= bound:
+            steps.append([(nq**e, ((p, tag, e),), local[e]) for e in range(1, len(local))])
+        if nq == p:
+            leaf_n.append(p)
+            leaf_f.append(((p, tag, 1),))
+            leaf_c.append(local[1])
+    ps.append(bound + 1)
+    first.append(len(leaf_n))
     norms, facs, cs = ([1], [()], [1]) if bound >= 1 else ([], [], [])
 
     def descend(start: int, n: int, factors: tuple, c: int) -> None:
-        for j in range(start, len(steps)):
-            p, nxt, powers = steps[j]
-            if n * p > bound:
-                break
-            for qe, pe, le in powers:
+        top = bound // n
+        split = max(start, bisect_right(ps, isqrt(top)))
+        for j in range(start, split):
+            for qe, pe, le in steps[j]:
                 nc = n * qe
                 if nc > bound:
                     break
-                child, cc = factors + (pe,), c * le
+                child, cc = factors + pe, c * le
                 norms.append(nc)
                 facs.append(child)
                 cs.append(cc)
-                if nc * nxt <= bound:
+                if nc * ps[j + 1] <= bound:
                     descend(j + 1, nc, child, cc)
+        lo, hi = first[split], bisect_right(leaf_n, top)
+        norms.extend(map(mul, repeat(n), leaf_n[lo:hi]))
+        facs.extend(map(add, repeat(factors), leaf_f[lo:hi]))
+        cs.extend(map(mul, repeat(c), leaf_c[lo:hi]))
 
-    descend(0, 1, (), 1)
+    if norms:
+        descend(0, 1, (), 1)
     # preorder emits the factor tuples in increasing order (a prefix before
     # its extensions, siblings in (p, tag, e) order), so a stable sort on the
     # norm alone gives the (norm, factors) order; tuple.__new__ builds the

@@ -81,32 +81,36 @@ def _centered_power_sums(chi: DirichletCharacter, n: int) -> dict[int, int]:
             for m in range(n % 2, n + 1, 2)}
 
 
-def _sigma1(n: int, primes: list[int]) -> int:
-    """Sum of the divisors of n >= 1, by trial division; primes holds every prime <= sqrt(n)."""
-    total = 1
-    for p in primes:
-        if p * p > n:
-            break
-        if n % p == 0:
-            power = term = 1
-            while n % p == 0:
-                n //= p
-                power *= p
-                term += power
-            total *= term
-    return total * (n + 1) if n > 1 else total
-
-
 def _siegel_b2(f: int) -> Fraction:
     """B_{2,chi_f} = (2/5) sum_{b^2 < f, b = f mod 2} sigma_1((f - b^2)/4), f > 1.
 
     f is a positive fundamental discriminant.  The sum runs over all integers
-    b, so b = 0 counts once and each b > 0 twice (for b and -b).
+    b, so b = 0 counts once and each b > 0 twice (for b and -b).  n =
+    (f - b^2)/4 is divided only by the primes of g = gcd(n, prod of the
+    primes <= sqrt(f/4)), found by trial division of g until p^2 > g; what
+    remains of n <= f/4 is then 1 or a prime.
     """
     primes = primes_up_to(math.isqrt(f // 4))
-    total = 0
+    prod, total = math.prod(primes), 0
     for b in range(f % 2, math.isqrt(f - 1) + 1, 2):
-        s = _sigma1((f - b * b) // 4, primes)
+        n = (f - b * b) // 4
+        g, qs = math.gcd(n, prod), []
+        for p in primes:
+            if p * p > g:
+                break
+            if g % p == 0:
+                qs.append(p)
+                g //= p
+        if g > 1:
+            qs.append(g)
+        s = 1
+        for q in qs:
+            term = 1  # sigma_1(q^v) = 1 + q + ... + q^v, one q per division
+            while n % q == 0:
+                n //= q
+                term = term * q + 1
+            s *= term
+        s *= n + 1 if n > 1 else 1
         total += 2 * s if b else s
     return Fraction(2 * total, 5)
 

@@ -16,6 +16,8 @@ discriminant.  The oracles here cover the rest:
   B_n(a/f) in CycSum.  `pair_with_character` pairs a level family with a
   character, and acceptance criterion 4 compares the two through
   `inverse`, `times_euler_factor` and `cyc_equal`.
+- `siegel_b2` is Siegel's divisor sum for B_{2,chi_f} with each sigma_1 by
+  plain trial division (`sigma1`), the reference for `lseries._siegel_b2`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from eiscong.arith import crt, factorize
+from eiscong.arith import crt, factorize, primes_up_to
 from eiscong.characters import DirichletCharacter
 from eiscong.lseries import bernoulli_numbers
 from eiscong.measures import _primitive_root
@@ -259,6 +261,32 @@ def bernoulli_sum(chi: GenericCharacter, n: int) -> CycSum:
         if k is not None:
             acc.add_term(k, f ** (n - 1) * bernoulli_poly(n, Fraction(a, f)))
     return acc
+
+
+def sigma1(n: int, primes: list[int]) -> int:
+    """Sum of the divisors of n >= 1, by trial division; primes holds every prime <= sqrt(n)."""
+    total = 1
+    for p in primes:
+        if p * p > n:
+            break
+        if n % p == 0:
+            power = term = 1
+            while n % p == 0:
+                n //= p
+                power *= p
+                term += power
+            total *= term
+    return total * (n + 1) if n > 1 else total
+
+
+def siegel_b2(f: int) -> Fraction:
+    """(2/5) sum_{b^2 < f, b = f mod 2} sigma_1((f - b^2)/4) for a fundamental discriminant f > 1."""
+    primes = primes_up_to(math.isqrt(f // 4))
+    total = 0
+    for b in range(f % 2, math.isqrt(f - 1) + 1, 2):
+        s = sigma1((f - b * b) // 4, primes)
+        total += 2 * s if b else s
+    return Fraction(2 * total, 5)
 
 
 def times_euler_factor(value, chi, p: int):

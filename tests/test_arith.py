@@ -2,9 +2,10 @@
 
 import math
 import random
+from itertools import takewhile
 
 from eiscong import arith
-from eiscong.arith import _pollard_brent, factorize, is_prime, primes_up_to
+from eiscong.arith import _pollard_brent, _trial_divisors, factorize, is_prime, primes_up_to
 
 
 def _product(fac):
@@ -12,8 +13,9 @@ def _product(fac):
 
 
 def _oracle_factorize(n, rho_iters=200000):
-    """The earlier `factorize`: every cofactor, even one that trial division
-    has proved to be 1 or prime, goes through `is_prime` and the rho stack."""
+    """The earlier `factorize`: trial division by 2 and every odd d, and every
+    cofactor, even one that trial division has proved to be 1 or prime, goes
+    through `is_prime` and the rho stack."""
     n = abs(n)
     if n in (0, 1):
         return {}
@@ -113,6 +115,27 @@ class TestFactorizeOracle:
         # a cofactor left at the 10^5 cap still goes to is_prime and rho
         assert factorize(100003 * 100019) == {100003: 1, 100019: 1}
         assert calls
+
+
+class TestTrialWheel:
+    def test_wheel_is_2_3_5_then_the_d_prime_to_30(self):
+        got = list(takewhile(lambda d: d < 10**5, _trial_divisors()))
+        assert got == [2, 3, 5] + [d for d in range(7, 10**5) if math.gcd(d, 30) == 1]
+        # the first divisor at the cap, where the d^2 > n test is read
+        assert next(d for d in _trial_divisors() if d >= 10**5) == 100001
+
+    def test_wheel_primes_and_their_products(self):
+        smooth = [2**a * 3**b * 5**c for a in range(5) for b in range(4) for c in range(4)]
+        assert [n for n in [5, 25, 35, 49, 7 * 11 * 13] + smooth if not _same(n)] == []
+
+    def test_primes_below_the_trial_cap(self):
+        top = [p for p in range(99999, 90000, -2) if is_prime(p)]
+        low = [p for p in range(90001, 10**5, 2) if is_prime(p)]
+        assert top[:2] == [99991, 99989]
+        inputs = [low[0], top[0], low[0] * top[0], 99989 * 99991, 99991**2, 7 * 100003]
+        assert [n for n in inputs if not _same(n)] == []
+        assert factorize(99989 * 99991) == {99989: 1, 99991: 1}
+        assert factorize(7 * 100003) == {7: 1, 100003: 1}
 
 
 class TestPrimality:

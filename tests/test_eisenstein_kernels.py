@@ -202,19 +202,22 @@ def test_table_read_eps_equals_value_on_ideal(d):
     primes = _ideal_walk(f, 1500)
     want = [a.factors[0] for a in _oracle_enumerate_ideals(f, 1500)
             if len(a.factors) == 1 and a.factors[0][2] == 1]
-    assert [(p, tag, 1) for p, tag, _, _ in primes] == sorted(want)
+    assert [(p, tag, 1) for p, tag, _ in primes] == sorted(want)
     for m in _seeded_levels(f):
         eps = induce_quadratic(f, m)
         table = value_table(eps.chi1)
-        for p, tag, nq, _ in primes:
+        for p, tag, nq in primes:
             read = 0 if m % p == 0 else table[nq % len(table)]
             assert read == eps.value_on_ideal(IdealQF(d, ((p, tag, 1),))), (m, p, tag)
 
 
 # 2 ramifies in d = 2, 3, 6, 7, 94, is inert in d = 5, 13, 29 and splits in
-# d = 17; d = 6 and 94 are 2 mod 4, d = 3 and 7 are 3 mod 4
+# d = 17; d = 6 and 94 are 2 mod 4, d = 3 and 7 are 3 mod 4.  The bounds
+# include both sides of the inert squares 9, 25, 121 and 169 (3, 5, 11 and
+# 13 are inert in Q(sqrt 2)), where an inert prime enters or leaves the walk
 GRID_FIELDS = (2, 3, 5, 6, 7, 13, 17, 29, 94)
-GRID_BOUNDS = (1, 2, 3, 4, 9, 50, 600, 1500)
+INERT_SQUARE_BOUNDS = (8, 9, 24, 25, 120, 121, 168, 169)
+GRID_BOUNDS = (1, 2, 3, 4, 50, 600, 1500) + INERT_SQUARE_BOUNDS
 
 
 def _grid_levels(field, count=8):
@@ -241,3 +244,16 @@ def test_walk_order_on_seeded_grid(d):
             assert ideals == sorted(ideals, key=lambda a: (a.norm, a.factors)), (m, bound)
             assert ideals == want[bound], (m, bound)
             assert all(type(a) is IdealQF for a in ideals), (m, bound)
+
+
+@pytest.mark.parametrize("d", GRID_FIELDS)
+def test_every_bound_to_300_is_a_prefix_of_the_oracle(d):
+    # at a node of norm n the walk takes the primes with p^2 <= bound/n one by
+    # one and appends the later norm-p children in one batch; every bound,
+    # the INERT_SQUARE_BOUNDS among them, moves that split at some node
+    f = make_field(d)
+    series = stripped_eisenstein(f, _grid_levels(f, 1)[0])
+    want = [(a, _oracle_coefficient_at(series, a)) for a in enumerate_ideals(f, 300)]
+    for bound in range(1, 301):
+        got = list(eisenstein_coeffs(series, bound).coeffs.items())
+        assert got == [(a, c) for a, c in want if a.norm <= bound], bound

@@ -1,13 +1,20 @@
 """Bernoulli numbers, generalized Bernoulli numbers, exact L-values."""
 
+import random
 from fractions import Fraction
 
 from eiscong.arith import factorize
-from eiscong.characters import kronecker_character, induce_quadratic
-from eiscong.lseries import bernoulli_numbers, dirichlet_L_neg, gen_bernoulli, hecke_L_neg_induced
+from eiscong.characters import is_fundamental_discriminant, kronecker_character, induce_quadratic
+from eiscong.lseries import (
+    _siegel_b2,
+    bernoulli_numbers,
+    dirichlet_L_neg,
+    gen_bernoulli,
+    hecke_L_neg_induced,
+)
 from eiscong.quadfield import make_field
 
-from character_oracles import bernoulli_poly, bernoulli_sum, enumerate_characters
+from character_oracles import bernoulli_poly, bernoulli_sum, enumerate_characters, siegel_b2
 from ideal_oracles import enumerate_ideals
 
 
@@ -86,6 +93,25 @@ class TestGenBernoulli:
                 slow = Fraction(f) ** (n - 1) * sum(
                     chi(a) * bernoulli_poly(n, Fraction(a, f)) for a in range(1, f + 1))
                 assert gen_bernoulli(chi, n) == slow, (D, n)
+
+
+class TestSiegelB2:
+    # the gcd-with-primorial divisor sums against plain trial division
+    def test_every_fundamental_discriminant_below_20000(self):
+        discs = [f for f in range(2, 20000) if is_fundamental_discriminant(f)]
+        assert len(discs) > 6000
+        assert [f for f in discs if _siegel_b2(f) != siegel_b2(f)] == []
+
+    def test_seeded_discriminants_to_4_million(self):
+        # 1021020 = 4 * 255255 and 2042040 = 8 * 255255 are the conductors
+        # of the L-value CI pin, with six odd primes each
+        rng = random.Random(0x5E6E1)
+        discs = [1021020, 2042040]
+        while len(discs) < 26:
+            f = rng.randrange(20000, 4 * 10**6)
+            if is_fundamental_discriminant(f):
+                discs.append(f)
+        assert [f for f in discs if _siegel_b2(f) != siegel_b2(f)] == []
 
 
 class TestLValues:

@@ -1,6 +1,7 @@
 """Fields, units, splitting, ideals, the iota^1 index, and unit orders."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -270,7 +271,44 @@ class TestIota1:
             (2 * index_iota1(f, a)) * (2 * index_iota1(f, b))
 
 
+def _unreduced_unit_check(field, p, e):
+    """The trace ladder on the full exponent e, as unit_power_check ran it before."""
+    t = int(2 * field.u_plus.x) % p
+    v, w = 2, t
+    for bit in bin(e)[2:]:
+        if bit == "1":
+            v, w = (v * w - t) % p, (w * w - 2) % p
+        else:
+            v, w = (v * v - 2) % p, (v * w - t) % p
+    return "divides" if (v - 2) % p == 0 else "coprime"
+
+
 class TestUnitPower:
+    @pytest.mark.parametrize("d", [2, 5, 13, 17, 29])
+    def test_reduced_exponent_equals_unreduced_ladder(self, d):
+        # the ladder runs on e mod (p^2 - 1); exponents on both sides of the
+        # group orders p - 1, p + 1 and p^2 - 1 of the residue fields
+        f = make_field(d)
+        rng = random.Random(0x1AD + d)
+        for p in (q for q in primes_up_to(1999) if q >= 5 and f.disc % q):
+            ks = (1, 2, rng.randrange(3, 10**6))
+            es = [rng.randrange(1, 2**100) for _ in range(3)]
+            es += [k * n + s for k in ks for n in (p * p - 1, p - 1, p + 1) for s in (-1, 0, 1)]
+            for e in es:
+                assert unit_power_check(f, p, e) == _unreduced_unit_check(f, p, e), (p, e)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 6, 13, 15, 17, 29, 94])
+    def test_refuses_exactly_the_ramified_primes(self, d):
+        # the refusal reads (disc_F | p) = 0, the value primes_over's callers read
+        f = make_field(d)
+        for p in primes_up_to(200):
+            if kronecker(f.disc, p) == 0:
+                assert f.disc % p == 0
+                with pytest.raises(ValueError, match="p divides the discriminant"):
+                    unit_power_check(f, p, 1)
+            else:
+                assert unit_power_check(f, p, 1) in ("divides", "coprime")
+
     def test_examples(self):
         f = make_field(2)
         assert unit_power_check(f, 7, 1) == "coprime"
