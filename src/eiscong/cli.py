@@ -18,9 +18,9 @@ from . import __version__
 from .arith import factorize, is_prime
 from .characters import induce_quadratic, kronecker_character
 from .eisenstein import (
+    congruence_stages,
     eisenstein_coeffs,
     scan_congruence,
-    scan_factored,
     stripped_eisenstein,
 )
 from .iwasawa import IndistinguishableFromZero, IwasawaElement, lambda_mu
@@ -60,6 +60,20 @@ def _config_echo(args, command: str, keys: list[str]) -> dict:
     return cfg
 
 
+def _lvalue_json(rec, fac) -> dict:
+    """The exact L-value and its factorization as [[p, e], ...], None if rho gave up."""
+    return {"value": str(rec.value),
+            "factorization": None if fac is None else sorted([p, e] for p, e in fac.items())}
+
+
+def _json_arg(text: str | bytes, flag: str):
+    """json.loads(text); a decode or parse error, or too deep a nesting, names the flag."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ValueError(f"{flag} is not readable JSON: {e}") from None
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -89,8 +103,7 @@ def cmd_lvalue(args) -> int:
         "field": field.to_json(),
         "character": eps.to_json(),
         "s": rec.s,
-        "value": str(rec.value),
-        "factorization": None if fac is None else sorted([p, e] for p, e in fac.items()),
+        **_lvalue_json(rec, fac),
     }
     _emit(args, result)
     return 3 if fac is None else 0
@@ -122,10 +135,11 @@ def cmd_scan(args) -> int:
 
 def cmd_padic_lambda(args) -> int:
     try:
-        with open(args.infile) as fh:
-            obj = json.load(fh)
+        with open(args.infile, "rb") as fh:
+            text = fh.read()
     except OSError as e:
         raise ValueError(f"cannot read --in: {e}") from None
+    obj = _json_arg(text, "--in")
     try:
         series = IwasawaElement.from_json(obj)
     except KeyError as e:
@@ -199,7 +213,7 @@ def cmd_check_distribution(args) -> int:
 
 
 def _parse_branch(text: str):
-    obj = json.loads(text)
+    obj = _json_arg(text, "--branch")
     if not isinstance(obj, dict):
         raise ValueError("--branch must be a JSON object")
     for key in ("d", "m", "chi1_disc", "chi2_disc", "twist"):
@@ -236,7 +250,7 @@ def cmd_padic_l(args) -> int:
     if not is_prime(args.p) or args.p == 2:
         raise ValueError("--p must be an odd prime")
     _require_positive(args)
-    strip_primes = json.loads(args.strip) if args.strip else []
+    strip_primes = _json_arg(args.strip, "--strip") if args.strip else []
     if not (isinstance(strip_primes, list)
             and all(type(q) is int and is_prime(q) for q in strip_primes)
             and len(set(strip_primes)) == len(strip_primes)):
@@ -292,20 +306,13 @@ def cmd_verify_example(args) -> int:
               ]}
     failures = 0
 
-    # stage 1: exact L-value
-    rec = hecke_L_neg_induced(eps, 2)
-    fac = factorize(rec.value.numerator, rho_iters=args.rho_iters)
-    bundle["lvalue"] = {
-        "value": str(rec.value),
-        "factorization": None if fac is None else sorted([p, e] for p, e in fac.items()),
-    }
+    # stages 1-2: exact L-value, its factorization, congruence scan
+    rec, fac, reports = congruence_stages(eps, args.rho_iters)
+    bundle["lvalue"] = _lvalue_json(rec, fac)
     if fac is None:
         bundle["error"] = "factorization exhausted"
         _emit(args, bundle)
         return 3
-
-    # stage 2: congruence scan on the stage-1 value and factorization
-    reports = scan_factored(rec, fac)
     bundle["scan"] = [r.to_json() for r in reports]
     candidates = [r.p for r in reports if r.verdict == "candidate"]
     bundle["candidates"] = candidates

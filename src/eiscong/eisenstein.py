@@ -5,10 +5,10 @@ The series has coefficients C(a) = sum_{c | a} eps(a/c) 1_(m)(c) N(c), with
 m is removed.  A coefficient system maps the integral ideals of norm <= bound
 to their exact coefficients.
 
-The scanner reproduces the worked congruence-prime search: candidate primes
-divide the exact value L_F(-1, eps), then must pass the level-coefficient
-test, the residue-unit-group and index coprimality tests, and the
-fundamental-unit order test.
+`congruence_stages` runs the worked congruence-prime search in one pass:
+the exact value L_F(-1, eps), its factorization, then the level-coefficient,
+residue-unit-group, index-coprimality and fundamental-unit order tests on
+each candidate prime divisor.  `scan_congruence` is its report list.
 """
 
 from __future__ import annotations
@@ -190,43 +190,31 @@ def stripped_eisenstein(field: RealQuadraticField, m: int) -> EisensteinSeries:
     return EisensteinSeries(induce_quadratic(field, m))
 
 
-def scan_congruence(field: RealQuadraticField, m: int, *,
-                    rho_iters: int = 200000) -> list[CongruenceReport]:
-    """Candidate congruence primes for the weight-2 Eisenstein series at (m).
+def congruence_stages(eps: HeckeCharacterQF, rho_iters: int
+                      ) -> tuple[LValueRecord, dict[int, int] | None, list[CongruenceReport]]:
+    """Stages 1-2 for eps = induce_quadratic(field, m): (L-value, factorization, reports).
 
-    Candidates are the prime divisors of the exact value L_F(-1, eps)
-    surviving the filters (p | 6 Delta_F, p <= 4, p | m); each then faces
-    the level-coefficient test (b), the residue-unit and index-coprimality
-    tests, and the totally-positive-unit order test.  Verdict "candidate"
-    means every implemented check passed; cohomology torsion-freeness
-    remains an explicit unchecked assumption.
+    Stage 1 is L_F(-1, eps), exact, and the factorization of its numerator;
+    if rho gives up within rho_iters, the factorization is None and the one
+    report is "unfactored".  Stage 2 reports each prime divisor that passes
+    the filters (p | 6 Delta_F, p <= 4, p | m), in increasing order, with the
+    level-coefficient test (b), the residue-unit and index-coprimality tests
+    and the totally-positive-unit order test; "candidate" means all passed.
+    Cohomology torsion-freeness remains an explicit unchecked assumption.
 
-    Test (b) asks C(q) != N(q) mod p at some level prime q.  Every level
-    prime lies over a prime dividing m, where eps and 1_(m) vanish, so
-    C(q) = 0 and (b) reads p does not divide N(q): the p | m filter already
-    implies it, and `hypothesis_b` is true on every report.
+    (b) asks C(q) != N(q) mod p at some prime q of the level (m)^2.  Each
+    such q lies over a prime dividing m, where eps and 1_(m) vanish, so
+    C(q) = 0 and (b) reads p not dividing N(q), which the p | m filter
+    implies: `hypothesis_b` is true on every report.
     """
-    lrec = hecke_L_neg_induced(induce_quadratic(field, m), 2)
+    lrec = hecke_L_neg_induced(eps, 2)
     fac = factorize(lrec.value.numerator, rho_iters=rho_iters)
+    field, m, lstr = eps.field, eps.aux_m, str(lrec.value)
     if fac is None:
-        return [CongruenceReport(field.d, m, 0, str(lrec.value), None,
-                                 False, False, False, False, False,
-                                 verdict="unfactored")]
-    return scan_factored(lrec, fac)
-
-
-def scan_factored(lrec: LValueRecord, fac: dict[int, int]) -> list[CongruenceReport]:
-    """The per-prime checks of scan_congruence, given L_F(-1, eps) factored.
-
-    lrec is hecke_L_neg_induced(eps, 2) for eps = induce_quadratic(field, m),
-    and fac the factorization of its numerator; one report per prime that
-    passes the filters, in increasing order.  The level is (m)^2.  Since
-    C(q) = 0 at every level prime q, hyp_b is p not dividing N(q), implied
-    by the p | m filter (see scan_congruence).
-    """
-    eps = lrec.character
-    field, m = eps.field, eps.aux_m
-    lstr = str(lrec.value)
+        return lrec, None, [CongruenceReport(field.d, m, 0, lstr, None,
+                                             False, False, False, False, False,
+                                             verdict="unfactored")]
+    fac_list = sorted([q, e] for q, e in fac.items())
     series = EisensteinSeries(eps)
     m_sq = ideal_pow(eps.modulus_ideal, 2)
     level_primes = m_sq.prime_factors()
@@ -234,7 +222,7 @@ def scan_factored(lrec: LValueRecord, fac: dict[int, int]) -> list[CongruenceRep
     unit_count = m_sq.residue_unit_count()
 
     reports = []
-    for p in sorted(fac):
+    for p, _ in fac_list:
         if p <= 4 or (6 * field.disc) % p == 0 or m % p == 0:
             continue
         hyp_b = any((series.coefficient_at(q) - q.norm) % p != 0 for q in level_primes)
@@ -244,8 +232,13 @@ def scan_factored(lrec: LValueRecord, fac: dict[int, int]) -> list[CongruenceRep
         unit_ok = unit_power_check(field, p, iota1) == "coprime"
         ok = hyp_b and hyp_c and res_ok and iota_ok and unit_ok
         reports.append(CongruenceReport(
-            field.d, m, p, lstr, sorted([q, e] for q, e in fac.items()),
-            hyp_b, hyp_c, res_ok, iota_ok, unit_ok,
+            field.d, m, p, lstr, fac_list, hyp_b, hyp_c, res_ok, iota_ok, unit_ok,
             verdict="candidate" if ok else "rejected",
         ))
-    return reports
+    return lrec, fac, reports
+
+
+def scan_congruence(field: RealQuadraticField, m: int, *,
+                    rho_iters: int = 200000) -> list[CongruenceReport]:
+    """The reports of `congruence_stages` for the weight-2 Eisenstein series at (m)."""
+    return congruence_stages(induce_quadratic(field, m), rho_iters)[2]

@@ -67,7 +67,8 @@ class IwasawaElement:
         A missing key raises KeyError.  Input of the wrong shape raises
         ValueError: not an object, p, N or M not a non-negative integer, M
         zero, p not prime, coeffs not a list of digit strings or longer than
-        M, a digit outside [0, p), or pole_factor not a boolean.
+        M, a digit not written in ASCII 0-9 or outside [0, p), or
+        pole_factor not a boolean.
         """
         if not isinstance(obj, dict):
             raise ValueError("a serialized series must be a JSON object")
@@ -127,10 +128,10 @@ def parse_digit_string(s: str, p: int) -> int:
     if s == "":
         return 0
     acc = 0
-    for d in reversed([int(t) for t in s.split(",")]):
-        if not 0 <= d < p:
-            raise ValueError(f"digit {d} of {s!r} is outside [0, {p})")
-        acc = acc * p + d
+    for t in reversed(s.split(",")):
+        if not (t.isascii() and t.isdigit() and int(t) < p):
+            raise ValueError(f"digit {t!r} of {s!r} is not ASCII 0-9 in [0, {p})")
+        acc = acc * p + int(t)
     return acc
 
 

@@ -151,9 +151,8 @@ def gen_bernoulli(chi: DirichletCharacter, n: int) -> Fraction:
 
 @dataclass
 class LValueRecord:
-    """An exact special value L(s, character)."""
+    """An exact special value L(s, chi) of some character chi."""
 
-    character: object
     s: int
     value: Fraction
 
@@ -162,12 +161,12 @@ def dirichlet_L_neg(chi: DirichletCharacter, n: int) -> LValueRecord:
     """L(1-n, chi) = -B_{n,chi}/n, exact; zeta(0) = -1/2 at the trivial chi."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return LValueRecord(chi, 1 - n, -gen_bernoulli(chi, n) / n)
+    return LValueRecord(1 - n, -gen_bernoulli(chi, n) / n)
 
 
 def hecke_L_neg_induced(eps: HeckeCharacterQF, n: int) -> LValueRecord:
     """L_F(1-n, eps) as the product of the two induced Dirichlet factors."""
     l1 = dirichlet_L_neg(eps.chi1, n)
     l2 = dirichlet_L_neg(eps.chi2, n)
-    return LValueRecord(eps, 1 - n, l1.value * l2.value)
+    return LValueRecord(1 - n, l1.value * l2.value)
 

@@ -218,11 +218,8 @@ def unit_power_check(field: RealQuadraticField, p: int, e: int) -> str:
     V_k = Tr(u_plus^k), so the test is V_e = 2 mod p.  V_e comes from the
     doubling ladder on (V_k, V_(k+1)) with V_0 = 2, V_1 = t = Tr(u_plus):
     V_2k = V_k^2 - 2 and V_(2k+1) = V_k V_(k+1) - t, run on e mod (p^2 - 1)
-    (p^2 - 1 at 0): u_plus^(p^2 - 1) = 1 in each residue field above an
-    unramified p.  Ramified p, (disc_F | p) = 0, is rejected (not etale).
+    (p^2 - 1 at 0): u_plus^(p^2 - 1) = 1 in each residue field above p.
     """
-    if kronecker(field.disc, p) == 0:
-        raise ValueError("p divides the discriminant")
     if e <= 0:
         raise ValueError("need a positive exponent")
     t = int(2 * field.u_plus.x) % p

@@ -56,7 +56,7 @@ class TestLValue:
 
         value = Fraction(2**20000, 3)
         monkeypatch.setattr(cli, "hecke_L_neg_induced",
-                            lambda eps, n: LValueRecord(eps, 1 - n, value))
+                            lambda eps, n: LValueRecord(1 - n, value))
         limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
         code, out = run_cli(["lvalue", "--d", "2", "--m", "5"])
         assert code == 0
@@ -172,6 +172,15 @@ class TestPadicLambda:
             path.write_text(json.dumps(obj))
             code, _ = run_cli(["padic-lambda", "--in", str(path)])
             assert code == 2, obj
+
+    @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{", b"[" * 100000],
+                             ids=["not-json", "not-utf8", "too-deep"])
+    def test_unreadable_json_names_the_flag(self, tmp_path, capsys, content):
+        path = tmp_path / "series.json"
+        path.write_bytes(content)
+        code, out = run_cli(["padic-lambda", "--in", str(path)])
+        assert code == 2 and out == ""
+        assert json.loads(capsys.readouterr().err)["error"].startswith("--in ")
 
     def test_zero_series_is_precision_error(self, tmp_path):
         path = tmp_path / "zero.json"
@@ -367,6 +376,16 @@ class TestPadicL:
                            "--strip", '["a"]'])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,args", [
+        ("--branch", ["--branch", "x"]),
+        ("--branch", ["--branch", "[" * 100000]),
+        ("--strip", ["--branch", '{"d":2,"m":5}', "--strip", "x"]),
+    ], ids=["branch", "branch-too-deep", "strip"])
+    def test_unreadable_json_names_the_flag(self, capsys, flag, args):
+        code, out = run_cli(["padic-l", "--p", "7"] + args)
+        assert code == 2 and out == ""
+        assert json.loads(capsys.readouterr().err)["error"].startswith(flag + " ")
+
     @pytest.mark.parametrize("branch", [
         '{"d":2,"m":"x"}', '{"d":2.5,"m":20149}', '{"d":null,"m":5}',
         '{"chi1_disc":12,"chi2_disc":[13]}', '{"chi1_disc":12,"chi2_disc":13,"twist":"x"}',
@@ -441,7 +460,8 @@ class TestVerifyExample:
         b = run_cli(["verify-example", "--d", "2", "--m", "5", "--N", "2", "--M", "6"])
         assert a == b
 
-    def test_stage_one_value_feeds_the_scan(self, monkeypatch):
+    @pytest.mark.parametrize("command", ["verify-example", "scan-congruence", "lvalue"])
+    def test_stage_one_value_feeds_the_scan(self, monkeypatch, command):
         # one L-value and one factorization per run; the scan is unchanged
         import eiscong.cli as cli
         import eiscong.eisenstein as eisenstein
@@ -463,10 +483,13 @@ class TestVerifyExample:
                             counted("lvalue", eisenstein.hecke_L_neg_induced))
         monkeypatch.setattr(cli, "factorize", counted("factor", cli.factorize))
         monkeypatch.setattr(eisenstein, "factorize", counted("factor", eisenstein.factorize))
-        code, out = run_cli(["verify-example", "--d", "2", "--m", "17"])
+        code, out = run_cli([command, "--d", "2", "--m", "17"])
         assert code == 0
         assert sorted(calls) == ["factor", "lvalue"]
-        assert json.loads(out)["scan"] == want
+        if command == "verify-example":
+            assert json.loads(out)["scan"] == want
+        elif command == "scan-congruence":
+            assert [json.loads(line) for line in out.splitlines()[1:]] == want
 
     @pytest.mark.parametrize("extra,code", [([], 3), (["--p", "7"], 1)],
                              ids=["exhausted", "failed-check-outranks"])
@@ -515,6 +538,19 @@ class TestRhoIters:
         code, out = run_cli([command, "--d", "2", "--m", "5", "--rho-iters", "-1"])
         assert code == 2 and out == ""
         assert "--rho-iters" in json.loads(capsys.readouterr().err)["error"]
+
+    # the numerator 2^2 5^2 128599 134359 keeps a composite cofactor past
+    # trial division that one rho step cannot split; stdout sha256 prefixes
+    @pytest.mark.parametrize("command,digest", [
+        ("scan-congruence", "2aee28e1ea8a8574"),
+        ("verify-example", "2b86d7e11ba87e4b"),
+        ("lvalue", "8e1430b3fcbb8051"),
+    ])
+    def test_exhausted_factorization_pinned(self, command, digest):
+        code, out = run_cli([command, "--d", "2", "--m", "33757", "--rho-iters", "1"])
+        assert code == 3
+        assert 'factorization": null' in out and "1727843304100" in out
+        assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
 
 
 class TestOutputErrors:

@@ -266,8 +266,7 @@ class TestScan:
         from eiscong import eisenstein as eis
         from eiscong.lseries import LValueRecord
 
-        eps = induce_quadratic(f2, 5)
-        fake = LValueRecord(eps, -1, Fraction(-48))
+        fake = LValueRecord(-1, Fraction(-48))
         with mock.patch.object(eis, "hecke_L_neg_induced", return_value=fake):
             assert scan_congruence(f2, 5) == []
 
@@ -298,8 +297,7 @@ class TestScan:
             return n
 
         hard = next_prime(2**82) * next_prime(2**83 + 9)
-        eps = induce_quadratic(f2, 5)
-        fake = LValueRecord(eps, -1, Fraction(hard))
+        fake = LValueRecord(-1, Fraction(hard))
         with mock.patch.object(eis, "hecke_L_neg_induced", return_value=fake):
             reports = scan_congruence(f2, 5, rho_iters=50)
         assert len(reports) == 1

@@ -383,9 +383,16 @@ class TestSerialization:
         {"p": 5, "N": 4, "M": 0, "coeffs": []},              # no coefficient
         {"p": 5, "N": 4, "M": 6, "coeffs": ["1"], "pole_factor": "no"},
         {"p": 5, "N": 4, "M": 6, "coeffs": ["1"], "pole_factor": []},
+        {"p": 5, "N": 4, "M": 6, "coeffs": ["+1"]},          # a sign, which int() reads
+        {"p": 5, "N": 4, "M": 6, "coeffs": [" 1 "]},         # spaces
+        {"p": 5, "N": 4, "M": 6, "coeffs": ["1,\t2"]},       # a tab
+        {"p": 5, "N": 4, "M": 6, "coeffs": ["\u0661"]},      # an Arabic-Indic digit
+        {"p": 11, "N": 4, "M": 6, "coeffs": ["1_0"]},        # 1_0, which int() reads as 10
+        {"p": 5, "N": 4, "M": 6, "coeffs": ["1,,2"]},        # an empty digit
     ], ids=["not-object", "N-not-int", "coeff-not-str", "p-not-prime",
             "digit-out-of-range", "too-many-coeffs", "M-zero", "pole-factor-str",
-            "pole-factor-list"])
+            "pole-factor-list", "digit-sign", "digit-spaces", "digit-tab",
+            "digit-arabic-indic", "digit-underscore", "digit-empty"])
     def test_malformed_input_rejected(self, obj):
         with pytest.raises(ValueError):
             IwasawaElement.from_json(obj)

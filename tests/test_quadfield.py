@@ -298,26 +298,25 @@ class TestUnitPower:
                 assert unit_power_check(f, p, e) == _unreduced_unit_check(f, p, e), (p, e)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 6, 13, 15, 17, 29, 94])
-    def test_refuses_exactly_the_ramified_primes(self, d):
-        # the refusal reads (disc_F | p) = 0, the value primes_over's callers read
+    def test_ramified_primes_match_the_direct_norm(self, d):
+        # the one prime P over a ramified p has residue field F_p, so the
+        # reduced ladder holds there too, and p | N(u_plus^e - 1) exactly
+        # when P | u_plus^e - 1; e < 200 passes p^2 - 1 for p <= 13
         f = make_field(d)
-        for p in primes_up_to(200):
-            if kronecker(f.disc, p) == 0:
-                assert f.disc % p == 0
-                with pytest.raises(ValueError, match="p divides the discriminant"):
-                    unit_power_check(f, p, 1)
-            else:
-                assert unit_power_check(f, p, 1) in ("divides", "coprime")
+        ramified = [p for p in primes_up_to(f.disc) if f.disc % p == 0]
+        assert ramified and all(kronecker(f.disc, p) == 0 for p in ramified)
+        x = QuadElement(d, Fraction(1), Fraction(0))
+        for e in range(1, 200):
+            x = x * f.u_plus
+            norm = (x.x - 1) ** 2 - d * x.y**2
+            for p in ramified:
+                want = "divides" if norm % p == 0 else "coprime"
+                assert unit_power_check(f, p, e) == want, (p, e)
 
     def test_examples(self):
         f = make_field(2)
         assert unit_power_check(f, 7, 1) == "coprime"
         assert unit_power_check(f, 7, 3) == "divides"
-
-    def test_rejects_ramified(self):
-        f = make_field(2)
-        with pytest.raises(ValueError):
-            unit_power_check(f, 2, 1)
 
     @pytest.mark.parametrize("d", [2, 5, 13, 17, 21])
     def test_matches_brute_force_norm(self, d):
