@@ -54,8 +54,10 @@ def primes_up_to(bound: int) -> list[int]:
     return list(compress(range(bound + 1), sieve))
 
 
-def _pollard_brent(n: int, rng: random.Random, iters: int) -> int | None:
-    """One Brent-rho attempt at an odd composite n; a factor 1 < f < n, or None."""
+def _pollard_brent(n: int, rng: random.Random, iters: int) -> tuple[int | None, int]:
+    """One Brent-rho attempt at an odd composite n: (a factor 1 < f < n, or
+    None, the steps spent).  A round's r advancing steps count once per round,
+    the gcd batches once per batch; past `iters` steps the attempt gives up."""
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
@@ -66,6 +68,7 @@ def _pollard_brent(n: int, rng: random.Random, iters: int) -> int | None:
         x = y
         for _ in range(r):
             y = (y * y + c) % n
+        count += r
         k = 0
         while k < r and g == 1:
             ys = y
@@ -76,14 +79,14 @@ def _pollard_brent(n: int, rng: random.Random, iters: int) -> int | None:
             k += m
             count += m
             if count > iters:
-                return None
+                return None, count
         r *= 2
     if g == n:
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
             g = math.gcd(abs(x - ys), n)
-    return g if g != n else None
+    return (g if g != n else None), count
 
 
 def _trial_divisors():
@@ -97,8 +100,9 @@ def factorize(n: int, rho_iters: int = 200000) -> dict[int, int] | None:
     Trial division by the `_trial_divisors` d < 10^5 while d^2 <= n.  If it
     stopped at d^2 > n, the cofactor has no prime factor below d, so it is 1
     or prime and is recorded with no `is_prime` call; a cofactor left at the
-    10^5 cap goes to `is_prime` and Brent rho.  Cofactors above 64 bits that
-    rho cannot split within `rho_iters` make the call return None.
+    10^5 cap goes to `is_prime` and Brent rho.  `rho_iters` bounds the rho
+    steps of the whole call, over every attempt and cofactor; a cofactor that
+    rho cannot split within it makes the call return None.
     """
     n = abs(n)
     if n in (0, 1):
@@ -113,16 +117,17 @@ def factorize(n: int, rho_iters: int = 200000) -> dict[int, int] | None:
     if d * d > n:
         return out | {n: 1} if n > 1 else out
     rng = random.Random(0xE15)
+    budget = rho_iters
     stack = [n]
     while stack:
         m = stack.pop()
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        f = None
         for _ in range(8):
-            f = _pollard_brent(m, rng, rho_iters)
-            if f is not None:
+            f, spent = _pollard_brent(m, rng, budget)
+            budget -= spent
+            if f is not None or budget < 0:
                 break
         if f is None:
             return None

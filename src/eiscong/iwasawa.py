@@ -127,12 +127,19 @@ def digit_string(r: int, p: int, k: int) -> str:
 def parse_digit_string(s: str, p: int) -> int:
     if s == "":
         return 0
+    width = len(str(p - 1))
     acc = 0
     for t in reversed(s.split(",")):
-        if not (t.isascii() and t.isdigit() and int(t) < p):
-            raise ValueError(f"digit {t!r} of {s!r} is not ASCII 0-9 in [0, {p})")
+        # a token longer than p - 1, leading zeros aside, is refused before int() reads it
+        if not (t.isascii() and t.isdigit() and len(t.lstrip("0")) <= width and int(t) < p):
+            raise ValueError(f"digit {_head(t)} of {_head(s)} is not ASCII 0-9 in [0, {p})")
         acc = acc * p + int(t)
     return acc
+
+
+def _head(x: str, k: int = 40) -> str:
+    """repr of x, cut to its first k characters."""
+    return repr(x) if len(x) <= k else repr(x[:k]) + "..."
 
 
 # ---------------------------------------------------------------------------

@@ -538,10 +538,12 @@ def _prefix_power_sums(vals, cuts, mmax: int, sweep):
       cut: mmax (mmax + 1)/2 multiply-adds of one batched shift, and the
       subtractions.
     Dense cuts take the rows: every cut of a conductor below p (the bench's
-    branch-prime shapes) and the headline's p = 4951, 13417.  A few cuts on
-    a long conductor take the shift: p = 5, 7 at f0 in the thousands.  Near
-    the break-even point the two ways measured within 25% of each other
-    (f0 = 20149, 161192 at mmax = 7, 15, 29).
+    branch-prime shapes, pin row padic-l-2-37-p107) and the headline's
+    p = 4951, 13417.  A few cuts on a long conductor take the shift: p = 5, 7
+    at f0 in the thousands (pin rows padic-l-2-20149-p5, padic-l-2-20149-p3).
+    Near the break-even point the two ways measured within 25% of each other
+    (f0 = 20149, 161192 at mmax = 7, 15, 29); rows alone at every call made
+    the bench's branch-conductor workload about 1.5 times as slow (wall_s).
     """
     f = len(vals)
     h = f // 2 + 1

@@ -37,7 +37,7 @@ def _oracle_factorize(n, rho_iters=200000):
             continue
         f = None
         for _ in range(8):
-            f = _pollard_brent(m, rng, rho_iters)
+            f = _pollard_brent(m, rng, rho_iters)[0]
             if f is not None:
                 break
         if f is None:
@@ -81,6 +81,25 @@ class TestFactorize:
         n = (10**9 + 7) * (10**9 + 9)
         assert factorize(n, rho_iters=50) is None
         assert factorize(n) == {10**9 + 7: 1, 10**9 + 9: 1}
+
+    def test_rho_budget_bounds_the_whole_call(self, monkeypatch):
+        # rho splits 100003 off, then cannot split the product of two 101-bit
+        # primes; one budget pays for every reduction mod either cofactor in
+        # every attempt, about 2 per step (a budget per attempt allows 8 times
+        # as many per cofactor)
+        class Modulus(int):
+            reductions = 0
+
+            def __rmod__(self, other):
+                Modulus.reductions += 1
+                return int.__rmod__(self, other)
+
+        brent = arith._pollard_brent
+        monkeypatch.setattr(arith, "_pollard_brent",
+                            lambda m, rng, iters: brent(Modulus(m), rng, iters))
+        big = [q for q in range(2**100 + 1, 2**100 + 400, 2) if is_prime(q)][:2]
+        assert factorize(100003 * big[0] * big[1], rho_iters=20000) is None
+        assert Modulus.reductions < 3 * 20000
 
 
 class TestFactorizeOracle:

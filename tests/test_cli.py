@@ -1,10 +1,10 @@
 """CLI surface: JSON shapes, exit codes, determinism, pinned outputs."""
 
-import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -119,17 +119,6 @@ class TestEis:
         assert by_norm[1] == [1]
         assert 9 in by_norm  # inert (3)
 
-    # stdout sha256 of the divisor-sum coefficients over the ideal_mul walk
-    @pytest.mark.parametrize("bound, lines, digest", [
-        ("1500", 932, "038dd37f5cf17cbd6e13cf20ae2688877bbb03453f21870019e202914dee591f"),
-        ("500", 312, "518afa6dda4cc2c1bb5fda273e85cf86d3bfee62a3cfc362c0ec2892d4f74a20"),
-    ])
-    def test_pinned_output(self, bound, lines, digest):
-        code, out = run_cli(["eis", "--d", "2", "--m", "20149", "--bound", bound])
-        assert code == 0
-        assert out.count("\n") == lines
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
     @pytest.mark.parametrize("bound", ["0", "-5"])
     def test_non_positive_bound_exit_code(self, bound):
         # the unit ideal (norm 1) used to be printed for any bound
@@ -181,6 +170,17 @@ class TestPadicLambda:
         code, out = run_cli(["padic-lambda", "--in", str(path)])
         assert code == 2 and out == ""
         assert json.loads(capsys.readouterr().err)["error"].startswith("--in ")
+
+    def test_over_long_digit_refused_at_once(self, tmp_path, capsys):
+        # int() of a 400 000-digit token takes seconds: its length refuses it
+        # first, and the message echoes at most 40 characters of it
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"p": 5, "N": 4, "M": 6, "coeffs": ["9" * 400000]}))
+        start = time.perf_counter()
+        code, out = run_cli(["padic-lambda", "--in", str(path)])
+        assert time.perf_counter() - start < 0.2
+        assert code == 2 and out == ""
+        assert len(capsys.readouterr().err) < 1000
 
     def test_zero_series_is_precision_error(self, tmp_path):
         path = tmp_path / "zero.json"
@@ -255,7 +255,7 @@ class TestCheckDistribution:
 
     @pytest.mark.parametrize("m0,p,depth", [
         ("129", "5", "7"),            # 129 * 5^7 = cap + 78125
-        ("12", "5", "9"),             # depth 9 of the CI tower, 23.4M residues
+        ("12", "5", "9"),             # one past the depth-8 pin rows, 23.4M residues
         ("1", "3", "1000000000"),     # p^depth is never formed
         ("10000001", "2", "0"),       # m0 alone over the cap
         ("1", "170141183460469231731687303715884105727", "1"),  # the prime 2^127 - 1
@@ -538,19 +538,6 @@ class TestRhoIters:
         code, out = run_cli([command, "--d", "2", "--m", "5", "--rho-iters", "-1"])
         assert code == 2 and out == ""
         assert "--rho-iters" in json.loads(capsys.readouterr().err)["error"]
-
-    # the numerator 2^2 5^2 128599 134359 keeps a composite cofactor past
-    # trial division that one rho step cannot split; stdout sha256 prefixes
-    @pytest.mark.parametrize("command,digest", [
-        ("scan-congruence", "2aee28e1ea8a8574"),
-        ("verify-example", "2b86d7e11ba87e4b"),
-        ("lvalue", "8e1430b3fcbb8051"),
-    ])
-    def test_exhausted_factorization_pinned(self, command, digest):
-        code, out = run_cli([command, "--d", "2", "--m", "33757", "--rho-iters", "1"])
-        assert code == 3
-        assert 'factorization": null' in out and "1727843304100" in out
-        assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
 
 
 class TestOutputErrors:

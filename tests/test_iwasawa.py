@@ -337,6 +337,10 @@ class TestSerialization:
                 s = digit_string(val, p, 8)
                 assert parse_digit_string(s, p) == val
 
+    def test_leading_zeros_accepted(self):
+        assert parse_digit_string("0001,2", 5) == 11
+        assert parse_digit_string("0" * 1000 + "12", 13) == 12
+
     def test_element_roundtrip(self):
         f = IwasawaElement.from_integers(5, 20, 64, [5, 0, 1, 7])
         g = IwasawaElement.from_json(f.to_json())
@@ -389,10 +393,11 @@ class TestSerialization:
         {"p": 5, "N": 4, "M": 6, "coeffs": ["\u0661"]},      # an Arabic-Indic digit
         {"p": 11, "N": 4, "M": 6, "coeffs": ["1_0"]},        # 1_0, which int() reads as 10
         {"p": 5, "N": 4, "M": 6, "coeffs": ["1,,2"]},        # an empty digit
+        {"p": 13, "N": 4, "M": 6, "coeffs": ["100"]},        # longer than p - 1
     ], ids=["not-object", "N-not-int", "coeff-not-str", "p-not-prime",
             "digit-out-of-range", "too-many-coeffs", "M-zero", "pole-factor-str",
             "pole-factor-list", "digit-sign", "digit-spaces", "digit-tab",
-            "digit-arabic-indic", "digit-underscore", "digit-empty"])
+            "digit-arabic-indic", "digit-underscore", "digit-empty", "digit-too-long"])
     def test_malformed_input_rejected(self, obj):
         with pytest.raises(ValueError):
             IwasawaElement.from_json(obj)

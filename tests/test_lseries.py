@@ -103,8 +103,8 @@ class TestSiegelB2:
         assert [f for f in discs if _siegel_b2(f) != siegel_b2(f)] == []
 
     def test_seeded_discriminants_to_4_million(self):
-        # 1021020 = 4 * 255255 and 2042040 = 8 * 255255 are the conductors
-        # of the L-value CI pin, with six odd primes each
+        # 1021020 = 4 * 255255 and 2042040 = 8 * 255255 are the conductors of
+        # the pin rows lvalue-2-255255 (test_pins.py), six odd primes each
         rng = random.Random(0x5E6E1)
         discs = [1021020, 2042040]
         while len(discs) < 26:

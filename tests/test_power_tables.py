@@ -274,7 +274,8 @@ class TestResidueBlocks:
 
     # the two sides of the wrap-term rule in _prefix_power_sums: branch-prime
     # shapes (every residue a cut of a short conductor) read the in-block wrap
-    # off packed rows, p = 3, 5, 7 on conductors in the thousands shift the cuts
+    # off packed rows, p = 3, 5, 7 on conductors in the thousands shift the
+    # cuts; the padic-l rows of test_pins.py pin each side's CLI output
     @pytest.mark.parametrize("D,p,side", [
         (13, 101, "rows"), (104, 101, "rows"), (41, 107, "rows"), (328, 107, "rows"),
         (2557, 3, "shift"), (3389, 5, "shift"), (-4003, 7, "shift"), (8 * 1009, 5, "shift"),

@@ -15,9 +15,7 @@ kernel is the oracle of level V - 1 lifted to the top
 (test_bridge_reads_level_v_minus_one).
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import math
 import random
@@ -29,7 +27,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from eiscong.arith import crt
 from eiscong.characters import kronecker_character
-from eiscong.cli import main
 from eiscong.iwasawa import IwasawaElement, binomial_row, unit_log_ratio
 from eiscong.measures import (
     DistributionReport,
@@ -515,16 +512,3 @@ def test_bench_tower_bridges_pinned(D, p, V):
     got = to_iwasawa_series(stab, kronecker_character(D), 1, 1 + p, V - 2, 8).to_json()
     digest = hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest()
     assert digest.startswith(TOWER_BRIDGE_SHA256[D, p, V]), digest
-
-
-# stdout sha256 of the parent's per-unit tower code on this input
-CHECK_DISTRIBUTION_SHA256 = "4acc67647cf6576ec92291525025babd00d35c0ec66338f5d1fe069ee588471a"
-
-
-def test_check_distribution_cli_pinned():
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(["check-distribution", "--p", "5", "--m0", "12", "--depth", "7",
-                     "--alpha", "1", "--eps-p", "1"])
-    assert code == 0
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CHECK_DISTRIBUTION_SHA256
