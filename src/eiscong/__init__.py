@@ -11,12 +11,3 @@ Modules:
 """
 
 __version__ = "0.1.0"
-
-from .quadfield import IdealQF, RealQuadraticField, make_field  # noqa: F401
-from .characters import (  # noqa: F401
-    DirichletCharacter,
-    HeckeCharacterQF,
-    induce_quadratic,
-    kronecker_character,
-)
-from .iwasawa import IwasawaElement, lambda_mu, weierstrass_prepare  # noqa: F401

@@ -214,3 +214,8 @@ def val_p(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def val_p_factorial(n: int, p: int) -> int:
+    """v_p(n!), by Legendre's formula."""
+    return sum(n // p**k for k in range(1, n.bit_length() + 1))

@@ -24,7 +24,7 @@ from .eisenstein import (
     stripped_eisenstein,
 )
 from .iwasawa import IndistinguishableFromZero, IwasawaElement, lambda_mu
-from .lseries import hecke_L_neg_induced
+from .lseries import BERNOULLI_CAP, hecke_L_neg_induced
 from .measures import (
     StabilizationParams,
     bernoulli_family,
@@ -109,9 +109,18 @@ def cmd_lvalue(args) -> int:
     return 3 if fac is None else 0
 
 
+# eis refuses a norm bound above this before any work: the run holds every
+# ideal up to the bound, about 1.1 kB each (--d 2 --m 20149 at the cap: 187k
+# ideals, 207 MB child RSS; --d 94 --m 5: 472k ideals, 528 MB; CPython 3.11,
+# Linux), and 10^13 ended in a MemoryError in the sieve
+_EIS_BOUND_CAP = 3 * 10**5
+
+
 def cmd_eis(args) -> int:
     if args.bound < 1:
         raise ValueError("--bound must be positive")
+    if args.bound > _EIS_BOUND_CAP:
+        raise ValueError(f"--bound exceeds the cap of {_EIS_BOUND_CAP}")
     field = make_field(args.d)
     series = stripped_eisenstein(field, args.m)
     sys_ = eisenstein_coeffs(series, args.bound)
@@ -245,11 +254,31 @@ def _require_positive(args) -> None:
         raise ValueError("--N and --M must be positive")
 
 
+# padic-l and verify-example refuse a branch prime p whose power tables, (p - 1) / 2
+# classes by N + M + 8 powers, hold more than this many cells, before any work.
+# Peak RSS runs to about 100 bytes per cell at (N, M) = (2, 6) and 130 at (6, 16)
+# (--branch '{"d":2,"m":20149}' --p 266663 --N 6 --M 16, at the cap: 507 MB,
+# 103 s; CPython 3.11, Linux), so a run at the cap stays under about 0.8 GB
+_BRANCH_CELL_CAP = 4 * 10**6
+
+
+def _require_branch_cap(p: int, N: int, M: int) -> None:
+    """Raise ValueError if the branch series at p needs more than BERNOULLI_CAP
+    nodes (N + M + 7, the fit and its self-check) or more than _BRANCH_CELL_CAP
+    power-table cells; N, M >= 1."""
+    if N + M + 7 > BERNOULLI_CAP:
+        raise ValueError(f"N + M + 7 exceeds the Bernoulli cap {BERNOULLI_CAP}")
+    if (p - 1) // 2 * (N + M + 8) > _BRANCH_CELL_CAP:
+        raise ValueError(f"(p - 1) / 2 (N + M + 8) exceeds the power-table cap of "
+                         f"{_BRANCH_CELL_CAP} cells")
+
+
 def cmd_padic_l(args) -> int:
     d1, d2, twist_disc = _parse_branch(args.branch)
     if not is_prime(args.p) or args.p == 2:
         raise ValueError("--p must be an odd prime")
     _require_positive(args)
+    _require_branch_cap(args.p, args.N, args.M)
     strip_primes = _json_arg(args.strip, "--strip") if args.strip else []
     if not (isinstance(strip_primes, list)
             and all(type(q) is int and is_prime(q) for q in strip_primes)
@@ -294,6 +323,8 @@ def cmd_verify_example(args) -> int:
         raise ValueError("p must be a prime exceeding n+2 = 4 for a real quadratic field")
     _require_positive(args)
     _require_rho_iters(args)
+    if args.p is not None:
+        _require_branch_cap(args.p, args.N, args.M)
     field = make_field(args.d)
     eps = induce_quadratic(field, args.m)
     bundle = {"config": _config_echo(args, "verify-example",
@@ -323,6 +354,8 @@ def cmd_verify_example(args) -> int:
     branch_primes = candidates if args.all_branches else candidates[:1]
     if args.p is not None:
         branch_primes = [args.p]
+    for p in branch_primes:  # the scan candidates; a forced --p was checked before stage 1
+        _require_branch_cap(p, args.N, args.M)
     branches = []
     exhausted = False
     for p in branch_primes:

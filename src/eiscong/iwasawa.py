@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
-from .arith import is_prime, val_p
+from .arith import is_prime, val_p, val_p_factorial
+from .lseries import BERNOULLI_CAP
 
 
 class IndistinguishableFromZero(ValueError):
@@ -68,7 +69,10 @@ class IwasawaElement:
         ValueError: not an object, p, N or M not a non-negative integer, M
         zero, p not prime, coeffs not a list of digit strings or longer than
         M, a digit not written in ASCII 0-9 or outside [0, p), or
-        pole_factor not a boolean.
+        pole_factor not a boolean.  So does a series longer than any command
+        writes, refused before its digits are read: N + M + 7 (the node count
+        of a padic-l branch) or a coefficient's digit count above
+        BERNOULLI_CAP.
         """
         if not isinstance(obj, dict):
             raise ValueError("a serialized series must be a JSON object")
@@ -77,6 +81,8 @@ class IwasawaElement:
             raise ValueError("p, N and M must be non-negative integers")
         if m == 0:
             raise ValueError("M must be positive: a series needs a coefficient")
+        if n + m + 7 > BERNOULLI_CAP:
+            raise ValueError(f"N + M + 7 exceeds the Bernoulli cap {BERNOULLI_CAP}")
         pole = obj.get("pole_factor", False)
         if type(pole) is not bool:
             raise ValueError("pole_factor must be a boolean")
@@ -87,6 +93,8 @@ class IwasawaElement:
             raise ValueError("coeffs must be a list of digit strings")
         if len(coeffs) > m:
             raise ValueError(f"{len(coeffs)} coefficients exceed M = {m}")
+        if any(s.count(",") >= BERNOULLI_CAP for s in coeffs):
+            raise ValueError(f"a coefficient has more than {BERNOULLI_CAP} digits")
         res = [parse_digit_string(s, p) for s in coeffs] + [0] * (m - len(coeffs))
         prec = [max(n, s.count(",") + 1 if s else 0) for s in coeffs] + [n] * (m - len(coeffs))
         return IwasawaElement(p, res, prec, pole)
@@ -241,23 +249,21 @@ def weierstrass_prepare(f: IwasawaElement) -> WeierstrassData:
 # Euler factors
 
 
-def unit_log_ratio(x: int, u: int, p: int, w: int) -> int:
-    """c = log<x> / log(u) mod p^w, x a unit, u a generator of 1 + pZp, p odd.
+def unit_log_ratio(x: int, p: int, w: int) -> int:
+    """c = log<x> / log(u) mod p^w, x a unit, u = 1 + p, p odd.
 
     An exact discrete log: <x>^(p-1) = x^(p-1) = y is u^c' mod p^(w+1) for
     one c' = (p - 1) c mod p^w, as u generates the cyclic group
     (1 + pZ)/(1 + p^(w+1)Z) of order p^w.  With y = 1 mod p^(i+1) and
-    h = u^(-p^i) = 1 - a p^(i+1) mod p^(i+2) (a a unit), digit i of c' is
-    d = ((y - 1)/p^(i+1)) a^-1 mod p, and y h^d = 1 mod p^(i+2).
+    h = u^(-p^i) = 1 - p^(i+1) mod p^(i+2), digit i of c' is
+    d = (y - 1)/p^(i+1) mod p, and y h^d = 1 mod p^(i+2).
     """
-    if u % p != 1 or u % p**2 == 1:
-        raise ValueError("u must generate 1 + pZp (v(log u) = 1)")
     if x % p == 0:
         raise ValueError("x must be a p-adic unit")
     mod = p ** (w + 1)
-    y, h, c, pi = pow(x, p - 1, mod), pow(u, -1, mod), 0, 1
+    y, h, c, pi = pow(x, p - 1, mod), pow(1 + p, -1, mod), 0, 1
     for _ in range(w):  # h = u^-pi, pi = p^i
-        d = (1 - y) // (pi * p) * pow((h - 1) // (pi * p), -1, p) % p
+        d = (y - 1) // (pi * p) % p
         y, c = y * pow(h, d, mod) % mod, c + d * pi
         h, pi = pow(h, p, mod), pi * p
     return c * pow(p - 1, -1, pi) % pi
@@ -284,14 +290,14 @@ def euler_factor(chi_q: int, n_q: int, p: int, N: int, M: int) -> IwasawaElement
 
     chi_q is an integer (a character value, 0 or +-1); Nq must be coprime
     to p.  (1+T)^c is the p-adic binomial series truncated at T^M, with c
-    computed to enough digits that every coefficient is good mod p^N.
+    computed mod p^(N + v_p((M-1)!)): by binomial_row's rule, every C(c, j),
+    j < M, is then good mod p^N.
     """
     if n_q % p == 0:
         raise ValueError("Nq must be coprime to p")
     if chi_q == 0:
         return IwasawaElement.from_integers(p, N, M, [1])
-    w_c = N + M // (p - 1) + 3
-    c = unit_log_ratio(n_q, 1 + p, p, w_c)
+    c = unit_log_ratio(n_q, p, N + val_p_factorial(M - 1, p))
     a = chi_q * pow(n_q, -1, p**N)
     res = [-a * b for b in binomial_row(c, M, p, N)]
     res[0] += 1

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress, groupby, repeat
 from operator import add, floordiv, mul, ne, sub
 
-from .arith import crt, factorize, val_p
+from .arith import crt, factorize, val_p, val_p_factorial
 from .characters import DirichletCharacter, HeckeCharacterQF, sign_masks, value_table
 from .iwasawa import IwasawaElement, euler_factor, lambda_mu
 from .lseries import bernoulli_numbers
@@ -277,28 +277,10 @@ def check_distribution(fam: LevelFamily) -> DistributionReport:
 # ---------------------------------------------------------------------------
 # the Gamma-transform bridge
 
-def _primitive_root(q: int, p: int) -> int:
-    """Primitive root mod q = p^e, p odd prime."""
-    phi = q - q // p
-    fac = factorize(phi)
-    for g in range(2, q):
-        if math.gcd(g, q) != 1:
-            continue
-        if all(pow(g, phi // r, q) != 1 for r in fac):
-            return g
-    raise ArithmeticError("no primitive root found")
-
-
-def teichmuller(a: int, p: int, w: int) -> int:
-    """The Teichmuller representative omega(a) mod p^w: the fixed point of x -> x^p."""
-    mod = p**w
-    x = a % mod
-    if x % p == 0:
-        raise ValueError("a must be a p-adic unit")
-    prev = None
-    while x != prev:
-        prev, x = x, pow(x, p, mod)
-    return x
+def _primitive_root(p: int) -> int:
+    """The least primitive root mod the odd prime p."""
+    fac = factorize(p - 1)
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // r, p) != 1 for r in fac))
 
 
 def _teichmuller_powers(p: int, w: int):
@@ -306,11 +288,13 @@ def _teichmuller_powers(p: int, w: int):
 
     One Teichmuller lift zeta = omega(g) of a primitive root g mod p gives
     omega(r) = zeta^ind(r), ind the index of r to the base g, so every power
-    is read from one table of the p - 1 powers of zeta.
+    is read from one table of the p - 1 powers of zeta.  zeta = g^(p^(w-1))
+    mod p^w: it is g mod p (Fermat), and its (p - 1)-th power is
+    (g^(p-1))^(p^(w-1)) = 1 mod p^w, as g^(p-1) lies in 1 + pZ.
     """
     mod = p**w
-    g = _primitive_root(p, p)
-    zeta = teichmuller(g, p, w)
+    g = _primitive_root(p)
+    zeta = pow(g, p ** (w - 1), mod)
     zeta_pow = [1]
     ind = [0] * p
     x = 1
@@ -383,7 +367,7 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
         raise ValueError("family is not p-integral at level V or V - 1; stabilize first")
     level, den = fam.num[L], fam.den[L]
 
-    w = N + V + 4
+    w = max(N, L)  # the weights need N digits, and om_1 reads <c> mod p^L off the same table
     mod, pL = p**w, p**L
     chi = value_table(chi_tame)  # f | m0, so chi(a) = chi(r) at a = r mod m0
     f = len(chi)
@@ -410,16 +394,11 @@ def to_iwasawa_series(fam: LevelFamily, chi_tame: DirichletCharacter,
     return IwasawaElement(p, [x * den_inv for x in series], prec)
 
 
-def _vfact(j: int, p: int) -> int:
-    """v_p(j!), by Legendre's formula."""
-    return sum(j // p**k for k in range(1, j.bit_length() + 1))
-
-
 def bridge_certified_precision(depth: int, p: int, j: int, N: int) -> int:
     """The digits to_iwasawa_series states for T^j on a depth-`depth` tower."""
     if j == 0:
         return N
-    return min(N, max(0, depth - 2 - _vfact(j, p)))
+    return min(N, max(0, depth - 2 - val_p_factorial(j, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +736,7 @@ def _branch_series(chis, p: int, N: int, M: int, omega_power: int) -> list[Iwasa
     fit = _fit_points(N, M)
     big = fit + _CHECK_POINTS
     v = max(val_p(n, p) for n in range(1, big + 1))
-    wk = max(big, N + min(M, big)) + _vfact(big - 1, p) + v
+    wk = max(big, N + min(M, big)) + val_p_factorial(big - 1, p) + v
     sweep = _sweep_rows([chi.conductor for chi in chis], big)
     return [IwasawaElement(p, _newton_fit(_branch_nodes(chi, p, omega_power, big, wk, sweep),
                                           p, N, M, fit),

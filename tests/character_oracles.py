@@ -30,7 +30,6 @@ from itertools import product
 from eiscong.arith import crt, factorize, primes_up_to
 from eiscong.characters import DirichletCharacter
 from eiscong.lseries import bernoulli_numbers
-from eiscong.measures import _primitive_root
 
 EVEN = "even"
 ODD = "odd"
@@ -123,6 +122,14 @@ def cyc_equal(got, want) -> bool:
 
 # ---------------------------------------------------------------------------
 # unit group structure of (Z/m)^x
+
+
+def _primitive_root(q: int, p: int) -> int:
+    """The least primitive root mod q = p^e, p an odd prime."""
+    phi = q - q // p
+    fac = factorize(phi)
+    return next(g for g in range(2, q)
+                if g % p and all(pow(g, phi // r, q) != 1 for r in fac))
 
 
 class UnitGroup:

@@ -6,9 +6,11 @@ survive here as references:
 - `PadicScalar`, u * p^v + O(p^(v+n)) with its own precision, is the
   scalar of the branch tail that test_branch_kernels' integer tail must
   equal exactly;
+- `teichmuller` is omega(a) mod p^w as the fixed point of x -> x^p, which
+  `measures._teichmuller_powers` (a closed form) must equal;
 - `series_unit_log_ratio` is c(x) = log<x>/log u by the truncated log
   series with guard digits, which `iwasawa.unit_log_ratio` (an exact
-  discrete log) must equal on every input.
+  discrete log in base u = 1 + p) must equal on every input.
 
 `p_b1_omega_inv` and `p_value_at_zero` compare a branch series at T = 0
 with the direct Teichmuller sum, in integers.  `random_series` draws a
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 from eiscong.arith import val_p
 from eiscong.iwasawa import IwasawaElement
-from eiscong.measures import _power_tables, teichmuller
+from eiscong.measures import _power_tables
 
 _INF = 10**9  # valuation of an exact zero
 
@@ -187,6 +189,18 @@ def padic_log_1unit(x: int, p: int, w: int) -> int:
         i += 1
         power = power * t % mod
     return acc % p**w
+
+
+def teichmuller(a: int, p: int, w: int) -> int:
+    """The Teichmuller representative omega(a) mod p^w: the fixed point of x -> x^p."""
+    mod = p**w
+    x = a % mod
+    if x % p == 0:
+        raise ValueError("a must be a p-adic unit")
+    prev = None
+    while x != prev:
+        prev, x = x, pow(x, p, mod)
+    return x
 
 
 def series_unit_log_ratio(x: int, u: int, p: int, w: int) -> int:

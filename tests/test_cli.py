@@ -540,6 +540,106 @@ class TestRhoIters:
         assert "--rho-iters" in json.loads(capsys.readouterr().err)["error"]
 
 
+def _refused(capsys, code, out):
+    """The error message of a refusal: exit 2, empty stdout, one JSON line on stderr."""
+    err = capsys.readouterr().err
+    assert code == 2 and out == "" and err.count("\n") == 1, (code, out, err)
+    return json.loads(err)["error"]
+
+
+def _no_work(*args):
+    raise AssertionError("work done for a refused input")
+
+
+class TestCaps:
+    """Each size cap refuses its input with exit 2 before any work.
+
+    Each used to end in a MemoryError traceback (exit 1) or run for minutes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["padic-l", "--branch", '{"d":2,"m":5}', "--p", "1000000007"],
+        ["verify-example", "--p", "1000000007"],
+        ["padic-l", "--branch", '{"d":2,"m":5}', "--p", "7", "--M", str(10**12)],
+    ], ids=["padic-l-p", "verify-example-p", "padic-l-M"])
+    def test_branch_over_the_cap_refused_at_once(self, monkeypatch, capsys, argv):
+        import eiscong.cli as cli
+
+        monkeypatch.setattr(cli, "congruence_stages", _no_work)
+        monkeypatch.setattr(cli, "branch_product", _no_work)
+        start = time.perf_counter()
+        code, out = run_cli(argv)
+        assert time.perf_counter() - start < 0.2
+        assert "cap" in _refused(capsys, code, out)
+
+    def test_branch_at_the_cap_runs(self, monkeypatch, capsys):
+        # p = 7 at (N, M) = (2, 6) has 3 classes by 16 powers, p = 11 has 5
+        import eiscong.cli as cli
+
+        monkeypatch.setattr(cli, "_BRANCH_CELL_CAP", 48)
+        argv = ["padic-l", "--branch", '{"d":2,"m":5}', "--N", "2", "--M", "6", "--p"]
+        code, out = run_cli(argv + ["7"])
+        assert code == 0 and json.loads(out)["series"]["M"] == 6
+        code, out = run_cli(argv + ["11"])
+        assert _refused(capsys, code, out) == (
+            "(p - 1) / 2 (N + M + 8) exceeds the power-table cap of 48 cells")
+
+    def test_node_count_at_the_bernoulli_cap(self, monkeypatch, capsys):
+        import eiscong.cli as cli
+
+        monkeypatch.setattr(cli, "branch_product", _no_work)
+        argv = ["padic-l", "--branch", '{"d":2,"m":5}', "--p", "3", "--N", "2", "--M"]
+        with pytest.raises(AssertionError, match="work done"):
+            run_cli(argv + [str(cli.BERNOULLI_CAP - 9)])
+        code, out = run_cli(argv + [str(cli.BERNOULLI_CAP - 8)])
+        assert _refused(capsys, code, out) == "N + M + 7 exceeds the Bernoulli cap 10000"
+
+    def test_scan_candidate_over_the_cap_refused_before_stage_3(self, monkeypatch, capsys):
+        import eiscong.cli as cli
+
+        monkeypatch.setattr(cli, "_BRANCH_CELL_CAP", 0)
+        monkeypatch.setattr(cli, "branch_product", _no_work)
+        code, out = run_cli(["verify-example", "--d", "2", "--m", "17"])
+        assert "power-table cap of 0 cells" in _refused(capsys, code, out)
+
+    def test_eis_bound_over_the_cap(self, monkeypatch, capsys):
+        import eiscong.cli as cli
+
+        start = time.perf_counter()
+        code, out = run_cli(["eis", "--bound", str(10**13)])
+        assert time.perf_counter() - start < 0.2
+        assert _refused(capsys, code, out) == f"--bound exceeds the cap of {cli._EIS_BOUND_CAP}"
+        monkeypatch.setattr(cli, "_EIS_BOUND_CAP", 100)
+        code, out = run_cli(["eis", "--d", "2", "--m", "5", "--bound", "100"])
+        assert code == 0 and len(out.splitlines()) > 1
+        monkeypatch.setattr(cli, "stripped_eisenstein", _no_work)
+        code, out = run_cli(["eis", "--d", "2", "--m", "5", "--bound", "101"])
+        assert _refused(capsys, code, out) == "--bound exceeds the cap of 100"
+
+    @pytest.mark.parametrize("obj,message", [
+        ({"p": 5, "N": 2, "M": 10**12, "coeffs": []}, "N + M + 7 exceeds the Bernoulli cap 10000"),
+        ({"p": 5, "N": 10**11, "M": 3, "coeffs": []}, "N + M + 7 exceeds the Bernoulli cap 10000"),
+        ({"p": 5, "N": 2, "M": 3, "coeffs": [",".join("4" * 200000)]},
+         "a coefficient has more than 10000 digits"),
+    ], ids=["M", "N", "digits"])
+    def test_series_over_the_cap_refused_at_once(self, tmp_path, capsys, obj, message):
+        # N + M + 7 <= BERNOULLI_CAP holds for every series padic-l writes
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(obj))
+        start = time.perf_counter()
+        code, out = run_cli(["padic-lambda", "--in", str(path)])
+        assert time.perf_counter() - start < 0.2
+        assert _refused(capsys, code, out) == message
+
+    def test_series_at_the_cap_is_read(self, tmp_path):
+        # N + M + 7 = BERNOULLI_CAP, and a unit at T^1 stated to BERNOULLI_CAP digits
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"p": 5, "N": 2, "M": 10**4 - 9,
+                                    "coeffs": ["0,1", ",".join("4" * 10**4)]}))
+        code, out = run_cli(["padic-lambda", "--in", str(path)])
+        obj = json.loads(out)
+        assert (code, obj["mu"], obj["lambda"], obj["certified"]) == (0, 0, 1, True)
+
+
 class TestOutputErrors:
     def test_unwritable_out_exit_code(self, tmp_path, capsys):
         dest = tmp_path / "missing" / "x.json"

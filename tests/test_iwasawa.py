@@ -18,9 +18,9 @@ from eiscong.iwasawa import (
     reflect,
     weierstrass_prepare,
 )
-from eiscong.measures import kubota_leopoldt, teichmuller
+from eiscong.measures import kubota_leopoldt
 
-from padic_oracles import random_series
+from padic_oracles import random_series, teichmuller
 
 
 class TestLambdaMu:

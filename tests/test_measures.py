@@ -193,7 +193,7 @@ class TestTransformEvaluation:
         for a, v in level_values(stab)[2].items():
             s = chi(a)
             if s:
-                ell = unit_log_ratio(a % p**2, 1 + p, p, 1)
+                ell = unit_log_ratio(a % p**2, p, 1)
                 acc[ell % p] += s * v
         # truncation at T^M costs M // (p - 1) digits: (zeta - 1)^(p - 1) is p
         # times a unit
@@ -403,11 +403,11 @@ class TestKubotaLeopoldtSelfCheck:
         assert code == 3
 
     def test_one_node_pass_per_call(self, monkeypatch):
-        # one Teichmuller lift and one power-sum table per call, shared by
+        # one Teichmuller table and one power-sum table per call, shared by
         # every node of the fit and of its self-check
         from eiscong import measures
 
-        calls = {"teichmuller": 0, "_power_tables": 0}
+        calls = {"_teichmuller_powers": 0, "_power_tables": 0}
 
         def counted(name):
             real = getattr(measures, name)
@@ -417,10 +417,10 @@ class TestKubotaLeopoldtSelfCheck:
                 return real(*args)
             return wrapper
 
-        monkeypatch.setattr(measures, "teichmuller", counted("teichmuller"))
+        monkeypatch.setattr(measures, "_teichmuller_powers", counted("_teichmuller_powers"))
         monkeypatch.setattr(measures, "_power_tables", counted("_power_tables"))
         kubota_leopoldt(kronecker_character(13), 101, 2, 6)
-        assert calls == {"teichmuller": 1, "_power_tables": 1}
+        assert calls == {"_teichmuller_powers": 1, "_power_tables": 1}
 
     def test_one_sweep_row_build_per_pair(self, monkeypatch):
         # branch_product builds the packed i^l sweep rows once, for the larger

@@ -40,12 +40,16 @@ from eiscong.measures import (
     bernoulli_family,
     stabilize,
     StabilizationParams,
-    teichmuller,
     to_iwasawa_series,
 )
 
 from character_oracles import primitive_characters
-from padic_oracles import full_power_tables, mirror_classes, power_tables_by_visit
+from padic_oracles import (
+    full_power_tables,
+    mirror_classes,
+    power_tables_by_visit,
+    teichmuller,
+)
 
 
 def _oracle_shift(c, t):

@@ -3,11 +3,11 @@
 Every top-level function and class of a `src/eiscong` module, and every
 method or property of such a class whose name is not a dunder, must be used
 by `src` or `bench/` outside its own definition, as a name or an attribute.
-Importing a name is not a use, so the re-exports in `eiscong/__init__.py`
-do not count.  Every annotated field of such a class that is not a
-`ClassVar` must be read as an attribute by `src` or `bench/`; a class that
-passes `self` to `asdict` reads all of its fields.  A definition only tests reach belongs in a test oracle module
-under `tests/` (for example `character_oracles`, `hecke_oracles`,
+Importing a name is not a use, and `eiscong/__init__.py` re-exports nothing.
+Every annotated field of such a class that is not a `ClassVar` must be read
+as an attribute by `src` or `bench/`; a class that passes `self` to `asdict`
+reads all of its fields.  A definition only tests reach belongs in a test
+oracle module under `tests/` (for example `character_oracles`, `hecke_oracles`,
 `ideal_oracles`, `padic_oracles`).  No `src` function body imports, so an
 import cycle cannot hide in a function.
 """

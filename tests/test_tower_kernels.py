@@ -27,7 +27,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from eiscong.arith import crt
 from eiscong.characters import kronecker_character
-from eiscong.iwasawa import IwasawaElement, binomial_row, unit_log_ratio
+from eiscong.iwasawa import IwasawaElement, binomial_row
 from eiscong.measures import (
     DistributionReport,
     LevelFamily,
@@ -38,12 +38,11 @@ from eiscong.measures import (
     bridge_certified_precision,
     check_distribution,
     stabilize,
-    teichmuller,
     to_iwasawa_series,
 )
 
 from fraction_levels import from_fractions, level_values, map_values
-from padic_oracles import series_unit_log_ratio
+from padic_oracles import series_unit_log_ratio, teichmuller
 
 
 def _oracle_b1(a, q):
@@ -461,7 +460,7 @@ def test_exponent_table_is_the_log_to_base_u(p, V):
         for c in range(pV):
             if c % p:
                 one_unit = c * pow(teichmuller(c, p, V), -1, pV) % pV
-                assert (unit_log_ratio(c, u, p, V + 2) - index[one_unit]) % p ** (V - 1) == 0, \
+                assert (series_unit_log_ratio(c, u, p, V + 2) - index[one_unit]) % p ** (V - 1) == 0, \
                     (u, c)
 
 
@@ -497,6 +496,30 @@ def test_deep_towers_pinned():
                                         12).to_json())
     digest = hashlib.sha256(json.dumps(series, sort_keys=True).encode()).hexdigest()
     assert digest.startswith(DEEP_BRIDGE_SHA256), digest
+
+
+@pytest.mark.parametrize("D,p,V,j,N", [
+    (12, 5, 7, 1, 5),  # a deep tower at N = V - 2: w = V - 1, the digits om_1 reads
+    (5, 3, 3, 1, 5),   # N > V - 1: w = N, the digits the weights need
+])
+def test_bridge_working_precision_is_least(monkeypatch, D, p, V, j, N):
+    # to_iwasawa_series reads its Teichmuller table mod p^w, w = max(N, V - 1); the
+    # same table one digit short changes the series
+    from eiscong import measures
+
+    real, seen = measures._teichmuller_powers, []
+
+    def short(p, w):
+        seen.append(w)
+        return real(p, w - 1)
+
+    stab = stabilize(bernoulli_family(D, p, V), StabilizationParams(1, 1))
+    chi = kronecker_character(D)
+    want = to_iwasawa_series(stab, chi, j, 1 + p, N, 12)
+    monkeypatch.setattr(measures, "_teichmuller_powers", short)
+    got = to_iwasawa_series(stab, chi, j, 1 + p, N, 12)
+    assert seen == [max(N, V - 1)]
+    assert got.prec == want.prec and got.res != want.res
 
 
 # sha256 prefixes of the bridge series at the bench's tower inputs (D, p, V), with
