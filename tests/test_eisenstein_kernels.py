@@ -16,8 +16,7 @@ import random
 import pytest
 
 from eiscong.arith import is_squarefree, primes_up_to
-from eiscong.characters import induce_quadratic, value_table
-from eiscong.eisenstein import _ideal_walk, eisenstein_coeffs, stripped_eisenstein
+from eiscong.eisenstein import eisenstein_coeffs, stripped_eisenstein
 from eiscong.quadfield import (
     INERT,
     RAMIFIED,
@@ -117,7 +116,6 @@ def test_enumerate_ideals_empty_below_one(bound):
     f = make_field(2)
     assert enumerate_ideals(f, bound) == []
     assert _walk_keys(f, bound) == []
-    assert _ideal_walk(f, bound) == []
 
 
 @pytest.mark.parametrize("d", FIELDS)
@@ -194,23 +192,6 @@ def test_walk_coefficients_equal_oracle_at_seeded_levels(d):
             assert got == want, (m, bound)
 
 
-@pytest.mark.parametrize("d", WALK_FIELDS)
-def test_table_read_eps_equals_value_on_ideal(d):
-    # eisenstein_coeffs reads eps(q) as chi1's table at N(q) mod f, 0 when
-    # q lies over m; the walk's prime list is every prime ideal of norm <= 1500
-    f = make_field(d)
-    primes = _ideal_walk(f, 1500)
-    want = [a.factors[0] for a in _oracle_enumerate_ideals(f, 1500)
-            if len(a.factors) == 1 and a.factors[0][2] == 1]
-    assert [(p, tag, 1) for p, tag, _ in primes] == sorted(want)
-    for m in _seeded_levels(f):
-        eps = induce_quadratic(f, m)
-        table = value_table(eps.chi1)
-        for p, tag, nq in primes:
-            read = 0 if m % p == 0 else table[nq % len(table)]
-            assert read == eps.value_on_ideal(IdealQF(d, ((p, tag, 1),))), (m, p, tag)
-
-
 # 2 ramifies in d = 2, 3, 6, 7, 94, is inert in d = 5, 13, 29 and splits in
 # d = 17; d = 6 and 94 are 2 mod 4, d = 3 and 7 are 3 mod 4.  The bounds
 # include both sides of the inert squares 9, 25, 121 and 169 (3, 5, 11 and
@@ -229,6 +210,35 @@ def _grid_levels(field, count=8):
         if m not in out and math.gcd(m, field.disc) == 1 and is_squarefree(m):
             out.append(m)
     return out
+
+
+@pytest.mark.parametrize("d", GRID_FIELDS)
+def test_eps_rule_equals_value_on_ideal(d):
+    # eisenstein_coeffs takes eps(q) from p alone, by Euler's criterion on
+    # the leaves over p > max(2, sqrt(bound)), so C(q) = eps(q) + N(q), or 0
+    # when q | (m), at every prime ideal of norm <= 1500; below bound 4 the
+    # prime 2 lies above sqrt(bound) and must still take the per-prime path
+    f = make_field(d)
+    levels = _grid_levels(f) + [_smallest(f, "split", 3) * _smallest(f, INERT, 3)]
+    assert {m % 4 for m in levels} == {1, 3}  # chi1 = (m | .) and (4m | .)
+    want_primes = [a for a in enumerate_ideals(f, 1500)
+                   if len(a.factors) == 1 and a.factors[0][2] == 1]
+    kinds = set()
+    for m in levels:
+        series = stripped_eisenstein(f, m)
+        for bound in (1, 2, 3, 4, 1500):
+            coeffs = eisenstein_coeffs(series, bound).coeffs
+            primes = [a for a in coeffs if len(a.factors) == 1 and a.factors[0][2] == 1]
+            assert primes == [a for a in want_primes if a.norm <= bound], (m, bound)
+            for q in primes:
+                p, tag, _ = q.factors[0]
+                if m % p == 0:
+                    kinds.add(tag)
+                    want = 0
+                else:
+                    want = series.eps.value_on_ideal(q) + q.norm
+                assert coeffs[q] == want, (m, bound, str(q))
+    assert INERT in kinds and SPLIT1 in kinds  # level primes of both kinds
 
 
 @pytest.mark.parametrize("d", GRID_FIELDS)

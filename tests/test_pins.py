@@ -89,6 +89,9 @@ PINS = [
     Pin("eis-5-12001-3000", ["eis", "--d", "5", "--m", "12001", "--bound", "3000"], 0,
         "f99728de79323a61", lines=1293,
         why="level 11 * 1091 over Q(sqrt 5): both split, and 5 ramifies"),
+    Pin("eis-2-20149-100000", ["eis", "--d", "2", "--m", "20149", "--bound", "100000"], 0,
+        "d733e97e9b1f9b7b", lines=62318, rss_mb=50,
+        why="each line written as it is formatted: 37 MB, against 79 MB for the whole text"),
     Pin("lvalue-2-255255", ["lvalue", "--d", "2", "--m", "255255"], 0,
         "7d82eef80a96f250",
         why="Siegel's divisor sum at conductors 1021020 and 2042040, six odd primes each"),

@@ -8,7 +8,7 @@ import pytest
 
 from eiscong.arith import is_squarefree, kronecker, primes_up_to
 from eiscong.characters import induce_quadratic
-from eiscong.eisenstein import _ideal_walk, eisenstein_coeffs, stripped_eisenstein
+from eiscong.eisenstein import eisenstein_coeffs, stripped_eisenstein
 from eiscong.quadfield import (
     INERT,
     IdealQF,
@@ -152,7 +152,10 @@ class TestSplitting:
                 assert principal_ideal(f, p).factors == want, (d, p)
                 nrm = p * p if st == "inert" else p
                 walk += [(p, tag, nrm) for _, tag, _ in want if nrm <= bound]
-            assert [row[:3] for row in _ideal_walk(f, bound)] == walk, d
+            m = next(m for m in range(3, bound, 2) if math.gcd(m, f.disc) == 1 and is_squarefree(m))
+            coeffs = eisenstein_coeffs(stripped_eisenstein(f, m), bound).coeffs
+            assert sorted((*a.factors[0][:2], a.norm) for a in coeffs
+                          if len(a.factors) == 1 and a.factors[0][2] == 1) == walk, d
 
     def test_norm_product_reconstructs_p_squared(self):
         f = make_field(2)
