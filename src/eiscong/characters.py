@@ -69,6 +69,21 @@ def kronecker_character(D: int) -> DirichletCharacter:
     return DirichletCharacter(D)
 
 
+def split_at_2(chi: DirichletCharacter) -> tuple[DirichletCharacter, DirichletCharacter]:
+    """(chi_e, chi_g) with chi = chi_e chi_g, D = D_e D_g, D_e in {1, -4, 8, -8}, g = |D_g| odd.
+
+    chi is trivial or primitive quadratic, so its discriminant is D = +-f by
+    its parity, f its conductor.  The odd part of a fundamental discriminant
+    is one too once its sign makes it 1 mod 4; D_e = D / D_g is then -4, 8
+    or -8 when D is even, and 1 when D is odd.  (D|a) is multiplicative in
+    D, so chi(a) = chi_e(a) chi_g(a).
+    """
+    f = chi.conductor
+    g = f // (f & -f)
+    D_g = g if g % 4 == 1 else -g
+    return DirichletCharacter((f if chi.is_even() else -f) // D_g), DirichletCharacter(D_g)
+
+
 # A table state is a sum of per-component exponents: 0 where the component
 # is +1, 1 where it is -1 and _ZERO where it is 0.  Fewer than 16 components
 # keep every sum below 256, so sums of byte tables never carry.

@@ -31,6 +31,7 @@ from .measures import (
     bernoulli_family,
     branch_product,
     check_distribution,
+    packed_row_bytes,
     stabilize,
 )
 from .quadfield import make_field
@@ -232,23 +233,28 @@ def _parse_branch(text: str):
     obj = _json_arg(text, "--branch")
     if not isinstance(obj, dict):
         raise ValueError("--branch must be a JSON object")
-    for key in ("d", "m", "chi1_disc", "chi2_disc", "twist"):
+    keys = ("d", "m", "chi1_disc", "chi2_disc", "twist")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"--branch has unknown keys {unknown}")
+    by_field = "d" in obj or "m" in obj
+    if by_field and ("chi1_disc" in obj or "chi2_disc" in obj):
+        raise ValueError("--branch takes d and m, or chi1_disc and chi2_disc, not both")
+    for key in keys:
         if key not in obj or (key == "twist" and obj[key] is None):
             continue  # a null twist is no twist, as the config echo writes it
         if type(obj[key]) is not int:  # bool is a subclass of int
             raise ValueError(f"--branch {key} must be an integer")
     try:
-        if "d" in obj and "m" in obj:
-            field = make_field(obj["d"])
-            eps = induce_quadratic(field, obj["m"])
+        if by_field:
+            eps = induce_quadratic(make_field(obj["d"]), obj["m"])
             d1, d2 = eps.chi1.D, eps.chi2.D
         else:
             d1, d2 = obj["chi1_disc"], obj["chi2_disc"]
     except KeyError as e:
         raise ValueError(
             f"--branch needs d and m, or chi1_disc and chi2_disc; missing {e}") from None
-    twist = obj.get("twist")
-    return d1, d2, twist
+    return d1, d2, obj.get("twist")
 
 
 def _parts_json(parts: dict) -> dict:
@@ -268,16 +274,27 @@ def _require_positive(args) -> None:
 # 103 s; CPython 3.11, Linux), so a run at the cap stays under about 0.8 GB
 _BRANCH_CELL_CAP = 4 * 10**6
 
+# They also refuse a branch series whose packed sweep rows (measures.packed_row_bytes,
+# up to 1024 rows of N + M + 8 slots, each slot wider with its power, so the
+# rows grow as (N + M)^2) hold more than this many bytes, before any work.
+# --branch '{"d":2,"m":20149}' --p 5 --N 1 counts 75 MiB at --M 200 (6.6 s,
+# 93 MB child RSS) and 164 MiB at --M 300 (22 s, 195 MB; CPython 3.11,
+# Linux), so a run at the cap (--M 377 there) stays under about 0.5 GB
+_BRANCH_ROW_BYTES_CAP = 2**28
 
-def _require_branch_cap(p: int, N: int, M: int) -> None:
+
+def _require_branch_cap(p: int, N: int, M: int, conductors) -> None:
     """Raise ValueError if the branch series at p needs more than BERNOULLI_CAP
-    nodes (N + M + 7, the fit and its self-check) or more than _BRANCH_CELL_CAP
-    power-table cells; N, M >= 1."""
+    nodes (N + M + 7, the fit and its self-check), more than _BRANCH_CELL_CAP
+    power-table cells, or for characters of these conductors more than
+    _BRANCH_ROW_BYTES_CAP bytes of packed rows; N, M >= 1."""
     if N + M + 7 > BERNOULLI_CAP:
         raise ValueError(f"N + M + 7 exceeds the Bernoulli cap {BERNOULLI_CAP}")
     if (p - 1) // 2 * (N + M + 8) > _BRANCH_CELL_CAP:
         raise ValueError(f"(p - 1) / 2 (N + M + 8) exceeds the power-table cap of "
                          f"{_BRANCH_CELL_CAP} cells")
+    if packed_row_bytes(conductors, N + M + 7) > _BRANCH_ROW_BYTES_CAP:
+        raise ValueError(f"the packed sweep rows exceed the cap of {_BRANCH_ROW_BYTES_CAP} bytes")
 
 
 def cmd_padic_l(args) -> int:
@@ -285,7 +302,6 @@ def cmd_padic_l(args) -> int:
     if not is_prime(args.p) or args.p == 2:
         raise ValueError("--p must be an odd prime")
     _require_positive(args)
-    _require_branch_cap(args.p, args.N, args.M)
     strip_primes = _json_arg(args.strip, "--strip") if args.strip else []
     if not (isinstance(strip_primes, list)
             and all(type(q) is int and is_prime(q) for q in strip_primes)
@@ -297,6 +313,7 @@ def cmd_padic_l(args) -> int:
     if twist_disc is not None:
         tw = kronecker_character(twist_disc)
         chi1, chi2 = chi1.mul_quadratic(tw), chi2.mul_quadratic(tw)
+    _require_branch_cap(args.p, args.N, args.M, [chi1.conductor, chi2.conductor])
     try:
         res = branch_product(chi1, chi2, strip_primes, args.p, args.N, args.M)
     except (ArithmeticError, IndistinguishableFromZero) as e:
@@ -330,10 +347,11 @@ def cmd_verify_example(args) -> int:
         raise ValueError("p must be a prime exceeding n+2 = 4 for a real quadratic field")
     _require_positive(args)
     _require_rho_iters(args)
-    if args.p is not None:
-        _require_branch_cap(args.p, args.N, args.M)
     field = make_field(args.d)
     eps = induce_quadratic(field, args.m)
+    conductors = [eps.chi1.conductor, eps.chi2.conductor]
+    if args.p is not None:
+        _require_branch_cap(args.p, args.N, args.M, conductors)
     bundle = {"config": _config_echo(args, "verify-example",
                                      ["d", "m", "p", "N", "M", "all_branches"]),
               "substitution": SUBSTITUTION_NOTE,
@@ -362,7 +380,7 @@ def cmd_verify_example(args) -> int:
     if args.p is not None:
         branch_primes = [args.p]
     for p in branch_primes:  # the scan candidates; a forced --p was checked before stage 1
-        _require_branch_cap(p, args.N, args.M)
+        _require_branch_cap(p, args.N, args.M, conductors)
     branches = []
     exhausted = False
     for p in branch_primes:

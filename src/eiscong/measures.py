@@ -34,7 +34,7 @@ from itertools import accumulate, chain, compress, groupby, repeat
 from operator import add, floordiv, mul, ne, sub
 
 from .arith import crt, factorize, val_p, val_p_factorial
-from .characters import DirichletCharacter, HeckeCharacterQF, sign_masks, value_table
+from .characters import DirichletCharacter, HeckeCharacterQF, sign_masks, split_at_2, value_table
 from .iwasawa import IwasawaElement, euler_factor, lambda_mu
 from .lseries import bernoulli_numbers
 
@@ -424,8 +424,7 @@ def _packed_rows(n: int, mmax: int, wide: int, term):
     polynomial of degree <= mmax in i: rows from the forward differences of
     rows 0..mmax, one pass of additions per degree.
     """
-    width = (n - 1).bit_length()
-    sizes = [(width + wide * l + 9) // 8 for l in range(mmax + 1)]  # bytes per slot
+    sizes = _slot_bytes(n, mmax, wide)
     starts = list(accumulate(sizes, initial=0))
     half = [1 << (8 * b - 1) for b in sizes]
     bias = sum(h << 8 * a for h, a in zip(half, starts))
@@ -440,6 +439,23 @@ def _packed_rows(n: int, mmax: int, wide: int, term):
         b = (x + bias).to_bytes(starts[-1], "little")
         return [int.from_bytes(b[a:e], "little") - h for a, e, h in spans]
     return rows, read
+
+
+def _slot_bytes(n: int, mmax: int, wide: int) -> list[int]:
+    """The bytes of slots l = 0..mmax of a `_packed_rows`(n, mmax, wide, ...) row."""
+    width = (n - 1).bit_length()
+    return [(width + wide * l + 9) // 8 for l in range(mmax + 1)]
+
+
+def packed_row_bytes(conductors, mmax: int) -> int:
+    """The bytes of packed rows one `_branch_series` call over characters of these
+    conductors holds at once, at most: its `_sweep_rows` and the wrap rows of
+    `_wraps_by_rows` for the largest f, which are no more rows and wider.  A row
+    of mmax + 1 slots is about mmax^2 wide / 16 bytes."""
+    n, f = _sweep_block(conductors), max(conductors)
+    span = min(n, f // 2 + 1)
+    return (n * sum(_slot_bytes(n, mmax, (n - 1).bit_length()))
+            + span * sum(_slot_bytes(span, mmax, (span - 1 + f).bit_length())))
 
 
 def _walk(rows, signs, lo: int, stops):
@@ -475,9 +491,14 @@ def _wraps_by_shift(reads: dict, f: int):
         yield s, list(map(sub, m, q))
 
 
+def _sweep_block(conductors) -> int:
+    """The residues per block of a half sweep: those of the largest f serve all."""
+    return min(_SWEEP_BLOCK, max(f // 2 + 1 for f in conductors))
+
+
 def _sweep_rows(conductors, mmax: int):
-    """Packed rows of i^l (`_packed_rows`) for half sweeps: those of the largest f serve all."""
-    n = min(_SWEEP_BLOCK, max(f // 2 + 1 for f in conductors))
+    """Packed rows of i^l (`_packed_rows`) for the half sweeps of these conductors."""
+    n = _sweep_block(conductors)
     return _packed_rows(n, mmax, (n - 1).bit_length(), pow)
 
 
@@ -523,6 +544,12 @@ def _prefix_power_sums(vals, cuts, mmax: int, sweep):
     Near the break-even point the two ways measured within 25% of each other
     (f0 = 20149, 161192 at mmax = 7, 15, 29); rows alone at every call made
     the bench's branch-conductor workload about 1.5 times as slow (wall_s).
+
+    An even conductor f = e g (e = 4, 8, g odd) with few cuts does not come
+    here with its own table: `_odd_part_windows` reads each of its windows
+    as e / 2 windows of the odd part chi_g, from one sweep of chi_g's table,
+    which walks g / 2 residues instead of f / 2 (`_sweeps_odd_part` decides
+    by the sizes alone).
     """
     f = len(vals)
     h = f // 2 + 1
@@ -562,6 +589,69 @@ def _prefix_power_sums(vals, cuts, mmax: int, sweep):
     return at, total
 
 
+def _sweeps_odd_part(e: int, g: int, cuts: int, mmax: int) -> bool:
+    """Whether `_odd_part_windows` takes fewer element operations than the direct
+    sweep for a conductor f = e g (e = 1 when f is odd) and `cuts` distinct cuts.
+
+    The odd part saves (f - g) / 2 packed additions of the sweep.  It costs,
+    at each cut and at 0 (the total), e / 2 windows of chi_g where the direct
+    sweep reads one: each a wrap term of at most q = (mmax + 1)(mmax + 2) / 2
+    element operations in `_prefix_power_sums`, then a binomial shift of q
+    multiply-adds to the cut's frame, so about e q per cut.
+    """
+    return e * (cuts + 1) * (mmax + 1) * (mmax + 2) // 2 < (e - 1) * g // 2
+
+
+def _odd_part_windows(chi_e: DirichletCharacter, chi_g: DirichletCharacter, cuts, mmax: int,
+                      sweep):
+    """`_prefix_power_sums` of chi's table at cuts, from a sweep of chi's odd part.
+
+    Returns (at, total) with at[s] = (s, D(s)), the window in the frame of s
+    itself, and total = D(0).  chi = chi_e chi_g (`split_at_2`), f = e g with
+    e = 4 or 8 and g odd.  Write j = c + e t, c odd mod e (chi_e(c) = 0 at
+    even c), and kappa_c = c e^-1 mod g.  Then chi(j) = chi_e(c) chi_g(e)
+    chi_g(u), u = t + kappa_c, and j - s = e u + beta_c, beta_c = c -
+    e kappa_c - s.  As j runs over [s, s + f), u runs over one period of
+    chi_g from sigma_c = ceil((s - c) / e) + kappa_c, so
+        D_l(s) = chi_g(e) sum_c chi_e(c) sum_k C(l,k) e^k beta_c^(l-k) E_k(sigma_c),
+    E_k(sigma) = sum_{sigma <= u < sigma + g} chi_g(u) u^k.  With sigma = q g +
+    rho, u = q g + v moves the window to rho; one above the swept half, rho >
+    g // 2 + 1, is read reflected: v = 2g - w, chi_g(v) = chi_g(-1) chi_g(w),
+    w over the window from g + 1 - rho, which lies in the half, as the pair
+    {r, p - r} does for chi's own cuts.  So each cut reads e / 2 windows of
+    chi_g from one `_prefix_power_sums` over its g-byte table (g = 1: the
+    window from 0 is 0^k), and one batched `_binomial_shift` by the constants
+    moves each to the frame of s.
+    """
+    e, g = chi_e.conductor, chi_g.conductor
+    vals_e, vals_g = value_table(chi_e), value_table(chi_g)
+    h, einv = g // 2 + 1, pow(e, -1, g)
+    points = sorted(set(cuts) | {0})
+    terms = []  # per point and odd c: (rho, sign, z, b), j - s = z w + b over the window from rho
+    for s in points:
+        for c in range(1, e, 2):
+            kappa = c * einv % g
+            q, rho = divmod(kappa - (c - s) // e, g)
+            sign, b = vals_e[c] * vals_g[e % g], c - e * kappa - s + e * q * g
+            terms.append((rho, sign, e, b) if rho <= h
+                         else (g + 1 - rho, sign * vals_g[-1], -e, b + 2 * e * g))
+    if g == 1:
+        sub = {0: (0, [1] + [0] * mmax)}
+    else:
+        sub, _ = _prefix_power_sums(vals_g, [rho for rho, *_ in terms], mmax, sweep)
+    cols, ts = [[] for _ in range(mmax + 1)], []
+    for rho, sign, z, b in terms:
+        lo, window = sub[rho]  # in the frame of lo: j - s = z (w - lo) + b + z lo
+        ts.append(b + z * lo)
+        for col, d in zip(cols, window):
+            col.append(sign * d)
+            sign *= z
+    k = e // 2
+    sums = [list(map(sum, zip(*[iter(c)] * k))) for c in _binomial_shift(list(chain(*cols)), ts)]
+    windows = {s: (s, list(w)) for s, w in zip(points, zip(*sums))}
+    return {s: windows[s] for s in cuts}, windows[0][1]
+
+
 def _binomial_shift(c: list[int], ts: list[int]):
     """Yield [sum_l C(m,l) t_i^(m-l) c_l[i] for i < len(ts)] for m = 0, 1, ...
 
@@ -584,12 +674,31 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int, sweep=Non
     the same sum over 1 <= a <= f0 with no condition mod p.
 
     Write a = r + p k (1 <= r < p, 0 <= k < f0), j = k + s with s = r p^-1
-    mod f0, and lo for the start of the sweep block of s.  Then chi(a) =
-    chi(p) chi(j mod f0) and a = p (j - lo) + t, t = r - p (s - lo), as j
-    runs over the window [s, s + f0).  So with the window moments D_l(s) =
-    sum_{s <= j < s + f0} chi(j) (j - lo)^l (`_prefix_power_sums`)
+    mod f0, and lo for the frame of the window of s (the start of its sweep
+    block, or s itself).  Then chi(a) = chi(p) chi(j mod f0) and a =
+    p (j - lo) + t, t = r - p (s - lo), as j runs over the window
+    [s, s + f0).  So with the window moments D_l(s) =
+    sum_{s <= j < s + f0} chi(j) (j - lo)^l
         U[m][r] = chi(p) sum_l C(m,l) t^(m-l) p^l D_l(s),
     and U0 = D(0) (chi(0) = chi(f0) = 0).
+
+    The windows come from a sweep of chi's own table (`_prefix_power_sums`)
+    or, for an even f0 = e g (chi = chi_e chi_g, `split_at_2`), of its odd
+    part's (`_odd_part_windows`): with j = c + e t, c odd mod e, the window
+    from s is the e / 2 windows of chi_g from sigma_c = ceil((s - c) / e) +
+    c e^-1 mod g, each signed by chi_e(c) chi_g(e) and shifted by its
+    constant, as chi(c + e t) = chi_e(c) chi_g(e) chi_g(t + c e^-1).  The
+    odd part walks g / 2 residues, 8 times fewer for chi_8m, and costs
+    about e (mmax + 1)(mmax + 2) / 2 element operations more per cut and for
+    the total; `_sweeps_odd_part` takes it when that is less than the
+    (f0 - g) / 2 additions it saves.  On chi_161192 the two ways broke even
+    near p = 140 at mmax = 15 (the rule switches at p = 127) and near p = 45
+    at mmax = 29 (rule: p = 31); at p = 5 the tables took about 4 and 8 ms
+    against 10-11 and 20-21 ms by the direct sweep (best of 5 calls, 8
+    alternated runs, 2-vCPU Xeon, CPython 3.11.7).  p = 5, 7 on the bench's
+    branch-conductor pairs take the odd part; the headline's p = 281, 4951,
+    13417 and the branch-prime shapes (50 cuts or more below f0 = 330) keep
+    the direct sweep.
 
     The node sums need one class of each pair {r, p - r} (`_branch_nodes`).
     The cut of p - r is 1 - s mod f0, and one of s, 1 - s is at most
@@ -606,13 +715,17 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int, sweep=Non
     if f0 == 1:
         return (list(half), [[pow(r, m, mod) for r in half] for m in range(mmax + 1)],
                 [1] * (mmax + 1))
-    vals = value_table(chi)
     pinv = pow(p % f0, -1, f0)
     H, cuts = zip(*[(r, s) if s <= (1 - s) % f0 else (p - r, (1 - s) % f0)
                     for r, s in zip(half, (r * pinv % f0 for r in half))])
-    windows, total = _prefix_power_sums(vals, cuts, mmax, sweep or _sweep_rows([f0], mmax))
+    sweep = sweep or _sweep_rows([f0], mmax)
+    chi_e, chi_g = split_at_2(chi)
+    if _sweeps_odd_part(chi_e.conductor, chi_g.conductor, len(set(cuts)), mmax):
+        windows, total = _odd_part_windows(chi_e, chi_g, cuts, mmax, sweep)
+    else:
+        windows, total = _prefix_power_sums(value_table(chi), cuts, mmax, sweep)
     last = dict(zip(cuts, range(len(cuts))))  # the last class reading each cut
-    scale = [vals[p % f0] * p**l for l in range(mmax + 1)]  # chi(p) p^l
+    scale = [chi(p) * p**l for l in range(mmax + 1)]
     U = [[] for _ in range(mmax + 1)]
     for i in range(0, len(H), _RESIDUE_BLOCK):
         rs, block = H[i:i + _RESIDUE_BLOCK], cuts[i:i + _RESIDUE_BLOCK]

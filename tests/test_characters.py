@@ -14,6 +14,7 @@ from eiscong.characters import (
     induce_quadratic,
     is_fundamental_discriminant,
     kronecker_character,
+    split_at_2,
 )
 from eiscong.quadfield import make_field, principal_ideal
 
@@ -59,6 +60,22 @@ class TestKroneckerCharacter:
         for D in (5, 8, 12, 13, -3, -4, -7, -8, -20):
             chi = kronecker_character(D)
             assert chi(abs(D) - 1) == (1 if D > 0 else -1)  # chi(-1)
+
+
+    # every fundamental discriminant with |D| < 400: D odd, and D_e = -4, 8, -8
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_split_at_2(self, sign):
+        seen = set()
+        for D in (sign * n for n in range(1, 400)):
+            if not is_fundamental_discriminant(D):
+                continue
+            chi = kronecker_character(D)
+            chi_e, chi_g = split_at_2(chi)
+            assert chi_e.D * chi_g.D == D and chi_e.D in (1, -4, 8, -8)
+            assert chi_g.D % 4 == 1 and is_fundamental_discriminant(chi_g.D)
+            assert all(chi(a) == chi_e(a) * chi_g(a) for a in range(2 * abs(D)))
+            seen.add(chi_e.D)
+        assert seen == {1, -4, 8, -8}
 
 
 class TestGenericCharacters:

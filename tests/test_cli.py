@@ -397,6 +397,29 @@ class TestPadicL:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "error" in json.loads(err)
 
+    @pytest.mark.parametrize("branch,message", [
+        ('{"d":2,"m":20149,"x":1}', "--branch has unknown keys ['x']"),
+        ('{"chi1_disc":5,"chi2_disc":40,"twist":null,"p":7,"N":2}',
+         "--branch has unknown keys ['N', 'p']"),
+        ('{"d":2,"m":20149,"chi1_disc":5}',
+         "--branch takes d and m, or chi1_disc and chi2_disc, not both"),
+        ('{"m":20149,"chi2_disc":161192}',
+         "--branch takes d and m, or chi1_disc and chi2_disc, not both"),
+    ], ids=["unknown", "unknown-two", "mixed", "mixed-halves"])
+    def test_unknown_and_mixed_branch_keys_refused(self, monkeypatch, capsys, branch, message):
+        # each used to run: an unknown key was ignored, and d and m won over
+        # the discriminants
+        import eiscong.cli as cli
+
+        monkeypatch.setattr(cli, "branch_product", _no_work)
+        code, out = run_cli(["padic-l", "--branch", branch, "--p", "7"])
+        assert _refused(capsys, code, out) == message
+
+    def test_branch_needs_both_keys_of_a_form(self, capsys):
+        code, out = run_cli(["padic-l", "--branch", '{"d":2}', "--p", "7"])
+        assert _refused(capsys, code, out) == (
+            "--branch needs d and m, or chi1_disc and chi2_disc; missing 'm'")
+
     def test_null_twist_is_no_twist(self):
         args = ["--p", "7", "--N", "3", "--M", "6"]
         code, out = run_cli(["padic-l", "--branch", '{"chi1_disc":5,"chi2_disc":40}'] + args)
@@ -583,9 +606,45 @@ class TestCaps:
         assert _refused(capsys, code, out) == (
             "(p - 1) / 2 (N + M + 8) exceeds the power-table cap of 48 cells")
 
+    # --M 1000 and 2000 pack about 1.7 and 6.9 GiB of rows at the headline
+    # pair; --N 1 --M 377 is the last M admitted there
+    @pytest.mark.parametrize("command", ["padic-l", "verify-example"])
+    @pytest.mark.parametrize("M", [378, 1000, 2000])
+    def test_packed_rows_over_the_cap_refused_at_once(self, monkeypatch, capsys, command, M):
+        import eiscong.cli as cli
+        from eiscong import measures
+
+        monkeypatch.setattr(cli, "congruence_stages", _no_work)
+        monkeypatch.setattr(cli, "branch_product", _no_work)
+        monkeypatch.setattr(measures, "_packed_rows", _no_work)
+        argv = ["--p", "5", "--N", "1", "--M", str(M)]
+        if command == "padic-l":
+            argv += ["--branch", '{"d":2,"m":20149}']
+        start = time.perf_counter()
+        code, out = run_cli([command] + argv)
+        assert time.perf_counter() - start < 0.2
+        assert _refused(capsys, code, out) == (
+            f"the packed sweep rows exceed the cap of {cli._BRANCH_ROW_BYTES_CAP} bytes")
+
+    def test_packed_rows_at_the_cap_run(self, monkeypatch, capsys):
+        # the cap reads the kernel's own count: set to the count at (N, M) =
+        # (2, 6), that run passes and one more power is refused
+        import eiscong.cli as cli
+        from eiscong.measures import packed_row_bytes
+
+        monkeypatch.setattr(cli, "_BRANCH_ROW_BYTES_CAP", packed_row_bytes([5, 40], 15))
+        argv = ["padic-l", "--branch", '{"d":2,"m":5}', "--p", "7", "--N", "2", "--M"]
+        code, out = run_cli(argv + ["6"])
+        assert code == 0 and json.loads(out)["series"]["M"] == 6
+        monkeypatch.setattr(cli, "branch_product", _no_work)
+        code, out = run_cli(argv + ["7"])
+        assert "packed sweep rows" in _refused(capsys, code, out)
+
     def test_node_count_at_the_bernoulli_cap(self, monkeypatch, capsys):
         import eiscong.cli as cli
 
+        # the packed rows of 10^4 powers exceed their own cap, checked after this one
+        monkeypatch.setattr(cli, "_BRANCH_ROW_BYTES_CAP", 2**64)
         monkeypatch.setattr(cli, "branch_product", _no_work)
         argv = ["padic-l", "--branch", '{"d":2,"m":5}', "--p", "3", "--N", "2", "--M"]
         with pytest.raises(AssertionError, match="work done"):

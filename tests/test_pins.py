@@ -128,7 +128,11 @@ PINS = [
     Pin("padic-l-2-20149-p3", BRANCH_2_20149 + ["--p", "3"], 0,
         "acac6588d0d47e90",
         why="most tw = 0 nodes and largest v_p(k) losses; 1 cut, the per-cut shift side"),
-    Pin("padic-l-2-37-p107", ["padic-l", "--branch", '{"d":2,"m":37}', "--p", "107"], 0,
+    Pin("padic-l-80588-161192-p5",
+        ["padic-l", "--branch", '{"chi1_disc":80588,"chi2_disc":161192}', "--p", "5"], 0,
+        "5a9e9c3fbf64410b",
+        why="both tables from the odd part: chi_-4 chi_-20147 (e = 4) and chi_8 chi_20149"),
+    Pin("padic-l-2-37-p107",["padic-l", "--branch", '{"d":2,"m":37}', "--p", "107"], 0,
         "0fd0862ca57a50b4",
         why="p > f0, so shifts collide: the packed wrap rows side of the wrap-term rule"),
     Pin("padic-l-2-29-p1009", ["padic-l", "--branch", '{"d":2,"m":29}', "--p", "1009"], 0,

@@ -24,20 +24,24 @@ import pytest
 
 from eiscong import measures
 from eiscong.arith import val_p
-from eiscong.characters import kronecker_character, sign_masks, value_table
+from eiscong.characters import kronecker_character, sign_masks, split_at_2, value_table
 from eiscong.lseries import bernoulli_numbers
 from eiscong.measures import (
     _RESIDUE_BLOCK,
     _SWEEP_BLOCK,
     _binomial_shift,
     _branch_nodes,
+    _odd_part_windows,
     _power_tables,
     _prefix_power_sums,
+    _slot_bytes,
     _sweep_rows,
+    _sweeps_odd_part,
     _teichmuller_powers,
     _wraps_by_rows,
     _wraps_by_shift,
     bernoulli_family,
+    packed_row_bytes,
     stabilize,
     StabilizationParams,
     to_iwasawa_series,
@@ -515,6 +519,125 @@ class TestWrapTerm:
         by_rows = dict(_wraps_by_rows(sign_masks(vals.tobytes()), held, n, mmax, f))
         by_shift = dict(_wraps_by_shift({s: q for s, (q, _) in want.items()}, f))
         assert by_rows == by_shift == {s: w for s, (_, w) in want.items()}
+
+
+def _forced(monkeypatch, odd_part):
+    """_power_tables with the odd-part rule forced to one side."""
+    monkeypatch.setattr(measures, "_sweeps_odd_part", lambda *args: odd_part)
+    return _power_tables
+
+
+def _sub_starts(chi, cuts):
+    """sigma_c mod g for every cut and odd c mod e: where each window of chi_g starts."""
+    chi_e, chi_g = split_at_2(chi)
+    e, g = chi_e.conductor, chi_g.conductor
+    return [(-((c - s) // e) + c * pow(e, -1, g)) % g for s in cuts for c in range(1, e, 2)]
+
+
+# D_e = -4, 8, -8 (split_at_2) times odd parts of both signs, prime, composite
+# and 1; D > 0 even characters, D < 0 odd ones
+ODD_PART_D = (-4, 12, -20, 28, 60, -84, -420,            # D_e = -4
+              8, 40, -24, -56, 104, -120, 168,           # D_e = 8
+              -8, -40, 24, 56, 120, -168, -104 * 5)      # D_e = -8
+
+
+class TestOddPart:
+    """The windows of an even conductor from its odd part, against the direct
+    sweep and the per-residue visit, on both sides of the rule."""
+
+    @pytest.mark.parametrize("D,p", [(D, p) for D in ODD_PART_D for p in (3, 5, 7, 31, 101)
+                                     if D % p])
+    def test_both_paths_equal_the_visit(self, monkeypatch, D, p):
+        chi = kronecker_character(D)
+        want_H, want_U, want_U0 = _forced(monkeypatch, False)(chi, p, 12, 9)
+        got = _forced(monkeypatch, True)(chi, p, 12, 9)
+        assert got == (want_H, want_U, want_U0)
+        _assert_tables_equal(chi, p, 12, 9)
+
+    # every cut of the half: the windows of chi_g start on both sides of g / 2
+    @pytest.mark.parametrize("D", ODD_PART_D)
+    @pytest.mark.parametrize("mmax", (0, 1, 15))
+    def test_every_cut_equals_the_direct_sweep(self, D, mmax):
+        chi = kronecker_character(D)
+        chi_e, chi_g = split_at_2(chi)
+        vals = value_table(chi)
+        f, g = len(vals), chi_g.conductor
+        cuts = list(range(f // 2 + 2))
+        starts = _sub_starts(chi, cuts)
+        if g > 3:
+            assert min(starts) <= g // 2 + 1 < max(starts)
+        sweep = _sweep_rows([f], mmax)
+        at, total = _prefix_power_sums(vals, cuts, mmax, sweep)
+        got, got_total = _odd_part_windows(chi_e, chi_g, cuts, mmax, sweep)
+        assert got_total == total
+        assert all(got[s] == (s, _oracle_shift(m, lo - s)) for s, (lo, m) in at.items())
+
+    # chi_g with its half at B - 1, B and B + 1 residues (g = 2045, 2047, 2049)
+    # and several blocks (g = 20149), at the sweep's block size and at small ones
+    @pytest.mark.parametrize("block", (1, 2, 7, B))
+    @pytest.mark.parametrize("D,p", [(-8 * 2045, 3), (-4 * -2047, 7), (8 * 2049, 5),
+                                     (8 * 20149, 5), (-4 * -20147, 13)])
+    def test_block_sizes(self, monkeypatch, block, D, p):
+        monkeypatch.setattr(measures, "_SWEEP_BLOCK", block)
+        chi = kronecker_character(D)
+        want = _forced(monkeypatch, False)(chi, p, 15, 15)
+        assert _forced(monkeypatch, True)(chi, p, 15, 15) == want
+
+    # the rule picks the odd part at the bench's branch-conductor shapes and
+    # the headline's p = 5, and the direct sweep at the branch-prime shapes,
+    # the headline's candidate primes and every odd conductor
+    @pytest.mark.parametrize("D,p,mmax,side", [
+        (8 * 20149, 5, 15, "odd"), (8 * 20149, 5, 29, "odd"), (-4 * -20147, 5, 29, "odd"),
+        (8 * 3517, 5, 15, "odd"), (8 * 2521, 7, 15, "odd"), (8 * 20149, 101, 15, "odd"),
+        (8 * 20149, 281, 15, "direct"), (8 * 20149, 4951, 15, "direct"),
+        (8 * 20149, 13417, 15, "direct"), (8 * 20149, 151, 15, "direct"),
+        (8 * 13, 101, 15, "direct"), (8 * 41, 107, 15, "direct"), (8, 5, 15, "direct"),
+        (20149, 5, 15, "direct"), (-4003, 5, 15, "direct"),
+    ])
+    def test_both_sides_of_the_rule(self, monkeypatch, D, p, mmax, side):
+        ran = []
+        for name in ("_odd_part_windows", "_prefix_power_sums"):
+            def spy(*args, name=name, helper=getattr(measures, name)):
+                ran.append(name)
+                return helper(*args)
+            monkeypatch.setattr(measures, name, spy)
+        chi = kronecker_character(D)
+        f0 = chi.conductor
+        cuts = {min(s, (1 - s) % f0) for s in (r * pow(p, -1, f0) % f0 for r in range(1, p))}
+        chi_e, chi_g = split_at_2(chi)
+        picked = _sweeps_odd_part(chi_e.conductor, chi_g.conductor, len(cuts), mmax)
+        assert picked == (side == "odd")
+        if f0 * p < 10**6:
+            measures._power_tables(chi, p, 3, mmax)
+            assert ran == (["_odd_part_windows", "_prefix_power_sums"] if picked
+                           else ["_prefix_power_sums"])
+
+
+# the branch-prime shape (41, 328) at p = 107 builds the wrap rows for both
+# conductors; (20149, 161192) at p = 5 builds none
+@pytest.mark.parametrize("conductors,p", [((41, 328), 107), ((20149, 161192), 5)])
+@pytest.mark.parametrize("mmax", (1, 15, 29))
+def test_packed_row_bytes_bound_the_rows_built(monkeypatch, conductors, p, mmax):
+    # the sweep rows and the widest wrap rows are alive together, and every
+    # row fits its slots; the CLI's row cap reads this count
+    packed, built = measures._packed_rows, []
+
+    def spy(n, mmax, wide, term):
+        rows, read = packed(n, mmax, wide, term)
+        size = sum(_slot_bytes(n, mmax, wide))
+        assert len(rows) == n and all(0 <= x < 256**size for x in rows)
+        built.append(n * size)
+        return rows, read
+
+    monkeypatch.setattr(measures, "_packed_rows", spy)
+    chis = [kronecker_character(D) for D in conductors]
+    sweep = _sweep_rows(conductors, mmax)
+    for chi in chis:
+        _power_tables(chi, p, 3, mmax, sweep)
+    bound = packed_row_bytes(conductors, mmax)
+    assert built[0] + max(built[1:], default=0) <= bound
+    if len(built) == 3:
+        assert built[0] + max(built[1:]) == bound
 
 
 class TestTeichmullerTable:
