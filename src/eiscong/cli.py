@@ -25,13 +25,13 @@ from .eisenstein import (
     stripped_eisenstein,
 )
 from .iwasawa import IndistinguishableFromZero, IwasawaElement, lambda_mu
-from .lseries import BERNOULLI_CAP, hecke_L_neg_induced
+from .lseries import hecke_L_neg_induced
 from .measures import (
     StabilizationParams,
     bernoulli_family,
     branch_product,
     check_distribution,
-    packed_row_bytes,
+    require_branch_size,
     stabilize,
 )
 from .quadfield import make_field
@@ -179,27 +179,6 @@ def _rational(text: str, flag: str) -> Fraction:
         raise ValueError(f"{flag} has a zero denominator") from None
 
 
-# check-distribution refuses a tower whose top level has more than this many
-# residues m0 p^depth, before any level is built.  Peak RSS runs to about 80
-# bytes per residue when m0 = 1 and one block is a whole level (--p 3 --m0 1
-# --depth 14 --alpha 1 --eps-p 1: 363 MiB for 4.78M residues; --p 5 --m0 12
-# --depth 8 needs about 26 bytes per residue, 114 MiB; CPython 3.11, Linux),
-# so a run at the cap stays under about 0.8 GB
-_TOWER_RESIDUE_CAP = 10**7
-
-
-def _require_tower_cap(m0: int, p: int, depth: int) -> None:
-    """Raise ValueError if m0 p^depth > _TOWER_RESIDUE_CAP; p >= 2.
-
-    The exponent is clipped to the cap's bit length b: for m0 >= 1 and
-    p >= 2, m0 p^b >= 2^b exceeds the cap already, so a huge depth forms no
-    huge power.  An m0 <= 0 passes here and is refused by bernoulli_family.
-    """
-    e = max(0, min(depth, _TOWER_RESIDUE_CAP.bit_length()))
-    if m0 * p**e > _TOWER_RESIDUE_CAP:
-        raise ValueError(f"m0 p^depth exceeds the tower cap of {_TOWER_RESIDUE_CAP} residues")
-
-
 def cmd_check_distribution(args) -> int:
     if not is_prime(args.p):
         raise ValueError("--p must be prime")
@@ -210,7 +189,6 @@ def cmd_check_distribution(args) -> int:
         if params.eps_p not in (-1, 0, 1):
             raise ValueError("--eps-p must be -1, 0 or 1")
         params.check_unit(args.p)
-    _require_tower_cap(args.m0, args.p, args.depth)
     fam = bernoulli_family(args.m0, args.p, args.depth)
     if params is not None:
         fam = stabilize(fam, params)
@@ -267,36 +245,6 @@ def _require_positive(args) -> None:
         raise ValueError("--N and --M must be positive")
 
 
-# padic-l and verify-example refuse a branch prime p whose power tables, (p - 1) / 2
-# classes by N + M + 8 powers, hold more than this many cells, before any work.
-# Peak RSS runs to about 100 bytes per cell at (N, M) = (2, 6) and 130 at (6, 16)
-# (--branch '{"d":2,"m":20149}' --p 266663 --N 6 --M 16, at the cap: 507 MB,
-# 103 s; CPython 3.11, Linux), so a run at the cap stays under about 0.8 GB
-_BRANCH_CELL_CAP = 4 * 10**6
-
-# They also refuse a branch series whose packed sweep rows (measures.packed_row_bytes,
-# up to 1024 rows of N + M + 8 slots, each slot wider with its power, so the
-# rows grow as (N + M)^2) hold more than this many bytes, before any work.
-# --branch '{"d":2,"m":20149}' --p 5 --N 1 counts 75 MiB at --M 200 (6.6 s,
-# 93 MB child RSS) and 164 MiB at --M 300 (22 s, 195 MB; CPython 3.11,
-# Linux), so a run at the cap (--M 377 there) stays under about 0.5 GB
-_BRANCH_ROW_BYTES_CAP = 2**28
-
-
-def _require_branch_cap(p: int, N: int, M: int, conductors) -> None:
-    """Raise ValueError if the branch series at p needs more than BERNOULLI_CAP
-    nodes (N + M + 7, the fit and its self-check), more than _BRANCH_CELL_CAP
-    power-table cells, or for characters of these conductors more than
-    _BRANCH_ROW_BYTES_CAP bytes of packed rows; N, M >= 1."""
-    if N + M + 7 > BERNOULLI_CAP:
-        raise ValueError(f"N + M + 7 exceeds the Bernoulli cap {BERNOULLI_CAP}")
-    if (p - 1) // 2 * (N + M + 8) > _BRANCH_CELL_CAP:
-        raise ValueError(f"(p - 1) / 2 (N + M + 8) exceeds the power-table cap of "
-                         f"{_BRANCH_CELL_CAP} cells")
-    if packed_row_bytes(conductors, N + M + 7) > _BRANCH_ROW_BYTES_CAP:
-        raise ValueError(f"the packed sweep rows exceed the cap of {_BRANCH_ROW_BYTES_CAP} bytes")
-
-
 def cmd_padic_l(args) -> int:
     d1, d2, twist_disc = _parse_branch(args.branch)
     if not is_prime(args.p) or args.p == 2:
@@ -313,7 +261,7 @@ def cmd_padic_l(args) -> int:
     if twist_disc is not None:
         tw = kronecker_character(twist_disc)
         chi1, chi2 = chi1.mul_quadratic(tw), chi2.mul_quadratic(tw)
-    _require_branch_cap(args.p, args.N, args.M, [chi1.conductor, chi2.conductor])
+    require_branch_size(args.p, args.N, args.M, [chi1.conductor, chi2.conductor])
     try:
         res = branch_product(chi1, chi2, strip_primes, args.p, args.N, args.M)
     except (ArithmeticError, IndistinguishableFromZero) as e:
@@ -351,7 +299,7 @@ def cmd_verify_example(args) -> int:
     eps = induce_quadratic(field, args.m)
     conductors = [eps.chi1.conductor, eps.chi2.conductor]
     if args.p is not None:
-        _require_branch_cap(args.p, args.N, args.M, conductors)
+        require_branch_size(args.p, args.N, args.M, conductors)
     bundle = {"config": _config_echo(args, "verify-example",
                                      ["d", "m", "p", "N", "M", "all_branches"]),
               "substitution": SUBSTITUTION_NOTE,
@@ -376,11 +324,12 @@ def cmd_verify_example(args) -> int:
         failures += 1
 
     # stage 3: branch series and lambda-additivity at candidate primes
-    branch_primes = candidates if args.all_branches else candidates[:1]
     if args.p is not None:
-        branch_primes = [args.p]
-    for p in branch_primes:  # the scan candidates; a forced --p was checked before stage 1
-        _require_branch_cap(p, args.N, args.M, conductors)
+        branch_primes = [args.p]  # checked before stage 1
+    else:
+        branch_primes = candidates if args.all_branches else candidates[:1]
+        for p in branch_primes:
+            require_branch_size(p, args.N, args.M, conductors)
     branches = []
     exhausted = False
     for p in branch_primes:

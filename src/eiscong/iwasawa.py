@@ -71,8 +71,9 @@ class IwasawaElement:
         M, a digit not written in ASCII 0-9 or outside [0, p), or
         pole_factor not a boolean.  So does a series longer than any command
         writes, refused before its digits are read: N + M + 7 (the node count
-        of a padic-l branch) or a coefficient's digit count above
-        BERNOULLI_CAP.
+        of a padic-l branch, measures._fit_points(N, M) + _CHECK_POINTS at 8
+        check nodes, written out since measures imports this module) or a
+        coefficient's digit count above BERNOULLI_CAP.
         """
         if not isinstance(obj, dict):
             raise ValueError("a serialized series must be a JSON object")

@@ -36,7 +36,7 @@ from operator import add, floordiv, mul, ne, sub
 from .arith import crt, factorize, val_p, val_p_factorial
 from .characters import DirichletCharacter, HeckeCharacterQF, sign_masks, split_at_2, value_table
 from .iwasawa import IwasawaElement, euler_factor, lambda_mu
-from .lseries import bernoulli_numbers
+from .lseries import BERNOULLI_CAP, bernoulli_numbers
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +135,15 @@ def _scaled(k: int, xs):
     return xs if k == 1 else map(mul, repeat(k), xs)
 
 
+# bernoulli_family refuses a tower whose top level has more than this many
+# residues m0 p^depth, before any level is built.  Peak RSS runs to about 80
+# bytes per residue when m0 = 1 and one block is a whole level (--p 3 --m0 1
+# --depth 14 --alpha 1 --eps-p 1: 363 MiB for 4.78M residues; --p 5 --m0 12
+# --depth 8 needs about 26 bytes per residue, 114 MiB; CPython 3.11, Linux),
+# so a run at the cap stays under about 0.8 GB
+_TOWER_RESIDUE_CAP = 10**7
+
+
 def bernoulli_family(m0: int, p: int, depth: int) -> LevelFamily:
     """B1 values on the tower; the bottom level is the coherent pushforward.
 
@@ -145,9 +154,15 @@ def bernoulli_family(m0: int, p: int, depth: int) -> LevelFamily:
     identity would fail at the bottom step (level m0 conventions).  Each
     block is built alone, a range compressed by the block's skip mask, with
     one gcd per block.
+
+    p >= 2.  A tower of more than _TOWER_RESIDUE_CAP residues at the top is
+    refused first; the exponent is clipped to the cap's bit length b, since
+    m0 p^b >= 2^b exceeds the cap already, so a huge depth forms no huge power.
     """
     if m0 < 1:
         raise ValueError("m0 must be a positive integer")
+    if m0 * p**max(0, min(depth, _TOWER_RESIDUE_CAP.bit_length())) > _TOWER_RESIDUE_CAP:
+        raise ValueError(f"m0 p^depth exceeds the tower cap of {_TOWER_RESIDUE_CAP} residues")
     if math.gcd(m0, p) != 1:
         raise ValueError("m0 must be coprime to p")
     if depth < 1:
@@ -447,7 +462,7 @@ def _slot_bytes(n: int, mmax: int, wide: int) -> list[int]:
     return [(width + wide * l + 9) // 8 for l in range(mmax + 1)]
 
 
-def packed_row_bytes(conductors, mmax: int) -> int:
+def _packed_row_bytes(conductors, mmax: int) -> int:
     """The bytes of packed rows one `_branch_series` call over characters of these
     conductors holds at once, at most: its `_sweep_rows` and the wrap rows of
     `_wraps_by_rows` for the largest f, which are no more rows and wider.  A row
@@ -544,12 +559,7 @@ def _prefix_power_sums(vals, cuts, mmax: int, sweep):
     Near the break-even point the two ways measured within 25% of each other
     (f0 = 20149, 161192 at mmax = 7, 15, 29); rows alone at every call made
     the bench's branch-conductor workload about 1.5 times as slow (wall_s).
-
-    An even conductor f = e g (e = 4, 8, g odd) with few cuts does not come
-    here with its own table: `_odd_part_windows` reads each of its windows
-    as e / 2 windows of the odd part chi_g, from one sweep of chi_g's table,
-    which walks g / 2 residues instead of f / 2 (`_sweeps_odd_part` decides
-    by the sizes alone).
+    An even f may come here by its odd part instead (`_sweeps_odd_part`).
     """
     f = len(vals)
     h = f // 2 + 1
@@ -597,7 +607,14 @@ def _sweeps_odd_part(e: int, g: int, cuts: int, mmax: int) -> bool:
     at each cut and at 0 (the total), e / 2 windows of chi_g where the direct
     sweep reads one: each a wrap term of at most q = (mmax + 1)(mmax + 2) / 2
     element operations in `_prefix_power_sums`, then a binomial shift of q
-    multiply-adds to the cut's frame, so about e q per cut.
+    multiply-adds to the cut's frame, so about e q per cut.  On chi_161192
+    the two ways broke even near p = 140 at mmax = 15 (the rule switches at
+    p = 127) and near p = 45 at mmax = 29 (rule: p = 31); at p = 5 the tables
+    took about 4 and 8 ms against 10-11 and 20-21 ms by the direct sweep (best
+    of 5 calls, 8 alternated runs, 2-vCPU Xeon, CPython 3.11.7).  p = 5, 7 on
+    the bench's branch-conductor pairs take the odd part; the headline's
+    p = 281, 4951, 13417 and the branch-prime shapes (50 cuts or more below
+    f0 = 330) keep the direct sweep.
     """
     return e * (cuts + 1) * (mmax + 1) * (mmax + 2) // 2 < (e - 1) * g // 2
 
@@ -683,22 +700,7 @@ def _power_tables(chi: DirichletCharacter, p: int, wk: int, mmax: int, sweep=Non
     and U0 = D(0) (chi(0) = chi(f0) = 0).
 
     The windows come from a sweep of chi's own table (`_prefix_power_sums`)
-    or, for an even f0 = e g (chi = chi_e chi_g, `split_at_2`), of its odd
-    part's (`_odd_part_windows`): with j = c + e t, c odd mod e, the window
-    from s is the e / 2 windows of chi_g from sigma_c = ceil((s - c) / e) +
-    c e^-1 mod g, each signed by chi_e(c) chi_g(e) and shifted by its
-    constant, as chi(c + e t) = chi_e(c) chi_g(e) chi_g(t + c e^-1).  The
-    odd part walks g / 2 residues, 8 times fewer for chi_8m, and costs
-    about e (mmax + 1)(mmax + 2) / 2 element operations more per cut and for
-    the total; `_sweeps_odd_part` takes it when that is less than the
-    (f0 - g) / 2 additions it saves.  On chi_161192 the two ways broke even
-    near p = 140 at mmax = 15 (the rule switches at p = 127) and near p = 45
-    at mmax = 29 (rule: p = 31); at p = 5 the tables took about 4 and 8 ms
-    against 10-11 and 20-21 ms by the direct sweep (best of 5 calls, 8
-    alternated runs, 2-vCPU Xeon, CPython 3.11.7).  p = 5, 7 on the bench's
-    branch-conductor pairs take the odd part; the headline's p = 281, 4951,
-    13417 and the branch-prime shapes (50 cuts or more below f0 = 330) keep
-    the direct sweep.
+    or of its odd part's (`_odd_part_windows`, chosen by `_sweeps_odd_part`).
 
     The node sums need one class of each pair {r, p - r} (`_branch_nodes`).
     The cut of p - r is 1 - s mod f0, and one of s, 1 - s is at most
@@ -793,6 +795,36 @@ def _branch_nodes(chi: DirichletCharacter, p: int, omega_power: int, count: int,
 # The self-check fits the same nodes with 8 more points: c_k = f[t_0..t_k] depends only on t_0..t_k,
 # so the K-point fit is the first K of the (K + 8)-point one, and both fix T^0..T^(M-1) mod p^N.
 _CHECK_POINTS = 8
+
+# require_branch_size refuses a branch prime p whose power tables, (p - 1) / 2 classes by
+# big + 1 powers (N + M + 8 today), hold more than this many cells.  Peak RSS runs to
+# about 100 bytes per cell at (N, M) = (2, 6) and 130 at (6, 16) (padic-l --branch
+# '{"d":2,"m":20149}' --p 266663 --N 6 --M 16, at the cap: 507 MB, 103 s; CPython 3.11,
+# Linux), so a run at the cap stays under about 0.8 GB
+_BRANCH_CELL_CAP = 4 * 10**6
+
+# It also refuses a branch series whose packed sweep rows (_packed_row_bytes, up to 1024
+# rows of big + 1 slots, each slot wider with its power, so the rows grow as (N + M)^2)
+# hold more than this many bytes.  padic-l --branch '{"d":2,"m":20149}' --p 5 --N 1
+# counts 75 MiB at --M 200 (6.6 s, 93 MB child RSS) and 164 MiB at --M 300 (22 s,
+# 195 MB; CPython 3.11, Linux), so a run at the cap (--M 377 there) stays under about 0.5 GB
+_BRANCH_ROW_BYTES_CAP = 2**28
+
+
+def require_branch_size(p: int, N: int, M: int, conductors) -> None:
+    """Raise ValueError if `_branch_series` at p, N, M >= 1 over characters of these
+    conductors needs more than BERNOULLI_CAP nodes (big, the fit and its
+    self-check), more than _BRANCH_CELL_CAP power-table cells or more than
+    _BRANCH_ROW_BYTES_CAP bytes of packed rows.  `_branch_series` does not check
+    again: callers refuse an oversized input before any work."""
+    big = _fit_points(N, M) + _CHECK_POINTS
+    if big > BERNOULLI_CAP:
+        raise ValueError(f"N + M + {big - N - M} exceeds the Bernoulli cap {BERNOULLI_CAP}")
+    if (p - 1) // 2 * (big + 1) > _BRANCH_CELL_CAP:
+        raise ValueError(f"(p - 1) / 2 (N + M + {big + 1 - N - M}) exceeds the power-table "
+                         f"cap of {_BRANCH_CELL_CAP} cells")
+    if _packed_row_bytes(conductors, big) > _BRANCH_ROW_BYTES_CAP:
+        raise ValueError(f"the packed sweep rows exceed the cap of {_BRANCH_ROW_BYTES_CAP} bytes")
 
 
 def kubota_leopoldt(chi: DirichletCharacter, p: int, N: int, M: int,

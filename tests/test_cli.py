@@ -264,29 +264,29 @@ class TestCheckDistribution:
                                                          m0, p, depth):
         # a large tower used to end in a MemoryError traceback (exit 1) or an
         # out-of-memory kill; nothing is built, so this costs nothing
-        import eiscong.cli as cli
+        from eiscong import measures
 
         def unreachable(*args):
-            raise AssertionError("bernoulli_family called")
+            raise AssertionError("a level was built")
 
-        monkeypatch.setattr(cli, "bernoulli_family", unreachable)
+        monkeypatch.setattr(measures, "_blocks", unreachable)
         code, out = run_cli(["check-distribution", "--p", p, "--m0", m0, "--depth", depth,
                              "--alpha", "1", "--eps-p", "1"])
         assert code == 2 and out == ""
         assert json.loads(capsys.readouterr().err) == {
-            "error": f"m0 p^depth exceeds the tower cap of {cli._TOWER_RESIDUE_CAP} residues"}
+            "error": f"m0 p^depth exceeds the tower cap of {measures._TOWER_RESIDUE_CAP} residues"}
 
     def test_tower_at_the_cap_is_built(self, monkeypatch, capsys):
-        import eiscong.cli as cli
+        from eiscong import measures
 
         def reached(*args):
-            raise ValueError(f"bernoulli_family{args}")
+            raise ValueError(f"_blocks{args}")
 
-        monkeypatch.setattr(cli, "bernoulli_family", reached)
-        assert 128 * 5**7 == cli._TOWER_RESIDUE_CAP
+        monkeypatch.setattr(measures, "_blocks", reached)
+        assert 128 * 5**7 == measures._TOWER_RESIDUE_CAP
         code, _ = run_cli(["check-distribution", "--p", "5", "--m0", "128", "--depth", "7"])
         assert code == 2
-        assert json.loads(capsys.readouterr().err) == {"error": "bernoulli_family(128, 5, 7)"}
+        assert json.loads(capsys.readouterr().err) == {"error": "_blocks(128, 5)"}
 
 
 # the full stdout of two padic-l runs, pinned byte for byte
@@ -596,9 +596,9 @@ class TestCaps:
 
     def test_branch_at_the_cap_runs(self, monkeypatch, capsys):
         # p = 7 at (N, M) = (2, 6) has 3 classes by 16 powers, p = 11 has 5
-        import eiscong.cli as cli
+        from eiscong import measures
 
-        monkeypatch.setattr(cli, "_BRANCH_CELL_CAP", 48)
+        monkeypatch.setattr(measures, "_BRANCH_CELL_CAP", 48)
         argv = ["padic-l", "--branch", '{"d":2,"m":5}', "--N", "2", "--M", "6", "--p"]
         code, out = run_cli(argv + ["7"])
         assert code == 0 and json.loads(out)["series"]["M"] == 6
@@ -624,15 +624,16 @@ class TestCaps:
         code, out = run_cli([command] + argv)
         assert time.perf_counter() - start < 0.2
         assert _refused(capsys, code, out) == (
-            f"the packed sweep rows exceed the cap of {cli._BRANCH_ROW_BYTES_CAP} bytes")
+            f"the packed sweep rows exceed the cap of {measures._BRANCH_ROW_BYTES_CAP} bytes")
 
     def test_packed_rows_at_the_cap_run(self, monkeypatch, capsys):
         # the cap reads the kernel's own count: set to the count at (N, M) =
         # (2, 6), that run passes and one more power is refused
         import eiscong.cli as cli
-        from eiscong.measures import packed_row_bytes
+        from eiscong import measures
 
-        monkeypatch.setattr(cli, "_BRANCH_ROW_BYTES_CAP", packed_row_bytes([5, 40], 15))
+        monkeypatch.setattr(measures, "_BRANCH_ROW_BYTES_CAP",
+                            measures._packed_row_bytes([5, 40], 15))
         argv = ["padic-l", "--branch", '{"d":2,"m":5}', "--p", "7", "--N", "2", "--M"]
         code, out = run_cli(argv + ["6"])
         assert code == 0 and json.loads(out)["series"]["M"] == 6
@@ -642,23 +643,50 @@ class TestCaps:
 
     def test_node_count_at_the_bernoulli_cap(self, monkeypatch, capsys):
         import eiscong.cli as cli
+        from eiscong import measures
 
         # the packed rows of 10^4 powers exceed their own cap, checked after this one
-        monkeypatch.setattr(cli, "_BRANCH_ROW_BYTES_CAP", 2**64)
+        monkeypatch.setattr(measures, "_BRANCH_ROW_BYTES_CAP", 2**64)
         monkeypatch.setattr(cli, "branch_product", _no_work)
         argv = ["padic-l", "--branch", '{"d":2,"m":5}', "--p", "3", "--N", "2", "--M"]
         with pytest.raises(AssertionError, match="work done"):
-            run_cli(argv + [str(cli.BERNOULLI_CAP - 9)])
-        code, out = run_cli(argv + [str(cli.BERNOULLI_CAP - 8)])
+            run_cli(argv + [str(measures.BERNOULLI_CAP - 9)])
+        code, out = run_cli(argv + [str(measures.BERNOULLI_CAP - 8)])
         assert _refused(capsys, code, out) == "N + M + 7 exceeds the Bernoulli cap 10000"
+
+    def test_node_count_cap_reads_the_kernel_count(self, monkeypatch, capsys):
+        # with one more check node, the largest M admitted above is one node
+        # past the cap: it is refused, and the message counts the new node
+        import eiscong.cli as cli
+        from eiscong import measures
+
+        monkeypatch.setattr(measures, "_CHECK_POINTS", 9)
+        monkeypatch.setattr(cli, "branch_product", _no_work)
+        start = time.perf_counter()
+        code, out = run_cli(["padic-l", "--branch", '{"d":2,"m":5}', "--p", "3", "--N", "2",
+                             "--M", "9991"])
+        assert time.perf_counter() - start < 0.2
+        assert _refused(capsys, code, out) == "N + M + 8 exceeds the Bernoulli cap 10000"
 
     def test_scan_candidate_over_the_cap_refused_before_stage_3(self, monkeypatch, capsys):
         import eiscong.cli as cli
+        from eiscong import measures
 
-        monkeypatch.setattr(cli, "_BRANCH_CELL_CAP", 0)
+        monkeypatch.setattr(measures, "_BRANCH_CELL_CAP", 0)
         monkeypatch.setattr(cli, "branch_product", _no_work)
         code, out = run_cli(["verify-example", "--d", "2", "--m", "17"])
         assert "power-table cap of 0 cells" in _refused(capsys, code, out)
+
+    @pytest.mark.parametrize("extra,want", [(["--p", "23"], [23]), (["--all-branches"], [23])],
+                             ids=["forced", "scan"])
+    def test_each_branch_prime_is_sized_once(self, monkeypatch, extra, want):
+        # a forced --p is checked before stage 1, the scan candidates before stage 3
+        import eiscong.cli as cli
+
+        seen = []
+        monkeypatch.setattr(cli, "require_branch_size", lambda p, *args: seen.append(p))
+        code, _ = run_cli(["verify-example", "--d", "2", "--m", "17"] + extra)
+        assert code == 0 and seen == want
 
     def test_eis_bound_over_the_cap(self, monkeypatch, capsys):
         import eiscong.cli as cli
@@ -688,6 +716,14 @@ class TestCaps:
         code, out = run_cli(["padic-lambda", "--in", str(path)])
         assert time.perf_counter() - start < 0.2
         assert _refused(capsys, code, out) == message
+
+    @pytest.mark.parametrize("N,M", [(1, 1), (2, 6), (6, 16), (2, 10**4 - 9)])
+    def test_series_cap_counts_the_branch_nodes(self, N, M):
+        # IwasawaElement.from_json cannot import measures, so it writes the
+        # branch node count out as N + M + 7; a change to that count fails here
+        from eiscong import measures
+
+        assert measures._fit_points(N, M) + measures._CHECK_POINTS == N + M + 7
 
     def test_series_at_the_cap_is_read(self, tmp_path):
         # N + M + 7 = BERNOULLI_CAP, and a unit at T^1 stated to BERNOULLI_CAP digits

@@ -32,6 +32,7 @@ from eiscong.measures import (
     _binomial_shift,
     _branch_nodes,
     _odd_part_windows,
+    _packed_row_bytes,
     _power_tables,
     _prefix_power_sums,
     _slot_bytes,
@@ -41,7 +42,6 @@ from eiscong.measures import (
     _wraps_by_rows,
     _wraps_by_shift,
     bernoulli_family,
-    packed_row_bytes,
     stabilize,
     StabilizationParams,
     to_iwasawa_series,
@@ -634,7 +634,7 @@ def test_packed_row_bytes_bound_the_rows_built(monkeypatch, conductors, p, mmax)
     sweep = _sweep_rows(conductors, mmax)
     for chi in chis:
         _power_tables(chi, p, 3, mmax, sweep)
-    bound = packed_row_bytes(conductors, mmax)
+    bound = _packed_row_bytes(conductors, mmax)
     assert built[0] + max(built[1:], default=0) <= bound
     if len(built) == 3:
         assert built[0] + max(built[1:]) == bound
